@@ -1,6 +1,6 @@
 """Configuration parsing, subcommand pipelines, and artifact emission.
 
-    ringnls SUBCOMMAND [--config PATH] [--out DIR] [--threads T] [--seed S]
+    ringnls SUBCOMMAND [--config PATH] [--out DIR] [--seed S]
 
 Subcommands: ground-state (radial profiles and their moments), bounds
 (tail-envelope and cross-term decay reports), expansion (ansatz energy
@@ -14,12 +14,9 @@ to the output directory, all atomically (write-then-rename).  The exit
 status is 0 exactly when every invariant the subcommand asserts held;
 otherwise a failure.json names the first violated invariant.
 
-Scan and sampling stages are independent of each other and could run
-concurrently, but they are executed serially on purpose: together with
-the single seeded generator this makes identical config + seed produce
-bit-identical artifacts at any --threads value (the flag is validated
-and otherwise ignored, and neither it nor the output path is echoed
-into the artifacts).
+Scan and sampling stages run serially from a single seeded generator,
+so identical config + seed produce bit-identical artifacts (the output
+path is not echoed into them).
 """
 
 from __future__ import annotations
@@ -76,13 +73,11 @@ class RunConfig:
     etas: str = "0.5,1,2"
     out: str = "out"
     seed: int = 0
-    threads: int = 1
 
 
 _FLOAT_KEYS = {"lam", "alpha0", "alpha1", "beta", "a", "m", "theta",
                "R", "L", "h", "tol", "tol_R"}
-_INT_KEYS = {"dim", "k", "max_iter", "n_coarse", "n_samples", "seed",
-             "threads"}
+_INT_KEYS = {"dim", "k", "max_iter", "n_coarse", "n_samples", "seed"}
 _STR_KEYS = {"potential", "ks", "etas", "out"}
 
 
@@ -157,8 +152,6 @@ def parse_config(text: str) -> RunConfig:
     if config.n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, "
                          f"got {config.n_samples}")
-    if config.threads < 1:
-        raise ValueError(f"threads must be at least 1, got {config.threads}")
     if config.h is not None and config.h <= 0:
         raise ValueError(f"h must be positive, got {config.h}")
     _parse_list(config.ks, int, "ks")
@@ -207,9 +200,8 @@ def _json_text(payload: dict) -> str:
 
 def _config_echo(config: RunConfig) -> dict:
     echo = asdict(config)
-    # excluded so artifacts stay bit-identical across hosts and flags
+    # excluded so artifacts stay bit-identical across output paths
     echo.pop("out")
-    echo.pop("threads")
     return echo
 
 
@@ -538,8 +530,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--config", metavar="PATH",
                    help="key = value config file (defaults when omitted)")
     p.add_argument("--out", metavar="DIR", help="output directory")
-    p.add_argument("--threads", type=int, metavar="T",
-                   help="worker budget; validated, execution is serial")
     p.add_argument("--seed", type=int, metavar="S",
                    help="seed for sample-based checks")
     return p
@@ -555,11 +545,6 @@ def main(argv=None) -> int:
             overrides["out"] = args.out
         if args.seed is not None:
             overrides["seed"] = args.seed
-        if args.threads is not None:
-            if args.threads < 1:
-                raise ValueError(
-                    f"threads must be at least 1, got {args.threads}")
-            overrides["threads"] = args.threads
         if overrides:
             config = replace(config, **overrides)
     except (OSError, ValueError) as exc:

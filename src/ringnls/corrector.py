@@ -35,7 +35,7 @@ from .geometry import (BumpConfiguration, bump_centers, bump_cubes_field,
 from .grid import Field, Grid, grid_for_radius, laplacian, norm_E, quad_product
 from .model import (CouplingBudget, ModelParams, bump_radius_interval,
                     compute_gamma0_f0, derive_exponents, make_potential)
-from .radial import decay_constant, ground_state
+from .radial import ground_state
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +133,8 @@ def _solve_minres(matvec, precond, b: np.ndarray, tol: float,
     maxiter = 1200
     for _ in range(3):
         x, _info = minres(A, b, x0=x, rtol=rtol, maxiter=maxiter, M=M)
-        res = math.sqrt(float(np.dot(matvec(x) - b, matvec(x) - b))) / bnorm
+        r = matvec(x) - b
+        res = math.sqrt(float(np.dot(r, r))) / bnorm
         history.append(res)
         if res <= tol:
             return x
@@ -269,7 +270,7 @@ def build_inputs(k: int, Rvalue: float, params: ModelParams,
     cubes = bump_cubes_field(g, v0, config)
     mu = potential_field(g, make_potential(params))
     Z = constraint_field(g, v0, config)
-    budget = compute_gamma0_f0(U0f.data, W.data, decay_constant(v0))
+    budget = compute_gamma0_f0(U0f.data, W.data, v0.decay_const)
     return CorrectorInputs(g=g, config=config, u0_profile=u0, v0_profile=v0,
                            U0f=U0f, W=W, cubes=cubes, mu=mu, Z=Z,
                            budget=budget)

@@ -24,7 +24,7 @@ from .geometry import (BumpConfiguration, _bump_radii, bump_sum_field,
 from .grid import (Field, Grid, grad8, grid_for_radius, make_grid, quad,
                    quad_product)
 from .model import ModelParams, Potential, make_potential
-from .radial import RadialProfile, decay_constant, eval_profile, moments
+from .radial import RadialProfile, eval_profile
 
 
 def potential_field(g: Grid, mu: Potential) -> Field:
@@ -50,12 +50,6 @@ def energy(U: Field, V: Field, mu: Field, params: ModelParams) -> float:
     return 0.5 * (kin + quadratic) - 0.25 * quartic
 
 
-def ansatz_energy(U0f: Field, bumpsum: Field, mu: Field,
-                  params: ModelParams) -> float:
-    """Main term I(U0, Sigma V_i) of the reduced energy."""
-    return energy(U0f, bumpsum, mu, params)
-
-
 def expansion_constants(U0prof: RadialProfile, V0prof: RadialProfile,
                         params: ModelParams) -> tuple[float, float, float]:
     """(A0, A1, A2) = (alpha0/4 int U0^4, alpha1/4 int V0^4, a/2 int V0^2).
@@ -63,11 +57,9 @@ def expansion_constants(U0prof: RadialProfile, V0prof: RadialProfile,
     All three come from the radial moments of the solved profiles, so they
     are independent of any box grid; A2 is exactly linear in a.
     """
-    _, m4u = moments(U0prof)
-    m2v, m4v = moments(V0prof)
-    return (0.25 * params.alpha0 * m4u,
-            0.25 * params.alpha1 * m4v,
-            0.5 * params.a * m2v)
+    return (0.25 * params.alpha0 * U0prof.moment4,
+            0.25 * params.alpha1 * V0prof.moment4,
+            0.5 * params.a * V0prof.moment2)
 
 
 @dataclass
@@ -146,8 +138,7 @@ def potential_moment(V0prof: RadialProfile, config: BumpConfiguration,
     integrand = (mu(np.sqrt(shift2)) - 1.0) \
         * eval_profile(V0prof, np.sqrt(rho2)) ** 2
     integral = quad(Field(g, np.broadcast_to(integrand, g.shape).copy()))
-    m2, _ = moments(V0prof)
-    leading = params.a / config.R ** params.m * m2
+    leading = params.a / config.R ** params.m * V0prof.moment2
     return float(integral), float(leading)
 
 
@@ -187,8 +178,8 @@ def check_ksum_bound(V0prof: RadialProfile, config: BumpConfiguration,
                      eta: float, samples) -> BoundReport:
     """Evaluate both envelopes at each sample point of sector 1.
 
-    M is the profile's measured envelope constant (the radial module's
-    decay_constant), valid for the plain bound V0(rho) <= M e^{-rho}.
+    M is the profile's measured envelope constant (its decay_const),
+    valid for the plain bound V0(rho) <= M e^{-rho}.
     Hypotheses out of range (tiny R, radii far outside the admissible
     window) are not an error: the ratios simply come back above one and
     the report is the diagnostic.
@@ -196,7 +187,7 @@ def check_ksum_bound(V0prof: RadialProfile, config: BumpConfiguration,
     if not 0.0 < eta <= 2.0:
         raise ValueError(f"eta must lie in (0, 2], got {eta}")
     pts = np.asarray(samples, dtype=float).reshape(-1, config.dim)
-    envelope_const = decay_constant(V0prof)
+    envelope_const = V0prof.decay_const
     diffs = pts[:, None, :] - config.centers[None, :, :]
     dists = np.sqrt((diffs ** 2).sum(axis=2))
     vals = eval_profile(V0prof, dists)
@@ -286,7 +277,7 @@ def expansion_compare(U0prof: RadialProfile, V0prof: RadialProfile,
     muf = potential_field(g, mu)
     U0f = radial_field(g, U0prof)
     W = bump_sum_field(g, V0prof, config)
-    direct = ansatz_energy(U0f, W, muf, params)
+    direct = energy(U0f, W, muf, params)
     A0, A1, A2 = expansion_constants(U0prof, V0prof, params)
     inter = interaction_term(V0prof, config, params, g=g)
     interaction_sum = 0.5 * params.alpha1 * config.k * inter.total
@@ -383,7 +374,7 @@ def energy_breakdown(U0f: Field, W: Field, u: Field, v: Field, mu: Field,
              - 0.5 * beta * (quad_product(U0f, U0f, v, v)
                              + 4.0 * quad_product(U0f, W, u, v)
                              + quad_product(W, W, u, u)))
-    main = ansatz_energy(U0f, W, mu, params)
+    main = energy(U0f, W, mu, params)
     total = energy(U0f + u, W + v, mu, params)
     return EnergyBreakdown(
         A0=A0, A1=A1, A2=A2,

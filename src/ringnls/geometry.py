@@ -7,7 +7,10 @@ coordinate reflections y_n -> -y_n for n >= 2; symmetrize averages a
 field over that group.  Group elements whose matrix is a signed
 permutation of the axes act by exact node permutations; the rest are
 evaluated by quintic spline interpolation, on a Fourier-upsampled copy
-of the field when the accurate tier is requested.
+of the field when the accurate tier is requested.  The average streams
+over the group one element at a time, so its memory is O(nodes) and
+independent of k; the upsampled copy is built only when some element
+interpolates.
 """
 from __future__ import annotations
 
@@ -15,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import map_coordinates
+from scipy.ndimage import map_coordinates, spline_filter
 
 from .grid import Field, Grid
 from .radial import RadialProfile, eval_profile, eval_profile_deriv
@@ -160,11 +163,6 @@ def constraint_field(g: Grid, profile: RadialProfile,
     return Field(g, total)
 
 
-def _exact_matrix(m: int, k: int) -> bool:
-    """True when rotation by 2πm/k maps grid nodes to grid nodes."""
-    return (4 * m) % k == 0
-
-
 def _apply_signed_permutation(a: np.ndarray, M: np.ndarray) -> np.ndarray:
     """b with b[idx] = a[index of M @ y(idx)] for signed-permutation M."""
     dim = M.shape[0]
@@ -186,10 +184,6 @@ def _rotation_matrix(theta: float, dim: int, flip2: bool) -> np.ndarray:
     if flip2:
         M[:, 1] *= -1.0
     return M
-
-
-def _snap(M: np.ndarray) -> np.ndarray:
-    return np.round(M)
 
 
 def _upsample_fft(a: np.ndarray, factor: int) -> np.ndarray:
@@ -222,53 +216,51 @@ def symmetrize(f: Field, k: int, accurate: bool = True) -> Field:
     are evaluated by quintic interpolation — on a copy trigonometrically
     upsampled in the rotated axes when accurate=True, which pushes the
     interpolation error of smooth decayed fields to the spectral floor.
+    The group is streamed one element at a time, so memory is O(nodes)
+    and independent of k; the upsampled copy and its spline coefficients
+    are built only when some element interpolates.
     """
     g = f.grid
     a = f.data
     dim = g.dim
 
-    factor = _upsample_factor(g.n_axis, dim) if accurate else 1
-    if factor > 1:
-        src = _upsample_fft(a, factor)
-        h_plane = g.h / factor
-    else:
-        src = a
-        h_plane = g.h
-
-    mesh = np.meshgrid(*g.axes(), indexing="ij", sparse=False)
-    pts = np.stack([m.ravel() for m in mesh])  # (dim, size)
-
     exact_total = np.zeros(g.shape)
-    exact_count = 0
-    interp_coords = []
+    interp_total = np.zeros(g.shape)
+    counts = np.zeros(g.shape, dtype=int)
+    coeffs = None
     for m in range(k):
         theta = 2.0 * math.pi * m / k
         for flip2 in (False, True):
             M = _rotation_matrix(theta, dim, flip2)
-            if _exact_matrix(m, k):
-                exact_total += _apply_signed_permutation(a, _snap(M))
-                exact_count += 1
-            else:
-                interp_coords.append(M @ pts)
+            if (4 * m) % k == 0:
+                # rotation by 2πm/k maps grid nodes to grid nodes
+                exact_total += _apply_signed_permutation(a, np.round(M))
+                counts += 1
+                continue
+            if coeffs is None:
+                factor = _upsample_factor(g.n_axis, dim) if accurate else 1
+                # the B-spline prefilter map_coordinates would otherwise
+                # rerun on every call (mode "constant" needs no padding)
+                coeffs = spline_filter(
+                    _upsample_fft(a, factor) if factor > 1 else a,
+                    order=5, output=np.float64, mode="constant")
+                spacing = np.full((dim, 1), g.h / factor)
+                if dim == 3:
+                    spacing[2, 0] = g.h
+                pts = np.stack(np.meshgrid(*g.axes(), indexing="ij"))
+                pts = pts.reshape(dim, -1)
+            coords = M @ pts
+            vals = map_coordinates(coeffs, (coords + g.L) / spacing, order=5,
+                                   mode="constant", cval=0.0, prefilter=False)
+            # the square's corner zone (|y| > L) is not rotation-covariant:
+            # some rotated sample points leave the box.  Average each node
+            # over the elements that stay inside instead of absorbing zeros.
+            inbox = np.all(np.abs(coords) <= g.L + 1e-12,
+                           axis=0).reshape(g.shape)
+            interp_total += np.where(inbox, vals.reshape(g.shape), 0.0)
+            counts += inbox
 
-    if interp_coords:
-        coords = np.concatenate(interp_coords, axis=1)
-        spacing = np.full((dim, 1), h_plane)
-        if dim == 3:
-            spacing[2, 0] = g.h
-        idx = (coords + g.L) / spacing
-        vals = map_coordinates(src, idx, order=5, mode="constant", cval=0.0)
-        # the square's corner zone (|y| > L) is not rotation-covariant:
-        # some rotated sample points leave the box.  Average each node
-        # over the elements that stay inside instead of absorbing zeros.
-        inbox = np.all(np.abs(coords) <= g.L + 1e-12, axis=0)
-        vals = np.where(inbox, vals, 0.0).reshape(len(interp_coords), *g.shape)
-        counts = inbox.reshape(len(interp_coords), *g.shape).sum(axis=0)
-        total = exact_total + vals.sum(axis=0)
-        out = total / (exact_count + counts)
-    else:
-        out = exact_total / exact_count
-
+    out = (exact_total + interp_total) / counts
     if dim == 3:
         out = 0.5 * (out + out[:, :, ::-1])
     return Field(g, out)

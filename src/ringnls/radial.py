@@ -27,12 +27,9 @@ from scipy.integrate import solve_ivp
 from scipy.interpolate import make_interp_spline
 from scipy.special import k0e, k1e
 
-_SURFACE = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
+from .grid import _G8
 
-# 8th-order centered first-derivative stencil used for the a-posteriori
-# residual check
-_D1_W = np.array([1.0 / 280, -4.0 / 105, 1.0 / 5, -4.0 / 5, 0.0,
-                  4.0 / 5, -1.0 / 5, 4.0 / 105, -1.0 / 280])
+_SURFACE = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
 
 
 class ShootingError(RuntimeError):
@@ -345,7 +342,7 @@ def _residual_check(c, alpha, dim, r, values, deriv, tail_coef):
 
     def d1(ext):
         out = np.zeros(n)
-        for j, w in enumerate(_D1_W):
+        for j, w in enumerate(_G8):
             if w:
                 out += w * ext[j:j + n]
         return out / h
@@ -409,16 +406,6 @@ def eval_profile_deriv(profile: RadialProfile, r):
             * np.exp(-profile.sqrt_c * (r - profile.r_max)),
             out)
     return out
-
-
-def decay_constant(profile: RadialProfile) -> float:
-    """Smallest M with w(r) ≤ M e^{-√c r} min{1, r^{-(N-1)/2}} at the nodes."""
-    return _decay_const(profile.c, profile.dim, profile.r, profile.values)
-
-
-def moments(profile: RadialProfile) -> tuple[float, float]:
-    """(∫w² , ∫w⁴) over R^N, by radial quadrature with the surface weight."""
-    return _moments(profile.dim, profile.r, profile.values)
 
 
 _CACHE: dict = {}

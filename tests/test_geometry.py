@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -185,6 +186,37 @@ def test_symmetrize_generic_k_floors():
         s2 = geometry.symmetrize(s1, k)
         assert np.max(np.abs(s2.data - s1.data)) < 1e-10
         assert np.max(np.abs(geometry.symmetrize(fr, k).data - fr.data)) < 1e-10
+
+
+@pytest.mark.parametrize("k", [1, 2, 4])
+def test_symmetrize_exact_k_never_interpolates(monkeypatch, k):
+    """When every group element permutes nodes, neither the upsampled
+    copy nor the spline interpolant is built."""
+    def boom(*args, **kwargs):
+        raise AssertionError("interpolation path entered")
+
+    monkeypatch.setattr(geometry, "_upsample_fft", boom)
+    monkeypatch.setattr(geometry, "map_coordinates", boom)
+    g = grid.make_grid(2, 4.0, 0.25)
+    f = grid.sample(g, lambda x, y: np.exp(-2.0 * ((x - 1.2) ** 2 + (y - 0.4) ** 2)))
+    geometry.symmetrize(f, k)
+
+
+def test_symmetrize_memory_independent_of_k():
+    """The orbit average streams over the group: its peak allocation at
+    k = 32 stays within that at k = 8 instead of growing with k."""
+    g = grid.make_grid(2, 12.0, 0.125)
+    f = grid.sample(g, lambda x, y: np.exp(-0.5 * ((x - 3.0) ** 2 + y * y)))
+
+    def peak(k):
+        tracemalloc.start()
+        try:
+            geometry.symmetrize_fast(f, k)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(32) <= 1.25 * peak(8)
 
 
 def test_symmetrize_orbit_average_k4():

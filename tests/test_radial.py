@@ -133,12 +133,6 @@ def test_deriv_nonpositive_everywhere():
     assert np.max(radial.eval_profile_deriv(p, rs)) <= 0.0
 
 
-def test_public_wrappers_match_fields():
-    p = radial.ground_state(1.0, 1.0, 2)
-    assert radial.decay_constant(p) == p.decay_const
-    assert radial.moments(p) == (p.moment2, p.moment4)
-
-
 def test_csv_round_trip_bit_exact():
     p = radial.ground_state(1.0, 1.0, 2)
     q = radial.load_profile_csv(radial.dump_profile_csv(p))
