@@ -33,7 +33,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .corrector import build_inputs, fixed_point_iterate
+from .corrector import (CorrectorDivergence, LinearSolveStalled, build_inputs,
+                        fixed_point_iterate)
 from .energy import check_ksum_bound, draw_sector_samples, expansion_compare
 from .geometry import bump_centers, bump_sum_field, radial_field
 from .grid import dump_field, grid_for_radius, quad_product
@@ -475,10 +476,9 @@ _HANDLERS = {
 
 
 def _failure_name(exc: Exception) -> str:
-    msg = str(exc)
+    if isinstance(exc, (CorrectorDivergence, LinearSolveStalled)):
+        return "corrector_convergence"
     if isinstance(exc, RuntimeError):
-        if "diverging" in msg or "stalled" in msg:
-            return "corrector_convergence"
         return "pipeline_error"
     return "parameter_bounds"
 

@@ -12,9 +12,16 @@ found by iterating the contraction map
 from (0, 0), symmetrizing every iterate.
 
 Linear systems are symmetric indefinite and solved by MINRES with a
-spectral (sine-transform) preconditioner: the second-order Laplacian with
-zero ghost values one spacing outside the box is diagonalized exactly by
-the type-I discrete sine transform of size n_axis.
+spectral (sine-transform) preconditioner.  The second-order Laplacian
+plus a positive shift, with zero ghost values one spacing outside a box,
+is diagonalized exactly by the type-I discrete sine transform on that
+box.  The transform runs on a centred box of m >= n_axis nodes per axis
+with m + 1 5-smooth, so each apply is a fast FFT whatever the grid size:
+the field is zero-padded into that box, the padded operator is inverted,
+and the inner n_axis block is read back.  That block R A'^{-1} R^T of the
+inverse of an SPD operator is itself SPD, as MINRES requires.  When
+n_axis + 1 is already 5-smooth the box is the grid and the inverse is
+exact for the shifted stencil.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.fft import dstn
+from scipy.fft import dstn, next_fast_len
 from scipy.sparse.linalg import LinearOperator, minres
 
 from .energy import potential_field
@@ -36,6 +43,14 @@ from .grid import Field, Grid, grid_for_radius, laplacian, norm_E, quad_product
 from .model import (CouplingBudget, ModelParams, bump_radius_interval,
                     compute_gamma0_f0, derive_exponents, make_potential)
 from .radial import ground_state
+
+
+class CorrectorDivergence(RuntimeError):
+    """The Picard steps of the corrector map grow instead of contracting."""
+
+
+class LinearSolveStalled(RuntimeError):
+    """MINRES could not bring the true residual below the tolerance."""
 
 
 # ---------------------------------------------------------------------------
@@ -92,24 +107,35 @@ def apply_L1(v: Field, bumpsum: Field, mu: Field,
 # spectral preconditioner
 
 
+def _padded_size(n_axis: int) -> int:
+    """Smallest odd m >= n_axis (odd) with m + 1 5-smooth."""
+    return 2 * next_fast_len((n_axis + 1) // 2, real=True) - 1
+
+
 @lru_cache(maxsize=8)
-def _inverse_spectrum(n_axis: int, dim: int, h: float,
+def _inverse_spectrum(n_box: int, dim: int, h: float,
                       shift: float) -> np.ndarray:
-    """1 / (stencil eigenvalues + shift) for -lap with zero ghosts."""
-    j = np.arange(1, n_axis + 1)
-    lam1 = (2.0 - 2.0 * np.cos(np.pi * j / (n_axis + 1))) / (h * h)
-    total = np.zeros((n_axis,) * dim)
+    """1 / (stencil eigenvalues + shift) for -lap with zero ghosts on a
+    box of n_box nodes per axis."""
+    j = np.arange(1, n_box + 1)
+    lam1 = (2.0 - 2.0 * np.cos(np.pi * j / (n_box + 1))) / (h * h)
+    total = np.zeros((n_box,) * dim)
     for ax in range(dim):
         shape = [1] * dim
-        shape[ax] = n_axis
+        shape[ax] = n_box
         total = total + lam1.reshape(shape)
     return 1.0 / (total + shift)
 
 
 def _precondition(x: np.ndarray, g: Grid, inv: np.ndarray) -> np.ndarray:
-    t = dstn(x.reshape(g.shape), type=1, norm="ortho")
+    """Inner block of the inverse spectrum applied on the padded box."""
+    pad = (inv.shape[0] - g.n_axis) // 2
+    inner = (slice(pad, pad + g.n_axis),) * g.dim
+    t = np.zeros(inv.shape)
+    t[inner] = x.reshape(g.shape)
+    t = dstn(t, type=1, norm="ortho", overwrite_x=True)
     t *= inv
-    return dstn(t, type=1, norm="ortho").ravel()
+    return dstn(t, type=1, norm="ortho", overwrite_x=True)[inner].ravel()
 
 
 def _solve_minres(matvec, precond, b: np.ndarray, tol: float,
@@ -140,7 +166,7 @@ def _solve_minres(matvec, precond, b: np.ndarray, tol: float,
             return x
         rtol /= 100.0
         maxiter *= 2
-    raise RuntimeError(
+    raise LinearSolveStalled(
         f"{label} solve stalled: relative residuals {history} "
         f"did not reach {tol:g} (near-singular symmetric operator?)")
 
@@ -155,7 +181,7 @@ def solve_L0(rhs: Field, U0f: Field, params: ModelParams, tol: float,
     """
     g = rhs.grid
     pot = params.lam - 3.0 * params.alpha0 * U0f.data ** 2
-    inv = _inverse_spectrum(g.n_axis, g.dim, g.h, params.lam)
+    inv = _inverse_spectrum(_padded_size(g.n_axis), g.dim, g.h, params.lam)
 
     def mv(x):
         a = x.reshape(g.shape)
@@ -185,7 +211,7 @@ def solve_L1_constrained(rhs: Field, bumpsum: Field, mu: Field, Z: Field,
     if z2 <= 1e-300:
         raise ValueError("degenerate constraint: quad(Z^2) is zero")
     pot = mu.data - 3.0 * params.alpha1 * bumpsum.data ** 2
-    inv = _inverse_spectrum(g.n_axis, g.dim, g.h, 1.0)
+    inv = _inverse_spectrum(_padded_size(g.n_axis), g.dim, g.h, 1.0)
     zflat = Z.data.ravel()
     n = zflat.size
 
@@ -298,6 +324,22 @@ class CorrectorResult:
         }
 
 
+def _forcing_split(inputs: CorrectorInputs, params: ModelParams) -> str:
+    """L2 norms of the three parts of the forcing at (u, v) = (0, 0)."""
+    U, W = inputs.U0f.data, inputs.W.data
+
+    def l2(*parts):
+        return math.sqrt(sum(quad_product(Field(inputs.g, p * p))
+                             for p in parts))
+
+    potential = l2((inputs.mu.data - 1.0) * W)
+    overlap = l2(params.alpha1 * (W ** 3 - inputs.cubes.data))
+    coupling = l2(params.beta * U * W ** 2, params.beta * U ** 2 * W)
+    return (f"forcing L2 norms at (u, v) = (0, 0): potential (mu - 1) W "
+            f"{potential:.4g}, overlap a1 (W^3 - sum V_i^3) {overlap:.4g}, "
+            f"beta terms b U0 W^2 and b U0^2 W {coupling:.4g}")
+
+
 def fixed_point_iterate(k: int, Rvalue: float, params: ModelParams,
                         tol: float = 1e-8, max_iter: int = 50,
                         h: float | None = None,
@@ -335,9 +377,9 @@ def fixed_point_iterate(k: int, Rvalue: float, params: ModelParams,
     iterations = 0
 
     def _divergence_error():
-        return RuntimeError(
+        return CorrectorDivergence(
             f"fixed point diverging at R = {Rvalue:g}, k = {k}: "
-            f"steps {steps} (beta too large or grid too coarse)")
+            f"steps {steps}; {_forcing_split(inputs, params)}")
 
     for iterations in range(1, max_iter + 1):
         b0 = g0_rhs(u, v, inputs.U0f, inputs.W, params)
@@ -347,7 +389,7 @@ def fixed_point_iterate(k: int, Rvalue: float, params: ModelParams,
             u_new = solve_L0(b0, inputs.U0f, params, lin_tol, k=k)
             v_new, lagrange = solve_L1_constrained(
                 b1, inputs.W, inputs.mu, inputs.Z, params, lin_tol, k=k)
-        except RuntimeError as exc:
+        except LinearSolveStalled as exc:
             # A stalled inner solve on a blown-up right-hand side is the
             # same failure the step-ratio test detects, reported sooner.
             if ratios and ratios[-1] >= 1.0:

@@ -9,7 +9,8 @@ import sys
 import numpy as np
 import pytest
 
-from ringnls.cli import RunConfig, main, parse_config
+from ringnls.cli import RunConfig, _failure_name, main, parse_config
+from ringnls.corrector import CorrectorDivergence, LinearSolveStalled
 from ringnls.grid import load_field
 from ringnls.radial import load_profile_csv
 
@@ -146,6 +147,16 @@ def test_bounds_bit_identical_across_threads(tmp_path):
 
 # ---------------------------------------------------------------------------
 # failure records
+
+
+@pytest.mark.parametrize("exc,name", [
+    (CorrectorDivergence("x"), "corrector_convergence"),
+    (LinearSolveStalled("x"), "corrector_convergence"),
+    (RuntimeError("fixed point diverging: solve stalled"), "pipeline_error"),
+    (ValueError("x"), "parameter_bounds"),
+])
+def test_failure_name_by_type(exc, name):
+    assert _failure_name(exc) == name
 
 
 def test_corrector_failure_record_and_cleanup(tmp_path):

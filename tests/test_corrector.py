@@ -7,9 +7,12 @@ import math
 import numpy as np
 import pytest
 
-from ringnls.corrector import (apply_L0, apply_L1, fixed_point_iterate,
-                               g0_rhs, g1_rhs, rayleigh_floor, solve_L0,
-                               solve_L1_constrained)
+from scipy.fft import dstn
+
+from ringnls.corrector import (CorrectorDivergence, _inverse_spectrum,
+                               _padded_size, _precondition, apply_L0,
+                               apply_L1, fixed_point_iterate, g0_rhs, g1_rhs,
+                               rayleigh_floor, solve_L0, solve_L1_constrained)
 from ringnls.energy import potential_field
 from ringnls.geometry import (bump_centers, bump_cubes_field, bump_sum_field,
                               constraint_field, radial_field)
@@ -149,6 +152,42 @@ def test_pairing_symmetry(townes):
     p12 = quad_product(f1, apply_L0(f2, U0f, params))
     p21 = quad_product(f2, apply_L0(f1, U0f, params))
     assert abs(p12 - p21) < 1e-11 * abs(p12)
+
+
+# ---------------------------------------------------------------------------
+# preconditioner
+
+
+@pytest.mark.parametrize("n,m", [(513, 539), (435, 449), (63, 63),
+                                 (511, 511)])
+def test_padded_size(n, m):
+    # m + 1 is 5-smooth and m - n is even, so the grid sits centred
+    assert _padded_size(n) == m
+
+
+def test_preconditioner_symmetric_positive_on_padded_box():
+    g = make_grid(2, 9.0, 0.25)
+    assert g.n_axis == 73 and _padded_size(g.n_axis) > g.n_axis
+    inv = _inverse_spectrum(_padded_size(g.n_axis), g.dim, g.h, 1.0)
+    rng = np.random.default_rng(7)
+    x, y = rng.standard_normal((2, g.size))
+    xPy = float(np.dot(x, _precondition(y, g, inv)))
+    yPx = float(np.dot(y, _precondition(x, g, inv)))
+    assert abs(xPy - yPx) < 1e-12 * abs(xPy)
+    assert float(np.dot(x, _precondition(x, g, inv))) > 0.0
+
+
+def test_preconditioner_unpadded_when_size_is_fast():
+    # n_axis + 1 = 64: the padded box is the grid and the apply is the
+    # plain transform pair, bit for bit
+    g = make_grid(2, 7.75, 0.25)
+    assert _padded_size(g.n_axis) == g.n_axis == 63
+    inv = _inverse_spectrum(g.n_axis, g.dim, g.h, 1.0)
+    x = np.random.default_rng(3).standard_normal(g.size)
+    t = dstn(x.reshape(g.shape), type=1, norm="ortho")
+    t *= inv
+    plain = dstn(t, type=1, norm="ortho").ravel()
+    assert np.array_equal(_precondition(x, g, inv), plain)
 
 
 # ---------------------------------------------------------------------------
@@ -293,3 +332,15 @@ def test_fixed_point_diverges_at_ring_scale(divergent_k16):
     msg = str(divergent_k16["error"])
     assert "diverging" in msg or "stalled" in msg
     assert divergent_k16["result"] is None
+
+
+def test_divergence_error_typed_with_forcing_split(divergent_k16):
+    # the error is classified by type and reports the forcing at (0, 0)
+    # after the step list, which stays the only bracketed list
+    err = divergent_k16["error"]
+    assert isinstance(err, CorrectorDivergence)
+    msg = str(err)
+    assert msg.count("[") == 1 and msg.index("steps [") < msg.index("]")
+    for part in ("potential (mu - 1) W", "overlap a1 (W^3 - sum V_i^3)",
+                 "beta terms"):
+        assert part in msg
