@@ -150,6 +150,9 @@ def parse_config(text: str) -> RunConfig:
         raise ValueError(f"k must be at least 1, got {config.k}")
     if config.max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {config.max_iter}")
+    if config.n_coarse < 9:
+        raise ValueError(f"n_coarse must be at least 9, "
+                         f"got {config.n_coarse}")
     if config.n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, "
                          f"got {config.n_samples}")
@@ -370,8 +373,8 @@ def _run_corrector(config: RunConfig, out: Path):
     inputs = build_inputs(k, R, params0, h=config.h, L=config.L)
     beta = _resolve_beta(config, inputs.budget)
     params = replace(params0, beta=beta)
-    res = fixed_point_iterate(k, R, params, tol=config.tol,
-                              max_iter=config.max_iter, inputs=inputs)
+    res = fixed_point_iterate(inputs, params, tol=config.tol,
+                              max_iter=config.max_iter)
     _atomic_write(out / "u.field", dump_field(res.u))
     _atomic_write(out / "v.field", dump_field(res.v))
     _atomic_write(out / "steps.csv", _csv_text(
@@ -420,6 +423,7 @@ def _maximize(config: RunConfig):
     params = replace(params0, beta=beta)
     R0, report = maximize_over_Sk(k, params, n_coarse=config.n_coarse,
                                   tol_R=config.tol_R, tol=config.tol,
+                                  max_iter=config.max_iter,
                                   h=config.h, L=config.L)
     return params, beta, probe.budget.f0, R0, report
 
@@ -444,8 +448,8 @@ def _run_solve(config: RunConfig, out: Path):
     params, beta, f0, R0, report = _maximize(config)
     _scan_artifacts(out, report)
     inputs = build_inputs(config.k, R0, params, h=config.h, L=config.L)
-    sol = assemble_solution(config.k, R0, params, tol=config.tol,
-                            inputs=inputs)
+    sol = assemble_solution(inputs, params, tol=config.tol,
+                            max_iter=config.max_iter)
     _atomic_write(out / "U.field", dump_field(sol.U))
     _atomic_write(out / "V.field", dump_field(sol.V))
     res_U, res_V = sol.residuals

@@ -340,21 +340,26 @@ def _forcing_split(inputs: CorrectorInputs, params: ModelParams) -> str:
             f"beta terms b U0 W^2 and b U0^2 W {coupling:.4g}")
 
 
-def fixed_point_iterate(k: int, Rvalue: float, params: ModelParams,
-                        tol: float = 1e-8, max_iter: int = 50,
-                        h: float | None = None,
-                        inputs: CorrectorInputs | None = None
-                        ) -> CorrectorResult:
+def fixed_point_iterate(inputs: CorrectorInputs, params: ModelParams,
+                        tol: float = 1e-8,
+                        max_iter: int = 50) -> CorrectorResult:
     """Iterate the corrector map from (0, 0) until the E-norm step < tol.
 
+    The fold order k and the radius R are read from ``inputs.config``.
     Both components are refreshed simultaneously from the previous pair;
     each iterate is symmetrized (fast projection in the loop, accurate one
-    on the final pair).  Raises on |beta| >= f0 (contraction hypothesis)
-    and on five consecutive non-decreasing steps (divergence); merely
-    warns when R lies outside the admissible window.
+    on the final pair).  Merely warns when R lies outside the admissible
+    window.  Raises
+
+    - ValueError when |beta| >= f0 (contraction hypothesis);
+    - CorrectorDivergence after five consecutive non-decreasing step
+      ratios;
+    - CorrectorDivergence when a step exceeds 1e4 times the first step;
+    - CorrectorDivergence when an inner solve raises LinearSolveStalled
+      right after a non-decreasing step (any other stall propagates as
+      LinearSolveStalled).
     """
-    if inputs is None:
-        inputs = build_inputs(k, Rvalue, params, h=h)
+    k, Rvalue = inputs.config.k, inputs.config.R
     if abs(params.beta) >= inputs.budget.f0:
         raise ValueError(
             f"|beta| = {abs(params.beta):g} >= f0 = {inputs.budget.f0:g}: "

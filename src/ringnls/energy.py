@@ -78,15 +78,6 @@ class InteractionReport:
     chord_surrogate: float
     chord_exact: float
 
-    def as_dict(self):
-        return {
-            "total": self.total,
-            "J_surrogate": self.J_surrogate,
-            "J_exact": self.J_exact,
-            "chord_surrogate": self.chord_surrogate,
-            "chord_exact": self.chord_exact,
-        }
-
 
 def interaction_term(V0prof: RadialProfile, config: BumpConfiguration,
                      params: ModelParams,
@@ -161,18 +152,6 @@ class BoundReport:
     decay_const: float
     passed: bool
 
-    def as_dict(self):
-        return {
-            "k": self.k,
-            "R": self.R,
-            "eta": self.eta,
-            "n_samples": self.n_samples,
-            "max_ratio_tail": self.max_ratio_tail,
-            "max_ratio_all": self.max_ratio_all,
-            "decay_const": self.decay_const,
-            "passed": self.passed,
-        }
-
 
 def check_ksum_bound(V0prof: RadialProfile, config: BumpConfiguration,
                      eta: float, samples) -> BoundReport:
@@ -243,21 +222,6 @@ class ExpansionReport:
     interaction_sum: float
     J_surrogate: float
     J_exact: float
-
-    def as_dict(self):
-        return {
-            "k": self.k,
-            "R": self.R,
-            "direct": self.direct,
-            "model": self.model,
-            "rho": self.rho,
-            "A0": self.A0,
-            "A1": self.A1,
-            "A2": self.A2,
-            "interaction_sum": self.interaction_sum,
-            "J_surrogate": self.J_surrogate,
-            "J_exact": self.J_exact,
-        }
 
 
 def expansion_compare(U0prof: RadialProfile, V0prof: RadialProfile,

@@ -54,13 +54,6 @@ class ScanReport:
     interior: bool = False
     evaluations: int = 0
 
-    def as_dict(self) -> dict:
-        return {
-            "samples": [(float(r), float(f)) for r, f in self.samples],
-            "interior": self.interior,
-            "evaluations": self.evaluations,
-        }
-
 
 @dataclass
 class Solution:
@@ -81,23 +74,21 @@ class Solution:
         }
 
 
-def reduced_energy(k: int, Rvalue: float, params: ModelParams,
+def reduced_energy(inputs: CorrectorInputs, params: ModelParams,
                    tol: float = 1e-8,
-                   inputs: CorrectorInputs | None = None,
-                   h: float | None = None,
-                   L: float | None = None) -> ReducedEnergySample:
+                   max_iter: int = 50) -> ReducedEnergySample:
     """Evaluate F(R) and its exact main + l + q + h split at one radius.
 
-    Runs the corrector fixed point at R (propagating its divergence
-    error), then computes the energy of the corrected pair both directly
-    and through the four-term decomposition, and insists the two agree
-    to 1e-10 relative.
+    k and R are read from ``inputs.config``.  Runs the corrector fixed
+    point on ``inputs`` with at most max_iter steps (propagating its
+    divergence error), then computes the energy of the corrected pair
+    both directly and through the four-term decomposition, and insists
+    the two agree to 1e-10 relative.
     """
-    if k < 2:
-        raise ValueError(f"reduced energy needs a ring, got k = {k}")
-    if inputs is None:
-        inputs = build_inputs(k, Rvalue, params, h=h, L=L)
-    res = fixed_point_iterate(k, Rvalue, params, tol=tol, inputs=inputs)
+    if inputs.config.k < 2:
+        raise ValueError(f"reduced energy needs a ring, got k = "
+                         f"{inputs.config.k}")
+    res = fixed_point_iterate(inputs, params, tol=tol, max_iter=max_iter)
     constants = expansion_constants(inputs.u0_profile, inputs.v0_profile,
                                     params)
     interaction = interaction_term(inputs.v0_profile, inputs.config, params,
@@ -110,16 +101,17 @@ def reduced_energy(k: int, Rvalue: float, params: ModelParams,
     defect = abs(breakdown.total - split)
     if defect > 1e-10 * abs(breakdown.total):
         raise RuntimeError(
-            f"decomposition identity violated at R = {Rvalue:g}: "
+            f"decomposition identity violated at R = {inputs.config.R:g}: "
             f"|total - split| = {defect:.3e} vs total = {breakdown.total:.6e}")
-    return ReducedEnergySample(R=float(Rvalue), F=breakdown.total,
+    return ReducedEnergySample(R=inputs.config.R, F=breakdown.total,
                                breakdown=breakdown,
                                corrector=res.as_dict())
 
 
 def maximize_over_Sk(k: int, params: ModelParams, n_coarse: int = 9,
                      tol_R: float = 2e-4, tol: float = 1e-8,
-                     objective=None, h: float | None = None,
+                     max_iter: int = 50, objective=None,
+                     h: float | None = None,
                      L: float | None = None) -> tuple:
     """Maximize F over the admissible radius window for k bumps.
 
@@ -129,9 +121,10 @@ def maximize_over_Sk(k: int, params: ModelParams, n_coarse: int = 9,
     (strictly between the second and second-to-last coarse nodes).  An
     endpoint maximum skips refinement and is reported as non-interior.
 
-    `objective` substitutes a plain callable R -> value for the embedded
-    F pipeline (used by optimizer oracle tests); by default each
-    evaluation is a full reduced_energy run.
+    By default each evaluation builds the CorrectorInputs at that radius
+    on the grid set by h and L and runs reduced_energy on it with tol and
+    max_iter.  `objective` substitutes a plain callable R -> value for
+    that pipeline (used by optimizer oracle tests).
     """
     if n_coarse < 9:
         raise ValueError(f"need at least 9 coarse nodes, got {n_coarse}")
@@ -145,7 +138,9 @@ def maximize_over_Sk(k: int, params: ModelParams, n_coarse: int = 9,
         if objective is not None:
             val = float(objective(float(R)))
         else:
-            sample = reduced_energy(k, float(R), params, tol=tol, h=h, L=L)
+            inputs = build_inputs(k, float(R), params, h=h, L=L)
+            sample = reduced_energy(inputs, params, tol=tol,
+                                    max_iter=max_iter)
             report.records.append(sample)
             val = sample.F
         report.samples.append((float(R), val))
@@ -174,9 +169,14 @@ def maximize_over_Sk(k: int, params: ModelParams, n_coarse: int = 9,
     return R0, report
 
 
-def _strong_residuals(U: Field, V: Field, mu: Field,
-                      params: ModelParams) -> tuple:
-    """L2 norms of the two strong-form equation defects (2nd-order stencil)."""
+def pde_residual(U: Field, V: Field, mu: Field, params: ModelParams) -> tuple:
+    """L2 norms of the two strong-form equation defects (2nd-order stencil).
+
+    Away from the maximizing radius the second norm carries the
+    h-independent multiplier component lagrange_at_R0 * Z on top of the
+    stencil defect; at the maximizer (where the multiplier crosses zero)
+    both norms shrink at second order under grid refinement.
+    """
     Ud, Vd = U.data, V.data
     rU = (-laplacian(U).data + params.lam * Ud
           - params.alpha0 * Ud ** 3 - params.beta * Ud * Vd ** 2)
@@ -188,28 +188,13 @@ def _strong_residuals(U: Field, V: Field, mu: Field,
             float(np.sqrt(quad_product(fV, fV))))
 
 
-def pde_residual(sol: Solution, mu: Field, params: ModelParams) -> tuple:
-    """Strong-form system residuals of an assembled solution pair.
-
-    Away from the maximizing radius the second norm carries the
-    h-independent multiplier component lagrange_at_R0 * Z on top of the
-    stencil defect; at the maximizer (where the multiplier crosses zero)
-    both norms shrink at second order under grid refinement.
-    """
-    return _strong_residuals(sol.U, sol.V, mu, params)
-
-
-def assemble_solution(k: int, R0: float, params: ModelParams,
-                      tol: float = 1e-8,
-                      inputs: CorrectorInputs | None = None,
-                      h: float | None = None,
-                      L: float | None = None) -> Solution:
-    """Run the corrector at R0 and assemble the corrected field pair."""
-    if inputs is None:
-        inputs = build_inputs(k, R0, params, h=h, L=L)
-    res = fixed_point_iterate(k, R0, params, tol=tol, inputs=inputs)
+def assemble_solution(inputs: CorrectorInputs, params: ModelParams,
+                      tol: float = 1e-8, max_iter: int = 50) -> Solution:
+    """Run the corrector on ``inputs`` (at most max_iter steps) and
+    assemble the corrected field pair at its radius R0 = inputs.config.R."""
+    res = fixed_point_iterate(inputs, params, tol=tol, max_iter=max_iter)
     U = inputs.U0f + res.u
     V = inputs.W + res.v
-    residuals = _strong_residuals(U, V, inputs.mu, params)
-    return Solution(U=U, V=V, R0=float(R0), residuals=residuals,
+    residuals = pde_residual(U, V, inputs.mu, params)
+    return Solution(U=U, V=V, R0=inputs.config.R, residuals=residuals,
                     lagrange_at_R0=res.lagrange)

@@ -23,7 +23,7 @@ def _run(k, R, params):
     inputs = build_inputs(k, R, params)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        res = fixed_point_iterate(k, R, params, inputs=inputs)
+        res = fixed_point_iterate(inputs, params)
     return params, inputs, res
 
 
@@ -72,8 +72,7 @@ def divergent_k16():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         try:
-            outcome["result"] = fixed_point_iterate(16, R, params,
-                                                    inputs=inputs)
+            outcome["result"] = fixed_point_iterate(inputs, params)
         except RuntimeError as exc:
             outcome["error"] = exc
     return outcome

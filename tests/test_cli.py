@@ -5,11 +5,12 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
-from ringnls.cli import RunConfig, _failure_name, main, parse_config
+from ringnls.cli import RunConfig, _failure_name, main, parse_config, run
 from ringnls.corrector import CorrectorDivergence, LinearSolveStalled
 from ringnls.grid import load_field
 from ringnls.radial import load_profile_csv
@@ -75,6 +76,17 @@ def test_parse_config_rejects_flat_potential():
 def test_parse_config_rejects_nonpositive(line):
     with pytest.raises(ValueError):
         parse_config(line)
+
+
+def test_parse_config_rejects_sparse_scan(tmp_path, capsys):
+    with pytest.raises(ValueError, match="n_coarse"):
+        parse_config("n_coarse = 8")
+    cfg = tmp_path / "sparse.cfg"
+    cfg.write_text("n_coarse = 5\n")
+    out = tmp_path / "red"
+    assert main(["reduce", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_main_returns_2_on_config_error(tmp_path, capsys):
@@ -221,6 +233,29 @@ def test_corrector_rerun_bit_identical(tmp_path):
                            for name in ("summary.json", "u.field",
                                         "v.field", "steps.csv")))
     assert blobs[0] == blobs[1]
+
+
+@pytest.mark.parametrize("subcommand", ["reduce", "solve"])
+def test_max_iter_reaches_corrector(tmp_path, monkeypatch, subcommand):
+    from ringnls import cli, reduction
+
+    seen = []
+
+    def fake_fixed_point(*args, **kwargs):
+        seen.append(kwargs.get("max_iter"))
+        raise RuntimeError("stub corrector")
+
+    monkeypatch.setattr(reduction, "fixed_point_iterate", fake_fixed_point)
+    if subcommand == "solve":
+        # skip the scan so the call reaches assemble_solution
+        monkeypatch.setattr(cli, "maximize_over_Sk", lambda k, params, **kw:
+                            (3.0, reduction.ScanReport()))
+    config = RunConfig(k=2, h=0.5, beta=0.01, max_iter=3,
+                       out=str(tmp_path / subcommand))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert run(subcommand, config) == 1
+    assert seen == [3]
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,9 @@ from scipy.fft import dstn
 
 from ringnls.corrector import (CorrectorDivergence, _inverse_spectrum,
                                _padded_size, _precondition, apply_L0,
-                               apply_L1, fixed_point_iterate, g0_rhs, g1_rhs,
-                               rayleigh_floor, solve_L0, solve_L1_constrained)
+                               apply_L1, build_inputs, fixed_point_iterate,
+                               g0_rhs, g1_rhs, rayleigh_floor, solve_L0,
+                               solve_L1_constrained)
 from ringnls.energy import potential_field
 from ringnls.geometry import (bump_centers, bump_cubes_field, bump_sum_field,
                               constraint_field, radial_field)
@@ -260,13 +261,14 @@ def test_fixed_point_rejects_large_beta(corr_k2):
     params, inputs, _res = corr_k2
     big = ModelParams(beta=10.0)
     with pytest.raises(ValueError, match="f0"):
-        fixed_point_iterate(2, 12.0, big, inputs=inputs)
+        fixed_point_iterate(inputs, big)
 
 
 def test_fixed_point_warns_outside_window():
     params = ModelParams(beta=0.01)
     with pytest.warns(UserWarning, match="outside the admissible window"):
-        res = fixed_point_iterate(2, 3.0, params, h=0.5, max_iter=1)
+        res = fixed_point_iterate(build_inputs(2, 3.0, params, h=0.5),
+                                  params, max_iter=1)
     assert not res.converged
     assert res.iterations == 1
 

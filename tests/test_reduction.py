@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+from ringnls.corrector import build_inputs, fixed_point_iterate
 from ringnls.energy import potential_field
 from ringnls.geometry import radial_field
 from ringnls.grid import make_grid, quad_product, zeros
@@ -23,15 +24,16 @@ TOWNES_A2 = 5.850448262964452
 
 
 def test_reduced_energy_rejects_single_bump():
+    params = ModelParams(beta=0.05)
     with pytest.raises(ValueError, match="ring"):
-        reduced_energy(1, 8.0, ModelParams(beta=0.05))
+        reduced_energy(build_inputs(1, 8.0, params, h=0.5), params)
 
 
 def test_reduced_energy_identity_at_converged_radius(corr_k2):
     params, inputs, _res = corr_k2
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        sample = reduced_energy(2, 12.0, params, inputs=inputs)
+        sample = reduced_energy(inputs, params)
     bd = sample.breakdown
     assert sample.F == bd.total
     split = bd.main + bd.l_val + bd.q_val + bd.h_val
@@ -49,10 +51,19 @@ def test_reduced_energy_identity_uncoupled(corr_k3):
     params, inputs, _res = corr_k3
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        sample = reduced_energy(3, 11.0, params, inputs=inputs)
+        sample = reduced_energy(inputs, params)
     bd = sample.breakdown
     split = bd.main + bd.l_val + bd.q_val + bd.h_val
     assert abs(bd.total - split) <= 1e-10 * abs(bd.total)
+
+
+def test_reduced_energy_passes_max_iter(corr_k2):
+    params, inputs, _res = corr_k2
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        sample = reduced_energy(inputs, params, max_iter=1)
+    assert sample.corrector["iterations"] == 1
+    assert not sample.corrector["converged"]
 
 
 def _golden_max(f, lo: float, hi: float, tol: float) -> float:
@@ -128,7 +139,7 @@ def test_single_species_residual_refinement():
         sol = Solution(U=U0f, V=zeros(g), R0=0.0, residuals=(0.0, 0.0),
                        lagrange_at_R0=0.0)
         mu = potential_field(g, make_potential(params))
-        rU, rV = pde_residual(sol, mu, params)
+        rU, rV = pde_residual(sol.U, sol.V, mu, params)
         assert rV == 0.0
         res_u[h] = rU
     assert res_u[0.25] < 0.5
@@ -139,7 +150,7 @@ def test_assemble_solution_at_converged_radius(corr_k2):
     params, inputs, res = corr_k2
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        sol = assemble_solution(2, 12.0, params, inputs=inputs)
+        sol = assemble_solution(inputs, params)
     assert sol.R0 == 12.0
     assert abs(sol.lagrange_at_R0 - res.lagrange) < 1e-12
     # the assembled pair is ansatz plus corrector
@@ -150,7 +161,7 @@ def test_assemble_solution_at_converged_radius(corr_k2):
     rU, rV = sol.residuals
     assert abs(rU - 5.346e-2) < 1.7e-2
     assert abs(rV - 8.071e-2) < 2.5e-2
-    again = pde_residual(sol, inputs.mu, params)
+    again = pde_residual(sol.U, sol.V, inputs.mu, params)
     assert again == sol.residuals
     d = sol.as_dict()
     assert d["R0"] == 12.0
@@ -163,7 +174,6 @@ def test_assembled_residual_refinement():
     # h-independent multiplier component lagrange * Z (the pair solves
     # the projected equation away from the maximizing radius), so the
     # second-order drop shows once that component is added back
-    from ringnls.corrector import build_inputs, fixed_point_iterate
     from ringnls.grid import Field, laplacian
 
     params = ModelParams(beta=0.05)
@@ -172,13 +182,13 @@ def test_assembled_residual_refinement():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             inputs = build_inputs(1, 8.0, params, h=h)
-            fp = fixed_point_iterate(1, 8.0, params, inputs=inputs)
+            fp = fixed_point_iterate(inputs, params)
         U = inputs.U0f + fp.u
         V = inputs.W + fp.v
         g = inputs.g
         sol = Solution(U=U, V=V, R0=8.0, residuals=(0.0, 0.0),
                        lagrange_at_R0=fp.lagrange)
-        rU, _rV = pde_residual(sol, inputs.mu, params)
+        rU, _rV = pde_residual(sol.U, sol.V, inputs.mu, params)
         rv_field = Field(g, -laplacian(V).data + inputs.mu.data * V.data
                          - params.alpha1 * V.data ** 3
                          - params.beta * U.data ** 2 * V.data
