@@ -196,6 +196,12 @@ def solve_L0(rhs: Field, U0f: Field, params: ModelParams, tol: float,
     return u
 
 
+def _project_off_Z(v: Field, Z: Field) -> Field:
+    """Exact L2 re-projection: v minus (quad(Z v) / quad(Z^2)) Z."""
+    return Field(v.grid,
+                 v.data - (quad_product(Z, v) / quad_product(Z, Z)) * Z.data)
+
+
 def solve_L1_constrained(rhs: Field, bumpsum: Field, mu: Field, Z: Field,
                          params: ModelParams, tol: float,
                          k: int | None = None) -> tuple[Field, float]:
@@ -207,8 +213,7 @@ def solve_L1_constrained(rhs: Field, bumpsum: Field, mu: Field, Z: Field,
     exactly symmetric for MINRES.  Returns (v, lam_c).
     """
     g = rhs.grid
-    z2 = quad_product(Z, Z)
-    if z2 <= 1e-300:
+    if quad_product(Z, Z) <= 1e-300:
         raise ValueError("degenerate constraint: quad(Z^2) is zero")
     pot = mu.data - 3.0 * params.alpha1 * bumpsum.data ** 2
     inv = _inverse_spectrum(_padded_size(g.n_axis), g.dim, g.h, 1.0)
@@ -233,10 +238,9 @@ def solve_L1_constrained(rhs: Field, bumpsum: Field, mu: Field, Z: Field,
     lam_c = float(x[-1])
     if k is not None:
         v = symmetrize_fast(v, k)
-    # exact L2 re-projection: the Krylov tolerance and the symmetrization
-    # leave a rounding-level component along Z
-    v = Field(g, v.data - (quad_product(Z, v) / z2) * Z.data)
-    return v, lam_c
+    # the Krylov tolerance and the symmetrization leave a rounding-level
+    # component along Z
+    return _project_off_Z(v, Z), lam_c
 
 
 def rayleigh_floor(U0f: Field, params: ModelParams, k: int,
@@ -414,9 +418,7 @@ def fixed_point_iterate(inputs: CorrectorInputs, params: ModelParams,
             raise _divergence_error()
 
     u = symmetrize(u, k)
-    v = symmetrize(v, k)
-    z2 = quad_product(inputs.Z, inputs.Z)
-    v = Field(g, v.data - (quad_product(inputs.Z, v) / z2) * inputs.Z.data)
+    v = _project_off_Z(symmetrize(v, k), inputs.Z)
     return CorrectorResult(
         u=u, v=v,
         norm_E=norm_E(u, v, params.lam, inputs.mu),

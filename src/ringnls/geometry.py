@@ -4,13 +4,17 @@ The k bumps sit at x_i = (R cos(2(i-1)pi/k), R sin(2(i-1)pi/k)), padded
 with a zero third coordinate in 3-D.  The symmetric class is generated
 by the rotation Q through 2pi/k in the (y1, y2)-plane together with the
 coordinate reflections y_n -> -y_n for n >= 2; symmetrize averages a
-field over that group.  Group elements whose matrix is a signed
-permutation of the axes act by exact node permutations; the rest are
-evaluated by quintic spline interpolation, on a Fourier-upsampled copy
-of the field when the accurate tier is requested.  The average streams
-over the group one element at a time, so its memory is O(nodes) and
-independent of k; the upsampled copy is built only when some element
-interpolates.
+field over that group.  The elements whose matrix is a signed
+permutation of the axes (the quarter-turn rotations the group contains,
+with and without y2 -> -y2) form a subgroup H of order 2 gcd(k, 4) and
+act by exact node permutations.  Every other element is r_m h with r_m
+the rotation by 2pi m/k, 1 <= m < q = k/gcd(k, 4), and h in H, so the
+field is interpolated once per coset, f o r_m at the nodes (quintic
+splines, on a Fourier-upsampled copy when the accurate tier is
+requested), and the |H| elements of the coset are node permutations of
+that one result.  The average streams over the cosets, so its memory is
+O(nodes) and independent of k; the upsampled copy is built only when
+q > 1.
 """
 from __future__ import annotations
 
@@ -212,44 +216,44 @@ def symmetrize(f: Field, k: int, accurate: bool = True) -> Field:
     """Average f over the symmetry group (rotations by 2π/k and the
     reflections y_n → −y_n, n ≥ 2).
 
-    Group elements that permute grid nodes are applied exactly; the rest
-    are evaluated by quintic interpolation — on a copy trigonometrically
-    upsampled in the rotated axes when accurate=True, which pushes the
-    interpolation error of smooth decayed fields to the spectral floor.
-    The group is streamed one element at a time, so memory is O(nodes)
-    and independent of k; the upsampled copy and its spline coefficients
-    are built only when some element interpolates.
+    The subgroup H of elements that permute grid nodes (rotations by
+    multiples of π/2, each with and without y2 → −y2) is applied
+    exactly.  Each other coset r_m·H, 1 ≤ m < k/gcd(k, 4), costs one
+    quintic interpolation of f∘r_m at the nodes — on a copy
+    trigonometrically upsampled in the rotated axes when accurate=True,
+    which pushes the interpolation error of smooth decayed fields to the
+    spectral floor — since f(r_m·h·y) is that result read at node h·y.
+    The cosets are streamed one at a time, so memory is O(nodes) and
+    independent of k; the upsampled copy and its spline coefficients are
+    built only when some coset interpolates.
     """
     g = f.grid
     a = f.data
     dim = g.dim
+    q = k // math.gcd(k, 4)
+    # H in the order the group is enumerated: rotation index, then flip
+    subgroup = [np.round(_rotation_matrix(2.0 * math.pi * m / k, dim, flip2))
+                for m in range(0, k, q) for flip2 in (False, True)]
 
     exact_total = np.zeros(g.shape)
-    interp_total = np.zeros(g.shape)
-    counts = np.zeros(g.shape, dtype=int)
-    coeffs = None
-    for m in range(k):
-        theta = 2.0 * math.pi * m / k
-        for flip2 in (False, True):
-            M = _rotation_matrix(theta, dim, flip2)
-            if (4 * m) % k == 0:
-                # rotation by 2πm/k maps grid nodes to grid nodes
-                exact_total += _apply_signed_permutation(a, np.round(M))
-                counts += 1
-                continue
-            if coeffs is None:
-                factor = _upsample_factor(g.n_axis, dim) if accurate else 1
-                # the B-spline prefilter map_coordinates would otherwise
-                # rerun on every call (mode "constant" needs no padding)
-                coeffs = spline_filter(
-                    _upsample_fft(a, factor) if factor > 1 else a,
-                    order=5, output=np.float64, mode="constant")
-                spacing = np.full((dim, 1), g.h / factor)
-                if dim == 3:
-                    spacing[2, 0] = g.h
-                pts = np.stack(np.meshgrid(*g.axes(), indexing="ij"))
-                pts = pts.reshape(dim, -1)
-            coords = M @ pts
+    for h in subgroup:
+        exact_total += _apply_signed_permutation(a, h)
+    counts = np.full(g.shape, len(subgroup))
+    if q == 1:
+        out = exact_total / counts
+    else:
+        factor = _upsample_factor(g.n_axis, dim) if accurate else 1
+        # the B-spline prefilter map_coordinates would otherwise rerun on
+        # every call (mode "constant" needs no padding)
+        coeffs = spline_filter(_upsample_fft(a, factor) if factor > 1 else a,
+                               order=5, output=np.float64, mode="constant")
+        spacing = np.full((dim, 1), g.h / factor)
+        if dim == 3:
+            spacing[2, 0] = g.h
+        pts = np.stack(np.meshgrid(*g.axes(), indexing="ij")).reshape(dim, -1)
+        interp_total = np.zeros(g.shape)
+        for m in range(1, q):
+            coords = _rotation_matrix(2.0 * math.pi * m / k, dim, False) @ pts
             vals = map_coordinates(coeffs, (coords + g.L) / spacing, order=5,
                                    mode="constant", cval=0.0, prefilter=False)
             # the square's corner zone (|y| > L) is not rotation-covariant:
@@ -257,10 +261,11 @@ def symmetrize(f: Field, k: int, accurate: bool = True) -> Field:
             # over the elements that stay inside instead of absorbing zeros.
             inbox = np.all(np.abs(coords) <= g.L + 1e-12,
                            axis=0).reshape(g.shape)
-            interp_total += np.where(inbox, vals.reshape(g.shape), 0.0)
-            counts += inbox
-
-    out = (exact_total + interp_total) / counts
+            vals = np.where(inbox, vals.reshape(g.shape), 0.0)
+            for h in subgroup:
+                interp_total += _apply_signed_permutation(vals, h)
+                counts += _apply_signed_permutation(inbox, h)
+        out = (exact_total + interp_total) / counts
     if dim == 3:
         out = 0.5 * (out + out[:, :, ::-1])
     return Field(g, out)

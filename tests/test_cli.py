@@ -219,9 +219,9 @@ def test_corrector_run_artifacts(tmp_path):
     assert all(b < a for a, b in zip(steps, steps[1:]))
 
 
-def test_corrector_rerun_bit_identical(tmp_path):
+def _assert_corrector_rerun_bit_identical(tmp_path, config_text):
     cfg = tmp_path / "c.cfg"
-    cfg.write_text("k = 2\nR = 12\nbeta = 0.05\nh = 0.5\nmax_iter = 30\n")
+    cfg.write_text(config_text)
     blobs = []
     for tag in ("one", "two"):
         out = tmp_path / tag
@@ -233,6 +233,17 @@ def test_corrector_rerun_bit_identical(tmp_path):
                            for name in ("summary.json", "u.field",
                                         "v.field", "steps.csv")))
     assert blobs[0] == blobs[1]
+
+
+def test_corrector_rerun_bit_identical(tmp_path):
+    _assert_corrector_rerun_bit_identical(
+        tmp_path, "k = 2\nR = 12\nbeta = 0.05\nh = 0.5\nmax_iter = 30\n")
+
+
+def test_corrector_rerun_bit_identical_interpolating_fold(tmp_path):
+    # k = 3 symmetrizes through the spline interpolant (k = 2 never does)
+    _assert_corrector_rerun_bit_identical(
+        tmp_path, "k = 3\nR = 11\nbeta = 0\nh = 0.5\nmax_iter = 30\n")
 
 
 @pytest.mark.parametrize("subcommand", ["reduce", "solve"])

@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from ringnls import geometry, grid, radial
 
@@ -200,6 +201,82 @@ def test_symmetrize_exact_k_never_interpolates(monkeypatch, k):
     g = grid.make_grid(2, 4.0, 0.25)
     f = grid.sample(g, lambda x, y: np.exp(-2.0 * ((x - 1.2) ** 2 + (y - 0.4) ** 2)))
     geometry.symmetrize(f, k)
+
+
+def _symmetrize_per_element(f, k, accurate):
+    """Reference orbit average: one interpolation per group element that
+    does not permute nodes (2k - |H| of them)."""
+    g = f.grid
+    a = f.data
+    dim = g.dim
+    exact_total = np.zeros(g.shape)
+    interp_total = np.zeros(g.shape)
+    counts = np.zeros(g.shape, dtype=int)
+    coeffs = None
+    for m in range(k):
+        for flip2 in (False, True):
+            M = geometry._rotation_matrix(2.0 * math.pi * m / k, dim, flip2)
+            if (4 * m) % k == 0:
+                exact_total += geometry._apply_signed_permutation(a, np.round(M))
+                counts += 1
+                continue
+            if coeffs is None:
+                factor = geometry._upsample_factor(g.n_axis, dim) if accurate else 1
+                up = geometry._upsample_fft(a, factor) if factor > 1 else a
+                coeffs = ndimage.spline_filter(up, order=5, output=np.float64,
+                                               mode="constant")
+                spacing = np.full((dim, 1), g.h / factor)
+                if dim == 3:
+                    spacing[2, 0] = g.h
+                pts = np.stack(np.meshgrid(*g.axes(), indexing="ij"))
+                pts = pts.reshape(dim, -1)
+            coords = M @ pts
+            vals = ndimage.map_coordinates(
+                coeffs, (coords + g.L) / spacing, order=5, mode="constant",
+                cval=0.0, prefilter=False)
+            inbox = np.all(np.abs(coords) <= g.L + 1e-12,
+                           axis=0).reshape(g.shape)
+            interp_total += np.where(inbox, vals.reshape(g.shape), 0.0)
+            counts += inbox
+    out = (exact_total + interp_total) / counts
+    if dim == 3:
+        out = 0.5 * (out + out[:, :, ::-1])
+    return out
+
+
+@pytest.mark.parametrize("dim,k,accurate", [
+    *((2, k, acc) for k in (3, 5, 6, 8, 16) for acc in (False, True)),
+    (3, 3, False), (3, 5, False)])
+def test_symmetrize_matches_per_element_average(dim, k, accurate):
+    """Interpolating once per coset of the node-permuting subgroup and
+    permuting the result gives the per-element average to rounding."""
+    if dim == 2:
+        g = grid.make_grid(2, 6.0, 0.125)
+        f = grid.sample(g, lambda x, y: np.exp(
+            -2.0 * ((x - 1.2) ** 2 + (y - 0.4) ** 2)))
+    else:
+        g = grid.make_grid(3, 4.0, 0.25)
+        f = grid.sample(g, lambda x, y, z: (1.0 + 0.3 * z) * np.exp(
+            -2.0 * ((x - 1.0) ** 2 + (y - 0.3) ** 2 + z * z)))
+    want = _symmetrize_per_element(f, k, accurate)
+    got = geometry.symmetrize(f, k, accurate).data
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("k", [3, 5, 6, 8, 12, 16, 32])
+def test_symmetrize_one_interpolation_per_coset(monkeypatch, k):
+    """symmetrize interpolates k/gcd(k, 4) - 1 times, not 2k - |H|."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return ndimage.map_coordinates(*args, **kwargs)
+
+    monkeypatch.setattr(geometry, "map_coordinates", counted)
+    g = grid.make_grid(2, 4.0, 0.25)
+    f = grid.sample(g, lambda x, y: np.exp(-2.0 * ((x - 1.2) ** 2 + (y - 0.4) ** 2)))
+    geometry.symmetrize_fast(f, k)
+    assert len(calls) == k // math.gcd(k, 4) - 1
 
 
 def test_symmetrize_memory_independent_of_k():
