@@ -36,11 +36,12 @@ import numpy as np
 from .corrector import (CorrectorDivergence, LinearSolveStalled, build_inputs,
                         fixed_point_iterate)
 from .energy import check_ksum_bound, draw_sector_samples, expansion_compare
-from .geometry import bump_centers, bump_sum_field, radial_field
-from .grid import dump_field, grid_for_radius, quad_product
-from .model import (ModelParams, bump_radius_interval, default_sample_radii,
-                    derive_exponents, make_potential, mid_radius,
-                    validate_potential)
+from .geometry import (BumpConfiguration, bump_centers, bump_sum_field,
+                       radial_field)
+from .grid import Grid, dump_field, grid_for_radius, quad_product
+from .model import (ModelParams, bump_radius_interval, compute_gamma0_f0,
+                    default_sample_radii, derive_exponents, make_potential,
+                    mid_radius, validate_potential)
 from .radial import dump_profile_csv, ground_state
 from .reduction import assemble_solution, maximize_over_Sk
 
@@ -217,8 +218,20 @@ def _base_params(config: RunConfig) -> ModelParams:
         dim=config.dim, potential=config.potential)
 
 
-def _resolve_beta(config: RunConfig, budget) -> float:
-    return 0.5 * budget.f0 if config.beta is None else config.beta
+def _resolve_beta(config: RunConfig, f0: float | None) -> float:
+    return 0.5 * f0 if config.beta is None else config.beta
+
+
+def _ring_f0(config: RunConfig, g: Grid, ring: BumpConfiguration) -> float:
+    """The coupling bound f0 that build_inputs reports for this ring on g.
+
+    f0 depends only on U0 and W = Sigma V_i, so only those two fields are
+    assembled, with the arithmetic of build_inputs.
+    """
+    v0 = ground_state(1.0, config.alpha1, config.dim)
+    U0f = radial_field(g, ground_state(config.lam, config.alpha0, config.dim))
+    W = bump_sum_field(g, v0, ring)
+    return compute_gamma0_f0(U0f.data, W.data, v0.decay_const).f0
 
 
 def _radius_for(config: RunConfig, k: int) -> float:
@@ -332,6 +345,12 @@ def _run_bounds(config: RunConfig, out: Path):
 
 
 def _run_expansion(config: RunConfig, out: Path):
+    """Ansatz energy against the three-constant model for each k in ks.
+
+    Per k it builds the grid and the ring, plus f0 when beta is unset,
+    and expansion_compare evaluates each bump once on that grid; none of
+    the other corrector inputs are assembled.
+    """
     if config.dim == 1:
         raise ValueError("expansion needs dim 2 or 3")
     params0 = _base_params(config)
@@ -344,10 +363,12 @@ def _run_expansion(config: RunConfig, out: Path):
     j_exacts = []
     for k in ks:
         R = _radius_for(config, k)
-        inputs = build_inputs(k, R, params0, h=config.h, L=config.L)
-        beta = _resolve_beta(config, inputs.budget)
-        rep = expansion_compare(u0, v0, inputs.config,
-                                replace(params0, beta=beta), g=inputs.g)
+        g = grid_for_radius(R, config.lam, config.dim, h=config.h, L=config.L)
+        ring = bump_centers(k, R, config.dim)
+        f0 = _ring_f0(config, g, ring) if config.beta is None else None
+        beta = _resolve_beta(config, f0)
+        rep = expansion_compare(u0, v0, ring, replace(params0, beta=beta),
+                                g=g)
         rows.append((k, float(rep.R), float(beta), float(rep.direct),
                      float(rep.model), float(rep.rho), float(rep.A0),
                      float(rep.A1), float(rep.A2),
@@ -371,7 +392,7 @@ def _run_corrector(config: RunConfig, out: Path):
     k = config.k
     R = _radius_for(config, k)
     inputs = build_inputs(k, R, params0, h=config.h, L=config.L)
-    beta = _resolve_beta(config, inputs.budget)
+    beta = _resolve_beta(config, inputs.budget.f0)
     params = replace(params0, beta=beta)
     res = fixed_point_iterate(inputs, params, tol=config.tol,
                               max_iter=config.max_iter)
@@ -417,15 +438,16 @@ def _scan_artifacts(out: Path, report) -> None:
 def _maximize(config: RunConfig):
     params0 = _base_params(config)
     k = config.k
-    probe = build_inputs(k, mid_radius(k, config.m, config.theta),
-                         params0, h=config.h, L=config.L)
-    beta = _resolve_beta(config, probe.budget)
+    R = mid_radius(k, config.m, config.theta)
+    g = grid_for_radius(R, config.lam, config.dim, h=config.h, L=config.L)
+    f0 = _ring_f0(config, g, bump_centers(k, R, config.dim))
+    beta = _resolve_beta(config, f0)
     params = replace(params0, beta=beta)
     R0, report = maximize_over_Sk(k, params, n_coarse=config.n_coarse,
                                   tol_R=config.tol_R, tol=config.tol,
                                   max_iter=config.max_iter,
                                   h=config.h, L=config.L)
-    return params, beta, probe.budget.f0, R0, report
+    return params, beta, f0, R0, report
 
 
 def _run_reduce(config: RunConfig, out: Path):

@@ -196,10 +196,9 @@ def solve_L0(rhs: Field, U0f: Field, params: ModelParams, tol: float,
     return u
 
 
-def _project_off_Z(v: Field, Z: Field) -> Field:
-    """Exact L2 re-projection: v minus (quad(Z v) / quad(Z^2)) Z."""
-    return Field(v.grid,
-                 v.data - (quad_product(Z, v) / quad_product(Z, Z)) * Z.data)
+def _project_off_Z(v: Field, Z: Field, zz: float) -> Field:
+    """Exact L2 re-projection: v minus (quad(Z v) / zz) Z, zz = quad(Z^2)."""
+    return Field(v.grid, v.data - (quad_product(Z, v) / zz) * Z.data)
 
 
 def solve_L1_constrained(rhs: Field, bumpsum: Field, mu: Field, Z: Field,
@@ -213,7 +212,8 @@ def solve_L1_constrained(rhs: Field, bumpsum: Field, mu: Field, Z: Field,
     exactly symmetric for MINRES.  Returns (v, lam_c).
     """
     g = rhs.grid
-    if quad_product(Z, Z) <= 1e-300:
+    zz = quad_product(Z, Z)
+    if zz <= 1e-300:
         raise ValueError("degenerate constraint: quad(Z^2) is zero")
     pot = mu.data - 3.0 * params.alpha1 * bumpsum.data ** 2
     inv = _inverse_spectrum(_padded_size(g.n_axis), g.dim, g.h, 1.0)
@@ -240,7 +240,7 @@ def solve_L1_constrained(rhs: Field, bumpsum: Field, mu: Field, Z: Field,
         v = symmetrize_fast(v, k)
     # the Krylov tolerance and the symmetrization leave a rounding-level
     # component along Z
-    return _project_off_Z(v, Z), lam_c
+    return _project_off_Z(v, Z, zz), lam_c
 
 
 def rayleigh_floor(U0f: Field, params: ModelParams, k: int,
@@ -418,7 +418,8 @@ def fixed_point_iterate(inputs: CorrectorInputs, params: ModelParams,
             raise _divergence_error()
 
     u = symmetrize(u, k)
-    v = _project_off_Z(symmetrize(v, k), inputs.Z)
+    v = _project_off_Z(symmetrize(v, k), inputs.Z,
+                       quad_product(inputs.Z, inputs.Z))
     return CorrectorResult(
         u=u, v=v,
         norm_E=norm_E(u, v, params.lam, inputs.mu),

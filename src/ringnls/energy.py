@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# bump_sum_field is not called here, but perfbench/spans.py patches it
+# on this module by name, so the import stays
 from .geometry import (BumpConfiguration, _bump_radii, bump_sum_field,
                        radial_field, sector_membership)
 from .grid import (Field, Grid, grad8, grid_for_radius, make_grid, quad,
@@ -79,20 +81,27 @@ class InteractionReport:
     chord_exact: float
 
 
-def interaction_term(V0prof: RadialProfile, config: BumpConfiguration,
-                     params: ModelParams,
-                     g: Grid | None = None) -> InteractionReport:
-    """Overlap integrals of bump 1 against the rest of the ring."""
+def _ring_overlap(V0prof: RadialProfile, config: BumpConfiguration,
+                  params: ModelParams, g: Grid,
+                  bumpsum: np.ndarray | None = None) -> InteractionReport:
+    """Sigma_{i>=2} int V1^3 V_i on g, normalized to its levels J.
+
+    Each V_i is evaluated once.  When bumpsum is given, every V_i is also
+    added into it in ring order, which reproduces bump_sum_field
+    exactly, so a caller that needs W as well pays no second pass.
+    """
     if config.k < 2:
         raise ValueError(f"interaction needs at least two bumps, got k={config.k}")
-    if g is None:
-        g = grid_for_radius(config.R, 1.0, config.dim)
     mesh = g.mesh()
-    cube = Field(g, eval_profile(V0prof, _bump_radii(config, 0, mesh)) ** 3)
     total = 0.0
-    for i in range(1, config.k):
-        vi = Field(g, eval_profile(V0prof, _bump_radii(config, i, mesh)))
-        total += quad_product(cube, vi)
+    for i in range(config.k):
+        vi = eval_profile(V0prof, _bump_radii(config, i, mesh))
+        if bumpsum is not None:
+            bumpsum += vi
+        if i == 0:
+            cube = Field(g, vi ** 3)
+        else:
+            total += quad_product(cube, Field(g, vi))
     d_sur = 2.0 * math.pi * config.R / config.k
     d_ex = config.nearest_distance
     scale = (config.k / config.R) ** (0.5 * (config.dim - 1))
@@ -104,6 +113,16 @@ def interaction_term(V0prof: RadialProfile, config: BumpConfiguration,
         chord_surrogate=d_sur,
         chord_exact=d_ex,
     )
+
+
+def interaction_term(V0prof: RadialProfile, config: BumpConfiguration,
+                     params: ModelParams,
+                     g: Grid | None = None) -> InteractionReport:
+    """Overlap integrals of bump 1 against the rest of the ring, with
+    each bump evaluated once on g."""
+    if g is None:
+        g = grid_for_radius(config.R, 1.0, config.dim)
+    return _ring_overlap(V0prof, config, params, g)
 
 
 def potential_moment(V0prof: RadialProfile, config: BumpConfiguration,
@@ -232,7 +251,9 @@ def expansion_compare(U0prof: RadialProfile, V0prof: RadialProfile,
 
     The per-bump remainder rho = |direct - model| / k collects everything
     the model drops: the finite-R potential deviation, beyond-pair
-    overlaps, and the beta cross term.
+    overlaps, and the beta cross term.  Each bump V_i is evaluated once
+    on g and feeds both W = Sigma V_i and the overlap sum; the fields and
+    sums equal those of bump_sum_field and interaction_term exactly.
     """
     if g is None:
         g = grid_for_radius(config.R, params.lam, config.dim)
@@ -240,10 +261,10 @@ def expansion_compare(U0prof: RadialProfile, V0prof: RadialProfile,
         mu = make_potential(params)
     muf = potential_field(g, mu)
     U0f = radial_field(g, U0prof)
-    W = bump_sum_field(g, V0prof, config)
-    direct = energy(U0f, W, muf, params)
+    W = np.zeros(g.shape)
+    inter = _ring_overlap(V0prof, config, params, g, bumpsum=W)
+    direct = energy(U0f, Field(g, W), muf, params)
     A0, A1, A2 = expansion_constants(U0prof, V0prof, params)
-    inter = interaction_term(V0prof, config, params, g=g)
     interaction_sum = 0.5 * params.alpha1 * config.k * inter.total
     model = A0 + config.k * (A1 + A2 / config.R ** params.m) - interaction_sum
     return ExpansionReport(

@@ -381,31 +381,35 @@ def _simpson(f, h):
     return h / 3.0 * (f[0] + f[-1] + 4.0 * f[1:-1:2].sum() + 2.0 * f[2:-2:2].sum())
 
 
-def eval_profile(profile: RadialProfile, r):
-    """Profile values at radii r ≥ 0; exponential decay beyond r_max."""
+def _spline_or_tail(profile: RadialProfile, r, spline, tail_scale):
+    """spline(r) where r ≤ r_max, tail_scale·e^{-√c (r − r_max)} beyond;
+    each radius is evaluated by its own branch only."""
     r = np.asarray(r, dtype=float)
-    out = profile._spline(np.minimum(r, profile.r_max))
     far = r > profile.r_max
-    if np.any(far):
-        out = np.where(
-            far,
-            profile.values[-1] * np.exp(-profile.sqrt_c * (r - profile.r_max)),
-            out)
+    if not np.any(far):
+        return spline(r)
+    near = ~far
+    out = np.empty(r.shape)
+    out[near] = spline(r[near])
+    out[far] = tail_scale * np.exp(-profile.sqrt_c * (r[far] - profile.r_max))
     return out
+
+
+def eval_profile(profile: RadialProfile, r):
+    """Profile values at radii r ≥ 0; exponential decay beyond r_max.
+
+    The quintic spline runs only on radii inside r_max and the
+    exponential only on those beyond it, so each radius costs one
+    evaluation.
+    """
+    return _spline_or_tail(profile, r, profile._spline, profile.values[-1])
 
 
 def eval_profile_deriv(profile: RadialProfile, r):
-    """d/dr of the (extrapolated) profile at radii r ≥ 0."""
-    r = np.asarray(r, dtype=float)
-    out = profile._dspline(np.minimum(r, profile.r_max))
-    far = r > profile.r_max
-    if np.any(far):
-        out = np.where(
-            far,
-            -profile.sqrt_c * profile.values[-1]
-            * np.exp(-profile.sqrt_c * (r - profile.r_max)),
-            out)
-    return out
+    """d/dr of the (extrapolated) profile at radii r ≥ 0, evaluated
+    once per radius like eval_profile."""
+    return _spline_or_tail(profile, r, profile._dspline,
+                           -profile.sqrt_c * profile.values[-1])
 
 
 _CACHE: dict = {}

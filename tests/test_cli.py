@@ -269,6 +269,74 @@ def test_max_iter_reaches_corrector(tmp_path, monkeypatch, subcommand):
     assert seen == [3]
 
 
+def _forbid_build_inputs(monkeypatch):
+    from ringnls import cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("build_inputs called")
+
+    monkeypatch.setattr(cli, "build_inputs", refuse)
+
+
+def test_reduce_resolves_beta_without_corrector_inputs(tmp_path,
+                                                       monkeypatch):
+    from ringnls import cli
+    from ringnls.corrector import build_inputs
+    from ringnls.model import ModelParams, mid_radius
+
+    seen = []
+
+    def fake_maximize(k, params, **kwargs):
+        seen.append(params.beta)
+        raise RuntimeError("stub scan")
+
+    _forbid_build_inputs(monkeypatch)
+    monkeypatch.setattr(cli, "maximize_over_Sk", fake_maximize)
+    config = RunConfig(k=2, h=0.5, out=str(tmp_path / "red"))
+    assert run("reduce", config) == 1
+    params = ModelParams()
+    f0 = build_inputs(2, mid_radius(2, params.m, params.theta), params,
+                      h=0.5).budget.f0
+    assert seen == [0.5 * f0]
+
+
+def _expansion_rows(out):
+    lines = (out / "expansion.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    return [dict(zip(header, line.split(","))) for line in lines[1:]]
+
+
+@pytest.mark.parametrize("beta_line", ["beta = 0.07\n", ""])
+def test_expansion_run_artifacts(tmp_path, monkeypatch, beta_line):
+    from ringnls.corrector import build_inputs
+    from ringnls.model import ModelParams
+
+    _forbid_build_inputs(monkeypatch)
+    cfg = tmp_path / "e.cfg"
+    cfg.write_text("ks = 6,8\nh = 0.5\n" + beta_line)
+    blobs = []
+    for tag in ("one", "two"):
+        out = tmp_path / tag
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert main(["expansion", "--config", str(cfg),
+                         "--out", str(out)]) == 0
+        blobs.append(tuple((out / name).read_bytes()
+                           for name in ("summary.json", "expansion.csv")))
+    assert blobs[0] == blobs[1]
+
+    rows = _expansion_rows(tmp_path / "one")
+    assert [int(r["k"]) for r in rows] == [6, 8]
+    for row in rows:
+        beta = float(row["beta"])
+        if beta_line:
+            assert beta == 0.07
+        else:
+            f0 = build_inputs(int(row["k"]), float(row["R"]), ModelParams(),
+                              h=0.5).budget.f0
+            assert beta == 0.5 * f0
+
+
 # ---------------------------------------------------------------------------
 # console entry point
 

@@ -7,10 +7,11 @@ import math
 import numpy as np
 import pytest
 
-from ringnls.energy import (check_ksum_bound, draw_sector_samples, energy,
-                            energy_breakdown, expansion_compare,
-                            expansion_constants, interaction_term,
-                            potential_field, potential_moment)
+from ringnls.energy import (_ring_overlap, check_ksum_bound,
+                            draw_sector_samples, energy, energy_breakdown,
+                            expansion_compare, expansion_constants,
+                            interaction_term, potential_field,
+                            potential_moment)
 from ringnls.geometry import (bump_centers, bump_cubes_field, bump_sum_field,
                               radial_field)
 from ringnls.grid import (Field, grid_for_radius, make_grid, quad_product,
@@ -281,6 +282,28 @@ def test_expansion_compare_internal_consistency(townes):
     assert rep.J_exact > 0.0 and rep.J_surrogate > 0.0
     # the arc surrogate weakens the divisor, so it reports a larger level
     assert rep.J_surrogate > rep.J_exact
+
+
+@pytest.mark.parametrize("k", [5, 8])
+def test_expansion_compare_matches_separate_passes(townes, k):
+    # one loop feeds W and the overlap sum; the results must be the same
+    # floats as bump_sum_field + energy and interaction_term on that grid
+    p = ModelParams(beta=0.05)
+    cfg = bump_centers(k, mid_radius(k, p.m, p.theta), 2)
+    g = grid_for_radius(cfg.R, p.lam, 2, h=0.25)
+    rep = expansion_compare(townes, townes, cfg, p, g=g)
+    W = bump_sum_field(g, townes, cfg)
+    direct = energy(radial_field(g, townes), W,
+                    potential_field(g, make_potential(p)), p)
+    inter = interaction_term(townes, cfg, p, g=g)
+    # the energy absorbs last-bit changes of W, so W is compared directly
+    shared = np.zeros(g.shape)
+    _ring_overlap(townes, cfg, p, g, bumpsum=shared)
+    assert np.array_equal(shared, W.data)
+    assert rep.direct == direct
+    assert rep.interaction_sum == 0.5 * p.alpha1 * k * inter.total
+    assert rep.J_exact == inter.J_exact
+    assert rep.J_surrogate == inter.J_surrogate
 
 
 def _synthetic_pair(g):

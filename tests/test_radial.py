@@ -174,3 +174,73 @@ def test_random_parameter_draws():
         assert np.all(np.diff(p.values) < 0.0)
         assert p.peak == pytest.approx(
             math.sqrt(c / alpha) * base.peak, rel=1e-9)
+
+
+def _where_value(p, r):
+    """eval_profile as first written: the spline and the tail run on every
+    radius and np.where picks one; kept as the oracle for the split."""
+    r = np.asarray(r, dtype=float)
+    out = p._spline(np.minimum(r, p.r_max))
+    far = r > p.r_max
+    if np.any(far):
+        out = np.where(far, p.values[-1] * np.exp(-p.sqrt_c * (r - p.r_max)),
+                       out)
+    return out
+
+
+def _where_deriv(p, r):
+    """eval_profile_deriv as first written (see _where_value)."""
+    r = np.asarray(r, dtype=float)
+    out = p._dspline(np.minimum(r, p.r_max))
+    far = r > p.r_max
+    if np.any(far):
+        out = np.where(far, -p.sqrt_c * p.values[-1]
+                       * np.exp(-p.sqrt_c * (r - p.r_max)), out)
+    return out
+
+
+def _assert_matches_where_oracle(p, r):
+    for fast, oracle in ((radial.eval_profile, _where_value),
+                         (radial.eval_profile_deriv, _where_deriv)):
+        got, want = fast(p, r), oracle(p, r)
+        assert np.shape(got) == np.shape(want)
+        assert np.array_equal(got, want)
+
+
+def test_eval_split_matches_where_on_production_grid():
+    # k = 24 at its mid-window radius: the default 517^2 grid, where many
+    # nodes lie beyond r_max = 30 from each bump
+    from ringnls.geometry import _bump_radii, bump_centers
+    from ringnls.grid import grid_for_radius
+    from ringnls.model import mid_radius
+
+    p = radial.ground_state(1.0, 1.0, 2)
+    R = mid_radius(24, 1.0, 2.0)
+    assert R == pytest.approx(12.14, abs=5e-3)
+    g = grid_for_radius(R, 1.0, 2)
+    assert g.n_axis == 517
+    cfg = bump_centers(24, R, 2)
+    for i in (0, 5, 13):
+        rho = _bump_radii(cfg, i, g.mesh())
+        far = rho > p.r_max
+        assert 0 < np.count_nonzero(far) < rho.size
+        _assert_matches_where_oracle(p, rho)
+
+
+def test_eval_split_matches_where_three_d():
+    from ringnls.geometry import _bump_radii, bump_centers
+    from ringnls.grid import make_grid
+
+    p = radial.ground_state(1.0, 1.0, 3)
+    g = make_grid(3, 24.0, 1.0)
+    rho = _bump_radii(bump_centers(2, 8.0, 3), 1, g.mesh())
+    assert 0 < np.count_nonzero(rho > p.r_max) < rho.size
+    _assert_matches_where_oracle(p, rho)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_eval_split_matches_where_at_scalars(dim):
+    p = radial.ground_state(1.0, 1.0, dim)
+    for r in (0.0, p.r_max, np.nextafter(p.r_max, -np.inf),
+              np.nextafter(p.r_max, np.inf), p.r_max + 5.0):
+        _assert_matches_where_oracle(p, r)
