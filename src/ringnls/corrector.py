@@ -9,7 +9,11 @@ found by iterating the contraction map
 
     (u, v)  <-  (L0^{-1} g0(u, v),  L1^{-1} g1(u, v))
 
-from (0, 0), symmetrizing every iterate.
+from (0, 0), symmetrizing every iterate.  Once a step has shrunk, the
+right-hand sides change by geometrically smaller amounts, so each linear
+solve then starts from the previous iterate (u for L0, v with its
+multiplier for L1) instead of from zero; until then, and whenever a step
+fails to shrink, it starts from zero.
 
 Linear systems are symmetric indefinite and solved by MINRES with a
 spectral (sine-transform) preconditioner.  The second-order Laplacian
@@ -139,13 +143,19 @@ def _precondition(x: np.ndarray, g: Grid, inv: np.ndarray) -> np.ndarray:
 
 
 def _solve_minres(matvec, precond, b: np.ndarray, tol: float,
-                  label: str) -> np.ndarray:
+                  label: str, x0: np.ndarray | None = None,
+                  callback=None) -> np.ndarray:
     """MINRES with verification of the true residual.
 
-    The preconditioned convergence test can understate the true residual,
-    so the solve is repeated with a tighter inner tolerance until
+    The first pass starts from x0 (zero when None); a good guess such as
+    the previous Picard iterate saves Krylov iterations, and the answer
+    meets the same true-residual test.  The preconditioned convergence
+    test can understate the true residual, so the solve is repeated from
+    the last iterate with a tighter inner tolerance until
     ||A x - b|| <= tol ||b|| holds, or reported as stalled with the
-    achieved residual history.
+    achieved residual history.  b = 0
+    returns exact zeros whatever x0 is.  ``callback`` is handed to every
+    MINRES pass, so it sees the iterations of all of them.
     """
     bnorm = math.sqrt(float(np.dot(b, b)))
     if bnorm == 0.0:
@@ -154,11 +164,12 @@ def _solve_minres(matvec, precond, b: np.ndarray, tol: float,
     A = LinearOperator((n, n), matvec=matvec, dtype=float)
     M = LinearOperator((n, n), matvec=precond, dtype=float)
     history = []
-    x = None
+    x = x0
     rtol = tol / 20.0
     maxiter = 1200
     for _ in range(3):
-        x, _info = minres(A, b, x0=x, rtol=rtol, maxiter=maxiter, M=M)
+        x, _info = minres(A, b, x0=x, rtol=rtol, maxiter=maxiter, M=M,
+                          callback=callback)
         r = matvec(x) - b
         res = math.sqrt(float(np.dot(r, r))) / bnorm
         history.append(res)
@@ -172,12 +183,15 @@ def _solve_minres(matvec, precond, b: np.ndarray, tol: float,
 
 
 def solve_L0(rhs: Field, U0f: Field, params: ModelParams, tol: float,
-             k: int | None = None) -> Field:
+             k: int | None = None, x0: np.ndarray | None = None,
+             callback=None) -> Field:
     """u with ||apply_L0(u) - rhs||_L2 <= tol ||rhs||_L2.
 
     rhs is expected to lie in the symmetric subspace; when the fold order
     k is supplied the returned solution is re-symmetrized to clean the
-    rounding-level drift of the Krylov iteration.
+    rounding-level drift of the Krylov iteration.  x0 (flat, g.size
+    values) is the Krylov starting guess, zero when None; ``callback`` is
+    MINRES's per-iteration callback.
     """
     g = rhs.grid
     pot = params.lam - 3.0 * params.alpha0 * U0f.data ** 2
@@ -189,7 +203,7 @@ def solve_L0(rhs: Field, U0f: Field, params: ModelParams, tol: float,
         return out.ravel()
 
     x = _solve_minres(mv, lambda x: _precondition(x, g, inv),
-                      rhs.data.ravel(), tol, "L0")
+                      rhs.data.ravel(), tol, "L0", x0=x0, callback=callback)
     u = Field(g, x.reshape(g.shape))
     if k is not None:
         u = symmetrize_fast(u, k)
@@ -203,13 +217,17 @@ def _project_off_Z(v: Field, Z: Field, zz: float) -> Field:
 
 def solve_L1_constrained(rhs: Field, bumpsum: Field, mu: Field, Z: Field,
                          params: ModelParams, tol: float,
-                         k: int | None = None) -> tuple[Field, float]:
+                         k: int | None = None, x0: np.ndarray | None = None,
+                         callback=None) -> tuple[Field, float]:
     """Solve apply_L1(v) + lam_c Z = rhs with quad(Z v) = 0.
 
     The augmented saddle system couples the field unknowns with one
     multiplier through the plain node sum of Z v (identical to the L2
     pairing away from the decayed boundary shell), which keeps the system
-    exactly symmetric for MINRES.  Returns (v, lam_c).
+    exactly symmetric for MINRES.  x0 is the Krylov starting guess for
+    the bordered unknown [v flattened, lam_c] (g.size + 1 values), zero
+    when None; ``callback`` is MINRES's per-iteration callback.  Returns
+    (v, lam_c).
     """
     g = rhs.grid
     zz = quad_product(Z, Z)
@@ -233,7 +251,7 @@ def solve_L1_constrained(rhs: Field, bumpsum: Field, mu: Field, Z: Field,
         return np.concatenate([head, [x[-1] / schur]])
 
     b = np.concatenate([rhs.data.ravel(), [0.0]])
-    x = _solve_minres(mv, pc, b, tol, "L1")
+    x = _solve_minres(mv, pc, b, tol, "L1", x0=x0, callback=callback)
     v = Field(g, x[:-1].reshape(g.shape))
     lam_c = float(x[-1])
     if k is not None:
@@ -270,6 +288,16 @@ def rayleigh_floor(U0f: Field, params: ModelParams, k: int,
 
 # ---------------------------------------------------------------------------
 # fixed point
+
+
+class _KrylovCount:
+    """MINRES callback that counts iterations, over all restarts."""
+
+    def __init__(self):
+        self.n = 0
+
+    def __call__(self, _xk):
+        self.n += 1
 
 
 @dataclass
@@ -316,6 +344,7 @@ class CorrectorResult:
     lagrange: float
     converged: bool
     steps: list
+    krylov_iters: list    # [L0, L1] MINRES iterations of each Picard step
 
     def as_dict(self) -> dict:
         return {
@@ -325,6 +354,7 @@ class CorrectorResult:
             "lagrange": self.lagrange,
             "converged": self.converged,
             "steps": list(self.steps),
+            "krylov_iters": [list(p) for p in self.krylov_iters],
         }
 
 
@@ -352,15 +382,19 @@ def fixed_point_iterate(inputs: CorrectorInputs, params: ModelParams,
     The fold order k and the radius R are read from ``inputs.config``.
     Both components are refreshed simultaneously from the previous pair;
     each iterate is symmetrized (fast projection in the loop, accurate one
-    on the final pair).  Merely warns when R lies outside the admissible
-    window.  Raises
+    on the final pair).  When the last step shrank (step ratio < 1), both
+    linear solves start from the previous iterate: u for L0 and
+    [v, lam_c] for the bordered L1 system; otherwise they start from
+    zero.  The MINRES iterations of each step, summed over restarts, are
+    kept as [L0, L1] pairs in ``krylov_iters``.  Merely warns when R lies
+    outside the admissible window.  Raises
 
     - ValueError when |beta| >= f0 (contraction hypothesis);
-    - CorrectorDivergence after five consecutive non-decreasing step
-      ratios;
+    - CorrectorDivergence after five consecutive step ratios >= 1, that
+      is, five steps in a row that did not shrink;
     - CorrectorDivergence when a step exceeds 1e4 times the first step;
     - CorrectorDivergence when an inner solve raises LinearSolveStalled
-      right after a non-decreasing step (any other stall propagates as
+      right after a step ratio >= 1 (any other stall propagates as
       LinearSolveStalled).
     """
     k, Rvalue = inputs.config.k, inputs.config.R
@@ -382,6 +416,7 @@ def fixed_point_iterate(inputs: CorrectorInputs, params: ModelParams,
     lagrange = 0.0
     steps: list[float] = []
     ratios: list[float] = []
+    krylov: list[list[int]] = []
     converged = False
     iterations = 0
 
@@ -394,16 +429,23 @@ def fixed_point_iterate(inputs: CorrectorInputs, params: ModelParams,
         b0 = g0_rhs(u, v, inputs.U0f, inputs.W, params)
         b1 = g1_rhs(u, v, inputs.U0f, inputs.W, inputs.cubes, inputs.mu,
                     params)
+        warm = bool(ratios) and ratios[-1] < 1.0
+        count0, count1 = _KrylovCount(), _KrylovCount()
         try:
-            u_new = solve_L0(b0, inputs.U0f, params, lin_tol, k=k)
+            u_new = solve_L0(b0, inputs.U0f, params, lin_tol, k=k,
+                             x0=u.data.ravel() if warm else None,
+                             callback=count0)
             v_new, lagrange = solve_L1_constrained(
-                b1, inputs.W, inputs.mu, inputs.Z, params, lin_tol, k=k)
+                b1, inputs.W, inputs.mu, inputs.Z, params, lin_tol, k=k,
+                x0=np.append(v.data.ravel(), lagrange) if warm else None,
+                callback=count1)
         except LinearSolveStalled as exc:
             # A stalled inner solve on a blown-up right-hand side is the
             # same failure the step-ratio test detects, reported sooner.
             if ratios and ratios[-1] >= 1.0:
                 raise _divergence_error() from exc
             raise
+        krylov.append([count0.n, count1.n])
         step = norm_E(u_new - u, v_new - v, params.lam, inputs.mu)
         if steps:
             ratios.append(step / steps[-1] if steps[-1] > 0 else 0.0)
@@ -428,4 +470,5 @@ def fixed_point_iterate(inputs: CorrectorInputs, params: ModelParams,
         lagrange=lagrange,
         converged=converged,
         steps=steps,
+        krylov_iters=krylov,
     )

@@ -218,6 +218,11 @@ def test_corrector_run_artifacts(tmp_path):
     assert steps == summary["steps"]
     assert all(b < a for a, b in zip(steps, steps[1:]))
 
+    # MINRES iterations per Picard step, as [L0, L1]
+    krylov = summary["krylov_iters"]
+    assert len(krylov) == summary["iterations"]
+    assert all(len(pair) == 2 and min(pair) >= 1 for pair in krylov)
+
 
 def _assert_corrector_rerun_bit_identical(tmp_path, config_text):
     cfg = tmp_path / "c.cfg"

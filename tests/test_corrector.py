@@ -9,16 +9,18 @@ import pytest
 
 from scipy.fft import dstn
 
+import ringnls.corrector as corrector
 from ringnls.corrector import (CorrectorDivergence, _inverse_spectrum,
-                               _padded_size, _precondition, apply_L0,
-                               apply_L1, build_inputs, fixed_point_iterate,
-                               g0_rhs, g1_rhs, rayleigh_floor, solve_L0,
+                               _KrylovCount, _padded_size, _precondition,
+                               _solve_minres, apply_L0, apply_L1, build_inputs,
+                               fixed_point_iterate, g0_rhs, g1_rhs,
+                               rayleigh_floor, solve_L0,
                                solve_L1_constrained)
 from ringnls.energy import potential_field
 from ringnls.geometry import (bump_centers, bump_cubes_field, bump_sum_field,
                               constraint_field, radial_field)
 from ringnls.grid import Field, laplacian, make_grid, quad_product, zeros
-from ringnls.model import ModelParams, make_potential
+from ringnls.model import ModelParams, make_potential, mid_radius
 from ringnls.radial import ground_state
 
 
@@ -122,9 +124,9 @@ def test_laplacian_sine_mode_eigenpair():
     assert np.max(np.abs(defect)) < 1e-12
 
 
-def test_solve_L0_exact_on_sine_mode():
-    # with no potential well the preconditioner inverts the operator
-    # exactly, so the solve reproduces a discrete eigenmode to rounding
+def _sine_mode_system():
+    """A discrete eigenmode of -lap and its L0 right-hand side with no
+    potential well (U0 = 0)."""
     g = make_grid(2, 8.0, 0.25)
     params = ModelParams()
     n, h = g.n_axis, g.h
@@ -133,9 +135,39 @@ def test_solve_L0_exact_on_sine_mode():
                     np.sin(math.pi * 5 * (i + 1) / (n + 1)))
     eig = (2 - 2 * math.cos(math.pi * 3 / (n + 1))) / h ** 2 \
         + (2 - 2 * math.cos(math.pi * 5 / (n + 1))) / h ** 2
-    rhs = Field(g, (eig + params.lam) * mode)
+    return g, params, mode, Field(g, (eig + params.lam) * mode)
+
+
+def test_solve_L0_exact_on_sine_mode():
+    # with no potential well the preconditioner inverts the operator
+    # exactly, so the solve reproduces a discrete eigenmode to rounding
+    g, params, mode, rhs = _sine_mode_system()
     sol = solve_L0(rhs, zeros(g), params, 1e-12)
     assert np.max(np.abs(sol.data - mode)) < 1e-12
+
+
+def test_solve_minres_zero_rhs_ignores_start():
+    # b = 0 short-circuits to exact zeros, whatever the starting guess
+    b = np.zeros(6)
+    count = _KrylovCount()
+    x = _solve_minres(lambda x: 2.0 * x, lambda x: 0.5 * x, b, 1e-10, "t",
+                      x0=np.arange(1.0, 7.0), callback=count)
+    assert np.array_equal(x, np.zeros(6))
+    assert count.n == 0
+
+
+def test_solve_L0_started_at_solution():
+    # a start at the solution is already within tolerance: at most one
+    # Krylov iteration, and the true residual holds
+    g, params, mode, rhs = _sine_mode_system()
+    tol = 1e-12
+    count = _KrylovCount()
+    sol = solve_L0(rhs, zeros(g), params, tol, x0=mode.ravel(),
+                   callback=count)
+    assert count.n <= 1
+    res = apply_L0(sol, zeros(g), params) - rhs
+    assert math.sqrt(quad_product(res, res)) \
+        <= tol * math.sqrt(quad_product(rhs, rhs))
 
 
 def test_pairing_symmetry(townes):
@@ -218,7 +250,9 @@ def test_solve_L1_round_trip_and_constraint(townes):
     r2 = sum(np.broadcast_to(m, g.shape) ** 2 for m in mesh)
     rhs = Field(g, np.exp(-0.3 * r2)
                 * (1.0 + 0.1 * np.broadcast_to(mesh[0], g.shape) ** 2))
-    v, lam_c = solve_L1_constrained(rhs, W, mu, Z, params, 1e-9, k=2)
+    cold, warm = _KrylovCount(), _KrylovCount()
+    v, lam_c = solve_L1_constrained(rhs, W, mu, Z, params, 1e-9, k=2,
+                                    callback=cold)
     residual = Field(g, apply_L1(v, W, mu, params).data
                      + lam_c * Z.data - rhs.data)
     assert math.sqrt(quad_product(residual, residual)) \
@@ -226,6 +260,15 @@ def test_solve_L1_round_trip_and_constraint(townes):
     zv = quad_product(Z, v)
     assert abs(zv) < 1e-12 * math.sqrt(quad_product(Z, Z)
                                        * quad_product(v, v))
+
+    # started from its own solution, the bordered solve takes fewer
+    # Krylov iterations and lands on the same pair
+    v2, lam2 = solve_L1_constrained(rhs, W, mu, Z, params, 1e-9, k=2,
+                                    x0=np.append(v.data.ravel(), lam_c),
+                                    callback=warm)
+    assert warm.n < cold.n
+    assert _relerr(v2, v) < 1e-8
+    assert abs(lam2 - lam_c) < 1e-8 * abs(lam_c)
 
 
 def test_solve_L1_degenerate_constraint(townes):
@@ -346,3 +389,61 @@ def test_divergence_error_typed_with_forcing_split(divergent_k16):
     for part in ("potential (mu - 1) W", "overlap a1 (W^3 - sum V_i^3)",
                  "beta terms"):
         assert part in msg
+
+
+def _record_starts(monkeypatch):
+    """Patch the corrector to record, per Picard step, whether each linear
+    solve got a starting guess.
+
+    The record is taken where a solve hands its start to the first MINRES
+    pass; a restart pass always continues from the pass before it.
+    """
+    steps = []
+    g0 = corrector.g0_rhs
+    solve = corrector._solve_minres
+
+    def step_marker(*args, **kwargs):
+        steps.append([])
+        return g0(*args, **kwargs)
+
+    def recorder(*args, x0=None, **kwargs):
+        steps[-1].append(x0 is not None)
+        return solve(*args, x0=x0, **kwargs)
+
+    monkeypatch.setattr(corrector, "g0_rhs", step_marker)
+    monkeypatch.setattr(corrector, "_solve_minres", recorder)
+    return steps
+
+
+def test_warm_start_after_contracting_step(monkeypatch):
+    # step 1 has no ratio and step 2 only the first one: both start from
+    # zero; from step 3 on the previous step shrank and every solve
+    # starts from the last iterate
+    starts = _record_starts(monkeypatch)
+    params = ModelParams(beta=0.05)
+    with pytest.warns(UserWarning, match="outside the admissible window"):
+        res = fixed_point_iterate(build_inputs(2, 12.0, params, h=0.25),
+                                  params)
+    assert res.converged and res.iterations >= 4
+    assert len(starts) == res.iterations
+    assert starts[:2] == [[False, False]] * 2
+    assert all(s == [True, True] for s in starts[2:])
+    assert all(b < a for a, b in zip(res.steps, res.steps[1:]))
+    assert res.contraction_factor < 0.2
+    # one [L0, L1] iteration count per step, fewer once warm
+    assert len(res.krylov_iters) == res.iterations
+    assert sum(res.krylov_iters[-1]) < sum(res.krylov_iters[0])
+
+
+def test_no_warm_start_while_diverging(monkeypatch):
+    # the k = 16 mid-window ring never takes a shrinking step, so every
+    # solve starts from zero up to the divergence error
+    starts = _record_starts(monkeypatch)
+    base = ModelParams()
+    inputs = build_inputs(16, mid_radius(16, base.m, base.theta), base,
+                          h=0.5)
+    params = ModelParams(beta=0.5 * inputs.budget.f0)
+    with pytest.raises(CorrectorDivergence):
+        fixed_point_iterate(inputs, params)
+    assert len(starts) >= 3
+    assert not any(any(s) for s in starts)
