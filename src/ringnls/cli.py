@@ -12,7 +12,8 @@ Configs are flat ``key = value`` text with # comments; every key has a
 documented default.  Each run writes a summary.json plus plot-ready CSVs
 to the output directory, all atomically (write-then-rename).  The exit
 status is 0 exactly when every invariant the subcommand asserts held;
-otherwise a failure.json names the first violated invariant.
+otherwise a failure.json names the first violated invariant (a diverging
+corrector also records its Picard steps and their Krylov iterations).
 
 Scan and sampling stages run serially from a single seeded generator,
 so identical config + seed produce bit-identical artifacts (the output
@@ -521,6 +522,8 @@ def run(subcommand: str, config: RunConfig) -> int:
         record = {"subcommand": subcommand,
                   "invariant": _failure_name(exc),
                   "detail": str(exc)}
+        if isinstance(exc, CorrectorDivergence):
+            record.update(steps=exc.steps, krylov_iters=exc.krylov_iters)
         _atomic_write(out / "failure.json", _json_text(record))
         print(f"{subcommand}: FAIL ({record['invariant']}): {exc}",
               file=sys.stderr)

@@ -16,16 +16,30 @@ multiplier for L1) instead of from zero; until then, and whenever a step
 fails to shrink, it starts from zero.
 
 Linear systems are symmetric indefinite and solved by MINRES with a
-spectral (sine-transform) preconditioner.  The second-order Laplacian
-plus a positive shift, with zero ghost values one spacing outside a box,
-is diagonalized exactly by the type-I discrete sine transform on that
-box.  The transform runs on a centred box of m >= n_axis nodes per axis
-with m + 1 5-smooth, so each apply is a fast FFT whatever the grid size:
-the field is zero-padded into that box, the padded operator is inverted,
-and the inner n_axis block is read back.  That block R A'^{-1} R^T of the
-inverse of an SPD operator is itself SPD, as MINRES requires.  When
-n_axis + 1 is already 5-smooth the box is the grid and the inverse is
-exact for the shifted stencil.
+spectral preconditioner.  Given the fold order k, each solve runs on the
+part of the box that the axis reflections of the symmetric class fix: y2
+(and y3 in 3-D) always fold, y1 folds for even k, so the unknowns are the
+nodes from the centre on along each folded axis, half the grid for odd k
+and a quarter (an eighth in 3-D) for even k.  The unknowns are scaled by
+sqrt(w), w the number of full-grid mirror copies of a node, which makes
+the folded stencil and preconditioner exactly symmetric and the Euclidean
+products those of the full grid; in exact arithmetic the Krylov iterates
+are the full-grid ones, and the axis reflections hold by construction.
+The residual test is always on the full grid: each MINRES pass unfolds
+its iterate and checks it against the full right-hand side.
+
+The preconditioner inverts the second-order Laplacian plus a positive
+shift, with zero ghost values one spacing outside a box, which the type-I
+discrete sine transform diagonalizes exactly on that box.  The transform
+runs on a centred box of m >= n_axis nodes per axis with m + 1 5-smooth,
+so each apply is a fast FFT whatever the grid size: the field is
+zero-padded into that box, the padded operator is inverted, and the inner
+n_axis block is read back.  That block R A'^{-1} R^T of the inverse of an
+SPD operator is itself SPD, as MINRES requires.  When n_axis + 1 is
+already 5-smooth the box is the grid and the inverse is exact for the
+shifted stencil.  On a folded axis only the sine modes even about the
+centre, j = 2l + 1, are kept; on the half box of (m + 1) / 2 nodes they
+are cosine modes, applied as a DCT-III, the spectrum, and a DCT-II.
 """
 
 from __future__ import annotations
@@ -36,7 +50,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.fft import dstn, next_fast_len
+from scipy.fft import dctn, dstn, next_fast_len
 from scipy.sparse.linalg import LinearOperator, minres
 
 from .energy import potential_field
@@ -50,7 +64,17 @@ from .radial import ground_state
 
 
 class CorrectorDivergence(RuntimeError):
-    """The Picard steps of the corrector map grow instead of contracting."""
+    """The Picard steps of the corrector map grow instead of contracting.
+
+    ``steps`` holds the E-norm step of each completed Picard step and
+    ``krylov_iters`` its [L0, L1] MINRES iterations, as in
+    ``CorrectorResult``.
+    """
+
+    def __init__(self, message: str, steps=(), krylov_iters=()):
+        super().__init__(message)
+        self.steps = list(steps)
+        self.krylov_iters = [list(p) for p in krylov_iters]
 
 
 class LinearSolveStalled(RuntimeError):
@@ -108,7 +132,55 @@ def apply_L1(v: Field, bumpsum: Field, mu: Field,
 
 
 # ---------------------------------------------------------------------------
-# spectral preconditioner
+# the folded box and the spectral preconditioner
+
+
+@dataclass(frozen=True)
+class _Fold:
+    """The part of the box that the axis reflections of the fold-k class fix.
+
+    y2 (and y3 in 3-D) always fold; y1 folds when k is even, since the
+    rotation by pi then lies in the group.  A folded axis keeps the nodes
+    from its centre index c = (n_axis - 1) / 2 on.  Vectors on the part are
+    scaled by sqrt(w), w the number of full-grid mirror copies of a node
+    (2 per folded axis off that axis's centre, 1 on it), so Euclidean
+    products of scaled vectors equal full-grid products of even fields.
+    With k None nothing folds and w = 1.
+    """
+
+    shape: tuple          # full grid shape
+    axes: tuple           # folded axes
+    part: tuple           # index of the kept part in a full-grid array
+    root_w: np.ndarray    # sqrt(w) on the part
+
+    def fold(self, a: np.ndarray) -> np.ndarray:
+        """Scaled kept part of a full-grid array, flattened."""
+        return (a.reshape(self.shape)[self.part] * self.root_w).ravel()
+
+    def unfold(self, x: np.ndarray) -> np.ndarray:
+        """Full-grid array of a scaled folded vector, mirrored back."""
+        a = x.reshape(self.root_w.shape) / self.root_w
+        for ax in self.axes:
+            mirror = [slice(None)] * a.ndim
+            mirror[ax] = slice(None, 0, -1)
+            a = np.concatenate([a[tuple(mirror)], a], axis=ax)
+        return a
+
+
+def _fold_for(g: Grid, k: int | None) -> _Fold:
+    axes = () if k is None else tuple(range(k % 2, g.dim))
+    c = (g.n_axis - 1) // 2
+    half = np.full(g.n_axis - c, math.sqrt(2.0))
+    half[0] = 1.0
+    root_w = np.ones(tuple(g.n_axis - c if ax in axes else g.n_axis
+                           for ax in range(g.dim)))
+    for ax in axes:
+        shape = [1] * g.dim
+        shape[ax] = half.size
+        root_w *= half.reshape(shape)
+    part = tuple(slice(c, None) if ax in axes else slice(None)
+                 for ax in range(g.dim))
+    return _Fold(shape=g.shape, axes=axes, part=part, root_w=root_w)
 
 
 def _padded_size(n_axis: int) -> int:
@@ -117,34 +189,103 @@ def _padded_size(n_axis: int) -> int:
 
 
 @lru_cache(maxsize=8)
-def _inverse_spectrum(n_box: int, dim: int, h: float,
-                      shift: float) -> np.ndarray:
+def _inverse_spectrum(n_box: int, dim: int, h: float, shift: float,
+                      folded: tuple = ()) -> np.ndarray:
     """1 / (stencil eigenvalues + shift) for -lap with zero ghosts on a
-    box of n_box nodes per axis."""
+    box of n_box nodes per axis.
+
+    An axis in ``folded`` keeps only the sine modes even about the box
+    centre, j = 2l + 1, which are the cosine modes cos(pi (2l + 1) p /
+    (2 M_b)) of the half box of M_b = (n_box + 1) / 2 nodes; the array
+    also carries the 1 / (2 M_b) per folded axis that normalizes the
+    unnormalized DCT-III/DCT-II pair of ``_precondition``.
+    """
     j = np.arange(1, n_box + 1)
-    lam1 = (2.0 - 2.0 * np.cos(np.pi * j / (n_box + 1))) / (h * h)
-    total = np.zeros((n_box,) * dim)
+    total = np.zeros(tuple((n_box + 1) // 2 if ax in folded else n_box
+                           for ax in range(dim)))
     for ax in range(dim):
+        modes = j[::2] if ax in folded else j
         shape = [1] * dim
-        shape[ax] = n_box
+        shape[ax] = modes.size
+        lam1 = (2.0 - 2.0 * np.cos(np.pi * modes / (n_box + 1))) / (h * h)
         total = total + lam1.reshape(shape)
-    return 1.0 / (total + shift)
+    return 1.0 / (total + shift) / (n_box + 1) ** len(folded)
 
 
-def _precondition(x: np.ndarray, g: Grid, inv: np.ndarray) -> np.ndarray:
-    """Inner block of the inverse spectrum applied on the padded box."""
-    pad = (inv.shape[0] - g.n_axis) // 2
-    inner = (slice(pad, pad + g.n_axis),) * g.dim
+def _precondition(x: np.ndarray, g: Grid, inv: np.ndarray,
+                  axes: tuple = ()) -> np.ndarray:
+    """Inner block of the inverse spectrum applied on the padded box.
+
+    Unfolded axes run the orthonormal DST-I over the centred box.  On a
+    folded axis (listed in ``axes``) x holds the half from the centre node
+    on, the field being even there; it sits at the start of the half box
+    and runs DCT-III, then the spectrum, then DCT-II, which is the full
+    DST-I pair restricted to the even modes.  ``inv`` comes from
+    ``_inverse_spectrum`` with the same folded axes.
+    """
+    c = (g.n_axis - 1) // 2
+    inner = tuple(slice(0, c + 1) if ax in axes else
+                  slice((inv.shape[ax] - g.n_axis) // 2,
+                        (inv.shape[ax] + g.n_axis) // 2)
+                  for ax in range(g.dim))
+    plain = tuple(ax for ax in range(g.dim) if ax not in axes)
     t = np.zeros(inv.shape)
-    t[inner] = x.reshape(g.shape)
-    t = dstn(t, type=1, norm="ortho", overwrite_x=True)
+    t[inner] = x.reshape(t[inner].shape)
+    if plain:
+        t = dstn(t, type=1, norm="ortho", axes=plain, overwrite_x=True)
+    if axes:
+        t = dctn(t, type=3, axes=axes, overwrite_x=True)
     t *= inv
-    return dstn(t, type=1, norm="ortho", overwrite_x=True)[inner].ravel()
+    if axes:
+        t = dctn(t, type=2, axes=axes, overwrite_x=True)
+    if plain:
+        t = dstn(t, type=1, norm="ortho", axes=plain, overwrite_x=True)
+    return t[inner].ravel()
+
+
+def _shifted_operator(g: Grid, pot: np.ndarray, shift: float,
+                      k: int | None):
+    """-lap + pot and its preconditioner on the folded box of fold order k.
+
+    Returns (fold, matvec, precond).  matvec and precond act on
+    sqrt(w)-scaled folded vectors and are exactly symmetric: the folded
+    stencil reads the ghost at index -1 of a folded axis as the mirror
+    copy of index 1, which after scaling makes the coupling of the centre
+    node and its neighbour sqrt(2) in both directions; the far ghost
+    stays zero.  The preconditioner is the padded-box inverse of the
+    shifted Laplacian.
+    """
+    fold = _fold_for(g, k)
+    potf = pot[fold.part]
+    inv = _inverse_spectrum(_padded_size(g.n_axis), g.dim, g.h, shift,
+                            fold.axes)
+    edge = (math.sqrt(2.0) - 1.0) / (g.h * g.h)
+    ends = []
+    for ax in fold.axes:
+        lo = [slice(None)] * g.dim
+        hi = [slice(None)] * g.dim
+        lo[ax], hi[ax] = 0, 1
+        ends.append((tuple(lo), tuple(hi)))
+
+    def matvec(x):
+        a = x.reshape(fold.root_w.shape)
+        lap = laplacian(Field(g, a)).data
+        for lo, hi in ends:
+            lap[lo] += edge * a[hi]
+            lap[hi] += edge * a[lo]
+        return (-lap + potf * a).ravel()
+
+    def precond(x):
+        a = x.reshape(fold.root_w.shape) / fold.root_w
+        return (_precondition(a, g, inv, fold.axes).reshape(a.shape)
+                * fold.root_w).ravel()
+
+    return fold, matvec, precond
 
 
 def _solve_minres(matvec, precond, b: np.ndarray, tol: float,
                   label: str, x0: np.ndarray | None = None,
-                  callback=None) -> np.ndarray:
+                  callback=None, check=None) -> np.ndarray:
     """MINRES with verification of the true residual.
 
     The first pass starts from x0 (zero when None); a good guess such as
@@ -153,11 +294,16 @@ def _solve_minres(matvec, precond, b: np.ndarray, tol: float,
     test can understate the true residual, so the solve is repeated from
     the last iterate with a tighter inner tolerance until
     ||A x - b|| <= tol ||b|| holds, or reported as stalled with the
-    achieved residual history.  b = 0
-    returns exact zeros whatever x0 is.  ``callback`` is handed to every
-    MINRES pass, so it sees the iterations of all of them.
+    achieved residual history.  ``check`` is the system (apply, rhs) that
+    test measures, with apply taking the Krylov iterate; when None it is
+    (matvec, b).  A folded solve passes the full-grid system, so a
+    right-hand side the fold cannot represent fails the test instead of
+    passing unseen.  rhs = 0 returns exact zeros whatever x0 is.
+    ``callback`` is handed to every MINRES pass, so it sees the
+    iterations of all of them.
     """
-    bnorm = math.sqrt(float(np.dot(b, b)))
+    apply, rhs = check if check is not None else (matvec, b)
+    bnorm = math.sqrt(float(np.dot(rhs, rhs)))
     if bnorm == 0.0:
         return np.zeros_like(b)
     n = b.size
@@ -170,7 +316,7 @@ def _solve_minres(matvec, precond, b: np.ndarray, tol: float,
     for _ in range(3):
         x, _info = minres(A, b, x0=x, rtol=rtol, maxiter=maxiter, M=M,
                           callback=callback)
-        r = matvec(x) - b
+        r = apply(x) - rhs
         res = math.sqrt(float(np.dot(r, r))) / bnorm
         history.append(res)
         if res <= tol:
@@ -187,24 +333,28 @@ def solve_L0(rhs: Field, U0f: Field, params: ModelParams, tol: float,
              callback=None) -> Field:
     """u with ||apply_L0(u) - rhs||_L2 <= tol ||rhs||_L2.
 
-    rhs is expected to lie in the symmetric subspace; when the fold order
-    k is supplied the returned solution is re-symmetrized to clean the
-    rounding-level drift of the Krylov iteration.  x0 (flat, g.size
-    values) is the Krylov starting guess, zero when None; ``callback`` is
+    rhs is expected to lie in the symmetric subspace.  When the fold order
+    k is supplied, MINRES runs on the folded box of ``_Fold`` (y2, y3 in
+    3-D, and y1 for even k, fold; sqrt(w)-scaled unknowns) with the
+    DCT-III/II preconditioner on the odd sine modes of the folded axes,
+    and the returned solution is re-symmetrized to clean the
+    rounding-level drift of the Krylov iteration; with k None the solve
+    runs on the full grid.  Either way the residual test is on the full
+    grid, against the full rhs.  x0 (flat, g.size values) is the Krylov
+    starting guess, zero when None, folded like rhs; ``callback`` is
     MINRES's per-iteration callback.
     """
     g = rhs.grid
     pot = params.lam - 3.0 * params.alpha0 * U0f.data ** 2
-    inv = _inverse_spectrum(_padded_size(g.n_axis), g.dim, g.h, params.lam)
+    fold, mv, pc = _shifted_operator(g, pot, params.lam, k)
 
-    def mv(x):
-        a = x.reshape(g.shape)
-        out = -laplacian(Field(g, a)).data + pot * a
-        return out.ravel()
+    def apply_full(x):
+        return apply_L0(Field(g, fold.unfold(x)), U0f, params).data.ravel()
 
-    x = _solve_minres(mv, lambda x: _precondition(x, g, inv),
-                      rhs.data.ravel(), tol, "L0", x0=x0, callback=callback)
-    u = Field(g, x.reshape(g.shape))
+    x = _solve_minres(mv, pc, fold.fold(rhs.data), tol, "L0",
+                      x0=None if x0 is None else fold.fold(x0),
+                      callback=callback, check=(apply_full, rhs.data.ravel()))
+    u = Field(g, fold.unfold(x))
     if k is not None:
         u = symmetrize_fast(u, k)
     return u
@@ -224,35 +374,43 @@ def solve_L1_constrained(rhs: Field, bumpsum: Field, mu: Field, Z: Field,
     The augmented saddle system couples the field unknowns with one
     multiplier through the plain node sum of Z v (identical to the L2
     pairing away from the decayed boundary shell), which keeps the system
-    exactly symmetric for MINRES.  x0 is the Krylov starting guess for
-    the bordered unknown [v flattened, lam_c] (g.size + 1 values), zero
-    when None; ``callback`` is MINRES's per-iteration callback.  Returns
-    (v, lam_c).
+    exactly symmetric for MINRES.  With the fold order k the field block
+    runs on the folded box as in ``solve_L0``; the bordered row and column
+    are the scaled sqrt(w) Z, whose product with the scaled v is still the
+    full-grid node sum.  The residual test is on the full bordered system
+    on the full grid.  x0 is the Krylov starting guess for the bordered
+    unknown [v flattened, lam_c] (g.size + 1 values), zero when None;
+    ``callback`` is MINRES's per-iteration callback.  Returns (v, lam_c).
     """
     g = rhs.grid
     zz = quad_product(Z, Z)
     if zz <= 1e-300:
         raise ValueError("degenerate constraint: quad(Z^2) is zero")
     pot = mu.data - 3.0 * params.alpha1 * bumpsum.data ** 2
-    inv = _inverse_spectrum(_padded_size(g.n_axis), g.dim, g.h, 1.0)
+    fold, op, op_pc = _shifted_operator(g, pot, 1.0, k)
     zflat = Z.data.ravel()
-    n = zflat.size
+    zf = fold.fold(Z.data)
 
     def mv(x):
-        a = x[:-1].reshape(g.shape)
-        out = -laplacian(Field(g, a)).data + pot * a + x[-1] * Z.data
-        return np.concatenate([out.ravel(), [float(np.dot(zflat, x[:-1]))]])
+        return np.concatenate([op(x[:-1]) + x[-1] * zf,
+                               [float(np.dot(zf, x[:-1]))]])
 
-    zprec = _precondition(zflat, g, inv)
-    schur = float(np.dot(zflat, zprec))
+    schur = float(np.dot(zf, op_pc(zf)))
 
     def pc(x):
-        head = _precondition(x[:-1], g, inv)
-        return np.concatenate([head, [x[-1] / schur]])
+        return np.concatenate([op_pc(x[:-1]), [x[-1] / schur]])
 
-    b = np.concatenate([rhs.data.ravel(), [0.0]])
-    x = _solve_minres(mv, pc, b, tol, "L1", x0=x0, callback=callback)
-    v = Field(g, x[:-1].reshape(g.shape))
+    def apply_full(x):
+        v = Field(g, fold.unfold(x[:-1]))
+        out = apply_L1(v, bumpsum, mu, params).data.ravel() + x[-1] * zflat
+        return np.append(out, float(np.dot(zflat, v.data.ravel())))
+
+    b = np.append(fold.fold(rhs.data), 0.0)
+    if x0 is not None:
+        x0 = np.append(fold.fold(x0[:-1]), x0[-1])
+    x = _solve_minres(mv, pc, b, tol, "L1", x0=x0, callback=callback,
+                      check=(apply_full, np.append(rhs.data.ravel(), 0.0)))
+    v = Field(g, fold.unfold(x[:-1]))
     lam_c = float(x[-1])
     if k is not None:
         v = symmetrize_fast(v, k)
@@ -359,15 +517,24 @@ class CorrectorResult:
 
 
 def _forcing_split(inputs: CorrectorInputs, params: ModelParams) -> str:
-    """L2 norms of the three parts of the forcing at (u, v) = (0, 0)."""
-    U, W = inputs.U0f.data, inputs.W.data
+    """L2 norms of the three parts of the forcing at (u, v) = (0, 0).
+
+    The parts lie in the symmetric class, so each norm is a node sum over
+    the folded part of ``_Fold`` with the mirror multiplicities as
+    weights.  Plain node sums suffice: the parts have decayed at the box
+    wall, where the trapezoid rule would halve the weights.
+    """
+    g = inputs.g
+    fold = _fold_for(g, inputs.config.k)
+    U, W, mu, cubes = (f.data[fold.part] for f in (
+        inputs.U0f, inputs.W, inputs.mu, inputs.cubes))
+    weights = g.h ** g.dim * fold.root_w ** 2
 
     def l2(*parts):
-        return math.sqrt(sum(quad_product(Field(inputs.g, p * p))
-                             for p in parts))
+        return math.sqrt(sum(float(np.vdot(weights, p * p)) for p in parts))
 
-    potential = l2((inputs.mu.data - 1.0) * W)
-    overlap = l2(params.alpha1 * (W ** 3 - inputs.cubes.data))
+    potential = l2((mu - 1.0) * W)
+    overlap = l2(params.alpha1 * (W ** 3 - cubes))
     coupling = l2(params.beta * U * W ** 2, params.beta * U ** 2 * W)
     return (f"forcing L2 norms at (u, v) = (0, 0): potential (mu - 1) W "
             f"{potential:.4g}, overlap a1 (W^3 - sum V_i^3) {overlap:.4g}, "
@@ -396,6 +563,9 @@ def fixed_point_iterate(inputs: CorrectorInputs, params: ModelParams,
     - CorrectorDivergence when an inner solve raises LinearSolveStalled
       right after a step ratio >= 1 (any other stall propagates as
       LinearSolveStalled).
+
+    A CorrectorDivergence carries the steps and the [L0, L1] Krylov
+    iterations of the Picard steps completed before it.
     """
     k, Rvalue = inputs.config.k, inputs.config.R
     if abs(params.beta) >= inputs.budget.f0:
@@ -423,7 +593,8 @@ def fixed_point_iterate(inputs: CorrectorInputs, params: ModelParams,
     def _divergence_error():
         return CorrectorDivergence(
             f"fixed point diverging at R = {Rvalue:g}, k = {k}: "
-            f"steps {steps}; {_forcing_split(inputs, params)}")
+            f"steps {steps}; {_forcing_split(inputs, params)}",
+            steps=steps, krylov_iters=krylov)
 
     for iterations in range(1, max_iter + 1):
         b0 = g0_rhs(u, v, inputs.U0f, inputs.W, params)
@@ -446,7 +617,11 @@ def fixed_point_iterate(inputs: CorrectorInputs, params: ModelParams,
                 raise _divergence_error() from exc
             raise
         krylov.append([count0.n, count1.n])
-        step = norm_E(u_new - u, v_new - v, params.lam, inputs.mu)
+        # the old iterates are not read again: difference them in place
+        # rather than allocate two more grid-size arrays per step
+        np.subtract(u_new.data, u.data, out=u.data)
+        np.subtract(v_new.data, v.data, out=v.data)
+        step = norm_E(u, v, params.lam, inputs.mu)
         if steps:
             ratios.append(step / steps[-1] if steps[-1] > 0 else 0.0)
         steps.append(step)

@@ -251,6 +251,33 @@ def test_corrector_rerun_bit_identical_interpolating_fold(tmp_path):
         tmp_path, "k = 3\nR = 11\nbeta = 0\nh = 0.5\nmax_iter = 30\n")
 
 
+def test_corrector_divergence_record_keeps_solver_data(tmp_path):
+    # the k = 16 mid-window ring diverges; its failure.json carries the
+    # Picard steps and their [L0, L1] Krylov iterations next to the
+    # message, and a rerun writes the same bytes
+    cfg = tmp_path / "k16.cfg"
+    cfg.write_text("k = 16\nh = 0.5\n")
+    blobs = []
+    for tag in ("one", "two"):
+        out = tmp_path / tag
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rc = main(["corrector", "--config", str(cfg),
+                       "--out", str(out)])
+        assert rc == 1
+        blobs.append((out / "failure.json").read_bytes())
+    assert blobs[0] == blobs[1]
+
+    record = json.loads(blobs[0])
+    assert record["invariant"] == "corrector_convergence"
+    steps = record["steps"]
+    assert len(steps) >= 3
+    assert f"steps {steps}" in record["detail"]
+    krylov = record["krylov_iters"]
+    assert len(krylov) == len(steps)
+    assert all(len(pair) == 2 and min(pair) >= 1 for pair in krylov)
+
+
 @pytest.mark.parametrize("subcommand", ["reduce", "solve"])
 def test_max_iter_reaches_corrector(tmp_path, monkeypatch, subcommand):
     from ringnls import cli, reduction

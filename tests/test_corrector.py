@@ -10,11 +10,11 @@ import pytest
 from scipy.fft import dstn
 
 import ringnls.corrector as corrector
-from ringnls.corrector import (CorrectorDivergence, _inverse_spectrum,
-                               _KrylovCount, _padded_size, _precondition,
-                               _solve_minres, apply_L0, apply_L1, build_inputs,
-                               fixed_point_iterate, g0_rhs, g1_rhs,
-                               rayleigh_floor, solve_L0,
+from ringnls.corrector import (CorrectorDivergence, LinearSolveStalled,
+                               _inverse_spectrum, _KrylovCount, _padded_size,
+                               _precondition, _solve_minres, apply_L0,
+                               apply_L1, build_inputs, fixed_point_iterate,
+                               g0_rhs, g1_rhs, rayleigh_floor, solve_L0,
                                solve_L1_constrained)
 from ringnls.energy import potential_field
 from ringnls.geometry import (bump_centers, bump_cubes_field, bump_sum_field,
@@ -221,6 +221,105 @@ def test_preconditioner_unpadded_when_size_is_fast():
     t *= inv
     plain = dstn(t, type=1, norm="ortho").ravel()
     assert np.array_equal(_precondition(x, g, inv), plain)
+
+
+# fold sets: y2 always folds (and y3 in 3-D), y1 for even k; the 2-D grid
+# is padded (73 -> 79 nodes), and so is the 3-D one (21 -> 23)
+FOLDS = [(2, 1, (1,)), (2, 2, (0, 1)), (2, 3, (1,)),
+         (3, 1, (1, 2)), (3, 2, (0, 1, 2))]
+
+
+def _fold_grid(dim):
+    return make_grid(2, 9.0, 0.25) if dim == 2 else make_grid(3, 5.0, 0.5)
+
+
+def _even(a, axes):
+    for ax in axes:
+        a = 0.5 * (a + np.flip(a, ax))
+    return a
+
+
+@pytest.mark.parametrize("dim,k,axes", FOLDS)
+def test_folded_preconditioner_matches_full_dst(dim, k, axes):
+    # on a field even in the folded axes, the DCT-III/II apply on the odd
+    # modes of the half box is the full DST-I apply read at the kept nodes
+    g = _fold_grid(dim)
+    m = _padded_size(g.n_axis)
+    assert m > g.n_axis
+    fold = corrector._fold_for(g, k)
+    assert fold.axes == axes
+    x = _even(np.random.default_rng(11).standard_normal(g.shape), axes)
+    full = _precondition(x.ravel(), g, _inverse_spectrum(m, dim, g.h, 1.0))
+    full = full.reshape(g.shape)[fold.part]
+    half = _precondition(x[fold.part], g,
+                         _inverse_spectrum(m, dim, g.h, 1.0, axes), axes)
+    assert np.max(np.abs(half.reshape(full.shape) - full)) \
+        < 1e-13 * np.max(np.abs(full))
+
+
+@pytest.mark.parametrize("dim,k,axes", FOLDS)
+def test_folded_operator_and_preconditioner_symmetric(dim, k, axes):
+    # the sqrt(w) scaling makes both folded maps exactly symmetric, and
+    # the preconditioner stays positive
+    g = _fold_grid(dim)
+    rng = np.random.default_rng(5)
+    pot = _even(1.0 + rng.random(g.shape), axes)
+    fold, matvec, precond = corrector._shifted_operator(g, pot, 1.0, k)
+    x, y = rng.standard_normal((2, fold.root_w.size))
+    for op in (matvec, precond):
+        xAy = float(np.dot(x, op(y)))
+        yAx = float(np.dot(y, op(x)))
+        assert abs(xAy - yAx) < 1e-12 * abs(xAy)
+    assert float(np.dot(x, precond(x))) > 0.0
+
+
+def _ring_scene(townes, k):
+    """Coarse k-bump scene with a right-hand side in the symmetric class."""
+    params = ModelParams(beta=0.05)
+    g = make_grid(2, 14.0, 0.25)
+    config = bump_centers(k, 5.0, 2)
+    W = bump_sum_field(g, townes, config)
+    Z = constraint_field(g, townes, config)
+    U0f = radial_field(g, townes)
+    mu = potential_field(g, make_potential(params))
+    rhs = Field(g, U0f.data * W.data + W.data ** 2 + 0.1 * U0f.data ** 3)
+    return params, g, U0f, W, Z, mu, rhs
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_folded_solves_match_full_grid(townes, monkeypatch, k):
+    # with the re-symmetrization taken out, the Krylov solutions of the
+    # folded solves agree with the full-grid solve and meet the
+    # tolerance in the full-grid residual
+    monkeypatch.setattr(corrector, "symmetrize_fast", lambda f, _k: f)
+    params, g, U0f, W, Z, mu, rhs = _ring_scene(townes, k)
+    tol = 1e-11
+
+    u_full = solve_L0(rhs, U0f, params, tol)
+    u = solve_L0(rhs, U0f, params, tol, k=k)
+    assert _relerr(u, u_full) < 1e-10
+    res = apply_L0(u, U0f, params) - rhs
+    assert np.linalg.norm(res.data) <= tol * np.linalg.norm(rhs.data)
+
+    v_full, lam_full = solve_L1_constrained(rhs, W, mu, Z, params, tol)
+    v, lam_c = solve_L1_constrained(rhs, W, mu, Z, params, tol, k=k)
+    assert _relerr(v, v_full) < 1e-10
+    assert abs(lam_c - lam_full) < 1e-10 * abs(lam_full)
+    res = Field(g, apply_L1(v, W, mu, params).data + lam_c * Z.data
+                - rhs.data)
+    assert np.linalg.norm(res.data) <= tol * np.linalg.norm(rhs.data)
+
+
+def test_folded_solve_sees_odd_component(townes):
+    # a component odd in y1 lies outside what the k = 2 fold represents;
+    # the full-grid residual test must report it, not pass it unseen
+    params, g, U0f, W, Z, mu, rhs = _ring_scene(townes, 2)
+    odd = Field(g, rhs.data * np.broadcast_to(np.tanh(g.mesh()[0]), g.shape))
+    scale = 1e-3 * math.sqrt(quad_product(rhs, rhs) / quad_product(odd, odd))
+    with pytest.raises(LinearSolveStalled, match="L0 solve stalled"):
+        solve_L0(rhs + scale * odd, U0f, params, 1e-9, k=2)
+    with pytest.raises(LinearSolveStalled, match="L1 solve stalled"):
+        solve_L1_constrained(rhs + scale * odd, W, mu, Z, params, 1e-9, k=2)
 
 
 # ---------------------------------------------------------------------------
