@@ -36,7 +36,8 @@ import numpy as np
 
 from .corrector import (CorrectorDivergence, LinearSolveStalled, build_inputs,
                         fixed_point_iterate)
-from .energy import check_ksum_bound, draw_sector_samples, expansion_compare
+from .energy import (ansatz_fields, check_ksum_bound, draw_sector_samples,
+                     expansion_compare)
 from .geometry import (BumpConfiguration, bump_centers, bump_sum_field,
                        radial_field)
 from .grid import Grid, dump_field, grid_for_radius, quad_product
@@ -227,7 +228,7 @@ def _ring_f0(config: RunConfig, g: Grid, ring: BumpConfiguration) -> float:
     """The coupling bound f0 that build_inputs reports for this ring on g.
 
     f0 depends only on U0 and W = Sigma V_i, so only those two fields are
-    assembled, with the arithmetic of build_inputs.
+    assembled, W by the ring_fields pass that build_inputs runs.
     """
     v0 = ground_state(1.0, config.alpha1, config.dim)
     U0f = radial_field(g, ground_state(config.lam, config.alpha0, config.dim))
@@ -348,8 +349,10 @@ def _run_bounds(config: RunConfig, out: Path):
 def _run_expansion(config: RunConfig, out: Path):
     """Ansatz energy against the three-constant model for each k in ks.
 
-    Per k it builds the grid and the ring, plus f0 when beta is unset,
-    and expansion_compare evaluates each bump once on that grid; none of
+    Per k it builds the grid and the ring, and expansion_compare
+    assembles U0, W and the overlap sum in one pass over the H-orbits of
+    bumps.  When beta is unset, those fields are built first, f0 is read
+    from them, and expansion_compare is handed the same fields; none of
     the other corrector inputs are assembled.
     """
     if config.dim == 1:
@@ -366,10 +369,14 @@ def _run_expansion(config: RunConfig, out: Path):
         R = _radius_for(config, k)
         g = grid_for_radius(R, config.lam, config.dim, h=config.h, L=config.L)
         ring = bump_centers(k, R, config.dim)
-        f0 = _ring_f0(config, g, ring) if config.beta is None else None
+        fields = f0 = None
+        if config.beta is None:
+            fields = ansatz_fields(u0, v0, ring, g)
+            U0f, bumps = fields
+            f0 = compute_gamma0_f0(U0f.data, bumps.W, v0.decay_const).f0
         beta = _resolve_beta(config, f0)
         rep = expansion_compare(u0, v0, ring, replace(params0, beta=beta),
-                                g=g)
+                                g=g, fields=fields)
         rows.append((k, float(rep.R), float(beta), float(rep.direct),
                      float(rep.model), float(rep.rho), float(rep.A0),
                      float(rep.A1), float(rep.A2),

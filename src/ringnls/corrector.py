@@ -54,9 +54,11 @@ from scipy.fft import dctn, dstn, next_fast_len
 from scipy.sparse.linalg import LinearOperator, minres
 
 from .energy import potential_field
+# bump_sum_field, bump_cubes_field and constraint_field are not called
+# here, but perfbench/spans.py patches them on this module by name
 from .geometry import (BumpConfiguration, bump_centers, bump_cubes_field,
                        bump_sum_field, constraint_field, radial_field,
-                       symmetrize, symmetrize_fast)
+                       ring_fields, symmetrize, symmetrize_fast)
 from .grid import Field, Grid, grid_for_radius, laplacian, norm_E, quad_product
 from .model import (CouplingBudget, ModelParams, bump_radius_interval,
                     compute_gamma0_f0, derive_exponents, make_potential)
@@ -477,19 +479,24 @@ class CorrectorInputs:
 def build_inputs(k: int, Rvalue: float, params: ModelParams,
                  h: float | None = None,
                  L: float | None = None) -> CorrectorInputs:
+    """Sample U0, W, Sigma V_i^3, mu and Z for the k-ring at Rvalue.
+
+    W, Sigma V_i^3 and Z come from one ring_fields pass, which evaluates
+    the profile and its derivative once per H-orbit of bumps rather than
+    once per bump, so W is the same floats as bump_sum_field's.
+    """
     g = grid_for_radius(Rvalue, params.lam, params.dim, h=h, L=L)
     u0 = ground_state(params.lam, params.alpha0, params.dim)
     v0 = ground_state(1.0, params.alpha1, params.dim)
     config = bump_centers(k, Rvalue, params.dim)
     U0f = radial_field(g, u0)
-    W = bump_sum_field(g, v0, config)
-    cubes = bump_cubes_field(g, v0, config)
+    ring = ring_fields(g, v0, config, cubes=True, constraint=True)
     mu = potential_field(g, make_potential(params))
-    Z = constraint_field(g, v0, config)
-    budget = compute_gamma0_f0(U0f.data, W.data, v0.decay_const)
+    budget = compute_gamma0_f0(U0f.data, ring.W, v0.decay_const)
     return CorrectorInputs(g=g, config=config, u0_profile=u0, v0_profile=v0,
-                           U0f=U0f, W=W, cubes=cubes, mu=mu, Z=Z,
-                           budget=budget)
+                           U0f=U0f, W=Field(g, ring.W),
+                           cubes=Field(g, ring.cubes), mu=mu,
+                           Z=Field(g, ring.Z), budget=budget)
 
 
 @dataclass

@@ -21,8 +21,8 @@ import numpy as np
 
 # bump_sum_field is not called here, but perfbench/spans.py patches it
 # on this module by name, so the import stays
-from .geometry import (BumpConfiguration, _bump_radii, bump_sum_field,
-                       radial_field, sector_membership)
+from .geometry import (BumpConfiguration, RingFields, bump_sum_field,
+                       radial_field, ring_fields, sector_membership)
 from .grid import (Field, Grid, grad8, grid_for_radius, make_grid, quad,
                    quad_product)
 from .model import ModelParams, Potential, make_potential
@@ -81,27 +81,11 @@ class InteractionReport:
     chord_exact: float
 
 
-def _ring_overlap(V0prof: RadialProfile, config: BumpConfiguration,
-                  params: ModelParams, g: Grid,
-                  bumpsum: np.ndarray | None = None) -> InteractionReport:
-    """Sigma_{i>=2} int V1^3 V_i on g, normalized to its levels J.
-
-    Each V_i is evaluated once.  When bumpsum is given, every V_i is also
-    added into it in ring order, which reproduces bump_sum_field
-    exactly, so a caller that needs W as well pays no second pass.
-    """
+def _interaction_report(total: float, config: BumpConfiguration,
+                        params: ModelParams) -> InteractionReport:
+    """The overlap total Sigma_{i>=2} int V1^3 V_i with its levels J."""
     if config.k < 2:
         raise ValueError(f"interaction needs at least two bumps, got k={config.k}")
-    mesh = g.mesh()
-    total = 0.0
-    for i in range(config.k):
-        vi = eval_profile(V0prof, _bump_radii(config, i, mesh))
-        if bumpsum is not None:
-            bumpsum += vi
-        if i == 0:
-            cube = Field(g, vi ** 3)
-        else:
-            total += quad_product(cube, Field(g, vi))
     d_sur = 2.0 * math.pi * config.R / config.k
     d_ex = config.nearest_distance
     scale = (config.k / config.R) ** (0.5 * (config.dim - 1))
@@ -115,11 +99,26 @@ def _ring_overlap(V0prof: RadialProfile, config: BumpConfiguration,
     )
 
 
+def _ring_overlap(V0prof: RadialProfile, config: BumpConfiguration,
+                  params: ModelParams, g: Grid,
+                  bumpsum: np.ndarray | None = None) -> InteractionReport:
+    """Sigma_{i>=2} int V1^3 V_i on g, normalized to its levels J.
+
+    The sum comes from one ring_fields pass, which evaluates the profile
+    once per H-orbit of bumps.  When bumpsum is given, the W of that
+    pass is added into it; W is the same floats as bump_sum_field's.
+    """
+    ring = ring_fields(g, V0prof, config, overlap=True)
+    if bumpsum is not None:
+        bumpsum += ring.W
+    return _interaction_report(ring.overlap, config, params)
+
+
 def interaction_term(V0prof: RadialProfile, config: BumpConfiguration,
                      params: ModelParams,
                      g: Grid | None = None) -> InteractionReport:
-    """Overlap integrals of bump 1 against the rest of the ring, with
-    each bump evaluated once on g."""
+    """Overlap integrals of bump 1 against the rest of the ring on g,
+    with one profile evaluation per H-orbit of bumps."""
     if g is None:
         g = grid_for_radius(config.R, 1.0, config.dim)
     return _ring_overlap(V0prof, config, params, g)
@@ -243,27 +242,41 @@ class ExpansionReport:
     J_exact: float
 
 
+def ansatz_fields(U0prof: RadialProfile, V0prof: RadialProfile,
+                  config: BumpConfiguration,
+                  g: Grid) -> tuple[Field, RingFields]:
+    """U0 and the ring pass (W and the overlap sum) that expansion_compare
+    reads; a caller that also needs W, for f0, builds them once here."""
+    return radial_field(g, U0prof), ring_fields(g, V0prof, config,
+                                                overlap=True)
+
+
 def expansion_compare(U0prof: RadialProfile, V0prof: RadialProfile,
                       config: BumpConfiguration, params: ModelParams,
                       mu: Potential | None = None,
-                      g: Grid | None = None) -> ExpansionReport:
+                      g: Grid | None = None,
+                      fields: tuple[Field, RingFields] | None = None
+                      ) -> ExpansionReport:
     """Compare I(U0, Sigma V_i) with A0 + k (A1 + A2/R^m) - interaction_sum.
 
     The per-bump remainder rho = |direct - model| / k collects everything
     the model drops: the finite-R potential deviation, beyond-pair
-    overlaps, and the beta cross term.  Each bump V_i is evaluated once
-    on g and feeds both W = Sigma V_i and the overlap sum; the fields and
-    sums equal those of bump_sum_field and interaction_term exactly.
+    overlaps, and the beta cross term.  W = Sigma V_i and the overlap sum
+    come from one ring_fields pass on g, which evaluates the profile once
+    per H-orbit of bumps; the fields and sums equal those of
+    bump_sum_field and interaction_term exactly.  fields, from
+    ansatz_fields on g, skips that assembly.
     """
-    if g is None:
+    if fields is not None:
+        g = fields[0].grid
+    elif g is None:
         g = grid_for_radius(config.R, params.lam, config.dim)
     if mu is None:
         mu = make_potential(params)
     muf = potential_field(g, mu)
-    U0f = radial_field(g, U0prof)
-    W = np.zeros(g.shape)
-    inter = _ring_overlap(V0prof, config, params, g, bumpsum=W)
-    direct = energy(U0f, Field(g, W), muf, params)
+    U0f, ring = fields or ansatz_fields(U0prof, V0prof, config, g)
+    inter = _interaction_report(ring.overlap, config, params)
+    direct = energy(U0f, Field(g, ring.W), muf, params)
     A0, A1, A2 = expansion_constants(U0prof, V0prof, params)
     interaction_sum = 0.5 * params.alpha1 * config.k * inter.total
     model = A0 + config.k * (A1 + A2 / config.R ** params.m) - interaction_sum

@@ -7,14 +7,23 @@ coordinate reflections y_n -> -y_n for n >= 2; symmetrize averages a
 field over that group.  The elements whose matrix is a signed
 permutation of the axes (the quarter-turn rotations the group contains,
 with and without y2 -> -y2) form a subgroup H of order 2 gcd(k, 4) and
-act by exact node permutations.  Every other element is r_m h with r_m
-the rotation by 2pi m/k, 1 <= m < q = k/gcd(k, 4), and h in H, so the
-field is interpolated once per coset, f o r_m at the nodes (quintic
-splines, on a Fourier-upsampled copy when the accurate tier is
-requested), and the |H| elements of the coset are node permutations of
-that one result.  The average streams over the cosets, so its memory is
-O(nodes) and independent of k; the upsampled copy is built only when
-q > 1.
+act by exact node permutations; _node_subgroup builds H once for both
+users below.  Every other element is r_m h with r_m the rotation by
+2pi m/k, 1 <= m < q = k/gcd(k, 4), and h in H, so the field is
+interpolated once per coset, f o r_m at the nodes (quintic splines, on a
+Fourier-upsampled copy when the accurate tier is requested), and the |H|
+elements of the coset are node permutations of that one result.  The
+average streams over the cosets, so its memory is O(nodes) and
+independent of k; the upsampled copy is built only when q > 1.
+
+H also permutes the bumps: the node permutation by h of the field of
+bump j is the field of the bump at h^-1 x_j, whose index is j - s or
+s - j (mod k) for h the rotation by 2pi s/k without or with the flip.
+ring_fields therefore assembles W = Sigma V_i, Sigma V_i^3, the radius
+mode Z = Sigma V_i^2 dV_i/dR and the overlap Sigma_{i>=2} int V_1^3 V_i
+in one pass that evaluates the profile once per H-orbit of bumps (3
+orbits at k = 16, 5 at k = 32) and adds the permuted images of that
+one evaluation.
 """
 from __future__ import annotations
 
@@ -24,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.ndimage import map_coordinates, spline_filter
 
-from .grid import Field, Grid
+from .grid import Field, Grid, quad_product
 from .radial import RadialProfile, eval_profile, eval_profile_deriv
 
 
@@ -96,33 +105,20 @@ def _bump_radii(config: BumpConfiguration, i: int, mesh):
     return np.sqrt(rho2)
 
 
-def bump_sum_field(g: Grid, profile: RadialProfile,
-                   config: BumpConfiguration) -> Field:
-    """Sigma_i V0(|y - x_i|) sampled on the grid."""
-    mesh = g.mesh()
-    total = np.zeros(g.shape)
-    for i in range(config.k):
-        total += eval_profile(profile, _bump_radii(config, i, mesh))
-    return Field(g, total)
+def _radial_derivative(profile: RadialProfile, config: BumpConfiguration,
+                       i: int, y, rho: np.ndarray) -> np.ndarray:
+    """∂V_i/∂R = −V0'(ρ)·((y−x_i)·n_i)/ρ for 0-based i.
 
-
-def bump_cubes_field(g: Grid, profile: RadialProfile,
-                     config: BumpConfiguration) -> Field:
-    """Sigma_i V0(|y - x_i|)^3 sampled on the grid."""
-    mesh = g.mesh()
-    total = np.zeros(g.shape)
-    for i in range(config.k):
-        total += eval_profile(profile, _bump_radii(config, i, mesh)) ** 3
-    return Field(g, total)
-
-
-def radial_field(g: Grid, profile: RadialProfile) -> Field:
-    """The origin-centred profile U0(|y|) sampled on the grid."""
-    mesh = g.mesh()
-    r2 = mesh[0] ** 2 + mesh[1] ** 2
-    for d in range(2, g.dim):
-        r2 = r2 + mesh[d] ** 2
-    return Field(g, eval_profile(profile, np.sqrt(r2)))
+    y holds one coordinate array per axis, broadcastable to ρ = |y−x_i|;
+    where ρ = 0 the smooth limit 0 is returned.
+    """
+    c, n = config.centers[i], config.normals[i]
+    proj = np.broadcast_to((y[0] - c[0]) * n[0] + (y[1] - c[1]) * n[1],
+                           rho.shape)
+    out = np.zeros(rho.shape)
+    ok = rho > 0.0
+    out[ok] = -eval_profile_deriv(profile, rho[ok]) * proj[ok] / rho[ok]
+    return out
 
 
 def d_bump_dR(profile: RadialProfile, config: BumpConfiguration,
@@ -138,33 +134,114 @@ def d_bump_dR(profile: RadialProfile, config: BumpConfiguration,
     y = np.asarray(y, dtype=float)
     single = y.ndim == 1
     pts = y.reshape(-1, y.shape[-1])
-    diff = pts - config.centers[i - 1]
-    rho = np.linalg.norm(diff, axis=1)
-    proj = diff[:, :2] @ config.normals[i - 1]
-    out = np.zeros(pts.shape[0])
-    ok = rho > 0.0
-    out[ok] = -eval_profile_deriv(profile, rho[ok]) * proj[ok] / rho[ok]
+    rho = np.linalg.norm(pts - config.centers[i - 1], axis=1)
+    out = _radial_derivative(profile, config, i - 1, pts.T, rho)
     if single:
         return float(out[0])
     return out.reshape(y.shape[:-1])
 
 
+@dataclass
+class RingFields:
+    """Sums over the ring on one grid; the parts not requested are None.
+
+    W = Sigma_i V_i, cubes = Sigma_i V_i^3, Z = Sigma_i V_i^2 ∂V_i/∂R and
+    overlap = Sigma_{i>=2} int V_1^3 V_i (trapezoid quadrature).
+    """
+
+    W: np.ndarray
+    cubes: np.ndarray | None = None
+    Z: np.ndarray | None = None
+    overlap: float | None = None
+
+
+def _ring_orbits(k: int, dim: int) -> list:
+    """The H-orbits of the bump indices 0..k-1.
+
+    Each orbit is (j, images): j its smallest index and images the pairs
+    (i, h), one h in H per distinct i with h^-1 x_j = x_i, so that the
+    node permutation of bump j by h is bump i.  Bump 0's orbit comes last
+    and ends with bump 0 itself.
+    """
+    subgroup = _node_subgroup(k, dim)
+    orbits = []
+    seen = set()
+    for j in range(k):
+        if j in seen:
+            continue
+        images = {}
+        for s, flip2, h in subgroup:
+            images.setdefault((s - j) % k if flip2 else (j - s) % k, h)
+        seen.update(images)
+        orbits.append((j, list(images.items())))
+    # the identity comes first in H, so bump 0 is its orbit's first image
+    _, first = orbits.pop(0)
+    orbits.append((0, first[1:] + first[:1]))
+    return orbits
+
+
+def ring_fields(g: Grid, profile: RadialProfile, config: BumpConfiguration,
+                cubes: bool = False, constraint: bool = False,
+                overlap: bool = False) -> RingFields:
+    """W, and on request Sigma V_i^3, Z and the overlap, in one pass.
+
+    The profile (and, for Z, its derivative) is evaluated once per
+    H-orbit representative j; every bump of the orbit is then a node
+    permutation of V_j, V_j^3 and V_j^2 ∂V_j/∂R.  Bump 1's orbit is
+    summed last: the overlap is taken against W while W holds every
+    other bump, and V_1 is added after it.  The summation order does not
+    depend on which parts are requested, so W is the same floats for
+    every caller.
+    """
+    mesh = g.mesh()
+    W = np.zeros(g.shape)
+    C = np.zeros(g.shape) if cubes else None
+    Z = np.zeros(g.shape) if constraint else None
+    total = None
+    for j, images in _ring_orbits(config.k, g.dim):
+        rho = _bump_radii(config, j, mesh)
+        vj = eval_profile(profile, rho)
+        cj = vj ** 3 if cubes or (overlap and j == 0) else None
+        zj = None
+        if constraint:
+            zj = vj * vj * _radial_derivative(profile, config, j, mesh, rho)
+        del rho
+        for i, h in images:
+            if overlap and i == 0:
+                total = quad_product(Field(g, cj), Field(g, W))
+            W += _apply_signed_permutation(vj, h)
+            if cubes:
+                C += _apply_signed_permutation(cj, h)
+            if constraint:
+                Z += _apply_signed_permutation(zj, h)
+    return RingFields(W=W, cubes=C, Z=Z, overlap=total)
+
+
+def bump_sum_field(g: Grid, profile: RadialProfile,
+                   config: BumpConfiguration) -> Field:
+    """Sigma_i V0(|y - x_i|) sampled on the grid (ring_fields' W)."""
+    return Field(g, ring_fields(g, profile, config).W)
+
+
+def bump_cubes_field(g: Grid, profile: RadialProfile,
+                     config: BumpConfiguration) -> Field:
+    """Sigma_i V0(|y - x_i|)^3 sampled on the grid."""
+    return Field(g, ring_fields(g, profile, config, cubes=True).cubes)
+
+
 def constraint_field(g: Grid, profile: RadialProfile,
                      config: BumpConfiguration) -> Field:
     """Z(y) = Sigma_i V_i(y)^2 ∂V_i/∂R(y), the radius-mode direction."""
+    return Field(g, ring_fields(g, profile, config, constraint=True).Z)
+
+
+def radial_field(g: Grid, profile: RadialProfile) -> Field:
+    """The origin-centred profile U0(|y|) sampled on the grid."""
     mesh = g.mesh()
-    total = np.zeros(g.shape)
-    for i in range(config.k):
-        rho = _bump_radii(config, i, mesh)
-        vi = eval_profile(profile, rho)
-        proj = (mesh[0] - config.centers[i, 0]) * config.normals[i, 0] \
-            + (mesh[1] - config.centers[i, 1]) * config.normals[i, 1]
-        dvi = np.zeros(g.shape)
-        ok = rho > 0.0
-        dvi[ok] = -eval_profile_deriv(profile, rho[ok]) \
-            * np.broadcast_to(proj, g.shape)[ok] / rho[ok]
-        total += vi * vi * dvi
-    return Field(g, total)
+    r2 = mesh[0] ** 2 + mesh[1] ** 2
+    for d in range(2, g.dim):
+        r2 = r2 + mesh[d] ** 2
+    return Field(g, eval_profile(profile, np.sqrt(r2)))
 
 
 def _apply_signed_permutation(a: np.ndarray, M: np.ndarray) -> np.ndarray:
@@ -188,6 +265,17 @@ def _rotation_matrix(theta: float, dim: int, flip2: bool) -> np.ndarray:
     if flip2:
         M[:, 1] *= -1.0
     return M
+
+
+def _node_subgroup(k: int, dim: int) -> list:
+    """H as (s, flip2, h): h the rotation by 2πs/k, s a multiple of
+    q = k/gcd(k, 4), composed with y2 → −y2 when flip2, as an exact
+    signed-permutation matrix.  Enumerated rotation index first, then
+    flip, the order in which the group is enumerated."""
+    q = k // math.gcd(k, 4)
+    return [(s, flip2,
+             np.round(_rotation_matrix(2.0 * math.pi * s / k, dim, flip2)))
+            for s in range(0, k, q) for flip2 in (False, True)]
 
 
 def _upsample_fft(a: np.ndarray, factor: int) -> np.ndarray:
@@ -231,9 +319,7 @@ def symmetrize(f: Field, k: int, accurate: bool = True) -> Field:
     a = f.data
     dim = g.dim
     q = k // math.gcd(k, 4)
-    # H in the order the group is enumerated: rotation index, then flip
-    subgroup = [np.round(_rotation_matrix(2.0 * math.pi * m / k, dim, flip2))
-                for m in range(0, k, q) for flip2 in (False, True)]
+    subgroup = [h for _s, _flip2, h in _node_subgroup(k, dim)]
 
     exact_total = np.zeros(g.shape)
     for h in subgroup:

@@ -232,13 +232,19 @@ def grad8(f: Field, ax: int) -> Field:
     return Field(g, out)
 
 
+def _grad_pairing(u: Field, v: Field, ax: int) -> float:
+    """∫ ∂u·∂v along one axis; differentiates once when v is u."""
+    gu = grad8(u, ax).data
+    gv = gu if v is u else grad8(v, ax).data
+    return _pairwise_sum(_weighted(u.grid, gu * gv))
+
+
 def inner0(u: Field, v: Field, lam: float) -> float:
     """⟨u,v⟩_0 = ∫ ∇u·∇v + λ u v (symmetric bilinear, ≥ λ∫u² on diag)."""
     g = u.grid
     total = lam * _pairwise_sum(_weighted(g, u.data * v.data))
     for ax in range(g.dim):
-        total += _pairwise_sum(
-            _weighted(g, grad8(u, ax).data * grad8(v, ax).data))
+        total += _grad_pairing(u, v, ax)
     return total
 
 
@@ -247,8 +253,7 @@ def inner1(u: Field, v: Field, mu: Field) -> float:
     g = u.grid
     total = _pairwise_sum(_weighted(g, _raw(mu) * u.data * v.data))
     for ax in range(g.dim):
-        total += _pairwise_sum(
-            _weighted(g, grad8(u, ax).data * grad8(v, ax).data))
+        total += _grad_pairing(u, v, ax)
     return total
 
 
@@ -264,10 +269,15 @@ def zeros(g: Grid) -> Field:
 
 
 def dump_field(f: Field) -> str:
-    """Text form: header "N L h", then row-major node values, one per line."""
+    """Text form: header "N L h", then row-major node values, one per line.
+
+    Each value is its shortest round-trip repr; the text is built one
+    grid row at a time, so no string per node is held at once.
+    """
     g = f.grid
     lines = [f"{g.dim} {g.L!r} {g.h!r}"]
-    lines.extend(repr(float(x)) for x in f.data.ravel())
+    lines.extend(repr(row.tolist())[1:-1].replace(", ", "\n")
+                 for row in f.data.reshape(-1, g.n_axis))
     return "\n".join(lines) + "\n"
 
 

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -369,22 +371,59 @@ def test_expansion_run_artifacts(tmp_path, monkeypatch, beta_line):
             assert beta == 0.5 * f0
 
 
+def test_expansion_beta_unset_assembles_once(tmp_path, monkeypatch):
+    """Resolving beta = f0/2 reuses the fields expansion_compare reads:
+    per k, one U0 evaluation and one per H-orbit of bumps (2 orbits at
+    k = 6 and at k = 8), the same count as with beta given."""
+    from ringnls import energy, geometry
+
+    calls = []
+
+    def counting(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(1)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (geometry, energy):
+        monkeypatch.setattr(module, "eval_profile",
+                            counting(module.eval_profile))
+    counts = []
+    for beta_line in ("", "beta = 0.07\n"):
+        cfg = tmp_path / "e.cfg"
+        cfg.write_text("ks = 6,8\nh = 0.5\n" + beta_line)
+        calls.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert main(["expansion", "--config", str(cfg),
+                         "--out", str(tmp_path / "out")]) == 0
+        counts.append(len(calls))
+    assert counts == [6, 6]
+
+
 # ---------------------------------------------------------------------------
 # console entry point
 
 
 def test_console_entry_subprocess(tmp_path):
+    # the child imports the same ringnls as this process, however the
+    # test run put it on the path
+    import ringnls
+
+    src = str(Path(ringnls.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     out = tmp_path / "sub"
     proc = subprocess.run(
         [sys.executable, "-m", "ringnls.cli", "ground-state",
          "--out", str(out)],
-        capture_output=True, text=True, timeout=300)
+        capture_output=True, text=True, timeout=300, env=env)
     assert proc.returncode == 0, proc.stderr
     assert (out / "summary.json").exists()
 
     bad = subprocess.run(
         [sys.executable, "-m", "ringnls.cli", "ground-state",
          "--config", "/nonexistent.cfg"],
-        capture_output=True, text=True, timeout=60)
+        capture_output=True, text=True, timeout=60, env=env)
     assert bad.returncode == 2
     assert "config error" in bad.stderr

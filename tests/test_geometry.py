@@ -343,3 +343,79 @@ def test_fast_projector_consistent(ring8):
     conf, _, W, _ = ring8
     fast = geometry.symmetrize_fast(W, conf.k)
     assert np.max(np.abs(fast.data - W.data)) < 2e-6
+
+
+def _ring_per_bump(g, profile, conf):
+    """Reference assembly: every bump evaluated on its own, in ring order,
+    with the overlap as a sum of per-bump quadratures."""
+    mesh = g.mesh()
+    W = np.zeros(g.shape)
+    cubes = np.zeros(g.shape)
+    Z = np.zeros(g.shape)
+    overlap = 0.0
+    for i in range(conf.k):
+        rho = geometry._bump_radii(conf, i, mesh)
+        vi = radial.eval_profile(profile, rho)
+        proj = np.broadcast_to(
+            (mesh[0] - conf.centers[i, 0]) * conf.normals[i, 0]
+            + (mesh[1] - conf.centers[i, 1]) * conf.normals[i, 1], g.shape)
+        dvi = np.zeros(g.shape)
+        ok = rho > 0.0
+        dvi[ok] = -radial.eval_profile_deriv(profile, rho[ok]) \
+            * proj[ok] / rho[ok]
+        W += vi
+        cubes += vi ** 3
+        Z += vi * vi * dvi
+        if i == 0:
+            first_cube = grid.Field(g, vi ** 3)
+        else:
+            overlap += grid.quad_product(first_cube, grid.Field(g, vi))
+    return W, cubes, Z, overlap
+
+
+@pytest.mark.parametrize("dim,k", [
+    *((2, k) for k in (1, 2, 3, 4, 5, 6, 8, 12, 16, 24)),
+    *((3, k) for k in (2, 3, 4, 5))])
+def test_ring_fields_match_per_bump_assembly(dim, k):
+    """One evaluation per H-orbit, permuted onto the other bumps of the
+    orbit, gives the per-bump sums to rounding."""
+    profile = radial.ground_state(1.0, 1.0, dim)
+    if dim == 2:
+        R = 2.0 + 0.25 * k
+        g = grid.make_grid(2, R + 8.0, 0.25)
+    else:
+        R = 2.5
+        g = grid.make_grid(3, 7.0, 0.5)
+    conf = geometry.bump_centers(k, R, dim)
+    W, cubes, Z, overlap = _ring_per_bump(g, profile, conf)
+    got = geometry.ring_fields(g, profile, conf, cubes=True,
+                               constraint=True, overlap=True)
+    for mine, want in ((got.W, W), (got.cubes, cubes), (got.Z, Z)):
+        assert np.max(np.abs(mine - want)) <= 1e-13 * np.max(np.abs(want))
+    assert abs(got.overlap - overlap) <= 1e-12 * max(abs(overlap), 1e-300)
+
+
+@pytest.mark.parametrize("k,orbits", [(3, 2), (5, 3), (16, 3), (24, 4),
+                                      (32, 5)])
+def test_build_inputs_one_evaluation_per_orbit(monkeypatch, k, orbits):
+    """build_inputs evaluates the profile once for U0 and once per H-orbit
+    of bumps, and its derivative once per orbit, instead of per bump."""
+    from ringnls.corrector import build_inputs
+    from ringnls.model import ModelParams, mid_radius
+
+    calls = {"value": 0, "deriv": 0}
+
+    def counting(kind, fn):
+        def wrapper(*args, **kwargs):
+            calls[kind] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(geometry, "eval_profile",
+                        counting("value", geometry.eval_profile))
+    monkeypatch.setattr(geometry, "eval_profile_deriv",
+                        counting("deriv", geometry.eval_profile_deriv))
+    params = ModelParams()
+    build_inputs(k, mid_radius(k, params.m, params.theta), params, h=0.5)
+    assert len(geometry._ring_orbits(k, 2)) == orbits
+    assert calls == {"value": 1 + orbits, "deriv": orbits}

@@ -211,6 +211,21 @@ def test_field_dump_round_trip():
         grid.load_field(clipped)
 
 
+@pytest.mark.parametrize("dim,L,h", [(2, 2.0, 0.5), (3, 1.0, 0.5)])
+def test_field_dump_matches_per_node_repr(dim, L, h):
+    """The row-wise text is byte for byte the per-node repr(float(x))
+    text, signed zeros, subnormals and tiny values included."""
+    g = grid.make_grid(dim, L, h)
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal(g.shape) * 10.0 ** rng.integers(-300, 300,
+                                                            size=g.shape)
+    a.ravel()[:6] = [0.0, -0.0, 5e-324, 1e-300, -2.5, -1e-300]
+    f = grid.Field(g, a)
+    per_node = [f"{g.dim} {g.L!r} {g.h!r}"]
+    per_node.extend(repr(float(x)) for x in a.ravel())
+    assert grid.dump_field(f) == "\n".join(per_node) + "\n"
+
+
 def test_pairwise_sum_deterministic():
     rng = np.random.default_rng(3)
     a = rng.standard_normal(1037)
