@@ -57,8 +57,9 @@ from .energy import potential_field
 # bump_sum_field, bump_cubes_field and constraint_field are not called
 # here, but perfbench/spans.py patches them on this module by name
 from .geometry import (BumpConfiguration, bump_centers, bump_cubes_field,
-                       bump_sum_field, constraint_field, radial_field,
-                       ring_fields, symmetrize, symmetrize_fast)
+                       bump_sum_field, constraint_field, half_box,
+                       mirror_axes, mirror_back, radial_field, ring_fields,
+                       symmetrize, symmetrize_fast)
 from .grid import Field, Grid, grid_for_radius, laplacian, norm_E, quad_product
 from .model import (CouplingBudget, ModelParams, bump_radius_interval,
                     compute_gamma0_f0, derive_exponents, make_potential)
@@ -141,9 +142,10 @@ def apply_L1(v: Field, bumpsum: Field, mu: Field,
 class _Fold:
     """The part of the box that the axis reflections of the fold-k class fix.
 
-    y2 (and y3 in 3-D) always fold; y1 folds when k is even, since the
-    rotation by pi then lies in the group.  A folded axis keeps the nodes
-    from its centre index c = (n_axis - 1) / 2 on.  Vectors on the part are
+    The folded axes are ``mirror_axes(k)``: y2 (and y3 in 3-D) always, y1
+    when k is even.  A folded axis keeps the nodes from its centre index
+    c = (n_axis - 1) / 2 on (``half_box``), the same nodes on which
+    ``symmetrize`` interpolates unless k = 0 mod 4.  Vectors on the part are
     scaled by sqrt(w), w the number of full-grid mirror copies of a node
     (2 per folded axis off that axis's centre, 1 on it), so Euclidean
     products of scaled vectors equal full-grid products of even fields.
@@ -161,16 +163,12 @@ class _Fold:
 
     def unfold(self, x: np.ndarray) -> np.ndarray:
         """Full-grid array of a scaled folded vector, mirrored back."""
-        a = x.reshape(self.root_w.shape) / self.root_w
-        for ax in self.axes:
-            mirror = [slice(None)] * a.ndim
-            mirror[ax] = slice(None, 0, -1)
-            a = np.concatenate([a[tuple(mirror)], a], axis=ax)
-        return a
+        return mirror_back(x.reshape(self.root_w.shape) / self.root_w,
+                           self.axes)
 
 
 def _fold_for(g: Grid, k: int | None) -> _Fold:
-    axes = () if k is None else tuple(range(k % 2, g.dim))
+    axes = mirror_axes(k, g.dim)
     c = (g.n_axis - 1) // 2
     half = np.full(g.n_axis - c, math.sqrt(2.0))
     half[0] = 1.0
@@ -180,9 +178,8 @@ def _fold_for(g: Grid, k: int | None) -> _Fold:
         shape = [1] * g.dim
         shape[ax] = half.size
         root_w *= half.reshape(shape)
-    part = tuple(slice(c, None) if ax in axes else slice(None)
-                 for ax in range(g.dim))
-    return _Fold(shape=g.shape, axes=axes, part=part, root_w=root_w)
+    return _Fold(shape=g.shape, axes=axes, part=half_box(g, axes),
+                 root_w=root_w)
 
 
 def _padded_size(n_axis: int) -> int:
@@ -474,29 +471,34 @@ class CorrectorInputs:
     mu: Field
     Z: Field
     budget: CouplingBudget
+    overlap: float        # Sigma_{i>=2} int V_1^3 V_i on g
 
 
 def build_inputs(k: int, Rvalue: float, params: ModelParams,
                  h: float | None = None,
                  L: float | None = None) -> CorrectorInputs:
-    """Sample U0, W, Sigma V_i^3, mu and Z for the k-ring at Rvalue.
+    """Sample U0, W, Sigma V_i^3, mu, Z and the overlap sum for the
+    k-ring at Rvalue.
 
-    W, Sigma V_i^3 and Z come from one ring_fields pass, which evaluates
-    the profile and its derivative once per H-orbit of bumps rather than
-    once per bump, so W is the same floats as bump_sum_field's.
+    W, Sigma V_i^3, Z and the overlap come from one ring_fields pass,
+    which evaluates the profile and its derivative once per H-orbit of
+    bumps rather than once per bump, so W is the same floats as
+    bump_sum_field's and the overlap as interaction_term's on g.
     """
     g = grid_for_radius(Rvalue, params.lam, params.dim, h=h, L=L)
     u0 = ground_state(params.lam, params.alpha0, params.dim)
     v0 = ground_state(1.0, params.alpha1, params.dim)
     config = bump_centers(k, Rvalue, params.dim)
     U0f = radial_field(g, u0)
-    ring = ring_fields(g, v0, config, cubes=True, constraint=True)
+    ring = ring_fields(g, v0, config, cubes=True, constraint=True,
+                       overlap=True)
     mu = potential_field(g, make_potential(params))
     budget = compute_gamma0_f0(U0f.data, ring.W, v0.decay_const)
     return CorrectorInputs(g=g, config=config, u0_profile=u0, v0_profile=v0,
                            U0f=U0f, W=Field(g, ring.W),
                            cubes=Field(g, ring.cubes), mu=mu,
-                           Z=Field(g, ring.Z), budget=budget)
+                           Z=Field(g, ring.Z), budget=budget,
+                           overlap=ring.overlap)
 
 
 @dataclass

@@ -8,13 +8,19 @@ field over that group.  The elements whose matrix is a signed
 permutation of the axes (the quarter-turn rotations the group contains,
 with and without y2 -> -y2) form a subgroup H of order 2 gcd(k, 4) and
 act by exact node permutations; _node_subgroup builds H once for both
-users below.  Every other element is r_m h with r_m the rotation by
-2pi m/k, 1 <= m < q = k/gcd(k, 4), and h in H, so the field is
-interpolated once per coset, f o r_m at the nodes (quintic splines, on a
-Fourier-upsampled copy when the accurate tier is requested), and the |H|
-elements of the coset are node permutations of that one result.  The
-average streams over the cosets, so its memory is O(nodes) and
-independent of k; the upsampled copy is built only when q > 1.
+users below.  The other elements form the cosets H r_m^-1, r_m the
+rotation by 2pi m/k, 1 <= m < q = k/gcd(k, 4).  symmetrize therefore
+forms the exact H-average F_H = Sigma_h f o h by node permutations and
+interpolates it (quintic splines, on a Fourier-upsampled copy when the
+accurate tier is requested) once per coset at r_m^-1 x, for one node x
+per H-orbit only: the half box of
+mirror_axes (y2 >= 0, y1 >= 0 for even k, y3 >= 0 in 3-D), cut to
+y1 >= y2 when k = 0 mod 4, about an eighth of the grid at k = 16.
+The averages at those nodes are scattered back by the node permutations
+of H, so the result is H-invariant bit for bit, and the half box is the
+same one on which the corrector's linear solves run.  Memory is
+O(nodes) and independent of k; the upsampled copy is built only when
+q > 1.
 
 H also permutes the bumps: the node permutation by h of the field of
 bump j is the field of the bump at h^-1 x_j, whose index is j - s or
@@ -278,17 +284,42 @@ def _node_subgroup(k: int, dim: int) -> list:
             for s in range(0, k, q) for flip2 in (False, True)]
 
 
+def mirror_axes(k: int | None, dim: int) -> tuple:
+    """The axes n whose reflection y_n -> -y_n lies in the fold-k class:
+    y2 (and y3 in 3-D) always, y1 when k is even, since the rotation by
+    pi then lies in the group.  With k None no axis is mirrored."""
+    return () if k is None else tuple(range(k % 2, dim))
+
+
+def half_box(g: Grid, axes: tuple) -> tuple:
+    """Index of the part of the box from the centre node on along each of
+    axes, the other axes whole."""
+    c = (g.n_axis - 1) // 2
+    return tuple(slice(c, None) if ax in axes else slice(None)
+                 for ax in range(g.dim))
+
+
+def mirror_back(a: np.ndarray, axes: tuple) -> np.ndarray:
+    """The full-box array, even in each of axes, whose half_box part is a."""
+    for ax in axes:
+        mirror = [slice(None)] * a.ndim
+        mirror[ax] = slice(None, 0, -1)
+        a = np.concatenate([a[tuple(mirror)], a], axis=ax)
+    return a
+
+
 def _upsample_fft(a: np.ndarray, factor: int) -> np.ndarray:
     """Trigonometric upsampling of the two rotated axes; the field is ~0
     at the box wall, so the periodic extension over [−L, L) is smooth to
-    that level.  The third axis (never rotated) keeps its spacing."""
+    that level.  The third axis (never rotated) keeps its nodes."""
     from scipy.signal import resample
 
-    core = a[tuple(slice(0, -1) for _ in range(a.ndim))]
+    core = a[:-1, :-1]
     for ax in (0, 1):
         core = resample(core, core.shape[ax] * factor, axis=ax)
     # re-append the wrapped end sample to recover the inclusive grid
-    return np.pad(core, [(0, 1)] * a.ndim, mode="wrap")
+    return np.pad(core, [(0, 1), (0, 1)] + [(0, 0)] * (a.ndim - 2),
+                  mode="wrap")
 
 
 def _upsample_factor(n_axis: int, dim: int) -> int:
@@ -301,19 +332,35 @@ def _upsample_factor(n_axis: int, dim: int) -> int:
 
 
 def symmetrize(f: Field, k: int, accurate: bool = True) -> Field:
-    """Average f over the symmetry group (rotations by 2π/k and the
+    """Average f over the symmetry group G (rotations by 2π/k and the
     reflections y_n → −y_n, n ≥ 2).
 
     The subgroup H of elements that permute grid nodes (rotations by
     multiples of π/2, each with and without y2 → −y2) is applied
-    exactly.  Each other coset r_m·H, 1 ≤ m < k/gcd(k, 4), costs one
-    quintic interpolation of f∘r_m at the nodes — on a copy
-    trigonometrically upsampled in the rotated axes when accurate=True,
-    which pushes the interpolation error of smooth decayed fields to the
-    spectral floor — since f(r_m·h·y) is that result read at node h·y.
-    The cosets are streamed one at a time, so memory is O(nodes) and
-    independent of k; the upsampled copy and its spline coefficients are
-    built only when some coset interpolates.
+    exactly: F_H = Σ_h f∘h, in 3-D also averaged with its y3 mirror.
+    When H is all of G (q = k/gcd(k, 4) = 1) that is the answer.
+    Otherwise F_H is prefiltered once for quintic splines, on a copy
+    trigonometrically upsampled in the rotated axes when accurate=True
+    (which pushes the interpolation error of smooth decayed fields to
+    the spectral floor), and each coset, 1 ≤ m < q, costs one
+    interpolation of F_H at r_m⁻¹·x, r_m the rotation by 2πm/k.  Only
+    one node x per H-orbit is interpolated: the half box of mirror_axes
+    (y2 ≥ 0; also y1 ≥ 0 for even k; y3 ≥ 0 in 3-D), and within it
+    y1 ≥ y2 when k ≡ 0 mod 4.  The average at those nodes is scattered
+    back by the |H| node permutations (a transpose for k ≡ 0 mod 4, then
+    the axis mirrors), so the output is H-invariant bit for bit.
+
+    In exact arithmetic this is the average over every element of G:
+    G = G⁻¹, so the elements h·r_m⁻¹ run over G as the r_m·h do; the
+    spline commutes with the grid's signed permutations, so the spline
+    of F_H read at r_m⁻¹·x is Σ_h of that of f read at h·r_m⁻¹·x; and h
+    maps the box onto itself, so the number of elements that keep x in
+    the box (the square's corner zone |y| > L is not rotation-covariant,
+    and each node averages over those elements only) depends on m alone.
+    The trigonometric upsampling commutes with the axis mirrors only up
+    to the field's value at the wall, which it takes as periodic.
+    Memory is O(nodes) and independent of k; the upsampled copy is
+    built only when q > 1.
     """
     g = f.grid
     a = f.data
@@ -324,37 +371,44 @@ def symmetrize(f: Field, k: int, accurate: bool = True) -> Field:
     exact_total = np.zeros(g.shape)
     for h in subgroup:
         exact_total += _apply_signed_permutation(a, h)
-    counts = np.full(g.shape, len(subgroup))
     if q == 1:
+        counts = np.full(g.shape, len(subgroup))
         out = exact_total / counts
-    else:
-        factor = _upsample_factor(g.n_axis, dim) if accurate else 1
-        # the B-spline prefilter map_coordinates would otherwise rerun on
-        # every call (mode "constant" needs no padding)
-        coeffs = spline_filter(_upsample_fft(a, factor) if factor > 1 else a,
-                               order=5, output=np.float64, mode="constant")
-        spacing = np.full((dim, 1), g.h / factor)
         if dim == 3:
-            spacing[2, 0] = g.h
-        pts = np.stack(np.meshgrid(*g.axes(), indexing="ij")).reshape(dim, -1)
-        interp_total = np.zeros(g.shape)
-        for m in range(1, q):
-            coords = _rotation_matrix(2.0 * math.pi * m / k, dim, False) @ pts
-            vals = map_coordinates(coeffs, (coords + g.L) / spacing, order=5,
-                                   mode="constant", cval=0.0, prefilter=False)
-            # the square's corner zone (|y| > L) is not rotation-covariant:
-            # some rotated sample points leave the box.  Average each node
-            # over the elements that stay inside instead of absorbing zeros.
-            inbox = np.all(np.abs(coords) <= g.L + 1e-12,
-                           axis=0).reshape(g.shape)
-            vals = np.where(inbox, vals.reshape(g.shape), 0.0)
-            for h in subgroup:
-                interp_total += _apply_signed_permutation(vals, h)
-                counts += _apply_signed_permutation(inbox, h)
-        out = (exact_total + interp_total) / counts
+            out = 0.5 * (out + out[:, :, ::-1])
+        return Field(g, out)
     if dim == 3:
-        out = 0.5 * (out + out[:, :, ::-1])
-    return Field(g, out)
+        exact_total = 0.5 * (exact_total + exact_total[:, :, ::-1])
+    factor = _upsample_factor(g.n_axis, dim) if accurate else 1
+    # the B-spline prefilter map_coordinates would otherwise rerun on
+    # every call (mode "constant" needs no padding)
+    coeffs = spline_filter(
+        _upsample_fft(exact_total, factor) if factor > 1 else exact_total,
+        order=5, output=np.float64, mode="constant")
+    spacing = np.full((dim, 1), g.h / factor)
+    if dim == 3:
+        spacing[2, 0] = g.h
+    axes = mirror_axes(k, dim)
+    part = half_box(g, axes)
+    mesh = np.meshgrid(*(g.axis[s] for s in part), indexing="ij")
+    rep = mesh[0] >= mesh[1] if k % 4 == 0 else np.ones(mesh[0].shape, bool)
+    pts = np.stack([x[rep] for x in mesh])
+    del mesh
+    total = exact_total[part][rep]
+    del exact_total
+    cosets = np.ones(total.size, dtype=int)
+    for m in range(1, q):
+        coords = _rotation_matrix(-2.0 * math.pi * m / k, dim, False) @ pts
+        vals = map_coordinates(coeffs, (coords + g.L) / spacing, order=5,
+                               mode="constant", cval=0.0, prefilter=False)
+        inbox = np.all(np.abs(coords) <= g.L + 1e-12, axis=0)
+        total += np.where(inbox, vals, 0.0)
+        cosets += inbox
+    out = np.zeros(rep.shape)
+    out[rep] = total / (len(subgroup) * cosets)
+    if k % 4 == 0:
+        out = np.where(rep, out, out.swapaxes(0, 1))
+    return Field(g, mirror_back(out, axes))
 
 
 def symmetrize_fast(f: Field, k: int) -> Field:

@@ -21,8 +21,8 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .corrector import CorrectorInputs, build_inputs, fixed_point_iterate
-from .energy import (EnergyBreakdown, energy_breakdown, expansion_constants,
-                     interaction_term)
+from .energy import (EnergyBreakdown, _interaction_report, energy_breakdown,
+                     expansion_constants)
 from .grid import Field, laplacian, quad_product
 from .model import ModelParams, bump_radius_interval, derive_exponents
 
@@ -81,7 +81,8 @@ def reduced_energy(inputs: CorrectorInputs, params: ModelParams,
 
     k and R are read from ``inputs.config``.  Runs the corrector fixed
     point on ``inputs`` with at most max_iter steps (propagating its
-    divergence error), then computes the energy of the corrected pair
+    divergence error), then computes the energy of the corrected pair,
+    with the overlap sum that build_inputs assembled on the same grid,
     both directly and through the four-term decomposition, and insists
     the two agree to 1e-10 relative.
     """
@@ -91,8 +92,7 @@ def reduced_energy(inputs: CorrectorInputs, params: ModelParams,
     res = fixed_point_iterate(inputs, params, tol=tol, max_iter=max_iter)
     constants = expansion_constants(inputs.u0_profile, inputs.v0_profile,
                                     params)
-    interaction = interaction_term(inputs.v0_profile, inputs.config, params,
-                                   g=inputs.g)
+    interaction = _interaction_report(inputs.overlap, inputs.config, params)
     breakdown = energy_breakdown(inputs.U0f, inputs.W, res.u, res.v,
                                  inputs.mu, params, inputs.config,
                                  constants, interaction)

@@ -246,16 +246,25 @@ def _symmetrize_per_element(f, k, accurate):
 
 @pytest.mark.parametrize("dim,k,accurate", [
     *((2, k, acc) for k in (3, 5, 6, 8, 16) for acc in (False, True)),
-    (3, 3, False), (3, 5, False)])
+    (2, 12, False), (2, 32, False), (2, 12, True),
+    *((3, k, False) for k in (3, 5, 6, 8)), (3, 8, True)])
 def test_symmetrize_matches_per_element_average(dim, k, accurate):
-    """Interpolating once per coset of the node-permuting subgroup and
-    permuting the result gives the per-element average to rounding."""
+    """Interpolating the H-average once per coset at one node per H-orbit
+    and scattering it back gives the per-element average to rounding.
+
+    The accurate tier upsamples as if the field were periodic over the
+    box, which holds only to the field's size at the wall, and it
+    upsamples the H-average where the reference upsamples f; the two
+    orders differ by that much.  The 3-D field is 1.5e-8 at the wall of
+    the L = 4 box, where the accurate tier differs from the reference by
+    5.5e-9, so that tier is checked on the L = 6 box (2e-22 at the wall).
+    """
     if dim == 2:
         g = grid.make_grid(2, 6.0, 0.125)
         f = grid.sample(g, lambda x, y: np.exp(
             -2.0 * ((x - 1.2) ** 2 + (y - 0.4) ** 2)))
     else:
-        g = grid.make_grid(3, 4.0, 0.25)
+        g = grid.make_grid(3, 6.0 if accurate else 4.0, 0.25)
         f = grid.sample(g, lambda x, y, z: (1.0 + 0.3 * z) * np.exp(
             -2.0 * ((x - 1.0) ** 2 + (y - 0.3) ** 2 + z * z)))
     want = _symmetrize_per_element(f, k, accurate)
@@ -263,20 +272,106 @@ def test_symmetrize_matches_per_element_average(dim, k, accurate):
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+def _node_permuting_elements(k, dim):
+    """The group elements whose matrix is a signed permutation, found by
+    testing every rotation by 2 pi m / k with and without y2 -> -y2."""
+    out = []
+    for m in range(k):
+        for flip2 in (False, True):
+            M = geometry._rotation_matrix(2.0 * math.pi * m / k, dim, flip2)
+            if np.max(np.abs(M - np.round(M))) < 1e-12:
+                out.append(np.round(M))
+    return out
+
+
+def _node_orbit_count(n_axis, k):
+    """Number of orbits of the nodes of a 2-D grid under those elements."""
+    c = (n_axis - 1) // 2
+    elements = _node_permuting_elements(k, 2)
+    seen = set()
+    orbits = 0
+    for i in range(n_axis):
+        for j in range(n_axis):
+            if (i, j) in seen:
+                continue
+            orbits += 1
+            for M in elements:
+                a, b = (M @ np.array([i - c, j - c])).astype(int)
+                seen.add((int(a) + c, int(b) + c))
+    return orbits
+
+
 @pytest.mark.parametrize("k", [3, 5, 6, 8, 12, 16, 32])
 def test_symmetrize_one_interpolation_per_coset(monkeypatch, k):
-    """symmetrize interpolates k/gcd(k, 4) - 1 times, not 2k - |H|."""
-    calls = []
+    """symmetrize interpolates k/gcd(k, 4) - 1 times, not 2k - |H|, and
+    each time at exactly one node per orbit of the node permutations."""
+    points = []
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return ndimage.map_coordinates(*args, **kwargs)
+    def counted(coeffs, coords, **kwargs):
+        points.append(coords.shape[1])
+        return ndimage.map_coordinates(coeffs, coords, **kwargs)
 
     monkeypatch.setattr(geometry, "map_coordinates", counted)
     g = grid.make_grid(2, 4.0, 0.25)
     f = grid.sample(g, lambda x, y: np.exp(-2.0 * ((x - 1.2) ** 2 + (y - 0.4) ** 2)))
     geometry.symmetrize_fast(f, k)
-    assert len(calls) == k // math.gcd(k, 4) - 1
+    orbits = _node_orbit_count(g.n_axis, k)
+    assert points == [orbits] * (k // math.gcd(k, 4) - 1)
+
+
+@pytest.mark.parametrize("accurate", [False, True])
+@pytest.mark.parametrize("dim,k", [
+    *((2, k) for k in (3, 5, 6, 8, 16)), (3, 3), (3, 8)])
+def test_symmetrize_exactly_invariant(dim, k, accurate):
+    """The output is invariant bit for bit under every node permutation
+    of the group, and in 3-D under y3 -> -y3, since it is scattered from
+    one node per orbit."""
+    if dim == 2:
+        g = grid.make_grid(2, 4.0, 0.25)
+        f = grid.sample(g, lambda x, y: np.exp(
+            -2.0 * ((x - 1.2) ** 2 + (y - 0.4) ** 2)) + 0.1 * x)
+    else:
+        g = grid.make_grid(3, 3.0, 0.5)
+        f = grid.sample(g, lambda x, y, z: (1.0 + 0.3 * z) * np.exp(
+            -2.0 * ((x - 1.0) ** 2 + (y - 0.3) ** 2 + z * z)))
+    s = geometry.symmetrize(f, k, accurate).data
+    for M in _node_permuting_elements(k, dim):
+        assert np.max(np.abs(
+            geometry._apply_signed_permutation(s, M) - s)) == 0.0
+    if dim == 3:
+        assert np.max(np.abs(s[:, :, ::-1] - s)) == 0.0
+
+
+def test_symmetrize_fast_peak_memory():
+    """One interpolating call at k = 16 allocates at most 10 field sizes
+    at its peak: the H-average, its spline coefficients, and arrays over
+    an eighth of the grid."""
+    g = grid.make_grid(2, 12.0, 0.125)
+    f = grid.sample(g, lambda x, y: np.exp(-0.5 * ((x - 3.0) ** 2 + y * y)))
+    tracemalloc.start()
+    try:
+        geometry.symmetrize_fast(f, 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * f.data.nbytes
+
+
+def test_upsample_keeps_third_axis():
+    """Only the two rotated axes are resampled and wrapped: the top y3
+    plane of the upsampled copy, read at the original (y1, y2) nodes, is
+    the input's top plane, not its bottom one.  The y1 = L and y2 = L
+    rows are the wrapped copies of y1 = -L and y2 = -L, so they are left
+    out."""
+    g = grid.make_grid(3, 3.0, 0.25)
+    f = grid.sample(g, lambda x, y, z: (4.0 + z) * np.exp(
+        -(x - 0.5) ** 2 - y * y))
+    factor = 4
+    up = geometry._upsample_fft(f.data, factor)
+    assert up.shape == (factor * (g.n_axis - 1) + 1,) * 2 + (g.n_axis,)
+    top = up[:-1:factor, :-1:factor, -1]
+    assert np.max(np.abs(top - f.data[:-1, :-1, -1])) \
+        <= 1e-12 * np.max(f.data)
 
 
 def test_symmetrize_memory_independent_of_k():

@@ -66,6 +66,41 @@ def test_reduced_energy_passes_max_iter(corr_k2):
     assert not sample.corrector["converged"]
 
 
+def test_reduced_energy_reuses_build_inputs_overlap(monkeypatch):
+    """reduced_energy reports the overlap sum that build_inputs assembled,
+    bit for bit the report interaction_term computes on the same grid,
+    and the profile is evaluated once per H-orbit of bumps per radius."""
+    from ringnls import geometry, reduction
+    from ringnls.energy import interaction_term
+
+    evals = []
+    reports = []
+    eval_profile = geometry.eval_profile
+    energy_breakdown = reduction.energy_breakdown
+
+    def counted(*args, **kwargs):
+        evals.append(1)
+        return eval_profile(*args, **kwargs)
+
+    def captured(*args):
+        reports.append(args[-1])
+        return energy_breakdown(*args)
+
+    monkeypatch.setattr(geometry, "eval_profile", counted)
+    monkeypatch.setattr(reduction, "energy_breakdown", captured)
+    params = ModelParams(beta=0.0)
+    inputs = build_inputs(3, 11.0, params, h=0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        reduced_energy(inputs, params, max_iter=2)
+    # U0 once, then once per orbit of bumps: {1} and {2, 3} at k = 3
+    assert len(geometry._ring_orbits(3, 2)) == 2
+    assert len(evals) == 1 + 2
+    monkeypatch.undo()
+    assert reports == [interaction_term(inputs.v0_profile, inputs.config,
+                                        params, g=inputs.g)]
+
+
 def _golden_max(f, lo: float, hi: float, tol: float) -> float:
     """Plain golden-section maximizer, the independent reference."""
     phi = (math.sqrt(5.0) - 1.0) / 2.0
