@@ -54,12 +54,14 @@ from scipy.fft import dctn, dstn, next_fast_len
 from scipy.sparse.linalg import LinearOperator, minres
 
 from .energy import potential_field
-# bump_sum_field, bump_cubes_field and constraint_field are not called
-# here, but perfbench/spans.py patches them on this module by name
+# bump_sum_field, bump_cubes_field, constraint_field and symmetrize are
+# not called here, but perfbench/spans.py patches them on this module by
+# name; it times the projections below under symmetrize_fast
 from .geometry import (BumpConfiguration, bump_centers, bump_cubes_field,
                        bump_sum_field, constraint_field, half_box,
                        mirror_axes, mirror_back, radial_field, ring_fields,
-                       symmetrize, symmetrize_fast)
+                       symmetrize)
+from .geometry import symmetrize as symmetrize_fast
 from .grid import Field, Grid, grid_for_radius, laplacian, norm_E, quad_product
 from .model import (CouplingBudget, ModelParams, bump_radius_interval,
                     compute_gamma0_f0, derive_exponents, make_potential)
@@ -336,12 +338,12 @@ def solve_L0(rhs: Field, U0f: Field, params: ModelParams, tol: float,
     k is supplied, MINRES runs on the folded box of ``_Fold`` (y2, y3 in
     3-D, and y1 for even k, fold; sqrt(w)-scaled unknowns) with the
     DCT-III/II preconditioner on the odd sine modes of the folded axes,
-    and the returned solution is re-symmetrized to clean the
-    rounding-level drift of the Krylov iteration; with k None the solve
-    runs on the full grid.  Either way the residual test is on the full
-    grid, against the full rhs.  x0 (flat, g.size values) is the Krylov
-    starting guess, zero when None, folded like rhs; ``callback`` is
-    MINRES's per-iteration callback.
+    and the returned solution is projected by ``symmetrize`` (the fold
+    holds the axis reflections, not the rotations by 2 pi / k); with k
+    None the solve runs on the full grid.  Either way the residual test
+    is on the full grid, against the full rhs.  x0 (flat, g.size values)
+    is the Krylov starting guess, zero when None, folded like rhs;
+    ``callback`` is MINRES's per-iteration callback.
     """
     g = rhs.grid
     pot = params.lam - 3.0 * params.alpha0 * U0f.data ** 2
@@ -416,31 +418,6 @@ def solve_L1_constrained(rhs: Field, bumpsum: Field, mu: Field, Z: Field,
     # the Krylov tolerance and the symmetrization leave a rounding-level
     # component along Z
     return _project_off_Z(v, Z, zz), lam_c
-
-
-def rayleigh_floor(U0f: Field, params: ModelParams, k: int,
-                   n_iter: int = 6, tol: float = 1e-7) -> float:
-    """Smallest |eigenvalue| of the first linearized operator on the
-    symmetric subspace, estimated by inverse iteration.
-
-    A numeric stand-in for the invertibility constant rho_0: the test
-    suite only asserts it stays bounded away from zero across grids.
-    """
-    g = U0f.grid
-    mesh = g.mesh()
-    r2 = sum(np.broadcast_to(m, g.shape) ** 2 for m in mesh)
-    bump = np.exp(-0.5 * ((mesh[0] - 0.4) ** 2 + (mesh[1] + 0.2) ** 2))
-    w = Field(g, np.exp(-0.25 * r2) * (1.0 + 0.3 * np.broadcast_to(bump,
-                                                                   g.shape)))
-    w = symmetrize_fast(w, k)
-    quotient = math.inf
-    for _ in range(n_iter):
-        w = solve_L0(w, U0f, params, tol, k=k)
-        scale = math.sqrt(quad_product(w, w))
-        w = Field(g, w.data / scale)
-        quotient = quad_product(w, apply_L0(w, U0f, params)) \
-            / quad_product(w, w)
-    return abs(quotient)
 
 
 # ---------------------------------------------------------------------------
@@ -557,13 +534,13 @@ def fixed_point_iterate(inputs: CorrectorInputs, params: ModelParams,
 
     The fold order k and the radius R are read from ``inputs.config``.
     Both components are refreshed simultaneously from the previous pair;
-    each iterate is symmetrized (fast projection in the loop, accurate one
-    on the final pair).  When the last step shrank (step ratio < 1), both
-    linear solves start from the previous iterate: u for L0 and
-    [v, lam_c] for the bordered L1 system; otherwise they start from
-    zero.  The MINRES iterations of each step, summed over restarts, are
-    kept as [L0, L1] pairs in ``krylov_iters``.  Merely warns when R lies
-    outside the admissible window.  Raises
+    the linear solves return each iterate symmetrized and v orthogonal to
+    Z, so the last pair is returned as it is.  When the last step shrank
+    (step ratio < 1), both linear solves start from the previous iterate:
+    u for L0 and [v, lam_c] for the bordered L1 system; otherwise they
+    start from zero.  The MINRES iterations of each step, summed over
+    restarts, are kept as [L0, L1] pairs in ``krylov_iters``.  Merely
+    warns when R lies outside the admissible window.  Raises
 
     - ValueError when |beta| >= f0 (contraction hypothesis);
     - CorrectorDivergence after five consecutive step ratios >= 1, that
@@ -643,9 +620,6 @@ def fixed_point_iterate(inputs: CorrectorInputs, params: ModelParams,
         if steps[0] > 0 and step > 1e4 * steps[0]:
             raise _divergence_error()
 
-    u = symmetrize(u, k)
-    v = _project_off_Z(symmetrize(v, k), inputs.Z,
-                       quad_product(inputs.Z, inputs.Z))
     return CorrectorResult(
         u=u, v=v,
         norm_E=norm_E(u, v, params.lam, inputs.mu),

@@ -99,29 +99,18 @@ def _interaction_report(total: float, config: BumpConfiguration,
     )
 
 
-def _ring_overlap(V0prof: RadialProfile, config: BumpConfiguration,
-                  params: ModelParams, g: Grid,
-                  bumpsum: np.ndarray | None = None) -> InteractionReport:
-    """Sigma_{i>=2} int V1^3 V_i on g, normalized to its levels J.
-
-    The sum comes from one ring_fields pass, which evaluates the profile
-    once per H-orbit of bumps.  When bumpsum is given, the W of that
-    pass is added into it; W is the same floats as bump_sum_field's.
-    """
-    ring = ring_fields(g, V0prof, config, overlap=True)
-    if bumpsum is not None:
-        bumpsum += ring.W
-    return _interaction_report(ring.overlap, config, params)
-
-
 def interaction_term(V0prof: RadialProfile, config: BumpConfiguration,
                      params: ModelParams,
                      g: Grid | None = None) -> InteractionReport:
-    """Overlap integrals of bump 1 against the rest of the ring on g,
-    with one profile evaluation per H-orbit of bumps."""
+    """Sigma_{i>=2} int V1^3 V_i on g, normalized to its levels J.
+
+    The sum comes from one ring_fields pass, which evaluates the profile
+    once per H-orbit of bumps.
+    """
     if g is None:
         g = grid_for_radius(config.R, 1.0, config.dim)
-    return _ring_overlap(V0prof, config, params, g)
+    ring = ring_fields(g, V0prof, config, overlap=True)
+    return _interaction_report(ring.overlap, config, params)
 
 
 def potential_moment(V0prof: RadialProfile, config: BumpConfiguration,

@@ -11,16 +11,13 @@ act by exact node permutations; _node_subgroup builds H once for both
 users below.  The other elements form the cosets H r_m^-1, r_m the
 rotation by 2pi m/k, 1 <= m < q = k/gcd(k, 4).  symmetrize therefore
 forms the exact H-average F_H = Sigma_h f o h by node permutations and
-interpolates it (quintic splines, on a Fourier-upsampled copy when the
-accurate tier is requested) once per coset at r_m^-1 x, for one node x
-per H-orbit only: the half box of
-mirror_axes (y2 >= 0, y1 >= 0 for even k, y3 >= 0 in 3-D), cut to
-y1 >= y2 when k = 0 mod 4, about an eighth of the grid at k = 16.
-The averages at those nodes are scattered back by the node permutations
-of H, so the result is H-invariant bit for bit, and the half box is the
-same one on which the corrector's linear solves run.  Memory is
-O(nodes) and independent of k; the upsampled copy is built only when
-q > 1.
+interpolates it (quintic splines) once per coset at r_m^-1 x, for one
+node x per H-orbit only: the half box of mirror_axes (y2 >= 0, y1 >= 0
+for even k, y3 >= 0 in 3-D), cut to y1 >= y2 when k = 0 mod 4, about an
+eighth of the grid at k = 16.  The averages at those nodes are scattered
+back by the node permutations of H, so the result is H-invariant bit for
+bit, and the half box is the same one on which the corrector's linear
+solves run.  Memory is O(nodes) and independent of k.
 
 H also permutes the bumps: the node permutation by h of the field of
 bump j is the field of the bump at h^-1 x_j, whose index is j - s or
@@ -308,30 +305,7 @@ def mirror_back(a: np.ndarray, axes: tuple) -> np.ndarray:
     return a
 
 
-def _upsample_fft(a: np.ndarray, factor: int) -> np.ndarray:
-    """Trigonometric upsampling of the two rotated axes; the field is ~0
-    at the box wall, so the periodic extension over [−L, L) is smooth to
-    that level.  The third axis (never rotated) keeps its nodes."""
-    from scipy.signal import resample
-
-    core = a[:-1, :-1]
-    for ax in (0, 1):
-        core = resample(core, core.shape[ax] * factor, axis=ax)
-    # re-append the wrapped end sample to recover the inclusive grid
-    return np.pad(core, [(0, 1), (0, 1)] + [(0, 0)] * (a.ndim - 2),
-                  mode="wrap")
-
-
-def _upsample_factor(n_axis: int, dim: int) -> int:
-    """Largest refinement whose upsampled copy stays comfortably in memory."""
-    base = n_axis - 1
-    for factor in (8, 4, 2):
-        if (factor * base) ** 2 * (base if dim == 3 else 1) <= 75_000_000:
-            return factor
-    return 1
-
-
-def symmetrize(f: Field, k: int, accurate: bool = True) -> Field:
+def symmetrize(f: Field, k: int) -> Field:
     """Average f over the symmetry group G (rotations by 2π/k and the
     reflections y_n → −y_n, n ≥ 2).
 
@@ -339,16 +313,14 @@ def symmetrize(f: Field, k: int, accurate: bool = True) -> Field:
     multiples of π/2, each with and without y2 → −y2) is applied
     exactly: F_H = Σ_h f∘h, in 3-D also averaged with its y3 mirror.
     When H is all of G (q = k/gcd(k, 4) = 1) that is the answer.
-    Otherwise F_H is prefiltered once for quintic splines, on a copy
-    trigonometrically upsampled in the rotated axes when accurate=True
-    (which pushes the interpolation error of smooth decayed fields to
-    the spectral floor), and each coset, 1 ≤ m < q, costs one
-    interpolation of F_H at r_m⁻¹·x, r_m the rotation by 2πm/k.  Only
-    one node x per H-orbit is interpolated: the half box of mirror_axes
-    (y2 ≥ 0; also y1 ≥ 0 for even k; y3 ≥ 0 in 3-D), and within it
-    y1 ≥ y2 when k ≡ 0 mod 4.  The average at those nodes is scattered
-    back by the |H| node permutations (a transpose for k ≡ 0 mod 4, then
-    the axis mirrors), so the output is H-invariant bit for bit.
+    Otherwise F_H is prefiltered once for quintic splines, and each
+    coset, 1 ≤ m < q, costs one interpolation of F_H at r_m⁻¹·x, r_m the
+    rotation by 2πm/k.  Only one node x per H-orbit is interpolated: the
+    half box of mirror_axes (y2 ≥ 0; also y1 ≥ 0 for even k; y3 ≥ 0 in
+    3-D), and within it y1 ≥ y2 when k ≡ 0 mod 4.  The average at those
+    nodes is scattered back by the |H| node permutations (a transpose
+    for k ≡ 0 mod 4, then the axis mirrors), so the output is
+    H-invariant bit for bit.
 
     In exact arithmetic this is the average over every element of G:
     G = G⁻¹, so the elements h·r_m⁻¹ run over G as the r_m·h do; the
@@ -357,10 +329,7 @@ def symmetrize(f: Field, k: int, accurate: bool = True) -> Field:
     maps the box onto itself, so the number of elements that keep x in
     the box (the square's corner zone |y| > L is not rotation-covariant,
     and each node averages over those elements only) depends on m alone.
-    The trigonometric upsampling commutes with the axis mirrors only up
-    to the field's value at the wall, which it takes as periodic.
-    Memory is O(nodes) and independent of k; the upsampled copy is
-    built only when q > 1.
+    Memory is O(nodes) and independent of k.
     """
     g = f.grid
     a = f.data
@@ -372,22 +341,16 @@ def symmetrize(f: Field, k: int, accurate: bool = True) -> Field:
     for h in subgroup:
         exact_total += _apply_signed_permutation(a, h)
     if q == 1:
-        counts = np.full(g.shape, len(subgroup))
-        out = exact_total / counts
+        out = exact_total / len(subgroup)
         if dim == 3:
             out = 0.5 * (out + out[:, :, ::-1])
         return Field(g, out)
     if dim == 3:
         exact_total = 0.5 * (exact_total + exact_total[:, :, ::-1])
-    factor = _upsample_factor(g.n_axis, dim) if accurate else 1
     # the B-spline prefilter map_coordinates would otherwise rerun on
     # every call (mode "constant" needs no padding)
-    coeffs = spline_filter(
-        _upsample_fft(exact_total, factor) if factor > 1 else exact_total,
-        order=5, output=np.float64, mode="constant")
-    spacing = np.full((dim, 1), g.h / factor)
-    if dim == 3:
-        spacing[2, 0] = g.h
+    coeffs = spline_filter(exact_total, order=5, output=np.float64,
+                           mode="constant")
     axes = mirror_axes(k, dim)
     part = half_box(g, axes)
     mesh = np.meshgrid(*(g.axis[s] for s in part), indexing="ij")
@@ -399,7 +362,7 @@ def symmetrize(f: Field, k: int, accurate: bool = True) -> Field:
     cosets = np.ones(total.size, dtype=int)
     for m in range(1, q):
         coords = _rotation_matrix(-2.0 * math.pi * m / k, dim, False) @ pts
-        vals = map_coordinates(coeffs, (coords + g.L) / spacing, order=5,
+        vals = map_coordinates(coeffs, (coords + g.L) / g.h, order=5,
                                mode="constant", cval=0.0, prefilter=False)
         inbox = np.all(np.abs(coords) <= g.L + 1e-12, axis=0)
         total += np.where(inbox, vals, 0.0)
@@ -409,8 +372,3 @@ def symmetrize(f: Field, k: int, accurate: bool = True) -> Field:
     if k % 4 == 0:
         out = np.where(rep, out, out.swapaxes(0, 1))
     return Field(g, mirror_back(out, axes))
-
-
-def symmetrize_fast(f: Field, k: int) -> Field:
-    """Orbit average with direct quintic interpolation (no upsampling)."""
-    return symmetrize(f, k, accurate=False)

@@ -22,7 +22,7 @@ computes the coupling budget f0 = safety/γ0 that bounds |β|.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -282,17 +282,3 @@ def compute_gamma0_f0(u0_field, bump_sum_field, decay_const: float,
     gamma0_crude = max(sup_u, 7.0 * decay_const) ** 2
     return CouplingBudget(gamma0=gamma0, gamma0_crude=gamma0_crude,
                           f0=safety / gamma0, safety=safety)
-
-
-def normalize_mu0(params: ModelParams, mu0: float) -> ModelParams:
-    """Rescale parameters so the potential's level at infinity equals 1.
-
-    If μ → μ0 ≠ 1, the dilation V(y) = √μ0 Ṽ(√μ0 y) (and likewise for
-    U) maps the system to one with μ̃ → 1, λ̃ = λ/μ0 and
-    ã = a μ0^(m/2 − 1); the cubic and cross couplings are unchanged.
-    """
-    if mu0 <= 0:
-        raise ValueError(f"mu0 must be positive, got {mu0}")
-    if mu0 == 1.0:
-        return params
-    return replace(params, lam=params.lam / mu0, a=params.a * mu0 ** (0.5 * params.m - 1.0))

@@ -9,7 +9,7 @@ under forward integration, the final profile is assembled from two
 stable pieces: the forward solution down to a merge radius, and a
 backward integration seeded at r_max with the exact linear-tail shape
 (e^{-√c r} for N = 1, K0(√c r) for N = 2, e^{-√c r}/r for N = 3) whose
-amplitude is matched by a secant iteration.  The result is accurate to
+amplitude is matched by a secant iteration.  The result holds to
 integrator tolerance on the whole grid.
 
 N = 1 admits the closed form √(2c/α) sech(√c r) and is kept as an

@@ -14,11 +14,12 @@ from ringnls.corrector import (CorrectorDivergence, LinearSolveStalled,
                                _inverse_spectrum, _KrylovCount, _padded_size,
                                _precondition, _solve_minres, apply_L0,
                                apply_L1, build_inputs, fixed_point_iterate,
-                               g0_rhs, g1_rhs, rayleigh_floor, solve_L0,
+                               g0_rhs, g1_rhs, solve_L0,
                                solve_L1_constrained)
 from ringnls.energy import potential_field
-from ringnls.geometry import (bump_centers, bump_cubes_field, bump_sum_field,
-                              constraint_field, radial_field)
+from ringnls.geometry import (_apply_signed_permutation, _node_subgroup,
+                              bump_centers, bump_cubes_field, bump_sum_field,
+                              constraint_field, radial_field, symmetrize)
 from ringnls.grid import Field, laplacian, make_grid, quad_product, zeros
 from ringnls.model import ModelParams, make_potential, mid_radius
 from ringnls.radial import ground_state
@@ -381,6 +382,28 @@ def test_solve_L1_degenerate_constraint(townes):
         solve_L1_constrained(rhs, W, mu, zeros(g), params, 1e-9)
 
 
+def rayleigh_floor(U0f: Field, params: ModelParams, k: int,
+                   n_iter: int = 6, tol: float = 1e-7) -> float:
+    """Smallest |eigenvalue| of the first linearized operator on the
+    symmetric subspace, estimated by inverse iteration: a numeric
+    stand-in for the invertibility constant rho_0."""
+    g = U0f.grid
+    mesh = g.mesh()
+    r2 = sum(np.broadcast_to(m, g.shape) ** 2 for m in mesh)
+    bump = np.exp(-0.5 * ((mesh[0] - 0.4) ** 2 + (mesh[1] + 0.2) ** 2))
+    w = Field(g, np.exp(-0.25 * r2) * (1.0 + 0.3 * np.broadcast_to(bump,
+                                                                   g.shape)))
+    w = symmetrize(w, k)
+    quotient = math.inf
+    for _ in range(n_iter):
+        w = solve_L0(w, U0f, params, tol, k=k)
+        scale = math.sqrt(quad_product(w, w))
+        w = Field(g, w.data / scale)
+        quotient = quad_product(w, apply_L0(w, U0f, params)) \
+            / quad_product(w, w)
+    return abs(quotient)
+
+
 def test_rayleigh_floor_bounded_away_from_zero(townes):
     # on the fold-symmetric subspace (k >= 2 removes the translation
     # near-kernel) the smallest |eigenvalue| sits at the essential
@@ -436,8 +459,8 @@ def test_fixed_point_converges(request, fixture, normE, lagr, contr):
 @pytest.mark.parametrize("fixture,level", [
     # pi-rotation and identity folds symmetrize without interpolation, so
     # the converged pair satisfies the weak equations to the solver
-    # tolerance; the k = 3 fold pays interpolation error on the final
-    # accurate symmetrization
+    # tolerance; the k = 3 fold pays the interpolation error of the
+    # projection after each linear solve
     ("corr_k2", 1e-8),
     ("corr_k1", 1e-8),
     ("corr_k3", 2e-2),
@@ -455,8 +478,17 @@ def test_fixed_point_weak_residuals(request, fixture, level):
         < level * math.sqrt(quad_product(b1, b1))
 
 
-def test_fixed_point_constraint_held(corr_k2):
-    _params, inputs, res = corr_k2
+@pytest.mark.parametrize("fixture", ["corr_k1", "corr_k2", "corr_k3"])
+def test_fixed_point_constraint_held(request, fixture):
+    # the returned pair is the last one the linear solves produced: it is
+    # invariant bit for bit under the node permutations of the group, and
+    # v is orthogonal to Z
+    _params, inputs, res = request.getfixturevalue(fixture)
+    k = inputs.config.k
+    for _s, _flip2, h in _node_subgroup(k, 2):
+        for f in (res.u, res.v):
+            assert np.array_equal(_apply_signed_permutation(f.data, h),
+                                  f.data)
     zv = quad_product(inputs.Z, res.v)
     assert abs(zv) < 1e-12 * math.sqrt(quad_product(inputs.Z, inputs.Z)
                                        * quad_product(res.v, res.v))

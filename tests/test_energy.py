@@ -7,13 +7,12 @@ import math
 import numpy as np
 import pytest
 
-from ringnls.energy import (_ring_overlap, check_ksum_bound,
-                            draw_sector_samples, energy, energy_breakdown,
-                            expansion_compare, expansion_constants,
-                            interaction_term, potential_field,
-                            potential_moment)
+from ringnls.energy import (check_ksum_bound, draw_sector_samples, energy,
+                            energy_breakdown, expansion_compare,
+                            expansion_constants, interaction_term,
+                            potential_field, potential_moment)
 from ringnls.geometry import (bump_centers, bump_cubes_field, bump_sum_field,
-                              radial_field)
+                              radial_field, ring_fields)
 from ringnls.grid import (Field, grid_for_radius, make_grid, quad_product,
                           zeros)
 from ringnls.model import ModelParams, Potential, make_potential, mid_radius
@@ -297,9 +296,8 @@ def test_expansion_compare_matches_separate_passes(townes, k):
                     potential_field(g, make_potential(p)), p)
     inter = interaction_term(townes, cfg, p, g=g)
     # the energy absorbs last-bit changes of W, so W is compared directly
-    shared = np.zeros(g.shape)
-    _ring_overlap(townes, cfg, p, g, bumpsum=shared)
-    assert np.array_equal(shared, W.data)
+    assert np.array_equal(ring_fields(g, townes, cfg, overlap=True).W,
+                          W.data)
     assert rep.direct == direct
     assert rep.interaction_sum == 0.5 * p.alpha1 * k * inter.total
     assert rep.J_exact == inter.J_exact

@@ -176,34 +176,21 @@ def test_symmetrize_fixed_point_k4():
     assert np.max(np.abs(s.data - f.data)) < 1e-13
 
 
-def test_symmetrize_generic_k_floors():
-    """Interpolated group elements keep the projector properties to well
-    below the advertised interpolation tolerance."""
-    g = grid.make_grid(2, 6.0, 0.125)
-    f = grid.sample(g, lambda x, y: np.exp(-2.0 * ((x - 1.2) ** 2 + (y - 0.4) ** 2)))
-    fr = grid.sample(g, lambda x, y: np.exp(-0.7 * (x * x + y * y)))
-    for k in (3, 5):
-        s1 = geometry.symmetrize(f, k)
-        s2 = geometry.symmetrize(s1, k)
-        assert np.max(np.abs(s2.data - s1.data)) < 1e-10
-        assert np.max(np.abs(geometry.symmetrize(fr, k).data - fr.data)) < 1e-10
-
-
 @pytest.mark.parametrize("k", [1, 2, 4])
 def test_symmetrize_exact_k_never_interpolates(monkeypatch, k):
-    """When every group element permutes nodes, neither the upsampled
-    copy nor the spline interpolant is built."""
+    """When every group element permutes nodes, the spline interpolant
+    is never built."""
     def boom(*args, **kwargs):
         raise AssertionError("interpolation path entered")
 
-    monkeypatch.setattr(geometry, "_upsample_fft", boom)
+    monkeypatch.setattr(geometry, "spline_filter", boom)
     monkeypatch.setattr(geometry, "map_coordinates", boom)
     g = grid.make_grid(2, 4.0, 0.25)
     f = grid.sample(g, lambda x, y: np.exp(-2.0 * ((x - 1.2) ** 2 + (y - 0.4) ** 2)))
     geometry.symmetrize(f, k)
 
 
-def _symmetrize_per_element(f, k, accurate):
+def _symmetrize_per_element(f, k):
     """Reference orbit average: one interpolation per group element that
     does not permute nodes (2k - |H| of them)."""
     g = f.grid
@@ -221,18 +208,13 @@ def _symmetrize_per_element(f, k, accurate):
                 counts += 1
                 continue
             if coeffs is None:
-                factor = geometry._upsample_factor(g.n_axis, dim) if accurate else 1
-                up = geometry._upsample_fft(a, factor) if factor > 1 else a
-                coeffs = ndimage.spline_filter(up, order=5, output=np.float64,
+                coeffs = ndimage.spline_filter(a, order=5, output=np.float64,
                                                mode="constant")
-                spacing = np.full((dim, 1), g.h / factor)
-                if dim == 3:
-                    spacing[2, 0] = g.h
                 pts = np.stack(np.meshgrid(*g.axes(), indexing="ij"))
                 pts = pts.reshape(dim, -1)
             coords = M @ pts
             vals = ndimage.map_coordinates(
-                coeffs, (coords + g.L) / spacing, order=5, mode="constant",
+                coeffs, (coords + g.L) / g.h, order=5, mode="constant",
                 cval=0.0, prefilter=False)
             inbox = np.all(np.abs(coords) <= g.L + 1e-12,
                            axis=0).reshape(g.shape)
@@ -244,31 +226,22 @@ def _symmetrize_per_element(f, k, accurate):
     return out
 
 
-@pytest.mark.parametrize("dim,k,accurate", [
-    *((2, k, acc) for k in (3, 5, 6, 8, 16) for acc in (False, True)),
-    (2, 12, False), (2, 32, False), (2, 12, True),
-    *((3, k, False) for k in (3, 5, 6, 8)), (3, 8, True)])
-def test_symmetrize_matches_per_element_average(dim, k, accurate):
+@pytest.mark.parametrize("dim,k", [
+    *((2, k) for k in (3, 5, 6, 8, 12, 16, 32)),
+    *((3, k) for k in (3, 5, 6, 8))])
+def test_symmetrize_matches_per_element_average(dim, k):
     """Interpolating the H-average once per coset at one node per H-orbit
-    and scattering it back gives the per-element average to rounding.
-
-    The accurate tier upsamples as if the field were periodic over the
-    box, which holds only to the field's size at the wall, and it
-    upsamples the H-average where the reference upsamples f; the two
-    orders differ by that much.  The 3-D field is 1.5e-8 at the wall of
-    the L = 4 box, where the accurate tier differs from the reference by
-    5.5e-9, so that tier is checked on the L = 6 box (2e-22 at the wall).
-    """
+    and scattering it back gives the per-element average to rounding."""
     if dim == 2:
         g = grid.make_grid(2, 6.0, 0.125)
         f = grid.sample(g, lambda x, y: np.exp(
             -2.0 * ((x - 1.2) ** 2 + (y - 0.4) ** 2)))
     else:
-        g = grid.make_grid(3, 6.0 if accurate else 4.0, 0.25)
+        g = grid.make_grid(3, 4.0, 0.25)
         f = grid.sample(g, lambda x, y, z: (1.0 + 0.3 * z) * np.exp(
             -2.0 * ((x - 1.0) ** 2 + (y - 0.3) ** 2 + z * z)))
-    want = _symmetrize_per_element(f, k, accurate)
-    got = geometry.symmetrize(f, k, accurate).data
+    want = _symmetrize_per_element(f, k)
+    got = geometry.symmetrize(f, k).data
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
@@ -314,15 +287,14 @@ def test_symmetrize_one_interpolation_per_coset(monkeypatch, k):
     monkeypatch.setattr(geometry, "map_coordinates", counted)
     g = grid.make_grid(2, 4.0, 0.25)
     f = grid.sample(g, lambda x, y: np.exp(-2.0 * ((x - 1.2) ** 2 + (y - 0.4) ** 2)))
-    geometry.symmetrize_fast(f, k)
+    geometry.symmetrize(f, k)
     orbits = _node_orbit_count(g.n_axis, k)
     assert points == [orbits] * (k // math.gcd(k, 4) - 1)
 
 
-@pytest.mark.parametrize("accurate", [False, True])
 @pytest.mark.parametrize("dim,k", [
     *((2, k) for k in (3, 5, 6, 8, 16)), (3, 3), (3, 8)])
-def test_symmetrize_exactly_invariant(dim, k, accurate):
+def test_symmetrize_exactly_invariant(dim, k):
     """The output is invariant bit for bit under every node permutation
     of the group, and in 3-D under y3 -> -y3, since it is scattered from
     one node per orbit."""
@@ -334,7 +306,7 @@ def test_symmetrize_exactly_invariant(dim, k, accurate):
         g = grid.make_grid(3, 3.0, 0.5)
         f = grid.sample(g, lambda x, y, z: (1.0 + 0.3 * z) * np.exp(
             -2.0 * ((x - 1.0) ** 2 + (y - 0.3) ** 2 + z * z)))
-    s = geometry.symmetrize(f, k, accurate).data
+    s = geometry.symmetrize(f, k).data
     for M in _node_permuting_elements(k, dim):
         assert np.max(np.abs(
             geometry._apply_signed_permutation(s, M) - s)) == 0.0
@@ -350,28 +322,11 @@ def test_symmetrize_fast_peak_memory():
     f = grid.sample(g, lambda x, y: np.exp(-0.5 * ((x - 3.0) ** 2 + y * y)))
     tracemalloc.start()
     try:
-        geometry.symmetrize_fast(f, 16)
+        geometry.symmetrize(f, 16)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 10 * f.data.nbytes
-
-
-def test_upsample_keeps_third_axis():
-    """Only the two rotated axes are resampled and wrapped: the top y3
-    plane of the upsampled copy, read at the original (y1, y2) nodes, is
-    the input's top plane, not its bottom one.  The y1 = L and y2 = L
-    rows are the wrapped copies of y1 = -L and y2 = -L, so they are left
-    out."""
-    g = grid.make_grid(3, 3.0, 0.25)
-    f = grid.sample(g, lambda x, y, z: (4.0 + z) * np.exp(
-        -(x - 0.5) ** 2 - y * y))
-    factor = 4
-    up = geometry._upsample_fft(f.data, factor)
-    assert up.shape == (factor * (g.n_axis - 1) + 1,) * 2 + (g.n_axis,)
-    top = up[:-1:factor, :-1:factor, -1]
-    assert np.max(np.abs(top - f.data[:-1, :-1, -1])) \
-        <= 1e-12 * np.max(f.data)
 
 
 def test_symmetrize_memory_independent_of_k():
@@ -383,7 +338,7 @@ def test_symmetrize_memory_independent_of_k():
     def peak(k):
         tracemalloc.start()
         try:
-            geometry.symmetrize_fast(f, k)
+            geometry.symmetrize(f, k)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -412,31 +367,13 @@ def test_symmetrize_dim3():
     f = grid.sample(g, lambda x, y, z: (1.0 + 0.3 * z)
                     * np.exp(-2.0 * ((x - 1.0) ** 2 + (y - 0.3) ** 2 + z * z)))
     s1 = geometry.symmetrize(f, 3)
-    s2 = geometry.symmetrize(s1, 3)
-    assert np.max(np.abs(s2.data - s1.data)) < 1e-9
     # output even in the third coordinate
     assert np.max(np.abs(s1.data - s1.data[:, :, ::-1])) == 0.0
-    fr = grid.sample(g, lambda x, y, z: np.exp(-0.9 * (x * x + y * y + z * z)))
-    assert np.max(np.abs(geometry.symmetrize(fr, 5).data - fr.data)) < 1e-10
-
-
-def test_ansatz_invariant(ring8):
-    """The bump sum lies in the symmetric space: the projector moves it
-    by no more than the interpolation tolerance."""
-    conf, _, W, _ = ring8
-    sW = geometry.symmetrize(W, conf.k)
-    assert np.max(np.abs(sW.data - W.data)) < 1e-10
-
-
-def test_constraint_field_symmetric(ring8):
-    conf, _, _, Z = ring8
-    sZ = geometry.symmetrize(Z, conf.k)
-    assert np.max(np.abs(sZ.data - Z.data)) < 1e-7
 
 
 def test_fast_projector_consistent(ring8):
     conf, _, W, _ = ring8
-    fast = geometry.symmetrize_fast(W, conf.k)
+    fast = geometry.symmetrize(W, conf.k)
     assert np.max(np.abs(fast.data - W.data)) < 2e-6
 
 

@@ -154,17 +154,6 @@ def test_compute_gamma0_f0_townes_scale():
     assert out.f0 * out.gamma0 < 1.0
 
 
-def test_normalize_mu0():
-    p = model.ModelParams(lam=1.0, a=1.0, m=1.0)
-    q = model.normalize_mu0(p, 2.0)
-    assert q.lam == pytest.approx(0.5)
-    assert q.a == pytest.approx(2.0 ** (-0.5))
-    assert q.m == p.m and q.alpha0 == p.alpha0
-
-    same = model.normalize_mu0(p, 1.0)
-    assert same == p
-
-
 def test_mid_radius():
     # symmetric window about (m/(2 pi)) k ln k when delta0 drops out
     mid = model.mid_radius(16, 1.0, 2.0)
