@@ -226,12 +226,25 @@ def _symmetrize_per_element(f, k):
     return out
 
 
-@pytest.mark.parametrize("dim,k", [
-    *((2, k) for k in (3, 5, 6, 8, 12, 16, 32)),
-    *((3, k) for k in (3, 5, 6, 8))])
-def test_symmetrize_matches_per_element_average(dim, k):
+def _broad_bump(g):
+    """An off-centre bump still O(1) at the box wall and in its corners,
+    where rotated nodes leave the box and each node averages over fewer
+    group elements."""
+    if g.dim == 2:
+        return grid.sample(g, lambda x, y: 0.5 * np.exp(
+            -0.02 * ((x - 0.7) ** 2 + (y + 0.3) ** 2)))
+    return grid.sample(g, lambda x, y, z: (0.5 + 0.05 * z) * np.exp(
+        -0.02 * ((x - 0.7) ** 2 + (y + 0.3) ** 2 + z * z)))
+
+
+@pytest.mark.parametrize("dim,k,wall", [
+    *((2, k, wall) for k in (3, 5, 6, 8, 16) for wall in (False, True)),
+    (2, 12, False), (2, 32, False), (2, 12, True),
+    *((3, k, False) for k in (3, 5, 6, 8)), (3, 8, True)])
+def test_symmetrize_matches_per_element_average(dim, k, wall):
     """Interpolating the H-average once per coset at one node per H-orbit
-    and scattering it back gives the per-element average to rounding."""
+    and scattering it back gives the per-element average to rounding,
+    also (wall=True) for a field that does not vanish at the box wall."""
     if dim == 2:
         g = grid.make_grid(2, 6.0, 0.125)
         f = grid.sample(g, lambda x, y: np.exp(
@@ -240,6 +253,8 @@ def test_symmetrize_matches_per_element_average(dim, k):
         g = grid.make_grid(3, 4.0, 0.25)
         f = grid.sample(g, lambda x, y, z: (1.0 + 0.3 * z) * np.exp(
             -2.0 * ((x - 1.0) ** 2 + (y - 0.3) ** 2 + z * z)))
+    if wall:
+        f = grid.Field(g, f.data + _broad_bump(g).data)
     want = _symmetrize_per_element(f, k)
     got = geometry.symmetrize(f, k).data
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
@@ -292,12 +307,14 @@ def test_symmetrize_one_interpolation_per_coset(monkeypatch, k):
     assert points == [orbits] * (k // math.gcd(k, 4) - 1)
 
 
+@pytest.mark.parametrize("wall", [False, True])
 @pytest.mark.parametrize("dim,k", [
     *((2, k) for k in (3, 5, 6, 8, 16)), (3, 3), (3, 8)])
-def test_symmetrize_exactly_invariant(dim, k):
+def test_symmetrize_exactly_invariant(dim, k, wall):
     """The output is invariant bit for bit under every node permutation
     of the group, and in 3-D under y3 -> -y3, since it is scattered from
-    one node per orbit."""
+    one node per orbit; also (wall=True) where the corner zone of the
+    box carries weight."""
     if dim == 2:
         g = grid.make_grid(2, 4.0, 0.25)
         f = grid.sample(g, lambda x, y: np.exp(
@@ -306,6 +323,8 @@ def test_symmetrize_exactly_invariant(dim, k):
         g = grid.make_grid(3, 3.0, 0.5)
         f = grid.sample(g, lambda x, y, z: (1.0 + 0.3 * z) * np.exp(
             -2.0 * ((x - 1.0) ** 2 + (y - 0.3) ** 2 + z * z)))
+    if wall:
+        f = grid.Field(g, f.data + _broad_bump(g).data)
     s = geometry.symmetrize(f, k).data
     for M in _node_permuting_elements(k, dim):
         assert np.max(np.abs(
