@@ -414,11 +414,16 @@ def _run_corrector(config: RunConfig, out: Path):
     znorm = math.sqrt(quad_product(inputs.Z, inputs.Z))
     zrel = (abs(quad_product(inputs.Z, res.v)) / (znorm * vnorm)
             if vnorm > 0 else 0.0)
+    # a contraction factor is a ratio of successive steps, so one step
+    # measures none (corrector_converged judges such runs)
+    contraction = (
+        f"measured contraction factor {res.contraction_factor:.4f}"
+        if len(res.steps) >= 2
+        else f"not evaluated: {len(res.steps)} Picard step")
     checks = [
         ("corrector_converged", res.converged,
          f"{res.iterations} iterations, final step {res.steps[-1]:.3e}"),
-        ("contraction_below_one", res.contraction_factor < 1.0,
-         f"measured contraction factor {res.contraction_factor:.4f}"),
+        ("contraction_below_one", res.contraction_factor < 1.0, contraction),
         ("radius_mode_orthogonality", zrel <= 1e-10,
          f"relative Z overlap {zrel:.3e}"),
     ]

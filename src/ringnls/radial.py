@@ -1,16 +1,14 @@
 """Radial ground-state profiles of  -w'' - (N-1)/r w' + c w = α w³.
 
-The positive decreasing homoclinic solution (w'(0) = 0, w(∞) = 0) is
-found by amplitude shooting: integrating outward from a series start,
-an amplitude that is too large drives w through zero while one that is
-too small makes w turn back upward, and bisection on that dichotomy
-pins the critical amplitude.  Because the homoclinic orbit is unstable
-under forward integration, the final profile is assembled from two
-stable pieces: the forward solution down to a merge radius, and a
-backward integration seeded at r_max with the exact linear-tail shape
-(e^{-√c r} for N = 1, K0(√c r) for N = 2, e^{-√c r}/r for N = 3) whose
-amplitude is matched by a secant iteration.  The result holds to
-integrator tolerance on the whole grid.
+The positive decreasing solution (w'(0) = 0, w(∞) = 0) is computed
+directly on the uniform tabulation grid.  The equation is discretized
+with 9-point 8th-order stencils closed by ghost nodes: w is even about
+r = 0, and beyond r_max it follows the decaying linear tail (e^{-√c r}
+for N = 1, K0(√c r) for N = 2, e^{-√c r}/r for N = 3) scaled from the
+last node.  Petviashvili's iteration from a Gaussian, then Newton's
+method, solves the discrete problem on the 801-node floor grid; its
+peak sets the node count, and Newton on the final grid, started from
+the interpolated coarse profile, gives the tabulated solution.
 
 N = 1 admits the closed form √(2c/α) sech(√c r) and is kept as an
 oracle for tests; production runs use N ∈ {2, 3}.
@@ -23,17 +21,24 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy import sparse
 from scipy.interpolate import make_interp_spline
+from scipy.sparse.linalg import splu
 from scipy.special import k0e, k1e
 
 from .grid import _G8
 
 _SURFACE = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
 
+# 8th-order central second-derivative weights at offsets -4..4
+_D8 = np.array([-1.0 / 560, 8.0 / 315, -1.0 / 5, 8.0 / 5, -205.0 / 72,
+                8.0 / 5, -1.0 / 5, 8.0 / 315, -1.0 / 560])
 
-class ShootingError(RuntimeError):
-    pass
+_FLOOR_NODES = 801
+
+
+class GroundStateError(RuntimeError):
+    """The discrete ground-state iteration did not converge."""
 
 
 @dataclass
@@ -73,58 +78,6 @@ class RadialProfile:
         return math.sqrt(self.c)
 
 
-def _rhs(c, alpha, dim):
-    n1 = dim - 1
-
-    def f(r, y):
-        w, dw = y
-        return (dw, c * w - alpha * w * w * w - (n1 / r) * dw)
-
-    return f
-
-
-def _series_start(c, alpha, dim, w0, r0):
-    # w(r) = w0 + w2 r² + O(r⁴),  2N w2 = c w0 - α w0³
-    w2 = (c * w0 - alpha * w0 ** 3) / (2.0 * dim)
-    return np.array([w0 + w2 * r0 * r0, 2.0 * w2 * r0])
-
-
-def _classify(c, alpha, dim, w0, r_end, rtol):
-    """'high' if w crosses zero, 'low' if it turns back upward."""
-    r0 = 1e-8 / math.sqrt(c)
-    y0 = _series_start(c, alpha, dim, w0, r0)
-
-    def ev_cross(r, y):
-        return y[0]
-
-    def ev_turn(r, y):
-        return y[1]
-
-    ev_cross.terminal = True
-    ev_cross.direction = -1
-    ev_turn.terminal = True
-    ev_turn.direction = 1
-    sol = solve_ivp(_rhs(c, alpha, dim), (r0, r_end), y0, method="RK45",
-                    rtol=rtol, atol=1e-14 * w0, events=(ev_cross, ev_turn))
-    if sol.t_events[0].size:
-        return "high"
-    if sol.t_events[1].size:
-        return "low"
-    return "low" if sol.y[0, -1] > 0 else "high"
-
-
-def _bisect(c, alpha, dim, r_end, lo, hi, rtol, width):
-    while hi - lo > width:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if _classify(c, alpha, dim, mid, r_end, rtol) == "high":
-            hi = mid
-        else:
-            lo = mid
-    return lo, hi
-
-
 def _tail(c, dim, r):
     """Decaying solution of the linear far-field equation, and its slope."""
     s = math.sqrt(c)
@@ -139,17 +92,113 @@ def _tail(c, dim, r):
     return e, -(s + 1.0 / r) * e
 
 
+def _ghosted(f, far, parity=1.0):
+    """f with four ghost nodes on each side: parity-mirrored copies of
+    f[1:5] left of r = 0 and the values `far` beyond r_max."""
+    return np.concatenate([parity * f[4:0:-1], f, far])
+
+
+def _stencil(weights, ext):
+    """Σ_k weights[k] (f[j+k-4] - f[j]) at each node j, read from the
+    ghosted array ext of f.
+
+    Taking differences makes the sum vanish exactly on constants.  The
+    stored weights of the second-derivative stencil do not sum to zero in
+    floating point, and that defect, divided by h², would shift c by ~1e-12.
+    """
+    n = ext.size - 8
+    mid = ext[4:n + 4]
+    out = np.zeros(n)
+    for k, wk in enumerate(weights):
+        if wk:
+            out += wk * (ext[k:k + n] - mid)
+    return out
+
+
+def _far_ghosts(c, dim, r, last):
+    """Ghost values beyond r_max: the linear tail through (r[-1], last)."""
+    t = _tail(c, dim, r[-1] + (r[1] - r[0]) * np.arange(5))[0]
+    return last * t[1:] / t[0]
+
+
+def _coefficients(dim, r):
+    """Factors of w'' and w' in the equation: 1 and (N-1)/r, except at
+    r = 0, where the friction term tends to (N-1) w''(0)."""
+    curvature = np.ones(r.size)
+    curvature[0] = dim
+    friction = np.zeros(r.size)
+    friction[1:] = (dim - 1) / r[1:]
+    return curvature, friction
+
+
+def _defect(c, alpha, dim, r, w):
+    """-w'' - (N-1)/r w' + c w - α w³ at the nodes, from 8th-order stencils."""
+    h = r[1] - r[0]
+    ext = _ghosted(w, _far_ghosts(c, dim, r, w[-1]))
+    curvature, friction = _coefficients(dim, r)
+    return (c * w - alpha * w ** 3 - curvature * _stencil(_D8, ext) / h ** 2
+            - friction * _stencil(_G8, ext) / h)
+
+
+def _operator(c, dim, r):
+    """The linear part of _defect as a sparse matrix (9 bands)."""
+    n = r.size
+    h = r[1] - r[0]
+    cols = np.concatenate([np.arange(4, 0, -1), np.arange(n), np.full(4, n - 1)])
+    vals = np.concatenate([np.ones(n + 4), _far_ghosts(c, dim, r, 1.0)])
+    ghosts = sparse.csr_matrix((vals, (np.arange(n + 8), cols)), shape=(n + 8, n))
+    d1, d2 = (sparse.diags(list(weights), range(9), shape=(n, n + 8)) @ ghosts / h ** p
+              for p, weights in ((1, _G8), (2, _D8)))
+    curvature, friction = _coefficients(dim, r)
+    return (c * sparse.identity(n) - sparse.diags(curvature) @ d2
+            - sparse.diags(friction) @ d1).tocsc()
+
+
+def _petviashvili(c, alpha, dim, r, max_iter=500):
+    """Fixed point of w = M^{3/2} L^{-1}(α w³) from a Gaussian, where L is
+    the linear part and the stabilizing factor M = <w, L w> / <w, α w³>
+    is 1 at a solution."""
+    op = _operator(c, dim, r)
+    lu = splu(op)
+    w = 2.0 * math.sqrt(c / alpha) * np.exp(-0.5 * c * r * r)
+    for _ in range(max_iter):
+        cube = alpha * w ** 3
+        w_new = (w @ (op @ w) / (w @ cube)) ** 1.5 * lu.solve(cube)
+        if np.max(np.abs(w_new - w)) <= 1e-8 * np.max(np.abs(w_new)):
+            return w_new
+        w = w_new
+    raise GroundStateError(
+        f"Petviashvili iteration did not converge in {max_iter} steps")
+
+
+def _newton(c, alpha, dim, r, w, tol, max_iter=20):
+    """Newton's method for _defect = 0 from w; returns once a step is ≤ tol.
+
+    Convergence is quadratic, so the error left after a step of size tol
+    is far below the rounding floor of the defect.
+    """
+    op = _operator(c, dim, r)
+    for _ in range(max_iter):
+        jac = op - sparse.diags(3.0 * alpha * w * w)
+        step = splu(jac.tocsc()).solve(-_defect(c, alpha, dim, r, w))
+        w = w + step
+        if np.max(np.abs(step)) <= tol:
+            return w
+    raise GroundStateError(f"Newton iteration did not converge in {max_iter} steps")
+
+
 def solve_ground_state(c: float, alpha: float, dim: int,
                        r_max: float | None = None,
                        n_nodes: int | None = None) -> RadialProfile:
-    """Shoot for the ground state and tabulate it on a uniform grid.
+    """Solve for the ground state on a uniform grid of radii.
 
     By default the grid extent scales with the tail length 1/sqrt(c) and
     the spacing resolves the curvature length at the peak, so the
     tabulated profile satisfies the ODE well below 1e-8*peak at every
     node (checked with an 8th-order stencil and stored in max_residual).
     The profile decays monotonically and carries the decay constant M
-    plus the quadrature moments of w**2 and w**4.
+    plus the quadrature moments of w**2 and w**4.  Raises
+    GroundStateError when the discrete iteration does not converge.
     """
     if c <= 0 or alpha <= 0:
         raise ValueError(f"need c > 0 and alpha > 0, got c={c}, alpha={alpha}")
@@ -160,26 +209,10 @@ def solve_ground_state(c: float, alpha: float, dim: int,
     if r_max < 15.0 / math.sqrt(c):
         raise ValueError(f"r_max={r_max} too small to resolve the tail")
 
-    scale = math.sqrt(c / alpha)
-    lo = 1.05 * scale
-    if _classify(c, alpha, dim, lo, r_max, 1e-8) != "low":
-        raise ShootingError(
-            f"lower bracket amplitude {lo!r} did not re-increase")
-    hi = 2.0 * math.sqrt(2.0) * scale
-    tried = []
-    for _ in range(8):
-        if _classify(c, alpha, dim, hi, r_max, 1e-8) == "high":
-            break
-        tried.append(hi)
-        hi *= 2.0
-    else:
-        raise ShootingError(
-            f"failed to bracket the critical amplitude from above; "
-            f"tried {tried!r}")
-
-    # bisection pins the amplitude well enough to seed the matched solve
-    lo, hi = _bisect(c, alpha, dim, r_max, lo, hi, 1e-8, 1e-6 * scale)
-    w0 = 0.5 * (lo + hi)
+    tol = 1e-10 * math.sqrt(c / alpha)
+    r0 = np.linspace(0.0, r_max, _FLOOR_NODES)
+    w = _newton(c, alpha, dim, r0, _petviashvili(c, alpha, dim, r0), tol)
+    w0 = float(w[0])
 
     # spacing that resolves the curvature length at the peak,
     # s^2 = w(0)/|w''(0)| with w''(0) = (c*w0 - alpha*w0^3)/dim
@@ -187,140 +220,32 @@ def solve_ground_state(c: float, alpha: float, dim: int,
     if n_nodes is None:
         # dense enough that cubic-spline evaluation between nodes stays
         # below ~1e-10 of the peak (field assembly resamples the profile
-        # at arbitrary radii, so evaluation error must not dominate)
-        n_nodes = int(math.ceil(140.0 * r_max / s)) + 1
+        # at arbitrary radii, so evaluation error must not dominate);
+        # rounding keeps the solver's last digits out of the ceil, which
+        # sits exactly on a node count for N = 1
+        n_nodes = int(math.ceil(round(140.0 * r_max / s, 6))) + 1
         n_nodes += (-(n_nodes - 1)) % 4  # odd, and n-1 divisible by 4
-        n_nodes = min(max(n_nodes, 801), 6001)
+        n_nodes = min(max(n_nodes, _FLOOR_NODES), 6001)
 
     r = np.linspace(0.0, r_max, n_nodes)
     h = r[1] - r[0]
-    rhs = _rhs(c, alpha, dim)
-    r0 = 1e-8 / math.sqrt(c)
-
-    # merge node: forward data stays contamination-free down to ~1e-2 peak
-    thr = 1e-2 * w0
-
-    def ev_thr(t, y):
-        return y[0] - thr
-
-    ev_thr.terminal = True
-    ev_thr.direction = -1
-    probe = solve_ivp(rhs, (r0, r_max), _series_start(c, alpha, dim, w0, r0),
-                      method="DOP853", rtol=1e-11, atol=1e-14 * w0, events=ev_thr)
-    if not probe.t_events[0].size:
-        raise ShootingError("forward solution never reached the merge threshold")
-    i_match = min(int(np.floor(float(probe.t_events[0][0]) / h)), n_nodes - 2)
-    i_match = max(i_match, 1)
-    r_match = r[i_match]
-
-    # backward integration starts where the tail has decayed to ~3e-6 of
-    # the peak: from there outward the linear tail is the solution to
-    # better than 1e-14*peak (the nonlinear correction is O((w/w0)^3)),
-    # so the remaining nodes are filled analytically
-    coef_est = float(thr / _tail(c, dim, r_match)[0])
-    tail_est = coef_est * _tail(c, dim, r[i_match:])[0]
-    below = np.nonzero(tail_est <= 3e-6 * w0)[0]
-    i_tail = i_match + int(below[0]) if below.size else n_nodes - 1
-    i_tail = min(max(i_tail, i_match + 8), n_nodes - 1)
-    r_tail = r[i_tail]
-    t_val, t_slope = _tail(c, dim, r_tail)
-
-    def fwd_at_match(amp, dense=False):
-        step = 0.08 / math.sqrt(c) if dense else np.inf
-        sol = solve_ivp(rhs, (r0, r_match), _series_start(c, alpha, dim, amp, r0),
-                        method="DOP853", rtol=3e-13, atol=1e-16 * w0,
-                        dense_output=dense, max_step=step)
-        return sol
-
-    def bwd_at_match(coef, dense=False):
-        step = 0.08 / math.sqrt(c) if dense else np.inf
-        sol = solve_ivp(rhs, (r_tail, r_match), [coef * t_val, coef * t_slope],
-                        method="DOP853", rtol=3e-13, atol=1e-280,
-                        dense_output=dense, max_step=step)
-        return sol
-
-    def matched_tail(w_match, coef_seed):
-        # secant on the tail amplitude until the backward value meets w_match
-        ca, sol_a = coef_seed, bwd_at_match(coef_seed)
-        fa = sol_a.y[0, -1] - w_match
-        cb = coef_seed * (1.0 + 1e-6)
-        sol_b = bwd_at_match(cb)
-        fb = sol_b.y[0, -1] - w_match
-        for _ in range(12):
-            if abs(fb) <= 1e-14 * w_match or fb == fa:
-                break
-            cn = cb - fb * (cb - ca) / (fb - fa)
-            ca, fa = cb, fb
-            cb = cn
-            sol_b = bwd_at_match(cb)
-            fb = sol_b.y[0, -1] - w_match
-        return cb, sol_b
-
-    def slope_gap(amp, state):
-        fwd = fwd_at_match(amp)
-        w_m, dw_m = fwd.y[0, -1], fwd.y[1, -1]
-        coef, bwd = matched_tail(w_m, state["coef"] * w_m / state["w_m"])
-        state.update(coef=coef, w_m=w_m)
-        return float(bwd.y[1, -1] - dw_m)
-
-    # secant polish of the amplitude on the merge-slope mismatch
-    state = {"coef": float(thr / _tail(c, dim, r_match)[0]), "w_m": float(thr)}
-    amp_a, amp_b = lo, hi
-    gap_a = slope_gap(amp_a, state)
-    gap_b = slope_gap(amp_b, state)
-    for _ in range(14):
-        if gap_b == gap_a:
-            break
-        amp_n = amp_b - gap_b * (amp_b - amp_a) / (gap_b - gap_a)
-        if not (min(amp_a, amp_b) - 1e-6 * scale
-                <= amp_n
-                <= max(amp_a, amp_b) + 1e-6 * scale):
-            amp_n = 0.5 * (amp_a + amp_b)
-        amp_a, gap_a = amp_b, gap_b
-        amp_b = amp_n
-        gap_b = slope_gap(amp_b, state)
-        if abs(gap_b) <= 2e-14 * w0:
-            break
-    w0 = float(amp_b)
-
-    # final assembly at the polished amplitude
-    fwd = fwd_at_match(w0, dense=True)
-    w_match, dw_match = fwd.y[0, -1], fwd.y[1, -1]
-    tail_coef, _ = matched_tail(w_match, state["coef"] * w_match / state["w_m"])
-    bwd = bwd_at_match(tail_coef, dense=True)
-
-    values = np.empty(n_nodes)
-    deriv = np.empty(n_nodes)
-    values[0], deriv[0] = w0, 0.0
-    if i_match >= 1:
-        wf = fwd.sol(r[1:i_match + 1])
-        values[1:i_match + 1], deriv[1:i_match + 1] = wf[0], wf[1]
-    wb = bwd.sol(r[i_match + 1:i_tail + 1])
-    values[i_match + 1:i_tail + 1] = wb[0]
-    deriv[i_match + 1:i_tail + 1] = wb[1]
-    if i_tail + 1 < n_nodes:
-        far_v, far_s = _tail(c, dim, r[i_tail + 1:])
-        values[i_tail + 1:] = tail_coef * far_v
-        deriv[i_tail + 1:] = tail_coef * far_s
-
-    gap = abs(float(bwd.y[1, -1]) - dw_match)
-    if gap > 1e-10 * w0:
-        raise ShootingError(f"merge slope mismatch {gap:.3e} after polish")
+    values = _newton(c, alpha, dim, r, make_interp_spline(r0, w, k=3)(r), tol)
+    deriv = _stencil(_G8, _ghosted(values, _far_ghosts(c, dim, r, values[-1]))) / h
+    deriv[0] = 0.0  # the mirrored stencil cancels only to rounding
 
     # measure the defect on a subgrid near the validated spacing s/36:
-    # finer grids would amplify the integrator's node-level noise through
-    # the 1/h of the difference stencil without improving the solution
+    # the check differentiates the stored derivative once more, and on
+    # finer grids its 1/h amplifies rounding without adding information
     stride = max(1, int(round(s / 36.0 / h)))
     while (r.size - 1) % stride:
         stride -= 1
     max_res = _residual_check(c, alpha, dim, r[::stride], values[::stride],
-                              deriv[::stride], tail_coef)
+                              deriv[::stride], values[-1] / _tail(c, dim, r_max)[0])
     m2, m4 = _moments(dim, r, values)
-    profile = RadialProfile(
+    return RadialProfile(
         c=c, alpha=alpha, dim=dim, r=r, values=values, deriv=deriv,
-        peak=float(w0), decay_const=_decay_const(c, dim, r, values),
+        peak=float(values[0]), decay_const=_decay_const(c, dim, r, values),
         moment2=m2, moment4=m4, max_residual=max_res)
-    return profile
 
 
 def _residual_check(c, alpha, dim, r, values, deriv, tail_coef):
@@ -328,27 +253,16 @@ def _residual_check(c, alpha, dim, r, values, deriv, tail_coef):
 
     Checks both w' = deriv and deriv' = -((N-1)/r) deriv + c w - alpha w^3
     with 8th-order first-derivative stencils; differentiating the stored
-    arrays once keeps the node-level integration noise amplified by only
-    ~1/h rather than the ~1/h^2 of a direct second difference.  Parity
-    supplies exact ghost data left of r = 0 (w even, w' odd); the matched
-    linear tail supplies it beyond r_max.  The slope defect is weighted
-    by sqrt(c) so both components share the units of the ODE residual.
+    arrays once keeps rounding amplified by only ~1/h rather than the
+    ~1/h^2 of a direct second difference.  Parity supplies exact ghost
+    data left of r = 0 (w even, w' odd); the linear tail through the last
+    node supplies it beyond r_max.  The slope defect is weighted by
+    sqrt(c) so both components share the units of the ODE residual.
     """
-    n = values.size
     h = r[1] - r[0]
     tail_v, tail_s = _tail(c, dim, r[-1] + h * np.arange(1, 5))
-    ext_v = np.concatenate([values[4:0:-1], values, tail_coef * tail_v])
-    ext_s = np.concatenate([-deriv[4:0:-1], deriv, tail_coef * tail_s])
-
-    def d1(ext):
-        out = np.zeros(n)
-        for j, w in enumerate(_G8):
-            if w:
-                out += w * ext[j:j + n]
-        return out / h
-
-    res1 = d1(ext_v) - deriv
-    dslope = d1(ext_s)
+    res1 = _stencil(_G8, _ghosted(values, tail_coef * tail_v)) / h - deriv
+    dslope = _stencil(_G8, _ghosted(deriv, tail_coef * tail_s, -1.0)) / h
     res2 = -dslope + c * values - alpha * values ** 3
     res2[1:] -= (dim - 1) / r[1:] * deriv[1:]
     # at r = 0 the friction term tends to (N-1) w''(0)

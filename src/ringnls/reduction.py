@@ -172,10 +172,13 @@ def maximize_over_Sk(k: int, params: ModelParams, n_coarse: int = 9,
 def pde_residual(U: Field, V: Field, mu: Field, params: ModelParams) -> tuple:
     """L2 norms of the two strong-form equation defects (2nd-order stencil).
 
-    Away from the maximizing radius the second norm carries the
-    h-independent multiplier component lagrange_at_R0 * Z on top of the
-    stencil defect; at the maximizer (where the multiplier crosses zero)
-    both norms shrink at second order under grid refinement.
+    Both norms are the O(h²) stencil defect of the sampled ansatz, which
+    the corrector's forcing leaves out: the first reads the same at every
+    radius (0.2085 at h = 0.25, 0.0535 at h = 0.125, θ = 2 and
+    β = f0/2), and the second is about √k times it.  The multiplier
+    term lagrange_at_R0 * Z of the second equation lies far below that
+    defect, so neither norm marks the radius R* where the multiplier
+    vanishes; R* lies above the window S_k.
     """
     Ud, Vd = U.data, V.data
     rU = (-laplacian(U).data + params.lam * Ud

@@ -226,6 +226,29 @@ def test_corrector_run_artifacts(tmp_path):
     assert all(len(pair) == 2 and min(pair) >= 1 for pair in krylov)
 
 
+def test_contraction_not_evaluated_after_one_step(tmp_path):
+    # one Picard step has no step ratio: the check says so instead of
+    # reporting a measured factor of 0, and the run still fails on
+    # corrector_converged
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("k = 1\nR = 8\nL = 16\nh = 0.5\nmax_iter = 1\n")
+    out = tmp_path / "one"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rc = main(["corrector", "--config", str(cfg), "--out", str(out)])
+    assert rc == 1
+    summary = json.loads((out / "summary.json").read_text())
+    assert len(summary["steps"]) == 1
+    assert summary["contraction_factor"] == 0.0
+    checks = {c["invariant"]: c for c in summary["checks"]}
+    assert checks["contraction_below_one"] == {
+        "invariant": "contraction_below_one", "passed": True,
+        "detail": "not evaluated: 1 Picard step"}
+    assert not checks["corrector_converged"]["passed"]
+    failure = json.loads((out / "failure.json").read_text())
+    assert failure["invariant"] == "corrector_converged"
+
+
 def _assert_corrector_rerun_bit_identical(tmp_path, config_text):
     cfg = tmp_path / "c.cfg"
     cfg.write_text(config_text)

@@ -67,6 +67,24 @@ def test_profile_invariants(c, alpha, dim):
     assert np.all(p.values[1:] <= env * (1.0 + 1e-12))
 
 
+def test_default_node_counts():
+    # 140 r_max / s is exactly 4200 for N = 1, so the ceil of the node-count
+    # rule must not see the solver's last digits
+    for (c, alpha, dim), n in (((1.0, 1.0, 1), 4201), ((1.0, 1.0, 2), 5845),
+                               ((1.0, 1.0, 3), 6001), ((4.0, 1.0, 2), 5845)):
+        assert len(radial.ground_state(c, alpha, dim).r) == n
+
+
+def test_nonconvergence_raises():
+    r = np.linspace(0.0, 30.0, 801)
+    with pytest.raises(radial.GroundStateError, match="Petviashvili"):
+        radial._petviashvili(1.0, 1.0, 2, r, max_iter=3)
+    with pytest.raises(radial.GroundStateError, match="Newton"):
+        radial._newton(1.0, 1.0, 2, r, 2.0 * np.exp(-0.5 * r * r), 1e-10,
+                       max_iter=2)
+    assert issubclass(radial.GroundStateError, RuntimeError)
+
+
 @pytest.mark.parametrize("c,alpha", [(4.0, 1.0), (1.0, 2.0), (2.0, 3.0)])
 @pytest.mark.parametrize("dim", [1, 2])
 def test_scaling_covariance(c, alpha, dim):
