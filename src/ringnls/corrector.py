@@ -95,7 +95,7 @@ def g0_rhs(u: Field, v: Field, U0f: Field, bumpsum: Field,
     """3 a0 U0 u^2 + a0 u^3 + beta (U0 + u)(W + v)^2, nodewise."""
     ud, vd = u.data, v.data
     U, W = U0f.data, bumpsum.data
-    out = 3.0 * params.alpha0 * U * ud * ud + params.alpha0 * ud ** 3 \
+    out = 3.0 * params.alpha0 * U * ud * ud + params.alpha0 * ud * ud * ud \
         + params.beta * (U + ud) * (W + vd) ** 2
     return Field(u.grid, out)
 
@@ -113,7 +113,7 @@ def g1_rhs(u: Field, v: Field, U0f: Field, bumpsum: Field, cubes: Field,
     """
     ud, vd = u.data, v.data
     U, W = U0f.data, bumpsum.data
-    out = 3.0 * params.alpha1 * W * vd * vd + params.alpha1 * vd ** 3 \
+    out = 3.0 * params.alpha1 * W * vd * vd + params.alpha1 * vd * vd * vd \
         + params.beta * (U + ud) ** 2 * (W + vd) \
         - (mu.data - 1.0) * W + params.alpha1 * (W ** 3 - cubes.data)
     return Field(u.grid, out)

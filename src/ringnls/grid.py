@@ -271,14 +271,27 @@ def zeros(g: Grid) -> Field:
 def dump_field(f: Field) -> str:
     """Text form: header "N L h", then row-major node values, one per line.
 
-    Each value is its shortest round-trip repr; the text is built one
-    grid row at a time, so no string per node is held at once.
+    Each value is its shortest round-trip repr.  The text is built one
+    grid row at a time, so no string per node is held at once, and each
+    distinct value is formatted once per row: a row equal byte for byte
+    to an earlier one (a mirror row) reuses that row's text from a cache
+    keyed by its bytes, and a new row formats the unique bit patterns of
+    its values (``np.unique`` on the uint64 view, so 0.0 and -0.0 stay
+    apart) and joins their strings through the inverse index.
     """
     g = f.grid
     lines = [f"{g.dim} {g.L!r} {g.h!r}"]
-    lines.extend(repr(row.tolist())[1:-1].replace(", ", "\n")
-                 for row in f.data.reshape(-1, g.n_axis))
-    return "\n".join(lines) + "\n"
+    row_text = {}
+    for row in f.data.reshape(-1, g.n_axis):
+        key = row.tobytes()
+        text = row_text.get(key)
+        if text is None:
+            bits, inv = np.unique(row.view(np.uint64), return_inverse=True)
+            strs = [repr(x) for x in bits.view(np.float64).tolist()]
+            text = row_text[key] = "\n".join([strs[i] for i in inv.tolist()])
+        lines.append(text)
+    lines.append("")  # the final newline, without a second copy of the text
+    return "\n".join(lines)
 
 
 def load_field(text: str) -> Field:

@@ -182,9 +182,9 @@ def pde_residual(U: Field, V: Field, mu: Field, params: ModelParams) -> tuple:
     """
     Ud, Vd = U.data, V.data
     rU = (-laplacian(U).data + params.lam * Ud
-          - params.alpha0 * Ud ** 3 - params.beta * Ud * Vd ** 2)
+          - params.alpha0 * Ud * Ud * Ud - params.beta * Ud * Vd ** 2)
     rV = (-laplacian(V).data + mu.data * Vd
-          - params.alpha1 * Vd ** 3 - params.beta * Ud ** 2 * Vd)
+          - params.alpha1 * Vd * Vd * Vd - params.beta * Ud ** 2 * Vd)
     fU = Field(U.grid, rU)
     fV = Field(V.grid, rV)
     return (float(np.sqrt(quad_product(fU, fU))),

@@ -85,6 +85,27 @@ def test_g1_single_bump_cube_mismatch_vanishes(townes):
     assert not np.any(W.data ** 3 - cubes.data)
 
 
+def test_rhs_match_textbook_cubes_on_mixed_signs(ring2):
+    """The cubes written as products give the ** 3 forms of both
+    right-hand sides to 1e-14 relative where u and v change sign."""
+    s = ring2
+    p = s["params"]
+    rng = np.random.default_rng(21)
+    ud, vd = rng.standard_normal((2,) + s["g"].shape)
+    assert (ud < 0).any() and (vd < 0).any()
+    u, v = Field(s["g"], ud), Field(s["g"], vd)
+    U, W = s["U0f"].data, s["W"].data
+    ref0 = 3.0 * p.alpha0 * U * ud ** 2 + p.alpha0 * ud ** 3 \
+        + p.beta * (U + ud) * (W + vd) ** 2
+    ref1 = 3.0 * p.alpha1 * W * vd ** 2 + p.alpha1 * vd ** 3 \
+        + p.beta * (U + ud) ** 2 * (W + vd) \
+        - (s["mu"].data - 1.0) * W + p.alpha1 * (W ** 3 - s["cubes"].data)
+    out0 = g0_rhs(u, v, s["U0f"], s["W"], p).data
+    out1 = g1_rhs(u, v, s["U0f"], s["W"], s["cubes"], s["mu"], p).data
+    assert np.max(np.abs(out0 - ref0)) <= 1e-14 * np.max(np.abs(ref0))
+    assert np.max(np.abs(out1 - ref1)) <= 1e-14 * np.max(np.abs(ref1))
+
+
 # ---------------------------------------------------------------------------
 # linearized operators
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -224,6 +225,55 @@ def test_field_dump_matches_per_node_repr(dim, L, h):
     per_node = [f"{g.dim} {g.L!r} {g.h!r}"]
     per_node.extend(repr(float(x)) for x in a.ravel())
     assert grid.dump_field(f) == "\n".join(per_node) + "\n"
+
+
+def _mirror_even(a):
+    """Symmetrize a over every axis, so rows repeat (mirror rows) and
+    values repeat within each row."""
+    for ax in range(a.ndim):
+        a = a + np.flip(a, axis=ax)
+    return a
+
+
+@pytest.mark.parametrize("dim,L,h", [(2, 2.0, 0.25), (3, 1.0, 0.25)])
+def test_field_dump_repeated_values_match_per_node_repr(dim, L, h):
+    """Repeated rows and repeated in-row values print as the per-node
+    repr(float(x)) text, also where they are equal as floats but not as
+    bits (0.0 against -0.0), and for nan and inf."""
+    g = grid.make_grid(dim, L, h)
+    n = g.n_axis
+    a = _mirror_even(np.random.default_rng(8).standard_normal(g.shape))
+    # a row of +0.0 and its mirror row of -0.0
+    a[1], a[n - 2] = 0.0, -0.0
+    # in one row, +0.0 at one end and -0.0 at the mirrored node
+    a[2, ..., 0], a[2, ..., n - 1] = 0.0, -0.0
+    # nan (both signs) and inf at mirrored nodes of mirrored rows
+    for i in (3, n - 4):
+        a[i, ..., 2] = a[i, ..., n - 3] = np.nan
+        a[i, ..., 4] = a[i, ..., n - 5] = -np.inf
+    a[4, ..., 1] = np.copysign(np.nan, -1.0)
+    a[4, ..., n - 2] = np.inf
+    f = grid.Field(g, a)
+    per_node = [f"{g.dim} {g.L!r} {g.h!r}"]
+    per_node.extend(repr(float(x)) for x in a.ravel())
+    assert grid.dump_field(f) == "\n".join(per_node) + "\n"
+
+
+def test_field_dump_peak_memory():
+    """One dump of a 513^2 mirror-even field allocates at most three
+    times its output text at its peak: the row cache holds one text per
+    distinct row, never an index array over the whole grid."""
+    g = grid.make_grid(2, 32.0, 0.125)
+    assert g.n_axis == 513
+    f = grid.Field(g, _mirror_even(
+        np.random.default_rng(13).standard_normal(g.shape)))
+    tracemalloc.start()
+    try:
+        text = grid.dump_field(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.0 * len(text)
 
 
 def test_pairwise_sum_deterministic():

@@ -11,7 +11,7 @@ import pytest
 from ringnls.corrector import build_inputs, fixed_point_iterate
 from ringnls.energy import potential_field
 from ringnls.geometry import radial_field
-from ringnls.grid import make_grid, quad_product, zeros
+from ringnls.grid import Field, laplacian, make_grid, quad_product, zeros
 from ringnls.model import (ModelParams, bump_radius_interval,
                            derive_exponents, make_potential)
 from ringnls.radial import ground_state
@@ -181,6 +181,23 @@ def test_single_species_residual_refinement():
     assert 3.4 < res_u[0.25] / res_u[0.125] < 4.6
 
 
+def test_pde_residual_matches_textbook_cubes_on_mixed_signs():
+    """The cubes written as products give the ** 3 form of both
+    residual norms to 1e-14 relative where U and V change sign."""
+    params = ModelParams(beta=0.05)
+    g = make_grid(2, 8.0, 0.25)
+    mu = potential_field(g, make_potential(params))
+    Ud, Vd = np.random.default_rng(4).standard_normal((2,) + g.shape)
+    U, V = Field(g, Ud), Field(g, Vd)
+    rU = (-laplacian(U).data + params.lam * Ud
+          - params.alpha0 * Ud ** 3 - params.beta * Ud * Vd ** 2)
+    rV = (-laplacian(V).data + mu.data * Vd
+          - params.alpha1 * Vd ** 3 - params.beta * Ud ** 2 * Vd)
+    refs = [math.sqrt(quad_product(Field(g, r), Field(g, r)))
+            for r in (rU, rV)]
+    assert pde_residual(U, V, mu, params) == pytest.approx(refs, rel=1e-14)
+
+
 def test_assemble_solution_at_converged_radius(corr_k2):
     params, inputs, res = corr_k2
     with warnings.catch_warnings():
@@ -209,8 +226,6 @@ def test_assembled_residual_refinement():
     # h-independent multiplier component lagrange * Z (the pair solves
     # the projected equation away from the maximizing radius), so the
     # second-order drop shows once that component is added back
-    from ringnls.grid import Field, laplacian
-
     params = ModelParams(beta=0.05)
     res_u, res_v_corr, lagranges = {}, {}, {}
     for h in (0.125, 0.0625):
