@@ -425,7 +425,10 @@ def _run_corrector(config: RunConfig, out: Path):
          f"{res.iterations} iterations, final step {res.steps[-1]:.3e}"),
         ("contraction_below_one", res.contraction_factor < 1.0, contraction),
         ("radius_mode_orthogonality", zrel <= 1e-10,
-         f"relative Z overlap {zrel:.3e}"),
+         # a rounding-level overlap is not printed digit by digit, so
+         # the detail does not change with the last bits of v
+         "relative Z overlap < 1e-14" if zrel <= 1e-14
+         else f"relative Z overlap {zrel:.3e}"),
     ]
     summary = dict(res.as_dict())
     summary.update({"k": k, "R": float(R), "beta": float(beta),

@@ -15,18 +15,24 @@ solve then starts from the previous iterate (u for L0, v with its
 multiplier for L1) instead of from zero; until then, and whenever a step
 fails to shrink, it starts from zero.
 
-Linear systems are symmetric indefinite and solved by MINRES with a
-spectral preconditioner.  Given the fold order k, each solve runs on the
-part of the box that the axis reflections of the symmetric class fix: y2
-(and y3 in 3-D) always fold, y1 folds for even k, so the unknowns are the
-nodes from the centre on along each folded axis, half the grid for odd k
-and a quarter (an eighth in 3-D) for even k.  The unknowns are scaled by
-sqrt(w), w the number of full-grid mirror copies of a node, which makes
-the folded stencil and preconditioner exactly symmetric and the Euclidean
-products those of the full grid; in exact arithmetic the Krylov iterates
-are the full-grid ones, and the axis reflections hold by construction.
-The residual test is always on the full grid: each MINRES pass unfolds
-its iterate and checks it against the full right-hand side.
+Linear systems are symmetric indefinite and solved by ``minres``, a
+preconditioned MINRES with a spectral preconditioner.  Next to each
+search direction w it recurs A w from the A v of its Lanczos step, so it
+updates the residual b - A x in place and stops on ||b - A x|| <=
+tol ||b|| itself, rather than on a backward-error estimate.  Given the
+fold order k, each solve runs on the part of the box that the axis
+reflections of the symmetric class fix: y2 (and y3 in 3-D) always fold,
+y1 folds for even k, so the unknowns are the nodes from the centre on
+along each folded axis, half the grid for odd k and a quarter (an eighth
+in 3-D) for even k.  The unknowns are scaled by sqrt(w), w the number of
+full-grid mirror copies of a node, which makes the folded stencil and
+preconditioner exactly symmetric and the Euclidean products those of the
+full grid; in exact arithmetic the Krylov iterates are the full-grid
+ones, the folded residual norm is the full-grid one, and the axis
+reflections hold by construction.  The same residual test is then
+repeated on the full grid: each MINRES pass unfolds its iterate and
+checks it against the full right-hand side, and a restart from that
+iterate covers rounding drift of the recurred residual.
 
 The preconditioner inverts the second-order Laplacian plus a positive
 shift, with zero ghost values one spacing outside a box, which the type-I
@@ -51,7 +57,6 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.fft import dctn, dstn, next_fast_len
-from scipy.sparse.linalg import LinearOperator, minres
 
 from .energy import potential_field
 # bump_sum_field, bump_cubes_field, constraint_field and symmetrize are
@@ -284,6 +289,90 @@ def _shifted_operator(g: Grid, pot: np.ndarray, shift: float,
     return fold, matvec, precond
 
 
+def minres(matvec, precond, b: np.ndarray, tol: float, maxiter: int,
+           x0: np.ndarray | None = None, callback=None) -> np.ndarray:
+    """Preconditioned MINRES, stopped when ||b - A x|| <= tol ||b||.
+
+    ``matvec`` applies a symmetric A and ``precond`` a symmetric positive
+    definite approximation of its inverse.  The Lanczos and plane-rotation
+    recurrences are those of Paige and Saunders (1975), as in SciPy's
+    ``minres``.  Each search direction w comes with A w, recurred from the
+    A v of the Lanczos step, so the residual r = b - A x is updated in
+    place next to x and the stopping test is on its Euclidean norm, not
+    on the preconditioner-weighted norm or a backward error.  A start x0
+    (zero when None) that already meets the test is returned after 0
+    iterations; after ``maxiter`` iterations, or when the Krylov space
+    closes (beta = 0), the last iterate is returned.  ``callback(x)`` runs
+    once per iteration.
+    """
+    x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)
+    r = b - matvec(x) if x0 is not None else b.copy()
+    target = tol * tol * float(np.dot(b, b))
+    if float(np.dot(r, r)) <= target:
+        return x
+    y = precond(r)
+    beta = float(np.dot(r, y))
+    if beta <= 0.0:
+        raise ValueError("MINRES preconditioner is not positive definite")
+    beta = math.sqrt(beta)
+    phibar = beta
+    oldb, dbar, epsln, cs, sn = 1.0, 0.0, 0.0, -1.0, 0.0
+    # r1, r2: the last two Lanczos vectors before preconditioning, r1
+    # zero on the first step (so the placeholder oldb is never felt);
+    # w and A w of the last two directions, the older of each pair
+    # overwritten by the new one
+    r1, r2 = np.zeros_like(b), r.copy()
+    w_old, w = np.zeros_like(b), np.zeros_like(b)
+    aw_old, aw = np.zeros_like(b), np.zeros_like(b)
+    eps = np.finfo(float).eps
+    for _ in range(maxiter):
+        v = y / beta
+        del y
+        av = matvec(v)
+        # next Lanczos vector, built in r1's buffer
+        r1 *= -(beta / oldb)
+        r1 += av
+        alfa = float(np.dot(v, r1))
+        r1 -= (alfa / beta) * r2
+        r1, r2 = r2, r1
+        # previous rotation on the new column
+        oldeps = epsln
+        delta = cs * dbar + sn * alfa
+        gbar = sn * dbar - cs * alfa
+        # gamma_k w_k = v_k - eps_k w_{k-2} - delta_k w_{k-1}, and A w_k
+        # alike from A v_k; gamma_k needs the next beta, but v and A v
+        # are released before the preconditioner allocates
+        for new, prev, head in ((w_old, w, v), (aw_old, aw, av)):
+            new *= -oldeps
+            new -= delta * prev
+            new += head
+        del v, av
+        y = precond(r2)
+        oldb = beta
+        beta = float(np.dot(r2, y))
+        if beta < 0.0:
+            raise ValueError("MINRES preconditioner is not positive definite")
+        beta = math.sqrt(beta)
+        # next rotation
+        epsln = sn * beta
+        dbar = -cs * beta
+        gamma = max(math.hypot(gbar, beta), eps)
+        cs, sn = gbar / gamma, beta / gamma
+        phi = cs * phibar
+        phibar = sn * phibar
+        w_old /= gamma
+        aw_old /= gamma
+        w_old, w = w, w_old
+        aw_old, aw = aw, aw_old
+        x += phi * w
+        r -= phi * aw
+        if callback is not None:
+            callback(x)
+        if float(np.dot(r, r)) <= target or beta == 0.0:
+            break
+    return x
+
+
 def _solve_minres(matvec, precond, b: np.ndarray, tol: float,
                   label: str, x0: np.ndarray | None = None,
                   callback=None, check=None) -> np.ndarray:
@@ -291,38 +380,34 @@ def _solve_minres(matvec, precond, b: np.ndarray, tol: float,
 
     The first pass starts from x0 (zero when None); a good guess such as
     the previous Picard iterate saves Krylov iterations, and the answer
-    meets the same true-residual test.  The preconditioned convergence
-    test can understate the true residual, so the solve is repeated from
-    the last iterate with a tighter inner tolerance until
-    ||A x - b|| <= tol ||b|| holds, or reported as stalled with the
-    achieved residual history.  ``check`` is the system (apply, rhs) that
-    test measures, with apply taking the Krylov iterate; when None it is
-    (matvec, b).  A folded solve passes the full-grid system, so a
-    right-hand side the fold cannot represent fails the test instead of
-    passing unseen.  rhs = 0 returns exact zeros whatever x0 is.
-    ``callback`` is handed to every MINRES pass, so it sees the
-    iterations of all of them.
+    meets the same test.  Each pass stops on its recurred residual,
+    ||b - A x|| <= tol ||b||, which is then recomputed from the returned
+    iterate on ``check``, the system (apply, rhs) with apply taking the
+    Krylov iterate; when None it is (matvec, b).  A folded solve passes
+    the full-grid system, so a right-hand side the fold cannot represent
+    fails the test instead of passing unseen.  When the recomputed
+    residual misses tol (rounding drift of the recurrence, or such a
+    right-hand side) the solve restarts from the last iterate with twice
+    the iteration budget, and after three passes it is reported as
+    stalled with the achieved residual history.  rhs = 0 returns exact
+    zeros whatever x0 is.  ``callback`` is handed to every pass, so it
+    sees the iterations of all of them.
     """
     apply, rhs = check if check is not None else (matvec, b)
     bnorm = math.sqrt(float(np.dot(rhs, rhs)))
     if bnorm == 0.0:
         return np.zeros_like(b)
-    n = b.size
-    A = LinearOperator((n, n), matvec=matvec, dtype=float)
-    M = LinearOperator((n, n), matvec=precond, dtype=float)
     history = []
     x = x0
-    rtol = tol / 20.0
     maxiter = 1200
     for _ in range(3):
-        x, _info = minres(A, b, x0=x, rtol=rtol, maxiter=maxiter, M=M,
-                          callback=callback)
+        x = minres(matvec, precond, b, tol, maxiter, x0=x,
+                   callback=callback)
         r = apply(x) - rhs
         res = math.sqrt(float(np.dot(r, r))) / bnorm
         history.append(res)
         if res <= tol:
             return x
-        rtol /= 100.0
         maxiter *= 2
     raise LinearSolveStalled(
         f"{label} solve stalled: relative residuals {history} "

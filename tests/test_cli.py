@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ringnls.cli as cli
 from ringnls.cli import RunConfig, _failure_name, main, parse_config, run
 from ringnls.corrector import CorrectorDivergence, LinearSolveStalled
 from ringnls.grid import load_field
@@ -247,6 +249,35 @@ def test_contraction_not_evaluated_after_one_step(tmp_path):
     assert not checks["corrector_converged"]["passed"]
     failure = json.loads((out / "failure.json").read_text())
     assert failure["invariant"] == "corrector_converged"
+
+
+def test_rounding_level_z_overlap_same_bytes(tmp_path, monkeypatch):
+    # overlaps of v with Z at rounding level print as one bound, so
+    # summary.json does not change with the last bits of v; above it the
+    # measured value is printed
+    real = cli.quad_product
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("k = 1\nR = 8\nL = 16\nh = 0.5\nmax_iter = 1\n")
+    blobs = {}
+    for zrel in (1.7e-17, 3.3e-17, 2.5e-13):
+        def reported(a, b, *rest, zrel=zrel):
+            # quad(Z, v) is the one call on two different fields
+            if rest or a is b:
+                return real(a, b, *rest)
+            return zrel * math.sqrt(real(a, a) * real(b, b))
+
+        monkeypatch.setattr(cli, "quad_product", reported)
+        out = tmp_path / f"{zrel:g}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            main(["corrector", "--config", str(cfg), "--out", str(out)])
+        blobs[zrel] = (out / "summary.json").read_bytes()
+    assert blobs[1.7e-17] == blobs[3.3e-17]
+    details = {zrel: {c["invariant"]: c for c in json.loads(blob)["checks"]}
+               ["radius_mode_orthogonality"]["detail"]
+               for zrel, blob in blobs.items()}
+    assert details[1.7e-17] == "relative Z overlap < 1e-14"
+    assert details[2.5e-13] == "relative Z overlap 2.500e-13"
 
 
 def _assert_corrector_rerun_bit_identical(tmp_path, config_text):

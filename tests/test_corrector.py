@@ -178,15 +178,74 @@ def test_solve_minres_zero_rhs_ignores_start():
     assert count.n == 0
 
 
+def _indefinite_system(n=60):
+    """Dense symmetric indefinite A (eigenvalues of both signs, none
+    near zero), an SPD diagonal preconditioner and a right-hand side."""
+    rng = np.random.default_rng(7)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    eig = np.concatenate([-rng.uniform(0.5, 3.0, n // 3),
+                          rng.uniform(0.5, 40.0, n - n // 3)])
+    a = (q * eig) @ q.T
+    a = 0.5 * (a + a.T)
+    d = 1.0 / rng.uniform(1.0, 10.0, n)
+    return a, d, rng.standard_normal(n), rng.standard_normal(n)
+
+
+@pytest.mark.parametrize("start", ["zero", "x0"])
+def test_minres_meets_true_residual(start):
+    # the stop is on ||b - A x|| itself: recomputed from the returned
+    # iterate it meets the tolerance; the callback sees every iterate,
+    # whose preconditioned residual norm MINRES never lets grow
+    a, d, b, guess = _indefinite_system()
+    tol = 1e-10
+    iterates = []
+    x = corrector.minres(lambda x: a @ x, lambda x: d * x, b, tol, 500,
+                         x0=guess if start == "x0" else None,
+                         callback=lambda xk: iterates.append(xk.copy()))
+    assert np.linalg.norm(b - a @ x) <= tol * np.linalg.norm(b)
+    assert 0 < len(iterates) < 500
+    assert np.array_equal(iterates[-1], x)
+    mnorm = [math.sqrt(float(np.dot(b - a @ xk, d * (b - a @ xk))))
+             for xk in iterates]
+    assert all(now <= before * (1 + 1e-8)
+               for before, now in zip(mnorm, mnorm[1:]))
+
+
+def test_minres_callback_once_per_iteration():
+    # an unreachable tolerance runs the whole budget: one callback each
+    a, d, b, _ = _indefinite_system()
+    count = _KrylovCount()
+    corrector.minres(lambda x: a @ x, lambda x: d * x, b, 0.0, 7,
+                     callback=count)
+    assert count.n == 7
+
+
+def test_minres_start_within_tolerance():
+    # a start that already meets the test returns as it is, 0 iterations
+    a, d, b, _ = _indefinite_system()
+    exact = np.linalg.solve(a, b)
+    count = _KrylovCount()
+    x = corrector.minres(lambda x: a @ x, lambda x: d * x, b, 1e-8, 500,
+                         x0=exact, callback=count)
+    assert count.n == 0
+    assert np.array_equal(x, exact)
+
+
+def test_minres_rejects_indefinite_preconditioner():
+    a, d, b, _ = _indefinite_system()
+    with pytest.raises(ValueError, match="not positive definite"):
+        corrector.minres(lambda x: a @ x, lambda x: -d * x, b, 1e-8, 500)
+
+
 def test_solve_L0_started_at_solution():
-    # a start at the solution is already within tolerance: at most one
-    # Krylov iteration, and the true residual holds
+    # a start at the solution is already within tolerance: no Krylov
+    # iteration, and the true residual holds
     g, params, mode, rhs = _sine_mode_system()
     tol = 1e-12
     count = _KrylovCount()
     sol = solve_L0(rhs, zeros(g), params, tol, x0=mode.ravel(),
                    callback=count)
-    assert count.n <= 1
+    assert count.n == 0
     res = apply_L0(sol, zeros(g), params) - rhs
     assert math.sqrt(quad_product(res, res)) \
         <= tol * math.sqrt(quad_product(rhs, rhs))
@@ -585,6 +644,38 @@ def test_warm_start_after_contracting_step(monkeypatch):
     # one [L0, L1] iteration count per step, fewer once warm
     assert len(res.krylov_iters) == res.iterations
     assert sum(res.krylov_iters[-1]) < sum(res.krylov_iters[0])
+
+
+def test_one_minres_pass_per_solve_while_diverging(monkeypatch):
+    # every linear solve of the diverging k = 16 ring stops on the
+    # residual that its full-grid check then measures, so no solve
+    # needs a restart pass
+    passes = []
+
+    def counted_solve(solve):
+        def wrapper(*args, **kwargs):
+            passes.append(0)
+            return solve(*args, **kwargs)
+        return wrapper
+
+    minres = corrector.minres
+
+    def counted_minres(*args, **kwargs):
+        passes[-1] += 1
+        return minres(*args, **kwargs)
+
+    for name in ("solve_L0", "solve_L1_constrained"):
+        monkeypatch.setattr(corrector, name,
+                            counted_solve(getattr(corrector, name)))
+    monkeypatch.setattr(corrector, "minres", counted_minres)
+    base = ModelParams()
+    inputs = build_inputs(16, mid_radius(16, base.m, base.theta), base,
+                          h=0.5)
+    params = ModelParams(beta=0.5 * inputs.budget.f0)
+    with pytest.raises(CorrectorDivergence):
+        fixed_point_iterate(inputs, params)
+    assert len(passes) >= 6
+    assert passes == [1] * len(passes)
 
 
 def test_no_warm_start_while_diverging(monkeypatch):

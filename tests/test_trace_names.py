@@ -1,20 +1,55 @@
 """The benchmark tracer wraps ringnls functions by (module, attribute)
 name; every name it lists must resolve, so a rename fails here rather
-than in a traced benchmark run."""
+than in a traced benchmark run, and the wrapped MINRES must be the one
+the solves call, so its Krylov count cannot silently read 0."""
 from __future__ import annotations
 
 import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
+import ringnls.corrector as corrector
+from ringnls.grid import Field
+from ringnls.model import ModelParams
+
 SPANS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
-def test_traced_names_resolve():
+def _load_spans():
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PY)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_traced_names_resolve():
+    spans = _load_spans()
     missing = [(module, attr) for module, attr, _name
                in spans.SPANS + spans.COUNTS
                if not hasattr(importlib.import_module(module), attr)]
     assert missing == []
+
+
+def test_tracer_sees_every_krylov_iteration():
+    # one folded bordered L1 solve with the tracer installed: its MINRES
+    # wrapper counts exactly the iterations the solve's own callback does
+    spans = _load_spans()
+    params = ModelParams(beta=0.05)
+    inputs = corrector.build_inputs(2, 6.0, params, h=0.5, L=12.0)
+    zero = Field(inputs.g, np.zeros(inputs.g.shape))
+    rhs = corrector.g1_rhs(zero, zero, inputs.U0f, inputs.W, inputs.cubes,
+                           inputs.mu, params)
+    count = corrector._KrylovCount()
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        corrector.solve_L1_constrained(rhs, inputs.W, inputs.mu, inputs.Z,
+                                       params, 1e-9, k=2, callback=count)
+    finally:
+        tracer.uninstall()
+    passes = [s for s in tracer.spans if s[0] == "corrector.minres"]
+    assert count.n > 0
+    assert tracer.counts[spans.KRYLOV] == count.n
+    assert len(passes) == 1
