@@ -14,6 +14,10 @@ to the output directory, all atomically (write-then-rename).  The exit
 status is 0 exactly when every invariant the subcommand asserts held;
 otherwise a failure.json names the first violated invariant (a diverging
 corrector also records its Picard steps and their Krylov iterations).
+The warnings a run issues, such as a radius outside the admissible
+window or an integrand with mass on the box wall, are listed in the
+summary.json or failure.json it writes and are issued again afterwards,
+so they still reach stderr.
 
 Scan and sampling stages run serially from a single seeded generator,
 so identical config + seed produce bit-identical artifacts (the output
@@ -29,6 +33,7 @@ import math
 import os
 import sys
 import tempfile
+import warnings
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -531,16 +536,27 @@ def run(subcommand: str, config: RunConfig) -> int:
         raise ValueError(f"unknown subcommand {subcommand!r}")
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
-    try:
-        summary, checks = _HANDLERS[subcommand](config, out)
-    except (RuntimeError, ValueError) as exc:
+    error = None
+    with warnings.catch_warnings(record=True) as caught:
+        # each warning once per message and code location, whatever
+        # filters the caller set, so the list is the same on every run
+        warnings.simplefilter("default")
+        try:
+            summary, checks = _HANDLERS[subcommand](config, out)
+        except (RuntimeError, ValueError) as exc:
+            error = exc
+    for w in caught:
+        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+    warned = [f"{w.category.__name__}: {w.message}" for w in caught]
+
+    if error is not None:
         record = {"subcommand": subcommand,
-                  "invariant": _failure_name(exc),
-                  "detail": str(exc)}
-        if isinstance(exc, CorrectorDivergence):
-            record.update(steps=exc.steps, krylov_iters=exc.krylov_iters)
+                  "invariant": _failure_name(error),
+                  "detail": str(error), "warnings": warned}
+        if isinstance(error, CorrectorDivergence):
+            record.update(steps=error.steps, krylov_iters=error.krylov_iters)
         _atomic_write(out / "failure.json", _json_text(record))
-        print(f"{subcommand}: FAIL ({record['invariant']}): {exc}",
+        print(f"{subcommand}: FAIL ({record['invariant']}): {error}",
               file=sys.stderr)
         return 1
 
@@ -549,6 +565,7 @@ def run(subcommand: str, config: RunConfig) -> int:
     payload["checks"] = [
         {"invariant": name, "passed": passed, "detail": detail}
         for name, passed, detail in checks]
+    payload["warnings"] = warned
     _atomic_write(out / "summary.json", _json_text(payload))
 
     failed = [(name, detail) for name, passed, detail in checks
@@ -557,7 +574,7 @@ def run(subcommand: str, config: RunConfig) -> int:
         name, detail = failed[0]
         _atomic_write(out / "failure.json", _json_text(
             {"subcommand": subcommand, "invariant": name,
-             "detail": detail}))
+             "detail": detail, "warnings": warned}))
         print(f"{subcommand}: FAIL ({name}): {detail}", file=sys.stderr)
         return 1
     stale = out / "failure.json"

@@ -15,24 +15,37 @@ solve then starts from the previous iterate (u for L0, v with its
 multiplier for L1) instead of from zero; until then, and whenever a step
 fails to shrink, it starts from zero.
 
+The symmetric class contains the reflections of the axes mirror_axes(k):
+y2 (and y3 in 3-D) always, y1 for even k.  The iteration therefore runs
+on the part of the box that they fix, the nodes from the centre on along
+each mirrored axis, half the grid for odd k and a quarter (an eighth in
+3-D) for even k: U0, W, Sigma V_i^3, mu and Z are cut to that part once
+(``grid.fold``), and the iterates, right-hand sides, linear solves,
+symmetrizations, Z projections and E-norm steps all stay there.  The
+folded stencils read the node at index -j of a mirrored axis as the
+mirror copy of node j and the quadratures weight each node by its number
+of full-grid copies, so every value on the part is that of the full
+grid.  Only the returned pair is mirrored back to the full grid.
+
 Linear systems are symmetric indefinite and solved by ``minres``, a
 preconditioned MINRES with a spectral preconditioner.  Next to each
 search direction w it recurs A w from the A v of its Lanczos step, so it
 updates the residual b - A x in place and stops on ||b - A x|| <=
 tol ||b|| itself, rather than on a backward-error estimate.  Given the
-fold order k, each solve runs on the part of the box that the axis
-reflections of the symmetric class fix: y2 (and y3 in 3-D) always fold,
-y1 folds for even k, so the unknowns are the nodes from the centre on
-along each folded axis, half the grid for odd k and a quarter (an eighth
-in 3-D) for even k.  The unknowns are scaled by sqrt(w), w the number of
-full-grid mirror copies of a node, which makes the folded stencil and
+fold order k, each solve runs on the folded part whether its inputs are
+folded or full-grid.  The unknowns are scaled by sqrt(w), w the number
+of full-grid mirror copies of a node, which makes the folded stencil and
 preconditioner exactly symmetric and the Euclidean products those of the
 full grid; in exact arithmetic the Krylov iterates are the full-grid
 ones, the folded residual norm is the full-grid one, and the axis
 reflections hold by construction.  The same residual test is then
-repeated on the full grid: each MINRES pass unfolds its iterate and
-checks it against the full right-hand side, and a restart from that
-iterate covers rounding drift of the recurred residual.
+repeated by an independent apply of the unscaled operator on the
+inputs' grid: each MINRES pass checks its iterate against the right-hand
+side, and a restart from that iterate covers rounding drift of the
+recurred residual.  On folded inputs that check is mirror-weighted,
+which is the full-grid norm of the even extension; on full-grid inputs
+it is the full-grid residual, which also catches a right-hand side
+outside the class that the fold cannot represent.
 
 The preconditioner inverts the second-order Laplacian plus a positive
 shift, with zero ghost values one spacing outside a box, which the type-I
@@ -63,11 +76,11 @@ from .energy import potential_field
 # not called here, but perfbench/spans.py patches them on this module by
 # name; it times the projections below under symmetrize_fast
 from .geometry import (BumpConfiguration, bump_centers, bump_cubes_field,
-                       bump_sum_field, constraint_field, half_box,
-                       mirror_axes, mirror_back, radial_field, ring_fields,
-                       symmetrize)
+                       bump_sum_field, constraint_field, mirror_axes,
+                       radial_field, ring_fields, symmetrize)
 from .geometry import symmetrize as symmetrize_fast
-from .grid import Field, Grid, grid_for_radius, laplacian, norm_E, quad_product
+from .grid import (Field, Grid, fold, grid_for_radius, half_box, laplacian,
+                   mirror_back, norm_E, quad_product, unfold, zeros)
 from .model import (CouplingBudget, ModelParams, bump_radius_interval,
                     compute_gamma0_f0, derive_exponents, make_potential)
 from .radial import ground_state
@@ -152,41 +165,45 @@ class _Fold:
     The folded axes are ``mirror_axes(k)``: y2 (and y3 in 3-D) always, y1
     when k is even.  A folded axis keeps the nodes from its centre index
     c = (n_axis - 1) / 2 on (``half_box``), the same nodes on which
-    ``symmetrize`` interpolates unless k = 0 mod 4.  Vectors on the part are
-    scaled by sqrt(w), w the number of full-grid mirror copies of a node
-    (2 per folded axis off that axis's centre, 1 on it), so Euclidean
-    products of scaled vectors equal full-grid products of even fields.
-    With k None nothing folds and w = 1.
+    ``symmetrize`` interpolates unless k = 0 mod 4, and the same layout
+    as a field that ``grid.fold`` stores on those axes.  ``grid`` is the
+    caller's grid: the full box, whose arrays the fold cuts and mirrors
+    back, or the grid already folded on these axes, whose arrays are the
+    part itself.  Vectors on the part are scaled by sqrt(w), w the
+    number of full-grid mirror copies of a node (2 per folded axis off
+    that axis's centre, 1 on it), so Euclidean products of scaled
+    vectors equal full-grid products of even fields.  With k None
+    nothing folds and w = 1.
     """
 
-    shape: tuple          # full grid shape
+    grid: Grid            # the caller's grid, full or folded
     axes: tuple           # folded axes
-    part: tuple           # index of the kept part in a full-grid array
+    part: tuple           # index of the kept part in an array on grid
     root_w: np.ndarray    # sqrt(w) on the part
 
     def fold(self, a: np.ndarray) -> np.ndarray:
-        """Scaled kept part of a full-grid array, flattened."""
-        return (a.reshape(self.shape)[self.part] * self.root_w).ravel()
+        """Scaled kept part of an array on grid, flattened."""
+        return (a.reshape(self.grid.shape)[self.part] * self.root_w).ravel()
 
-    def unfold(self, x: np.ndarray) -> np.ndarray:
-        """Full-grid array of a scaled folded vector, mirrored back."""
-        return mirror_back(x.reshape(self.root_w.shape) / self.root_w,
-                           self.axes)
+    def unfold(self, x: np.ndarray) -> Field:
+        """The field on grid of a scaled folded vector."""
+        a = x.reshape(self.root_w.shape) / self.root_w
+        return Field(self.grid,
+                     a if self.grid.mirrored else mirror_back(a, self.axes))
+
+    def weigh(self, a: np.ndarray) -> np.ndarray:
+        """An array on grid as a vector whose Euclidean products are the
+        full-grid products of the even extensions."""
+        return (a * self.root_w).ravel() if self.grid.mirrored else a.ravel()
 
 
 def _fold_for(g: Grid, k: int | None) -> _Fold:
     axes = mirror_axes(k, g.dim)
-    c = (g.n_axis - 1) // 2
-    half = np.full(g.n_axis - c, math.sqrt(2.0))
-    half[0] = 1.0
-    root_w = np.ones(tuple(g.n_axis - c if ax in axes else g.n_axis
-                           for ax in range(g.dim)))
-    for ax in axes:
-        shape = [1] * g.dim
-        shape[ax] = half.size
-        root_w *= half.reshape(shape)
-    return _Fold(shape=g.shape, axes=axes, part=half_box(g, axes),
-                 root_w=root_w)
+    if g.mirrored and g.mirrored != axes:
+        raise ValueError(f"grid folded on axes {g.mirrored}, the fold-{k} "
+                         f"class mirrors {axes}")
+    return _Fold(grid=g, axes=axes, part=half_box(g, axes),
+                 root_w=np.sqrt(g.with_mirrored(axes).mirror_weights()))
 
 
 def _padded_size(n_axis: int) -> int:
@@ -253,32 +270,35 @@ def _shifted_operator(g: Grid, pot: np.ndarray, shift: float,
                       k: int | None):
     """-lap + pot and its preconditioner on the folded box of fold order k.
 
-    Returns (fold, matvec, precond).  matvec and precond act on
-    sqrt(w)-scaled folded vectors and are exactly symmetric: the folded
-    stencil reads the ghost at index -1 of a folded axis as the mirror
-    copy of index 1, which after scaling makes the coupling of the centre
-    node and its neighbour sqrt(2) in both directions; the far ghost
+    pot lives on g, the full grid or the grid folded for k.  Returns
+    (fold, matvec, precond).  matvec and precond act on sqrt(w)-scaled
+    folded vectors and are exactly symmetric.  The folded stencil reads
+    the ghost at index -1 of a folded axis as the mirror copy of index 1
+    (``laplacian`` on the folded grid), so unscaled the centre node sees
+    its neighbour twice and the neighbour sees the centre once; after
+    scaling both couplings are sqrt(2), which matvec applies to the
+    scaled vector by two edge terms per folded axis.  The far ghost
     stays zero.  The preconditioner is the padded-box inverse of the
     shifted Laplacian.
     """
     fold = _fold_for(g, k)
+    folded = g.with_mirrored(fold.axes)
     potf = pot[fold.part]
     inv = _inverse_spectrum(_padded_size(g.n_axis), g.dim, g.h, shift,
                             fold.axes)
-    edge = (math.sqrt(2.0) - 1.0) / (g.h * g.h)
-    ends = []
-    for ax in fold.axes:
-        lo = [slice(None)] * g.dim
-        hi = [slice(None)] * g.dim
-        lo[ax], hi[ax] = 0, 1
-        ends.append((tuple(lo), tuple(hi)))
+    h2 = g.h * g.h
+    centre_edge = (math.sqrt(2.0) - 2.0) / h2
+    next_edge = (math.sqrt(2.0) - 1.0) / h2
+    ends = [(tuple(0 if d == ax else slice(None) for d in range(g.dim)),
+             tuple(1 if d == ax else slice(None) for d in range(g.dim)))
+            for ax in fold.axes]
 
     def matvec(x):
         a = x.reshape(fold.root_w.shape)
-        lap = laplacian(Field(g, a)).data
+        lap = laplacian(Field(folded, a)).data
         for lo, hi in ends:
-            lap[lo] += edge * a[hi]
-            lap[hi] += edge * a[lo]
+            lap[lo] += centre_edge * a[hi]
+            lap[hi] += next_edge * a[lo]
         return (-lap + potf * a).ravel()
 
     def precond(x):
@@ -384,8 +404,9 @@ def _solve_minres(matvec, precond, b: np.ndarray, tol: float,
     ||b - A x|| <= tol ||b||, which is then recomputed from the returned
     iterate on ``check``, the system (apply, rhs) with apply taking the
     Krylov iterate; when None it is (matvec, b).  A folded solve passes
-    the full-grid system, so a right-hand side the fold cannot represent
-    fails the test instead of passing unseen.  When the recomputed
+    an independent apply of the unscaled operator on its inputs' grid: on
+    the full grid a right-hand side the fold cannot represent fails the
+    test instead of passing unseen.  When the recomputed
     residual misses tol (rounding drift of the recurrence, or such a
     right-hand side) the solve restarts from the last iterate with twice
     the iteration budget, and after three passes it is reported as
@@ -425,22 +446,27 @@ def solve_L0(rhs: Field, U0f: Field, params: ModelParams, tol: float,
     DCT-III/II preconditioner on the odd sine modes of the folded axes,
     and the returned solution is projected by ``symmetrize`` (the fold
     holds the axis reflections, not the rotations by 2 pi / k); with k
-    None the solve runs on the full grid.  Either way the residual test
-    is on the full grid, against the full rhs.  x0 (flat, g.size values)
-    is the Krylov starting guess, zero when None, folded like rhs;
-    ``callback`` is MINRES's per-iteration callback.
+    None the solve runs on the full grid.  rhs, U0f and the answer share
+    one grid: the full box, or the box folded for k (``grid.fold``).
+    The residual test applies apply_L0 to the unscaled iterate on that
+    grid, against rhs: on the full box a component of rhs the fold
+    cannot represent fails it, and on the folded box its mirror-weighted
+    norm is the full-box norm of the even extension.  x0 (flat,
+    rhs.grid.size values) is the Krylov starting guess, zero when None,
+    folded like rhs; ``callback`` is MINRES's per-iteration callback.
     """
     g = rhs.grid
     pot = params.lam - 3.0 * params.alpha0 * U0f.data ** 2
     fold, mv, pc = _shifted_operator(g, pot, params.lam, k)
 
-    def apply_full(x):
-        return apply_L0(Field(g, fold.unfold(x)), U0f, params).data.ravel()
+    def apply_check(x):
+        return fold.weigh(apply_L0(fold.unfold(x), U0f, params).data)
 
     x = _solve_minres(mv, pc, fold.fold(rhs.data), tol, "L0",
                       x0=None if x0 is None else fold.fold(x0),
-                      callback=callback, check=(apply_full, rhs.data.ravel()))
-    u = Field(g, fold.unfold(x))
+                      callback=callback,
+                      check=(apply_check, fold.weigh(rhs.data)))
+    u = fold.unfold(x)
     if k is not None:
         u = symmetrize_fast(u, k)
     return u
@@ -463,10 +489,12 @@ def solve_L1_constrained(rhs: Field, bumpsum: Field, mu: Field, Z: Field,
     exactly symmetric for MINRES.  With the fold order k the field block
     runs on the folded box as in ``solve_L0``; the bordered row and column
     are the scaled sqrt(w) Z, whose product with the scaled v is still the
-    full-grid node sum.  The residual test is on the full bordered system
-    on the full grid.  x0 is the Krylov starting guess for the bordered
-    unknown [v flattened, lam_c] (g.size + 1 values), zero when None;
-    ``callback`` is MINRES's per-iteration callback.  Returns (v, lam_c).
+    full-grid node sum.  The inputs share one grid, full or folded, as in
+    ``solve_L0``, and the residual test is on the bordered system on that
+    grid, mirror-weighted when folded.  x0 is the Krylov starting guess
+    for the bordered unknown [v flattened, lam_c] (rhs.grid.size + 1
+    values), zero when None; ``callback`` is MINRES's per-iteration
+    callback.  Returns (v, lam_c).
     """
     g = rhs.grid
     zz = quad_product(Z, Z)
@@ -474,7 +502,7 @@ def solve_L1_constrained(rhs: Field, bumpsum: Field, mu: Field, Z: Field,
         raise ValueError("degenerate constraint: quad(Z^2) is zero")
     pot = mu.data - 3.0 * params.alpha1 * bumpsum.data ** 2
     fold, op, op_pc = _shifted_operator(g, pot, 1.0, k)
-    zflat = Z.data.ravel()
+    zcheck = fold.weigh(Z.data)
     zf = fold.fold(Z.data)
 
     def mv(x):
@@ -486,17 +514,19 @@ def solve_L1_constrained(rhs: Field, bumpsum: Field, mu: Field, Z: Field,
     def pc(x):
         return np.concatenate([op_pc(x[:-1]), [x[-1] / schur]])
 
-    def apply_full(x):
-        v = Field(g, fold.unfold(x[:-1]))
-        out = apply_L1(v, bumpsum, mu, params).data.ravel() + x[-1] * zflat
-        return np.append(out, float(np.dot(zflat, v.data.ravel())))
+    def apply_check(x):
+        v = fold.unfold(x[:-1])
+        out = fold.weigh(apply_L1(v, bumpsum, mu, params).data) \
+            + x[-1] * zcheck
+        return np.append(out, float(np.dot(zcheck, fold.weigh(v.data))))
 
     b = np.append(fold.fold(rhs.data), 0.0)
     if x0 is not None:
         x0 = np.append(fold.fold(x0[:-1]), x0[-1])
     x = _solve_minres(mv, pc, b, tol, "L1", x0=x0, callback=callback,
-                      check=(apply_full, np.append(rhs.data.ravel(), 0.0)))
-    v = Field(g, fold.unfold(x[:-1]))
+                      check=(apply_check,
+                             np.append(fold.weigh(rhs.data), 0.0)))
+    v = fold.unfold(x[:-1])
     lam_c = float(x[-1])
     if k is not None:
         v = symmetrize_fast(v, k)
@@ -587,26 +617,20 @@ class CorrectorResult:
         }
 
 
-def _forcing_split(inputs: CorrectorInputs, params: ModelParams) -> str:
+def _forcing_split(U0f: Field, W: Field, mu: Field, cubes: Field,
+                   params: ModelParams) -> str:
     """L2 norms of the three parts of the forcing at (u, v) = (0, 0).
 
-    The parts lie in the symmetric class, so each norm is a node sum over
-    the folded part of ``_Fold`` with the mirror multiplicities as
-    weights.  Plain node sums suffice: the parts have decayed at the box
-    wall, where the trapezoid rule would halve the weights.
+    The fields may be folded (``grid.fold``): the parts lie in the
+    symmetric class, and the mirror-weighted quadrature of the folded box
+    is the full-box one.
     """
-    g = inputs.g
-    fold = _fold_for(g, inputs.config.k)
-    U, W, mu, cubes = (f.data[fold.part] for f in (
-        inputs.U0f, inputs.W, inputs.mu, inputs.cubes))
-    weights = g.h ** g.dim * fold.root_w ** 2
-
     def l2(*parts):
-        return math.sqrt(sum(float(np.vdot(weights, p * p)) for p in parts))
+        return math.sqrt(sum(quad_product(p, p) for p in parts))
 
     potential = l2((mu - 1.0) * W)
-    overlap = l2(params.alpha1 * (W ** 3 - cubes))
-    coupling = l2(params.beta * U * W ** 2, params.beta * U ** 2 * W)
+    overlap = l2(params.alpha1 * (W * W * W - cubes))
+    coupling = l2(params.beta * U0f * W * W, params.beta * U0f * U0f * W)
     return (f"forcing L2 norms at (u, v) = (0, 0): potential (mu - 1) W "
             f"{potential:.4g}, overlap a1 (W^3 - sum V_i^3) {overlap:.4g}, "
             f"beta terms b U0 W^2 and b U0^2 W {coupling:.4g}")
@@ -618,12 +642,16 @@ def fixed_point_iterate(inputs: CorrectorInputs, params: ModelParams,
     """Iterate the corrector map from (0, 0) until the E-norm step < tol.
 
     The fold order k and the radius R are read from ``inputs.config``.
-    Both components are refreshed simultaneously from the previous pair;
-    the linear solves return each iterate symmetrized and v orthogonal to
-    Z, so the last pair is returned as it is.  When the last step shrank
-    (step ratio < 1), both linear solves start from the previous iterate:
-    u for L0 and [v, lam_c] for the bordered L1 system; otherwise they
-    start from zero.  The MINRES iterations of each step, summed over
+    The iteration runs on the box folded on ``mirror_axes(k)``: U0, W,
+    Sigma V_i^3, mu and Z are cut to that part once, and the iterates,
+    right-hand sides, linear solves, Z projections and E-norm steps stay
+    there.  Both components are refreshed simultaneously from the
+    previous pair; the linear solves return each iterate symmetrized and
+    v orthogonal to Z, so the last pair is returned as it is, mirrored
+    back to the full box.  When the last step shrank (step ratio < 1),
+    both linear solves start from the previous iterate: u for L0 and
+    [v, lam_c] for the bordered L1 system; otherwise they start from
+    zero.  The MINRES iterations of each step, summed over
     restarts, are kept as [L0, L1] pairs in ``krylov_iters``.  Merely
     warns when R lies outside the admissible window.  Raises
 
@@ -650,10 +678,11 @@ def fixed_point_iterate(inputs: CorrectorInputs, params: ModelParams,
             warnings.warn(f"R = {Rvalue:g} outside the admissible window "
                           f"[{lo:g}, {hi:g}] for k = {k}", stacklevel=2)
 
-    g = inputs.g
+    axes = mirror_axes(k, inputs.g.dim)
+    U0f, W, cubes, mu, Z = (fold(f, axes) for f in (
+        inputs.U0f, inputs.W, inputs.cubes, inputs.mu, inputs.Z))
     lin_tol = tol / 10.0
-    u = Field(g, np.zeros(g.shape))
-    v = Field(g, np.zeros(g.shape))
+    u, v = zeros(U0f.grid), zeros(U0f.grid)
     lagrange = 0.0
     steps: list[float] = []
     ratios: list[float] = []
@@ -664,21 +693,20 @@ def fixed_point_iterate(inputs: CorrectorInputs, params: ModelParams,
     def _divergence_error():
         return CorrectorDivergence(
             f"fixed point diverging at R = {Rvalue:g}, k = {k}: "
-            f"steps {steps}; {_forcing_split(inputs, params)}",
+            f"steps {steps}; {_forcing_split(U0f, W, mu, cubes, params)}",
             steps=steps, krylov_iters=krylov)
 
     for iterations in range(1, max_iter + 1):
-        b0 = g0_rhs(u, v, inputs.U0f, inputs.W, params)
-        b1 = g1_rhs(u, v, inputs.U0f, inputs.W, inputs.cubes, inputs.mu,
-                    params)
+        b0 = g0_rhs(u, v, U0f, W, params)
+        b1 = g1_rhs(u, v, U0f, W, cubes, mu, params)
         warm = bool(ratios) and ratios[-1] < 1.0
         count0, count1 = _KrylovCount(), _KrylovCount()
         try:
-            u_new = solve_L0(b0, inputs.U0f, params, lin_tol, k=k,
+            u_new = solve_L0(b0, U0f, params, lin_tol, k=k,
                              x0=u.data.ravel() if warm else None,
                              callback=count0)
             v_new, lagrange = solve_L1_constrained(
-                b1, inputs.W, inputs.mu, inputs.Z, params, lin_tol, k=k,
+                b1, W, mu, Z, params, lin_tol, k=k,
                 x0=np.append(v.data.ravel(), lagrange) if warm else None,
                 callback=count1)
         except LinearSolveStalled as exc:
@@ -692,7 +720,7 @@ def fixed_point_iterate(inputs: CorrectorInputs, params: ModelParams,
         # rather than allocate two more grid-size arrays per step
         np.subtract(u_new.data, u.data, out=u.data)
         np.subtract(v_new.data, v.data, out=v.data)
-        step = norm_E(u, v, params.lam, inputs.mu)
+        step = norm_E(u, v, params.lam, mu)
         if steps:
             ratios.append(step / steps[-1] if steps[-1] > 0 else 0.0)
         steps.append(step)
@@ -706,8 +734,8 @@ def fixed_point_iterate(inputs: CorrectorInputs, params: ModelParams,
             raise _divergence_error()
 
     return CorrectorResult(
-        u=u, v=v,
-        norm_E=norm_E(u, v, params.lam, inputs.mu),
+        u=unfold(u), v=unfold(v),
+        norm_E=norm_E(u, v, params.lam, mu),
         iterations=iterations,
         contraction_factor=max(ratios) if ratios else 0.0,
         lagrange=lagrange,

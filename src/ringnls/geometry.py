@@ -16,8 +16,9 @@ node x per H-orbit only: the half box of mirror_axes (y2 >= 0, y1 >= 0
 for even k, y3 >= 0 in 3-D), cut to y1 >= y2 when k = 0 mod 4, about an
 eighth of the grid at k = 16.  The averages at those nodes are scattered
 back by the node permutations of H, so the result is H-invariant bit for
-bit, and the half box is the same one on which the corrector's linear
-solves run.  Memory is O(nodes) and independent of k.
+bit, and the half box is the folded box on which the corrector's Picard
+loop runs; a field already folded there is averaged and returned folded.
+Memory is O(nodes) and independent of k.
 
 H also permutes the bumps: the node permutation by h of the field of
 bump j is the field of the bump at h^-1 x_j, whose index is j - s or
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.ndimage import map_coordinates, spline_filter
 
-from .grid import Field, Grid, quad_product
+from .grid import Field, Grid, half_box, mirror_back, quad_product
 from .radial import RadialProfile, eval_profile, eval_profile_deriv
 
 
@@ -288,23 +289,6 @@ def mirror_axes(k: int | None, dim: int) -> tuple:
     return () if k is None else tuple(range(k % 2, dim))
 
 
-def half_box(g: Grid, axes: tuple) -> tuple:
-    """Index of the part of the box from the centre node on along each of
-    axes, the other axes whole."""
-    c = (g.n_axis - 1) // 2
-    return tuple(slice(c, None) if ax in axes else slice(None)
-                 for ax in range(g.dim))
-
-
-def mirror_back(a: np.ndarray, axes: tuple) -> np.ndarray:
-    """The full-box array, even in each of axes, whose half_box part is a."""
-    for ax in axes:
-        mirror = [slice(None)] * a.ndim
-        mirror[ax] = slice(None, 0, -1)
-        a = np.concatenate([a[tuple(mirror)], a], axis=ax)
-    return a
-
-
 def symmetrize(f: Field, k: int) -> Field:
     """Average f over the symmetry group G (rotations by 2π/k and the
     reflections y_n → −y_n, n ≥ 2).
@@ -312,6 +296,10 @@ def symmetrize(f: Field, k: int) -> Field:
     The subgroup H of elements that permute grid nodes (rotations by
     multiples of π/2, each with and without y2 → −y2) is applied
     exactly: F_H = Σ_h f∘h, in 3-D also averaged with its y3 mirror.
+    A field folded on mirror_axes(k) (``grid.fold``) is even in those
+    axes, so there every element of H acts as the identity or, for
+    k ≡ 0 mod 4, as the transpose of y1 and y2: F_H = |H|/2 (f + fᵀ) or
+    |H| f, formed on the folded part, and the answer is folded too.
     When H is all of G (q = k/gcd(k, 4) = 1) that is the answer.
     Otherwise F_H is prefiltered once for quintic splines, and each
     coset, 1 ≤ m < q, costs one interpolation of F_H at r_m⁻¹·x, r_m the
@@ -335,30 +323,43 @@ def symmetrize(f: Field, k: int) -> Field:
     a = f.data
     dim = g.dim
     q = k // math.gcd(k, 4)
-    subgroup = [h for _s, _flip2, h in _node_subgroup(k, dim)]
+    axes = mirror_axes(k, dim)
+    n_h = 2 * math.gcd(k, 4)
 
-    exact_total = np.zeros(g.shape)
-    for h in subgroup:
-        exact_total += _apply_signed_permutation(a, h)
-    if q == 1:
-        out = exact_total / len(subgroup)
+    if g.mirrored:
+        if g.mirrored != axes:
+            raise ValueError(f"field folded on axes {g.mirrored}, the "
+                             f"fold-{k} class mirrors {axes}")
+        # |H|/2 and |H| are powers of 2: the scalings are exact
+        exact_total = (0.5 * n_h * (a + a.swapaxes(0, 1)) if k % 4 == 0
+                       else n_h * a)
+        if q == 1:
+            return Field(g, exact_total / n_h)
+        part_total = exact_total
+        exact_total = mirror_back(exact_total, axes)
+    else:
+        exact_total = np.zeros(g.shape)
+        for _s, _flip2, h in _node_subgroup(k, dim):
+            exact_total += _apply_signed_permutation(a, h)
+        if q == 1:
+            out = exact_total / n_h
+            if dim == 3:
+                out = 0.5 * (out + out[:, :, ::-1])
+            return Field(g, out)
         if dim == 3:
-            out = 0.5 * (out + out[:, :, ::-1])
-        return Field(g, out)
-    if dim == 3:
-        exact_total = 0.5 * (exact_total + exact_total[:, :, ::-1])
+            exact_total = 0.5 * (exact_total + exact_total[:, :, ::-1])
+        part_total = exact_total[half_box(g, axes)]
     # the B-spline prefilter map_coordinates would otherwise rerun on
     # every call (mode "constant" needs no padding)
     coeffs = spline_filter(exact_total, order=5, output=np.float64,
                            mode="constant")
-    axes = mirror_axes(k, dim)
-    part = half_box(g, axes)
-    mesh = np.meshgrid(*(g.axis[s] for s in part), indexing="ij")
+    del exact_total
+    mesh = np.meshgrid(*g.with_mirrored(axes).axes(), indexing="ij")
     rep = mesh[0] >= mesh[1] if k % 4 == 0 else np.ones(mesh[0].shape, bool)
     pts = np.stack([x[rep] for x in mesh])
     del mesh
-    total = exact_total[part][rep]
-    del exact_total
+    total = part_total[rep]
+    del part_total
     cosets = np.ones(total.size, dtype=int)
     for m in range(1, q):
         coords = _rotation_matrix(-2.0 * math.pi * m / k, dim, False) @ pts
@@ -368,7 +369,7 @@ def symmetrize(f: Field, k: int) -> Field:
         total += np.where(inbox, vals, 0.0)
         cosets += inbox
     out = np.zeros(rep.shape)
-    out[rep] = total / (len(subgroup) * cosets)
+    out[rep] = total / (n_h * cosets)
     if k % 4 == 0:
         out = np.where(rep, out, out.swapaxes(0, 1))
-    return Field(g, mirror_back(out, axes))
+    return Field(g, out if g.mirrored else mirror_back(out, axes))

@@ -13,12 +13,22 @@ use 8th-order centered differences for the gradients: the energy
 identities checked downstream need gradient quadrature errors well below
 the 1e-4 tier, which second-order differences cannot deliver at the
 default spacings.
+
+A grid may store a field even in some axes by its nodes from the centre
+on along each of them (``Grid.mirrored``; ``fold`` and ``unfold`` convert
+between the layouts).  The node at index -j of a mirrored axis is the
+mirror copy of node j: ``laplacian`` and ``grad8`` read it as their ghost
+there, and the quadratures weight each stored node by its number of
+full-box copies w (2 per mirrored axis off that axis's centre, 1 on
+it).  Stencil values at the stored nodes are then exactly those of the
+full box, and every quadrature is the full-box one of the even
+extension, summed in another order.
 """
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -32,33 +42,60 @@ _G8 = np.array([1.0 / 280, -4.0 / 105, 1.0 / 5, -4.0 / 5, 0.0,
 
 @dataclass(frozen=True)
 class Grid:
-    """Box [-L, L]^N sampled at spacing h, (2L/h + 1) nodes per axis."""
+    """Box [-L, L]^N sampled at spacing h, (2L/h + 1) nodes per axis.
+
+    Along each axis in ``mirrored`` only the nodes from the centre index
+    c = (n_axis - 1) / 2 on are stored, the field being even there.
+    """
 
     dim: int
     L: float
     h: float
     n_axis: int
     axis: np.ndarray = field(compare=False, repr=False)
+    mirrored: tuple = ()
+
+    @property
+    def centre(self) -> int:
+        return (self.n_axis - 1) // 2
 
     @property
     def shape(self) -> tuple:
-        return (self.n_axis,) * self.dim
+        return tuple(self.n_axis - self.centre if ax in self.mirrored
+                     else self.n_axis for ax in range(self.dim))
 
     @property
     def size(self) -> int:
-        return self.n_axis ** self.dim
+        return math.prod(self.shape)
 
     def axes(self) -> tuple:
-        return (self.axis,) * self.dim
+        return tuple(self.axis[self.centre:] if ax in self.mirrored
+                     else self.axis for ax in range(self.dim))
 
     def mesh(self) -> tuple:
         """Sparse broadcastable coordinate arrays, one per axis."""
         return np.meshgrid(*self.axes(), indexing="ij", sparse=True)
 
-    def weights1d(self) -> np.ndarray:
+    def with_mirrored(self, axes: tuple) -> "Grid":
+        """The same box storing the half from the centre on along axes."""
+        return replace(self, mirrored=tuple(axes))
+
+    def weights1d(self, ax: int) -> np.ndarray:
+        """Trapezoid weights of the stored nodes along ax, times their
+        number of mirror copies."""
         w = np.full(self.n_axis, self.h)
         w[0] *= 0.5
         w[-1] *= 0.5
+        if ax in self.mirrored:
+            w = w[self.centre:]
+            w[1:] *= 2.0
+        return w
+
+    def mirror_weights(self) -> np.ndarray:
+        """w, the number of full-box copies of each stored node."""
+        w = np.ones(self.shape)
+        for ax in self.mirrored:
+            w[_axis_slice(self.dim, ax, slice(1, None))] *= 2.0
         return w
 
 
@@ -89,6 +126,41 @@ class Field:
 
 def _raw(x):
     return x.data if isinstance(x, Field) else x
+
+
+def _axis_slice(dim: int, ax: int, sl) -> tuple:
+    """Index taking sl along ax and everything along the other axes."""
+    index = [slice(None)] * dim
+    index[ax] = sl
+    return tuple(index)
+
+
+def half_box(g: Grid, axes: tuple) -> tuple:
+    """Index of the part of g's arrays from the centre node on along each
+    of axes that g stores whole, the other axes whole."""
+    return tuple(slice(g.centre, None)
+                 if ax in axes and ax not in g.mirrored else slice(None)
+                 for ax in range(g.dim))
+
+
+def mirror_back(a: np.ndarray, axes: tuple) -> np.ndarray:
+    """The full-box array, even in each of axes, whose half_box part is a."""
+    for ax in axes:
+        a = np.concatenate([a[_axis_slice(a.ndim, ax, slice(None, 0, -1))],
+                            a], axis=ax)
+    return a
+
+
+def fold(f: Field, axes: tuple) -> Field:
+    """f, even in each of axes, stored from the centre on along them."""
+    g = f.grid.with_mirrored(axes)
+    return Field(g, np.ascontiguousarray(f.data[half_box(f.grid, axes)]))
+
+
+def unfold(f: Field) -> Field:
+    """The full-box field whose mirrored-axis halves are f."""
+    g = f.grid
+    return Field(g.with_mirrored(()), mirror_back(f.data, g.mirrored))
 
 
 def make_grid(dim: int, L: float, h: float) -> Grid:
@@ -133,17 +205,18 @@ def sample(g: Grid, fn) -> Field:
 
 
 def laplacian(f: Field) -> Field:
-    """Second-order (2N+1)-point discrete Laplacian, Dirichlet-zero ghosts."""
+    """Second-order (2N+1)-point discrete Laplacian, Dirichlet-zero ghosts
+    at the box wall and mirror ghosts at the centre of a mirrored axis."""
     g = f.grid
     a = f.data
     out = (-2.0 * g.dim) * a.copy()
     for ax in range(g.dim):
-        lo = [slice(None)] * g.dim
-        hi = [slice(None)] * g.dim
-        lo[ax] = slice(0, -1)
-        hi[ax] = slice(1, None)
-        out[tuple(lo)] += a[tuple(hi)]
-        out[tuple(hi)] += a[tuple(lo)]
+        lo = _axis_slice(g.dim, ax, slice(0, -1))
+        hi = _axis_slice(g.dim, ax, slice(1, None))
+        out[lo] += a[hi]
+        out[hi] += a[lo]
+        if ax in g.mirrored:
+            out[_axis_slice(g.dim, ax, 0)] += a[_axis_slice(g.dim, ax, 1)]
     out /= g.h * g.h
     return Field(g, out)
 
@@ -160,11 +233,11 @@ def _pairwise_sum(a: np.ndarray) -> float:
 
 
 def _weighted(g: Grid, prod: np.ndarray) -> np.ndarray:
-    w = g.weights1d()
     out = prod
     for ax in range(g.dim):
+        w = g.weights1d(ax)
         shape = [1] * g.dim
-        shape[ax] = g.n_axis
+        shape[ax] = w.size
         out = out * w.reshape(shape)
     return out
 
@@ -181,12 +254,10 @@ def quad(f: Field) -> float:
     if peak > 0.0:
         edge = 0.0
         for ax in range(g.dim):
-            sl0 = [slice(None)] * g.dim
-            sl1 = [slice(None)] * g.dim
-            sl0[ax] = 0
-            sl1[ax] = -1
-            edge = max(edge, float(np.max(np.abs(a[tuple(sl0)]))),
-                       float(np.max(np.abs(a[tuple(sl1)]))))
+            # index 0 of a mirrored axis is the box centre, not a wall
+            for end in (-1,) if ax in g.mirrored else (0, -1):
+                edge = max(edge, float(np.max(np.abs(
+                    a[_axis_slice(g.dim, ax, end)]))))
         if edge > 1e-10 * peak:
             warnings.warn(
                 f"integrand carries boundary mass {edge:.3e} "
@@ -211,7 +282,8 @@ def dot(u: Field, v: Field) -> float:
 
 
 def grad8(f: Field, ax: int) -> Field:
-    """8th-order centered difference along one axis, zero ghosts."""
+    """8th-order centered difference along one axis, zero ghosts at the
+    box wall and mirror ghosts at the centre of a mirrored axis."""
     g = f.grid
     a = f.data
     out = np.zeros_like(a)
@@ -219,15 +291,15 @@ def grad8(f: Field, ax: int) -> Field:
         off = j - 4
         if w == 0.0:
             continue
-        src = [slice(None)] * g.dim
-        dst = [slice(None)] * g.dim
         if off > 0:
-            src[ax] = slice(off, None)
-            dst[ax] = slice(0, -off)
+            src, dst = slice(off, None), slice(0, -off)
         else:
-            src[ax] = slice(0, off)
-            dst[ax] = slice(-off, None)
-        out[tuple(dst)] += w * a[tuple(src)]
+            src, dst = slice(0, off), slice(-off, None)
+        out[_axis_slice(g.dim, ax, dst)] += w * a[_axis_slice(g.dim, ax, src)]
+        if off < 0 and ax in g.mirrored:
+            # node i < -off reads index i + off < 0, the copy of -(i + off)
+            out[_axis_slice(g.dim, ax, slice(0, -off))] += \
+                w * a[_axis_slice(g.dim, ax, slice(-off, 0, -1))]
     out /= g.h
     return Field(g, out)
 

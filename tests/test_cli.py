@@ -481,3 +481,47 @@ def test_console_entry_subprocess(tmp_path):
         capture_output=True, text=True, timeout=60, env=env)
     assert bad.returncode == 2
     assert "config error" in bad.stderr
+
+
+def test_corrector_warnings_recorded(tmp_path):
+    # R = 12 lies outside S_2: the window warning is listed in
+    # summary.json, still issued, and listed in failure.json as well when
+    # a check fails
+    cfg = tmp_path / "c.cfg"
+    records = {}
+    for tag, extra in (("ok", "max_iter = 30\n"), ("short", "max_iter = 1\n")):
+        cfg.write_text("k = 2\nR = 12\nbeta = 0.05\nh = 0.5\n" + extra)
+        out = tmp_path / tag
+        with pytest.warns(UserWarning, match="outside the admissible window"):
+            rc = main(["corrector", "--config", str(cfg), "--out", str(out)])
+        assert rc == (0 if tag == "ok" else 1)
+        records[tag] = json.loads((out / "summary.json").read_text())
+    warned = records["ok"]["warnings"]
+    assert len(warned) == 1
+    assert warned[0].startswith("UserWarning: R = 12 outside the admissible "
+                                "window [")
+    assert records["short"]["warnings"] == warned
+    failure = json.loads((tmp_path / "short" / "failure.json").read_text())
+    assert failure["invariant"] == "corrector_converged"
+    assert failure["warnings"] == warned
+
+
+def test_warnings_recorded_on_error(tmp_path, monkeypatch):
+    # a run that raises after warning lists the warning in failure.json,
+    # whatever filter the caller has set
+    def warn_then_diverge(*_args, **_kwargs):
+        warnings.warn("integrand carries boundary mass", RuntimeWarning)
+        raise CorrectorDivergence("fixed point diverging", steps=[1.0])
+
+    monkeypatch.setattr(cli, "fixed_point_iterate", warn_then_diverge)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("k = 2\nR = 12\nh = 0.5\n")
+    out = tmp_path / "err"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main(["corrector", "--config", str(cfg),
+                     "--out", str(out)]) == 1
+    failure = json.loads((out / "failure.json").read_text())
+    assert failure["invariant"] == "corrector_convergence"
+    assert failure["warnings"] == [
+        "RuntimeWarning: integrand carries boundary mass"]

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +23,8 @@ from ringnls.energy import potential_field
 from ringnls.geometry import (_apply_signed_permutation, _node_subgroup,
                               bump_centers, bump_cubes_field, bump_sum_field,
                               constraint_field, radial_field, symmetrize)
-from ringnls.grid import Field, laplacian, make_grid, quad_product, zeros
+from ringnls.grid import (Field, fold, laplacian, make_grid, quad_product,
+                         unfold, zeros)
 from ringnls.model import ModelParams, make_potential, mid_radius
 from ringnls.radial import ground_state
 
@@ -403,6 +407,33 @@ def test_folded_solve_sees_odd_component(townes):
         solve_L1_constrained(rhs + scale * odd, W, mu, Z, params, 1e-9, k=2)
 
 
+@pytest.mark.parametrize("k", [2, 3])
+def test_solves_on_folded_inputs(townes, monkeypatch, k):
+    # inputs folded on mirror_axes(k) give the folded solution of the
+    # full-grid inputs, and with the re-symmetrization taken out its
+    # mirrored-back extension meets the tolerance in the full-grid
+    # residual
+    monkeypatch.setattr(corrector, "symmetrize_fast", lambda f, _k: f)
+    params, g, U0f, W, Z, mu, rhs = _ring_scene(townes, k)
+    tol = 1e-11
+    axes = corrector.mirror_axes(k, 2)
+    fU0, fW, fZ, fmu, frhs = (fold(f, axes) for f in (U0f, W, Z, mu, rhs))
+
+    u_full = solve_L0(rhs, U0f, params, tol, k=k)
+    u = solve_L0(frhs, fU0, params, tol, k=k)
+    assert u.grid == frhs.grid
+    assert _relerr(unfold(u), u_full) < 1e-10
+    res = apply_L0(unfold(u), U0f, params) - rhs
+    assert np.linalg.norm(res.data) <= tol * np.linalg.norm(rhs.data)
+
+    v_full, lam_full = solve_L1_constrained(rhs, W, mu, Z, params, tol, k=k)
+    v, lam_c = solve_L1_constrained(frhs, fW, fmu, fZ, params, tol, k=k)
+    assert _relerr(unfold(v), v_full) < 1e-10
+    assert abs(lam_c - lam_full) < 1e-10 * abs(lam_full)
+    assert abs(quad_product(fZ, v)) < 1e-12 * math.sqrt(
+        quad_product(fZ, fZ) * quad_product(v, v))
+
+
 # ---------------------------------------------------------------------------
 # solves
 
@@ -534,6 +565,58 @@ def test_fixed_point_converges(request, fixture, normE, lagr, contr):
     assert res.steps[-1] < 1e-8
     # geometric decay all the way down
     assert all(b < a for a, b in zip(res.steps, res.steps[1:]))
+
+
+@pytest.mark.parametrize("fixture,iterations,normE,lagr", [
+    # recorded from the iteration on the full grid, before it ran on the
+    # folded box
+    ("corr_k2", 7, 0.32437693252722577, 0.00471148614333224),
+    ("corr_k3", 7, 0.43293352048740247, 0.005566517127523741),
+])
+def test_fixed_point_same_as_full_grid_iteration(request, fixture,
+                                                 iterations, normE, lagr):
+    _params, _inputs, res = request.getfixturevalue(fixture)
+    assert res.iterations == iterations
+    assert abs(res.norm_E - normE) <= 1e-10 * normE
+    assert abs(res.lagrange - lagr) <= 1e-10 * abs(lagr)
+
+
+def test_fixed_point_converges_in_window_k16_m2():
+    # inside S_16 at m = 2 the corrector contracts: the interpolating
+    # q = 4 fold on the folded box takes the 6 steps it took on the full
+    # grid (measured there at rho = 0.049)
+    base = ModelParams(m=2.0)
+    R = mid_radius(16, base.m, base.theta)
+    inputs = build_inputs(16, R, base, h=0.25)
+    params = replace(base, beta=0.5 * inputs.budget.f0)
+    res = fixed_point_iterate(inputs, params)
+    assert res.converged
+    assert res.iterations == 6
+    assert res.contraction_factor < 0.1
+    assert res.u.grid == inputs.g and res.v.grid == inputs.g
+
+
+@pytest.mark.parametrize("dim,R,h,beta,bound", [
+    # peaks with the iteration on the full grid: 13.4-13.8 and 11.7-11.8
+    # field sizes; on the folded box 8.2-8.5 and 4.1-4.3
+    (2, 6.0, 0.25, 0.05, 11.0),
+    (3, 4.0, 0.5, 0.02, 8.0),
+])
+def test_fixed_point_peak_memory(dim, R, h, beta, bound):
+    # the traced peak of one call beyond its inputs, in full-grid field
+    # sizes, over the first Picard steps (cold and warm solves)
+    params = ModelParams(beta=beta, dim=dim)
+    inputs = build_inputs(2, R, params, h=h, L=R + 8.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            fixed_point_iterate(inputs, params, max_iter=4)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+    assert peak <= bound * inputs.g.size * 8
 
 
 @pytest.mark.parametrize("fixture,level", [

@@ -283,3 +283,90 @@ def test_pairwise_sum_deterministic():
     s2 = grid._pairwise_sum(a.copy())
     assert s1 == s2
     assert s1 == pytest.approx(float(np.sum(a)), abs=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# folded layout: a field even in some axes, stored from the centre on
+
+
+# fold sets mirror_axes(k): k = 1, 3 leave y1 whole, k = 2, 4 mirror it,
+# and k = 4 adds the transpose to the orbit average
+FOLD_CASES = [(dim, k) for dim in (2, 3) for k in (1, 2, 3, 4)]
+
+
+def _fold_test_grid(dim):
+    return grid.make_grid(2, 4.0, 0.25) if dim == 2 \
+        else grid.make_grid(3, 2.5, 0.25)
+
+
+def _even_field(g, axes, seed):
+    """A random field under a Gaussian, averaged over the axis mirrors of
+    axes (exactly even: a + flip(a) is the same float at both nodes)."""
+    r2 = sum(m * m for m in g.mesh())
+    a = np.random.default_rng(seed).standard_normal(g.shape) \
+        * np.exp(-0.3 * r2)
+    for ax in axes:
+        a = 0.5 * (a + np.flip(a, ax))
+    return grid.Field(g, a)
+
+
+def _close(folded, full):
+    assert abs(folded - full) <= 1e-13 * abs(full)
+
+
+@pytest.mark.parametrize("dim,k", FOLD_CASES)
+def test_folded_operations_match_full_grid(dim, k):
+    from ringnls.geometry import mirror_axes
+
+    g = _fold_test_grid(dim)
+    axes = mirror_axes(k, dim)
+    u, v, mu = (_even_field(g, axes, seed) for seed in (1, 2, 3))
+    fu, fv, fmu = (grid.fold(f, axes) for f in (u, v, mu))
+    assert fu.grid.mirrored == axes and fu.data.shape == fu.grid.shape
+    assert np.array_equal(grid.unfold(fu).data, u.data)
+    assert grid.unfold(fu).grid == g
+    # the stencils read mirror ghosts: the folded values are the
+    # full-grid ones at the kept nodes, bit for bit
+    part = grid.half_box(g, axes)
+    assert np.array_equal(grid.laplacian(fu).data,
+                          grid.laplacian(u).data[part])
+    for ax in range(dim):
+        assert np.array_equal(grid.grad8(fu, ax).data,
+                              grid.grad8(u, ax).data[part])
+    # the mirror weights turn folded quadratures into full-grid ones
+    assert grid.quad_product(grid.fold(grid.sample(g, ones_like), axes)) \
+        == pytest.approx((2.0 * g.L) ** dim, rel=1e-13)
+    _close(grid.quad_product(fu, fv), grid.quad_product(u, v))
+    _close(grid.quad_product(fu, fv, fmu), grid.quad_product(u, v, mu))
+    _close(grid.inner1(fu, fv, fmu), grid.inner1(u, v, mu))
+    _close(grid.norm_E(fu, fv, 1.0, fmu), grid.norm_E(u, v, 1.0, mu))
+    _close(grid.norm_E(fv, fu, 0.5, fmu), grid.norm_E(v, u, 0.5, mu))
+
+
+@pytest.mark.parametrize("dim,k", FOLD_CASES)
+def test_folded_orbit_average_matches_full_grid(dim, k):
+    # the H-average of a folded field (identity, or the y1/y2 transpose
+    # for k = 0 mod 4; the spline cosets on top at k = 3) is the folded
+    # full-grid average
+    from ringnls.geometry import mirror_axes, symmetrize
+
+    g = _fold_test_grid(dim)
+    axes = mirror_axes(k, dim)
+    f = _even_field(g, axes, 4)
+    folded = symmetrize(grid.fold(f, axes), k)
+    full = grid.fold(symmetrize(f, k), axes)
+    assert folded.grid == full.grid
+    assert np.max(np.abs(folded.data - full.data)) \
+        <= 1e-13 * np.max(np.abs(full.data))
+
+
+def test_folded_quad_warns_only_at_the_wall():
+    # index 0 of a mirrored axis is the box centre, where a field peaks
+    g = grid.make_grid(2, 6.0, 0.25)
+    peaked = grid.sample(g, lambda a, b: np.exp(-(a * a + b * b)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grid.quad(grid.fold(peaked, (0, 1)))
+    flat = grid.fold(grid.sample(g, ones_like), (0, 1))
+    with pytest.warns(RuntimeWarning, match="boundary mass"):
+        grid.quad(flat)
