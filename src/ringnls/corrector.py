@@ -31,21 +31,16 @@ Linear systems are symmetric indefinite and solved by ``minres``, a
 preconditioned MINRES with a spectral preconditioner.  Next to each
 search direction w it recurs A w from the A v of its Lanczos step, so it
 updates the residual b - A x in place and stops on ||b - A x|| <=
-tol ||b|| itself, rather than on a backward-error estimate.  Given the
-fold order k, each solve runs on the folded part whether its inputs are
-folded or full-grid.  The unknowns are scaled by sqrt(w), w the number
-of full-grid mirror copies of a node, which makes the folded stencil and
-preconditioner exactly symmetric and the Euclidean products those of the
-full grid; in exact arithmetic the Krylov iterates are the full-grid
-ones, the folded residual norm is the full-grid one, and the axis
-reflections hold by construction.  The same residual test is then
-repeated by an independent apply of the unscaled operator on the
-inputs' grid: each MINRES pass checks its iterate against the right-hand
-side, and a restart from that iterate covers rounding drift of the
-recurred residual.  On folded inputs that check is mirror-weighted,
-which is the full-grid norm of the even extension; on full-grid inputs
-it is the full-grid residual, which also catches a right-hand side
-outside the class that the fold cannot represent.
+tol ||b|| itself, rather than on a backward-error estimate.  Each solve
+runs on the grid its inputs carry, full or folded, with the unknowns
+scaled by sqrt(w), w the number of full-grid mirror copies of a node (1
+on an unmirrored grid).  That makes the folded stencil and
+preconditioner symmetric and the Euclidean products those of the full
+grid; in exact arithmetic the Krylov iterates are the full-grid ones and
+the folded residual norm is the full-grid one.  Each MINRES pass then
+recomputes its residual from the returned iterate, and a restart from
+that iterate covers rounding drift of the recurred residual.  Given the
+fold order k, the answer is projected onto the symmetric class.
 
 The preconditioner inverts the second-order Laplacian plus a positive
 shift, with zero ghost values one spacing outside a box, which the type-I
@@ -79,8 +74,9 @@ from .geometry import (BumpConfiguration, bump_centers, bump_cubes_field,
                        bump_sum_field, constraint_field, mirror_axes,
                        radial_field, ring_fields, symmetrize)
 from .geometry import symmetrize as symmetrize_fast
-from .grid import (Field, Grid, fold, grid_for_radius, half_box, laplacian,
-                   mirror_back, norm_E, quad_product, unfold, zeros)
+from .grid import (Field, Grid, fold, grid_for_radius, laplacian,
+                   laplacian_eigenvalues, norm_E, quad_product, unfold,
+                   zeros)
 from .model import (CouplingBudget, ModelParams, bump_radius_interval,
                     compute_gamma0_f0, derive_exponents, make_potential)
 from .radial import ground_state
@@ -155,55 +151,7 @@ def apply_L1(v: Field, bumpsum: Field, mu: Field,
 
 
 # ---------------------------------------------------------------------------
-# the folded box and the spectral preconditioner
-
-
-@dataclass(frozen=True)
-class _Fold:
-    """The part of the box that the axis reflections of the fold-k class fix.
-
-    The folded axes are ``mirror_axes(k)``: y2 (and y3 in 3-D) always, y1
-    when k is even.  A folded axis keeps the nodes from its centre index
-    c = (n_axis - 1) / 2 on (``half_box``), the same nodes on which
-    ``symmetrize`` interpolates unless k = 0 mod 4, and the same layout
-    as a field that ``grid.fold`` stores on those axes.  ``grid`` is the
-    caller's grid: the full box, whose arrays the fold cuts and mirrors
-    back, or the grid already folded on these axes, whose arrays are the
-    part itself.  Vectors on the part are scaled by sqrt(w), w the
-    number of full-grid mirror copies of a node (2 per folded axis off
-    that axis's centre, 1 on it), so Euclidean products of scaled
-    vectors equal full-grid products of even fields.  With k None
-    nothing folds and w = 1.
-    """
-
-    grid: Grid            # the caller's grid, full or folded
-    axes: tuple           # folded axes
-    part: tuple           # index of the kept part in an array on grid
-    root_w: np.ndarray    # sqrt(w) on the part
-
-    def fold(self, a: np.ndarray) -> np.ndarray:
-        """Scaled kept part of an array on grid, flattened."""
-        return (a.reshape(self.grid.shape)[self.part] * self.root_w).ravel()
-
-    def unfold(self, x: np.ndarray) -> Field:
-        """The field on grid of a scaled folded vector."""
-        a = x.reshape(self.root_w.shape) / self.root_w
-        return Field(self.grid,
-                     a if self.grid.mirrored else mirror_back(a, self.axes))
-
-    def weigh(self, a: np.ndarray) -> np.ndarray:
-        """An array on grid as a vector whose Euclidean products are the
-        full-grid products of the even extensions."""
-        return (a * self.root_w).ravel() if self.grid.mirrored else a.ravel()
-
-
-def _fold_for(g: Grid, k: int | None) -> _Fold:
-    axes = mirror_axes(k, g.dim)
-    if g.mirrored and g.mirrored != axes:
-        raise ValueError(f"grid folded on axes {g.mirrored}, the fold-{k} "
-                         f"class mirrors {axes}")
-    return _Fold(grid=g, axes=axes, part=half_box(g, axes),
-                 root_w=np.sqrt(g.with_mirrored(axes).mirror_weights()))
+# the spectral preconditioner and the scaled operator
 
 
 def _padded_size(n_axis: int) -> int:
@@ -230,24 +178,22 @@ def _inverse_spectrum(n_box: int, dim: int, h: float, shift: float,
         modes = j[::2] if ax in folded else j
         shape = [1] * dim
         shape[ax] = modes.size
-        lam1 = (2.0 - 2.0 * np.cos(np.pi * modes / (n_box + 1))) / (h * h)
-        total = total + lam1.reshape(shape)
+        total = total + laplacian_eigenvalues(n_box, h, modes).reshape(shape)
     return 1.0 / (total + shift) / (n_box + 1) ** len(folded)
 
 
-def _precondition(x: np.ndarray, g: Grid, inv: np.ndarray,
-                  axes: tuple = ()) -> np.ndarray:
+def _precondition(x: np.ndarray, g: Grid, inv: np.ndarray) -> np.ndarray:
     """Inner block of the inverse spectrum applied on the padded box.
 
-    Unfolded axes run the orthonormal DST-I over the centred box.  On a
-    folded axis (listed in ``axes``) x holds the half from the centre node
-    on, the field being even there; it sits at the start of the half box
-    and runs DCT-III, then the spectrum, then DCT-II, which is the full
-    DST-I pair restricted to the even modes.  ``inv`` comes from
-    ``_inverse_spectrum`` with the same folded axes.
+    Unmirrored axes of g run the orthonormal DST-I over the centred box.
+    On a mirrored axis x holds the half from the centre node on, the
+    field being even there; it sits at the start of the half box and
+    runs DCT-III, then the spectrum, then DCT-II, which is the full DST-I
+    pair restricted to the even modes.  ``inv`` comes from
+    ``_inverse_spectrum`` with ``g.mirrored`` as its folded axes.
     """
-    c = (g.n_axis - 1) // 2
-    inner = tuple(slice(0, c + 1) if ax in axes else
+    axes = g.mirrored
+    inner = tuple(slice(0, g.centre + 1) if ax in axes else
                   slice((inv.shape[ax] - g.n_axis) // 2,
                         (inv.shape[ax] + g.n_axis) // 2)
                   for ax in range(g.dim))
@@ -266,47 +212,40 @@ def _precondition(x: np.ndarray, g: Grid, inv: np.ndarray,
     return t[inner].ravel()
 
 
-def _shifted_operator(g: Grid, pot: np.ndarray, shift: float,
-                      k: int | None):
-    """-lap + pot and its preconditioner on the folded box of fold order k.
+def _shifted_operator(g: Grid, pot: np.ndarray, shift: float):
+    """-lap + pot on g and its preconditioner, on sqrt(w)-scaled vectors.
 
-    pot lives on g, the full grid or the grid folded for k.  Returns
-    (fold, matvec, precond).  matvec and precond act on sqrt(w)-scaled
-    folded vectors and are exactly symmetric.  The folded stencil reads
-    the ghost at index -1 of a folded axis as the mirror copy of index 1
-    (``laplacian`` on the folded grid), so unscaled the centre node sees
-    its neighbour twice and the neighbour sees the centre once; after
-    scaling both couplings are sqrt(2), which matvec applies to the
-    scaled vector by two edge terms per folded axis.  The far ghost
-    stays zero.  The preconditioner is the padded-box inverse of the
-    shifted Laplacian.
+    pot lives on g, the full box or a box folded by ``grid.fold``.
+    Returns (root_w, matvec, precond): root_w is sqrt(w) flattened, w
+    the number of full-box copies of each node (``Grid.mirror_weights``,
+    1 everywhere on an unmirrored grid); matvec(x) = root_w (-lap +
+    pot)(x / root_w), the expression of ``apply_L0`` and ``apply_L1``,
+    and precond applies the padded-box inverse of -lap + shift in the
+    same scaling.  On a mirrored axis the stencil reads the ghost at
+    index -1 as the mirror copy of index 1, so the centre node sees its
+    neighbour twice and the neighbour sees the centre once.  w (-lap) is
+    symmetric, so both maps are symmetric up to rounding, and the
+    Euclidean product of scaled vectors is the full-box product of the
+    even extensions.
     """
-    fold = _fold_for(g, k)
-    folded = g.with_mirrored(fold.axes)
-    potf = pot[fold.part]
+    root_w = np.sqrt(g.mirror_weights()).ravel()
     inv = _inverse_spectrum(_padded_size(g.n_axis), g.dim, g.h, shift,
-                            fold.axes)
-    h2 = g.h * g.h
-    centre_edge = (math.sqrt(2.0) - 2.0) / h2
-    next_edge = (math.sqrt(2.0) - 1.0) / h2
-    ends = [(tuple(0 if d == ax else slice(None) for d in range(g.dim)),
-             tuple(1 if d == ax else slice(None) for d in range(g.dim)))
-            for ax in fold.axes]
+                            g.mirrored)
 
     def matvec(x):
-        a = x.reshape(fold.root_w.shape)
-        lap = laplacian(Field(folded, a)).data
-        for lo, hi in ends:
-            lap[lo] += centre_edge * a[hi]
-            lap[hi] += next_edge * a[lo]
-        return (-lap + potf * a).ravel()
+        a = (x / root_w).reshape(g.shape)
+        out = pot * a
+        out -= laplacian(Field(g, a)).data
+        out = out.ravel()
+        out *= root_w
+        return out
 
     def precond(x):
-        a = x.reshape(fold.root_w.shape) / fold.root_w
-        return (_precondition(a, g, inv, fold.axes).reshape(a.shape)
-                * fold.root_w).ravel()
+        out = _precondition(x / root_w, g, inv)
+        out *= root_w
+        return out
 
-    return fold, matvec, precond
+    return root_w, matvec, precond
 
 
 def minres(matvec, precond, b: np.ndarray, tol: float, maxiter: int,
@@ -395,27 +334,21 @@ def minres(matvec, precond, b: np.ndarray, tol: float, maxiter: int,
 
 def _solve_minres(matvec, precond, b: np.ndarray, tol: float,
                   label: str, x0: np.ndarray | None = None,
-                  callback=None, check=None) -> np.ndarray:
+                  callback=None) -> np.ndarray:
     """MINRES with verification of the true residual.
 
     The first pass starts from x0 (zero when None); a good guess such as
     the previous Picard iterate saves Krylov iterations, and the answer
     meets the same test.  Each pass stops on its recurred residual,
-    ||b - A x|| <= tol ||b||, which is then recomputed from the returned
-    iterate on ``check``, the system (apply, rhs) with apply taking the
-    Krylov iterate; when None it is (matvec, b).  A folded solve passes
-    an independent apply of the unscaled operator on its inputs' grid: on
-    the full grid a right-hand side the fold cannot represent fails the
-    test instead of passing unseen.  When the recomputed
-    residual misses tol (rounding drift of the recurrence, or such a
-    right-hand side) the solve restarts from the last iterate with twice
-    the iteration budget, and after three passes it is reported as
-    stalled with the achieved residual history.  rhs = 0 returns exact
-    zeros whatever x0 is.  ``callback`` is handed to every pass, so it
-    sees the iterations of all of them.
+    ||b - A x|| <= tol ||b||, which is then recomputed as matvec(x) - b
+    from the returned iterate.  When the recomputed residual misses tol
+    (rounding drift of the recurrence) the solve restarts from the last
+    iterate with twice the iteration budget, and after three passes it
+    is reported as stalled with the achieved residual history.  b = 0
+    returns exact zeros whatever x0 is.  ``callback`` is handed to every
+    pass, so it sees the iterations of all of them.
     """
-    apply, rhs = check if check is not None else (matvec, b)
-    bnorm = math.sqrt(float(np.dot(rhs, rhs)))
+    bnorm = math.sqrt(float(np.dot(b, b)))
     if bnorm == 0.0:
         return np.zeros_like(b)
     history = []
@@ -424,7 +357,7 @@ def _solve_minres(matvec, precond, b: np.ndarray, tol: float,
     for _ in range(3):
         x = minres(matvec, precond, b, tol, maxiter, x0=x,
                    callback=callback)
-        r = apply(x) - rhs
+        r = matvec(x) - b
         res = math.sqrt(float(np.dot(r, r))) / bnorm
         history.append(res)
         if res <= tol:
@@ -440,33 +373,23 @@ def solve_L0(rhs: Field, U0f: Field, params: ModelParams, tol: float,
              callback=None) -> Field:
     """u with ||apply_L0(u) - rhs||_L2 <= tol ||rhs||_L2.
 
-    rhs is expected to lie in the symmetric subspace.  When the fold order
-    k is supplied, MINRES runs on the folded box of ``_Fold`` (y2, y3 in
-    3-D, and y1 for even k, fold; sqrt(w)-scaled unknowns) with the
-    DCT-III/II preconditioner on the odd sine modes of the folded axes,
-    and the returned solution is projected by ``symmetrize`` (the fold
-    holds the axis reflections, not the rotations by 2 pi / k); with k
-    None the solve runs on the full grid.  rhs, U0f and the answer share
-    one grid: the full box, or the box folded for k (``grid.fold``).
-    The residual test applies apply_L0 to the unscaled iterate on that
-    grid, against rhs: on the full box a component of rhs the fold
-    cannot represent fails it, and on the folded box its mirror-weighted
-    norm is the full-box norm of the even extension.  x0 (flat,
-    rhs.grid.size values) is the Krylov starting guess, zero when None,
-    folded like rhs; ``callback`` is MINRES's per-iteration callback.
+    rhs, U0f and the answer share one grid, the full box or a box folded
+    by ``grid.fold``, and MINRES runs on its nodes with the sqrt(w)-scaled
+    unknowns of ``_shifted_operator``, so on a folded box the residual
+    test is on the full-box norm of the even extension.  With the fold
+    order k the answer is projected by ``symmetrize``, which raises
+    ValueError when the grid is folded on axes other than
+    ``mirror_axes(k)``; rhs is expected to lie in the symmetric class.
+    x0 (flat, rhs.grid.size values) is the Krylov starting guess, zero
+    when None; ``callback`` is MINRES's per-iteration callback.
     """
     g = rhs.grid
     pot = params.lam - 3.0 * params.alpha0 * U0f.data ** 2
-    fold, mv, pc = _shifted_operator(g, pot, params.lam, k)
-
-    def apply_check(x):
-        return fold.weigh(apply_L0(fold.unfold(x), U0f, params).data)
-
-    x = _solve_minres(mv, pc, fold.fold(rhs.data), tol, "L0",
-                      x0=None if x0 is None else fold.fold(x0),
-                      callback=callback,
-                      check=(apply_check, fold.weigh(rhs.data)))
-    u = fold.unfold(x)
+    root_w, mv, pc = _shifted_operator(g, pot, params.lam)
+    x = _solve_minres(mv, pc, root_w * rhs.data.ravel(), tol, "L0",
+                      x0=None if x0 is None else root_w * x0,
+                      callback=callback)
+    u = Field(g, (x / root_w).reshape(g.shape))
     if k is not None:
         u = symmetrize_fast(u, k)
     return u
@@ -486,24 +409,21 @@ def solve_L1_constrained(rhs: Field, bumpsum: Field, mu: Field, Z: Field,
     The augmented saddle system couples the field unknowns with one
     multiplier through the plain node sum of Z v (identical to the L2
     pairing away from the decayed boundary shell), which keeps the system
-    exactly symmetric for MINRES.  With the fold order k the field block
-    runs on the folded box as in ``solve_L0``; the bordered row and column
-    are the scaled sqrt(w) Z, whose product with the scaled v is still the
-    full-grid node sum.  The inputs share one grid, full or folded, as in
-    ``solve_L0``, and the residual test is on the bordered system on that
-    grid, mirror-weighted when folded.  x0 is the Krylov starting guess
-    for the bordered unknown [v flattened, lam_c] (rhs.grid.size + 1
-    values), zero when None; ``callback`` is MINRES's per-iteration
-    callback.  Returns (v, lam_c).
+    symmetric for MINRES.  The inputs share one grid, full or folded, as
+    in ``solve_L0``; the field block is that solve's scaled operator, and
+    the bordered row and column are sqrt(w) Z, whose product with the
+    scaled v is the full-box node sum.  k projects v as in ``solve_L0``.
+    x0 is the Krylov starting guess for the bordered unknown [v
+    flattened, lam_c] (rhs.grid.size + 1 values), zero when None;
+    ``callback`` is MINRES's per-iteration callback.  Returns (v, lam_c).
     """
     g = rhs.grid
     zz = quad_product(Z, Z)
     if zz <= 1e-300:
         raise ValueError("degenerate constraint: quad(Z^2) is zero")
     pot = mu.data - 3.0 * params.alpha1 * bumpsum.data ** 2
-    fold, op, op_pc = _shifted_operator(g, pot, 1.0, k)
-    zcheck = fold.weigh(Z.data)
-    zf = fold.fold(Z.data)
+    root_w, op, op_pc = _shifted_operator(g, pot, 1.0)
+    zf = root_w * Z.data.ravel()
 
     def mv(x):
         return np.concatenate([op(x[:-1]) + x[-1] * zf,
@@ -514,19 +434,11 @@ def solve_L1_constrained(rhs: Field, bumpsum: Field, mu: Field, Z: Field,
     def pc(x):
         return np.concatenate([op_pc(x[:-1]), [x[-1] / schur]])
 
-    def apply_check(x):
-        v = fold.unfold(x[:-1])
-        out = fold.weigh(apply_L1(v, bumpsum, mu, params).data) \
-            + x[-1] * zcheck
-        return np.append(out, float(np.dot(zcheck, fold.weigh(v.data))))
-
-    b = np.append(fold.fold(rhs.data), 0.0)
+    b = np.append(root_w * rhs.data.ravel(), 0.0)
     if x0 is not None:
-        x0 = np.append(fold.fold(x0[:-1]), x0[-1])
-    x = _solve_minres(mv, pc, b, tol, "L1", x0=x0, callback=callback,
-                      check=(apply_check,
-                             np.append(fold.weigh(rhs.data), 0.0)))
-    v = fold.unfold(x[:-1])
+        x0 = np.append(root_w * x0[:-1], x0[-1])
+    x = _solve_minres(mv, pc, b, tol, "L1", x0=x0, callback=callback)
+    v = Field(g, (x[:-1] / root_w).reshape(g.shape))
     lam_c = float(x[-1])
     if k is not None:
         v = symmetrize_fast(v, k)

@@ -221,6 +221,13 @@ def laplacian(f: Field) -> Field:
     return Field(g, out)
 
 
+def laplacian_eigenvalues(n: int, h: float, j):
+    """(2 - 2 cos(pi j / (n + 1))) / h^2: the eigenvalue of -``laplacian``
+    along one axis of n nodes with zero ghosts for the sine mode
+    sin(pi j (i + 1) / (n + 1)), i = 0..n-1, j = 1..n."""
+    return (2.0 - 2.0 * np.cos(np.pi * np.asarray(j) / (n + 1))) / (h * h)
+
+
 def _pairwise_sum(a: np.ndarray) -> float:
     """Fixed-tree pairwise reduction; bit-identical across thread counts."""
     a = a.ravel()
@@ -273,12 +280,6 @@ def quad_product(*fields) -> float:
     for f in fields[1:]:
         prod = prod * _raw(f)
     return _pairwise_sum(_weighted(g, prod))
-
-
-def dot(u: Field, v: Field) -> float:
-    """Plain h^N-weighted Euclidean pairing (no boundary halving)."""
-    g = u.grid
-    return g.h ** g.dim * _pairwise_sum(u.data * v.data)
 
 
 def grad8(f: Field, ax: int) -> Field:

@@ -23,7 +23,8 @@ from ringnls.energy import potential_field
 from ringnls.geometry import (_apply_signed_permutation, _node_subgroup,
                               bump_centers, bump_cubes_field, bump_sum_field,
                               constraint_field, radial_field, symmetrize)
-from ringnls.grid import (Field, fold, laplacian, make_grid, quad_product,
+from ringnls.grid import (Field, fold, half_box, laplacian,
+                         laplacian_eigenvalues, make_grid, quad_product,
                          unfold, zeros)
 from ringnls.model import ModelParams, make_potential, mid_radius
 from ringnls.radial import ground_state
@@ -148,6 +149,9 @@ def test_laplacian_sine_mode_eigenpair():
         + (2 - 2 * math.cos(math.pi * 5 / (n + 1))) / h ** 2
     defect = -laplacian(Field(g, mode)).data - eig * mode
     assert np.max(np.abs(defect)) < 1e-12
+    # the 1-D eigenvalues the preconditioner spectrum is built from
+    assert laplacian_eigenvalues(n, h, 3) + laplacian_eigenvalues(n, h, 5) \
+        == pytest.approx(eig, rel=1e-15)
 
 
 def _sine_mode_system():
@@ -180,6 +184,16 @@ def test_solve_minres_zero_rhs_ignores_start():
                       x0=np.arange(1.0, 7.0), callback=count)
     assert np.array_equal(x, np.zeros(6))
     assert count.n == 0
+
+
+def test_solve_minres_reports_stall():
+    # b has a component along the kernel of a singular A, so no pass
+    # meets the recomputed residual test: after three passes the solve
+    # reports its residual history
+    d = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 0.0])
+    with pytest.raises(LinearSolveStalled, match="t solve stalled"):
+        _solve_minres(lambda x: d * x, lambda x: x.copy(), np.ones(6),
+                      1e-8, "t")
 
 
 def _indefinite_system(n=60):
@@ -331,31 +345,41 @@ def test_folded_preconditioner_matches_full_dst(dim, k, axes):
     g = _fold_grid(dim)
     m = _padded_size(g.n_axis)
     assert m > g.n_axis
-    fold = corrector._fold_for(g, k)
-    assert fold.axes == axes
+    assert corrector.mirror_axes(k, dim) == axes
+    part = half_box(g, axes)
     x = _even(np.random.default_rng(11).standard_normal(g.shape), axes)
     full = _precondition(x.ravel(), g, _inverse_spectrum(m, dim, g.h, 1.0))
-    full = full.reshape(g.shape)[fold.part]
-    half = _precondition(x[fold.part], g,
-                         _inverse_spectrum(m, dim, g.h, 1.0, axes), axes)
+    full = full.reshape(g.shape)[part]
+    half = _precondition(x[part], g.with_mirrored(axes),
+                         _inverse_spectrum(m, dim, g.h, 1.0, axes))
     assert np.max(np.abs(half.reshape(full.shape) - full)) \
         < 1e-13 * np.max(np.abs(full))
 
 
 @pytest.mark.parametrize("dim,k,axes", FOLDS)
 def test_folded_operator_and_preconditioner_symmetric(dim, k, axes):
-    # the sqrt(w) scaling makes both folded maps exactly symmetric, and
-    # the preconditioner stays positive
+    # the sqrt(w) scaling makes both folded maps symmetric, the
+    # preconditioner stays positive, and on an even field the scaled
+    # matvec is the full-grid operator read at the kept nodes
     g = _fold_grid(dim)
     rng = np.random.default_rng(5)
     pot = _even(1.0 + rng.random(g.shape), axes)
-    fold, matvec, precond = corrector._shifted_operator(g, pot, 1.0, k)
-    x, y = rng.standard_normal((2, fold.root_w.size))
+    gf = g.with_mirrored(axes)
+    part = half_box(g, axes)
+    root_w, matvec, precond = corrector._shifted_operator(gf, pot[part],
+                                                          1.0)
+    assert np.array_equal(root_w, np.sqrt(gf.mirror_weights()).ravel())
+    x, y = rng.standard_normal((2, gf.size))
     for op in (matvec, precond):
         xAy = float(np.dot(x, op(y)))
         yAx = float(np.dot(y, op(x)))
         assert abs(xAy - yAx) < 1e-12 * abs(xAy)
     assert float(np.dot(x, precond(x))) > 0.0
+    f = Field(g, _even(rng.standard_normal(g.shape), axes))
+    full = -laplacian(f).data + pot * f.data
+    want = root_w * full[part].ravel()
+    got = matvec(root_w * f.data[part].ravel())
+    assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
 
 
 def _ring_scene(townes, k):
@@ -373,65 +397,43 @@ def _ring_scene(townes, k):
 
 @pytest.mark.parametrize("k", [2, 3])
 def test_folded_solves_match_full_grid(townes, monkeypatch, k):
-    # with the re-symmetrization taken out, the Krylov solutions of the
-    # folded solves agree with the full-grid solve and meet the
-    # tolerance in the full-grid residual
-    monkeypatch.setattr(corrector, "symmetrize_fast", lambda f, _k: f)
-    params, g, U0f, W, Z, mu, rhs = _ring_scene(townes, k)
-    tol = 1e-11
-
-    u_full = solve_L0(rhs, U0f, params, tol)
-    u = solve_L0(rhs, U0f, params, tol, k=k)
-    assert _relerr(u, u_full) < 1e-10
-    res = apply_L0(u, U0f, params) - rhs
-    assert np.linalg.norm(res.data) <= tol * np.linalg.norm(rhs.data)
-
-    v_full, lam_full = solve_L1_constrained(rhs, W, mu, Z, params, tol)
-    v, lam_c = solve_L1_constrained(rhs, W, mu, Z, params, tol, k=k)
-    assert _relerr(v, v_full) < 1e-10
-    assert abs(lam_c - lam_full) < 1e-10 * abs(lam_full)
-    res = Field(g, apply_L1(v, W, mu, params).data + lam_c * Z.data
-                - rhs.data)
-    assert np.linalg.norm(res.data) <= tol * np.linalg.norm(rhs.data)
-
-
-def test_folded_solve_sees_odd_component(townes):
-    # a component odd in y1 lies outside what the k = 2 fold represents;
-    # the full-grid residual test must report it, not pass it unseen
-    params, g, U0f, W, Z, mu, rhs = _ring_scene(townes, 2)
-    odd = Field(g, rhs.data * np.broadcast_to(np.tanh(g.mesh()[0]), g.shape))
-    scale = 1e-3 * math.sqrt(quad_product(rhs, rhs) / quad_product(odd, odd))
-    with pytest.raises(LinearSolveStalled, match="L0 solve stalled"):
-        solve_L0(rhs + scale * odd, U0f, params, 1e-9, k=2)
-    with pytest.raises(LinearSolveStalled, match="L1 solve stalled"):
-        solve_L1_constrained(rhs + scale * odd, W, mu, Z, params, 1e-9, k=2)
-
-
-@pytest.mark.parametrize("k", [2, 3])
-def test_solves_on_folded_inputs(townes, monkeypatch, k):
-    # inputs folded on mirror_axes(k) give the folded solution of the
-    # full-grid inputs, and with the re-symmetrization taken out its
-    # mirrored-back extension meets the tolerance in the full-grid
-    # residual
+    # inputs folded on mirror_axes(k) give, unfolded and with the
+    # re-symmetrization taken out, the full-grid solution, and meet the
+    # tolerance in the full-grid residual; lam_c and the Z-orthogonality
+    # hold on the folded box
     monkeypatch.setattr(corrector, "symmetrize_fast", lambda f, _k: f)
     params, g, U0f, W, Z, mu, rhs = _ring_scene(townes, k)
     tol = 1e-11
     axes = corrector.mirror_axes(k, 2)
     fU0, fW, fZ, fmu, frhs = (fold(f, axes) for f in (U0f, W, Z, mu, rhs))
 
-    u_full = solve_L0(rhs, U0f, params, tol, k=k)
+    u_full = solve_L0(rhs, U0f, params, tol)
     u = solve_L0(frhs, fU0, params, tol, k=k)
     assert u.grid == frhs.grid
     assert _relerr(unfold(u), u_full) < 1e-10
     res = apply_L0(unfold(u), U0f, params) - rhs
     assert np.linalg.norm(res.data) <= tol * np.linalg.norm(rhs.data)
 
-    v_full, lam_full = solve_L1_constrained(rhs, W, mu, Z, params, tol, k=k)
+    v_full, lam_full = solve_L1_constrained(rhs, W, mu, Z, params, tol)
     v, lam_c = solve_L1_constrained(frhs, fW, fmu, fZ, params, tol, k=k)
     assert _relerr(unfold(v), v_full) < 1e-10
     assert abs(lam_c - lam_full) < 1e-10 * abs(lam_full)
+    res = Field(g, apply_L1(unfold(v), W, mu, params).data
+                + lam_c * Z.data - rhs.data)
+    assert np.linalg.norm(res.data) <= tol * np.linalg.norm(rhs.data)
     assert abs(quad_product(fZ, v)) < 1e-12 * math.sqrt(
         quad_product(fZ, fZ) * quad_product(v, v))
+
+
+def test_solves_reject_inputs_folded_for_another_k(townes):
+    # inputs folded on y2 alone are not the layout of the k = 2 class,
+    # which also mirrors y1: the projection refuses them
+    params, g, U0f, W, Z, mu, rhs = _ring_scene(townes, 2)
+    fU0, fW, fZ, fmu, frhs = (fold(f, (1,)) for f in (U0f, W, Z, mu, rhs))
+    with pytest.raises(ValueError, match="folded on axes"):
+        solve_L0(frhs, fU0, params, 1e-9, k=2)
+    with pytest.raises(ValueError, match="folded on axes"):
+        solve_L1_constrained(frhs, fW, fmu, fZ, params, 1e-9, k=2)
 
 
 # ---------------------------------------------------------------------------
@@ -731,8 +733,8 @@ def test_warm_start_after_contracting_step(monkeypatch):
 
 def test_one_minres_pass_per_solve_while_diverging(monkeypatch):
     # every linear solve of the diverging k = 16 ring stops on the
-    # residual that its full-grid check then measures, so no solve
-    # needs a restart pass
+    # recurred residual that its recomputed check then confirms, so no
+    # solve needs a restart pass
     passes = []
 
     def counted_solve(solve):

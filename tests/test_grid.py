@@ -189,15 +189,6 @@ def test_norm_e():
         == 2.0 * grid.norm_E(u, z, 1.0, mu)
 
 
-def test_dot_plain_weights():
-    g = grid.make_grid(2, 1.0, 0.5)
-    one = grid.sample(g, ones_like)
-    assert grid.dot(one, one) == pytest.approx(0.25 * 25, rel=1e-14)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        assert grid.dot(one, one) > grid.quad(one)  # no boundary halving
-
-
 def test_field_dump_round_trip():
     g = grid.make_grid(2, 2.0, 0.5)
     rng = np.random.default_rng(17)

@@ -8,10 +8,9 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-import numpy as np
-
 import ringnls.corrector as corrector
-from ringnls.grid import Field
+from ringnls.geometry import mirror_axes
+from ringnls.grid import fold, zeros
 from ringnls.model import ModelParams
 
 SPANS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -33,20 +32,22 @@ def test_traced_names_resolve():
 
 
 def test_tracer_sees_every_krylov_iteration():
-    # one folded bordered L1 solve with the tracer installed: its MINRES
-    # wrapper counts exactly the iterations the solve's own callback does
+    # one bordered L1 solve on inputs folded as the Picard loop folds
+    # them, with the tracer installed: its MINRES wrapper counts exactly
+    # the iterations the solve's own callback does
     spans = _load_spans()
     params = ModelParams(beta=0.05)
     inputs = corrector.build_inputs(2, 6.0, params, h=0.5, L=12.0)
-    zero = Field(inputs.g, np.zeros(inputs.g.shape))
-    rhs = corrector.g1_rhs(zero, zero, inputs.U0f, inputs.W, inputs.cubes,
-                           inputs.mu, params)
+    U0f, W, cubes, mu, Z = (fold(f, mirror_axes(2, 2)) for f in (
+        inputs.U0f, inputs.W, inputs.cubes, inputs.mu, inputs.Z))
+    zero = zeros(U0f.grid)
+    rhs = corrector.g1_rhs(zero, zero, U0f, W, cubes, mu, params)
     count = corrector._KrylovCount()
     tracer = spans.Tracer()
     tracer.install()
     try:
-        corrector.solve_L1_constrained(rhs, inputs.W, inputs.mu, inputs.Z,
-                                       params, 1e-9, k=2, callback=count)
+        corrector.solve_L1_constrained(rhs, W, mu, Z, params, 1e-9, k=2,
+                                       callback=count)
     finally:
         tracer.uninstall()
     passes = [s for s in tracer.spans if s[0] == "corrector.minres"]
