@@ -399,8 +399,7 @@ def _ring_scene(townes, k):
 def test_folded_solves_match_full_grid(townes, monkeypatch, k):
     # inputs folded on mirror_axes(k) give, unfolded and with the
     # re-symmetrization taken out, the full-grid solution, and meet the
-    # tolerance in the full-grid residual; lam_c and the Z-orthogonality
-    # hold on the folded box
+    # tolerance in the full-grid residual
     monkeypatch.setattr(corrector, "symmetrize_fast", lambda f, _k: f)
     params, g, U0f, W, Z, mu, rhs = _ring_scene(townes, k)
     tol = 1e-11
@@ -421,6 +420,28 @@ def test_folded_solves_match_full_grid(townes, monkeypatch, k):
     res = Field(g, apply_L1(unfold(v), W, mu, params).data
                 + lam_c * Z.data - rhs.data)
     assert np.linalg.norm(res.data) <= tol * np.linalg.norm(rhs.data)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_solves_on_folded_inputs(townes, k):
+    # with the re-symmetrization in place, inputs folded on mirror_axes(k)
+    # give the folded solution of the full-grid inputs under the same k;
+    # lam_c agrees and the Z-orthogonality holds on the folded box
+    params, g, U0f, W, Z, mu, rhs = _ring_scene(townes, k)
+    tol = 1e-11
+    axes = corrector.mirror_axes(k, 2)
+    fU0, fW, fZ, fmu, frhs = (fold(f, axes) for f in (U0f, W, Z, mu, rhs))
+
+    u_full = solve_L0(rhs, U0f, params, tol, k=k)
+    u = solve_L0(frhs, fU0, params, tol, k=k)
+    assert u.grid == frhs.grid
+    assert _relerr(unfold(u), u_full) < 1e-10
+
+    v_full, lam_full = solve_L1_constrained(rhs, W, mu, Z, params, tol, k=k)
+    v, lam_c = solve_L1_constrained(frhs, fW, fmu, fZ, params, tol, k=k)
+    assert v.grid == frhs.grid
+    assert _relerr(unfold(v), v_full) < 1e-10
+    assert abs(lam_c - lam_full) < 1e-10 * abs(lam_full)
     assert abs(quad_product(fZ, v)) < 1e-12 * math.sqrt(
         quad_product(fZ, fZ) * quad_product(v, v))
 
