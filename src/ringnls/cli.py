@@ -44,7 +44,7 @@ from .corrector import (CorrectorDivergence, LinearSolveStalled, build_inputs,
 from .energy import (ansatz_fields, check_ksum_bound, draw_sector_samples,
                      expansion_compare)
 from .geometry import (BumpConfiguration, bump_centers, bump_sum_field,
-                       radial_field)
+                       mirror_axes, radial_field)
 from .grid import Grid, dump_field, grid_for_radius, quad_product
 from .model import (ModelParams, bump_radius_interval, compute_gamma0_f0,
                     default_sample_radii, derive_exponents, make_potential,
@@ -232,12 +232,15 @@ def _resolve_beta(config: RunConfig, f0: float | None) -> float:
 def _ring_f0(config: RunConfig, g: Grid, ring: BumpConfiguration) -> float:
     """The coupling bound f0 that build_inputs reports for this ring on g.
 
-    f0 depends only on U0 and W = Sigma V_i, so only those two fields are
-    assembled, W by the ring_fields pass that build_inputs runs.
+    f0 depends only on the suprema of U0 and W = Sigma V_i, so only those
+    two fields are assembled, as build_inputs assembles them, on the part
+    of g folded on mirror_axes(k), where the suprema are those of the box.
     """
+    part = g.with_mirrored(mirror_axes(ring.k, config.dim))
     v0 = ground_state(1.0, config.alpha1, config.dim)
-    U0f = radial_field(g, ground_state(config.lam, config.alpha0, config.dim))
-    W = bump_sum_field(g, v0, ring)
+    U0f = radial_field(part,
+                       ground_state(config.lam, config.alpha0, config.dim))
+    W = bump_sum_field(part, v0, ring)
     return compute_gamma0_f0(U0f.data, W.data, v0.decay_const).f0
 
 
@@ -354,10 +357,12 @@ def _run_bounds(config: RunConfig, out: Path):
 def _run_expansion(config: RunConfig, out: Path):
     """Ansatz energy against the three-constant model for each k in ks.
 
-    Per k it builds the grid and the ring, and expansion_compare
-    assembles U0, W and the overlap sum in one pass over the H-orbits of
-    bumps.  When beta is unset, those fields are built first, f0 is read
-    from them, and expansion_compare is handed the same fields; none of
+    Per k it builds the grid and the ring, and ansatz_fields assembles
+    U0, W and the overlap sum in one pass over the H+-orbits of bumps on
+    the part of the box folded on mirror_axes(k), where expansion_compare
+    also evaluates the energy.  When beta is unset, those fields are
+    built first, f0 is read from them (the suprema on the part are those
+    of the box), and expansion_compare is handed the same fields; none of
     the other corrector inputs are assembled.
     """
     if config.dim == 1:

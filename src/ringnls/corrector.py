@@ -19,9 +19,11 @@ The symmetric class contains the reflections of the axes mirror_axes(k):
 y2 (and y3 in 3-D) always, y1 for even k.  The iteration therefore runs
 on the part of the box that they fix, the nodes from the centre on along
 each mirrored axis, half the grid for odd k and a quarter (an eighth in
-3-D) for even k: U0, W, Sigma V_i^3, mu and Z are cut to that part once
-(``grid.fold``), and the iterates, right-hand sides, linear solves,
-symmetrizations, Z projections and E-norm steps all stay there.  The
+3-D) for even k: build_inputs samples U0, W, Sigma V_i^3, mu and Z on
+that part (``CorrectorInputs`` holds them mirrored back to the full
+grid), the loop cuts them to it once (``grid.fold``), and the iterates,
+right-hand sides, linear solves, symmetrizations, Z projections and
+E-norm steps all stay there.  The
 folded stencils read the node at index -j of a mirrored axis as the
 mirror copy of node j and the quadratures weight each node by its number
 of full-grid copies, so every value on the part is that of the full
@@ -260,9 +262,16 @@ def minres(matvec, precond, b: np.ndarray, tol: float, maxiter: int,
     place next to x and the stopping test is on its Euclidean norm, not
     on the preconditioner-weighted norm or a backward error.  A start x0
     (zero when None) that already meets the test is returned after 0
-    iterations; after ``maxiter`` iterations, or when the Krylov space
-    closes (beta = 0), the last iterate is returned.  ``callback(x)`` runs
-    once per iteration.
+    iterations; after ``maxiter`` iterations the last iterate is
+    returned.  The pass also stops when the Krylov space closes, that is
+    when the next beta falls to rounding level, 8 eps times the largest
+    alpha or beta of the Lanczos matrix T so far (not the first beta,
+    which carries the scale of b rather than of the operator).  The step
+    that closes the space is kept when its rotation is defined; when gbar
+    is at rounding level too, T is singular on the closed space, the
+    step would divide rounding by rounding, and the iterate from before
+    it is returned.  ``callback(x)`` runs once per iteration that
+    updates x.
     """
     x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)
     r = b - matvec(x) if x0 is not None else b.copy()
@@ -275,6 +284,7 @@ def minres(matvec, precond, b: np.ndarray, tol: float, maxiter: int,
         raise ValueError("MINRES preconditioner is not positive definite")
     beta = math.sqrt(beta)
     phibar = beta
+    tnorm = 0.0   # the largest entry of the Lanczos matrix T so far
     oldb, dbar, epsln, cs, sn = 1.0, 0.0, 0.0, -1.0, 0.0
     # r1, r2: the last two Lanczos vectors before preconditioning, r1
     # zero on the first step (so the placeholder oldb is never felt);
@@ -292,6 +302,7 @@ def minres(matvec, precond, b: np.ndarray, tol: float, maxiter: int,
         r1 *= -(beta / oldb)
         r1 += av
         alfa = float(np.dot(v, r1))
+        tnorm = max(tnorm, abs(alfa))
         r1 -= (alfa / beta) * r2
         r1, r2 = r2, r1
         # previous rotation on the new column
@@ -312,6 +323,11 @@ def minres(matvec, precond, b: np.ndarray, tol: float, maxiter: int,
         if beta < 0.0:
             raise ValueError("MINRES preconditioner is not positive definite")
         beta = math.sqrt(beta)
+        rounding = 8.0 * eps * tnorm
+        closed = beta <= rounding
+        if closed and abs(gbar) <= rounding:
+            break
+        tnorm = max(tnorm, beta)
         # next rotation
         epsln = sn * beta
         dbar = -cs * beta
@@ -327,7 +343,7 @@ def minres(matvec, precond, b: np.ndarray, tol: float, maxiter: int,
         r -= phi * aw
         if callback is not None:
             callback(x)
-        if float(np.dot(r, r)) <= target or beta == 0.0:
+        if float(np.dot(r, r)) <= target or closed:
             break
     return x
 
@@ -484,25 +500,29 @@ def build_inputs(k: int, Rvalue: float, params: ModelParams,
     """Sample U0, W, Sigma V_i^3, mu, Z and the overlap sum for the
     k-ring at Rvalue.
 
-    W, Sigma V_i^3, Z and the overlap come from one ring_fields pass,
-    which evaluates the profile and its derivative once per H-orbit of
-    bumps rather than once per bump, so W is the same floats as
+    Every field is sampled on the part of the box folded on
+    mirror_axes(k) (``grid.fold``) and mirrored back to the full box with
+    ``grid.unfold``; f0 reads the suprema there, which are those of the
+    box.  W, Sigma V_i^3, Z and the overlap come from one ring_fields
+    pass, which evaluates the profile and its derivative once per
+    H+-orbit of bumps on the part, so W is the same floats as
     bump_sum_field's and the overlap as interaction_term's on g.
     """
     g = grid_for_radius(Rvalue, params.lam, params.dim, h=h, L=L)
+    part = g.with_mirrored(mirror_axes(k, params.dim))
     u0 = ground_state(params.lam, params.alpha0, params.dim)
     v0 = ground_state(1.0, params.alpha1, params.dim)
     config = bump_centers(k, Rvalue, params.dim)
-    U0f = radial_field(g, u0)
-    ring = ring_fields(g, v0, config, cubes=True, constraint=True,
+    U0f = radial_field(part, u0)
+    ring = ring_fields(part, v0, config, cubes=True, constraint=True,
                        overlap=True)
-    mu = potential_field(g, make_potential(params))
+    mu = potential_field(part, make_potential(params))
     budget = compute_gamma0_f0(U0f.data, ring.W, v0.decay_const)
     return CorrectorInputs(g=g, config=config, u0_profile=u0, v0_profile=v0,
-                           U0f=U0f, W=Field(g, ring.W),
-                           cubes=Field(g, ring.cubes), mu=mu,
-                           Z=Field(g, ring.Z), budget=budget,
-                           overlap=ring.overlap)
+                           U0f=unfold(U0f), W=unfold(Field(part, ring.W)),
+                           cubes=unfold(Field(part, ring.cubes)),
+                           mu=unfold(mu), Z=unfold(Field(part, ring.Z)),
+                           budget=budget, overlap=ring.overlap)
 
 
 @dataclass

@@ -22,7 +22,8 @@ import numpy as np
 # bump_sum_field is not called here, but perfbench/spans.py patches it
 # on this module by name, so the import stays
 from .geometry import (BumpConfiguration, RingFields, bump_sum_field,
-                       radial_field, ring_fields, sector_membership)
+                       mirror_axes, radial_field, ring_fields,
+                       sector_membership)
 from .grid import (Field, Grid, grad8, grid_for_radius, make_grid, quad,
                    quad_product)
 from .model import ModelParams, Potential, make_potential
@@ -104,12 +105,14 @@ def interaction_term(V0prof: RadialProfile, config: BumpConfiguration,
                      g: Grid | None = None) -> InteractionReport:
     """Sigma_{i>=2} int V1^3 V_i on g, normalized to its levels J.
 
-    The sum comes from one ring_fields pass, which evaluates the profile
-    once per H-orbit of bumps.
+    The sum comes from one ring_fields pass on the part of g folded on
+    mirror_axes(k), which evaluates the profile once per H+-orbit of
+    bumps there.
     """
     if g is None:
         g = grid_for_radius(config.R, 1.0, config.dim)
-    ring = ring_fields(g, V0prof, config, overlap=True)
+    ring = ring_fields(g.with_mirrored(mirror_axes(config.k, config.dim)),
+                       V0prof, config, overlap=True)
     return _interaction_report(ring.overlap, config, params)
 
 
@@ -235,9 +238,12 @@ def ansatz_fields(U0prof: RadialProfile, V0prof: RadialProfile,
                   config: BumpConfiguration,
                   g: Grid) -> tuple[Field, RingFields]:
     """U0 and the ring pass (W and the overlap sum) that expansion_compare
-    reads; a caller that also needs W, for f0, builds them once here."""
-    return radial_field(g, U0prof), ring_fields(g, V0prof, config,
-                                                overlap=True)
+    reads, sampled on the part of g's box folded on mirror_axes(k)
+    (``grid.fold``); a caller that also needs W, for f0, builds them once
+    here, and sup |W| on the part is that of the box."""
+    part = g.with_mirrored(mirror_axes(config.k, config.dim))
+    return radial_field(part, U0prof), ring_fields(part, V0prof, config,
+                                                   overlap=True)
 
 
 def expansion_compare(U0prof: RadialProfile, V0prof: RadialProfile,
@@ -250,22 +256,25 @@ def expansion_compare(U0prof: RadialProfile, V0prof: RadialProfile,
 
     The per-bump remainder rho = |direct - model| / k collects everything
     the model drops: the finite-R potential deviation, beyond-pair
-    overlaps, and the beta cross term.  W = Sigma V_i and the overlap sum
-    come from one ring_fields pass on g, which evaluates the profile once
-    per H-orbit of bumps; the fields and sums equal those of
-    bump_sum_field and interaction_term exactly.  fields, from
-    ansatz_fields on g, skips that assembly.
+    overlaps, and the beta cross term.  U0, W = Sigma V_i, mu and the
+    overlap sum are built by ansatz_fields on the part of g's box folded
+    on mirror_axes(k), and the energy is evaluated there: the folded
+    gradients and quadratures give the full box's values of the even
+    fields, summed in another order.  The fields and sums equal those of
+    bump_sum_field, energy and interaction_term on that part exactly.
+    fields, from ansatz_fields, skips that assembly.
     """
-    if fields is not None:
-        g = fields[0].grid
-    elif g is None:
-        g = grid_for_radius(config.R, params.lam, config.dim)
+    if fields is None:
+        if g is None:
+            g = grid_for_radius(config.R, params.lam, config.dim)
+        fields = ansatz_fields(U0prof, V0prof, config, g)
+    U0f, ring = fields
+    part = U0f.grid
     if mu is None:
         mu = make_potential(params)
-    muf = potential_field(g, mu)
-    U0f, ring = fields or ansatz_fields(U0prof, V0prof, config, g)
+    muf = potential_field(part, mu)
     inter = _interaction_report(ring.overlap, config, params)
-    direct = energy(U0f, Field(g, ring.W), muf, params)
+    direct = energy(U0f, Field(part, ring.W), muf, params)
     A0, A1, A2 = expansion_constants(U0prof, V0prof, params)
     interaction_sum = 0.5 * params.alpha1 * config.k * inter.total
     model = A0 + config.k * (A1 + A2 / config.R ** params.m) - interaction_sum

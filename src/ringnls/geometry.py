@@ -4,30 +4,38 @@ The k bumps sit at x_i = (R cos(2(i-1)pi/k), R sin(2(i-1)pi/k)), padded
 with a zero third coordinate in 3-D.  The symmetric class is generated
 by the rotation Q through 2pi/k in the (y1, y2)-plane together with the
 coordinate reflections y_n -> -y_n for n >= 2; symmetrize averages a
-field over that group.  The elements whose matrix is a signed
-permutation of the axes (the quarter-turn rotations the group contains,
-with and without y2 -> -y2) form a subgroup H of order 2 gcd(k, 4) and
-act by exact node permutations; _node_subgroup builds H once for both
-users below.  The other elements form the cosets H r_m^-1, r_m the
-rotation by 2pi m/k, 1 <= m < q = k/gcd(k, 4).  symmetrize therefore
-forms the exact H-average F_H = Sigma_h f o h by node permutations and
-interpolates it (quintic splines) once per coset at r_m^-1 x, for one
-node x per H-orbit only: the half box of mirror_axes (y2 >= 0, y1 >= 0
-for even k, y3 >= 0 in 3-D), cut to y1 >= y2 when k = 0 mod 4, about an
-eighth of the grid at k = 16.  The averages at those nodes are scattered
-back by the node permutations of H, so the result is H-invariant bit for
-bit, and the half box is the folded box on which the corrector's Picard
-loop runs; a field already folded there is averaged and returned folded.
-Memory is O(nodes) and independent of k.
+field over that group.  The reflections of the axes mirror_axes(k) (y2,
+y3 in 3-D, and y1 for even k) lie in the group, so a symmetric field is
+known from the part of the box they fix, the nodes from the centre on
+along each of those axes (``grid.fold``): half the box for odd k, a
+quarter (an eighth in 3-D) for even k.  The elements whose matrix is a
+signed permutation of the axes (the quarter-turn rotations the group
+contains, with and without y2 -> -y2) form a subgroup H of order
+2 gcd(k, 4) and act by exact node permutations; _node_subgroup builds H
+once for both users below.  The other elements form the cosets H r_m^-1,
+r_m the rotation by 2pi m/k, 1 <= m < q = k/gcd(k, 4).  symmetrize
+therefore forms the exact H-average F_H = Sigma_h f o h by node
+permutations and interpolates it (quintic splines) once per coset at
+r_m^-1 x, for one node x per H-orbit only: the part of mirror_axes, cut
+to y1 >= y2 when k = 0 mod 4, about an eighth of the grid at k = 16.
+The averages at those nodes are scattered back by the node permutations
+of H, so the result is H-invariant bit for bit.  A field already folded
+onto the part is averaged there and returned folded: F_H, its spline
+coefficients and the interpolation never touch the full box.  Memory is
+O(nodes) and independent of k.
 
 H also permutes the bumps: the node permutation by h of the field of
 bump j is the field of the bump at h^-1 x_j, whose index is j - s or
 s - j (mod k) for h the rotation by 2pi s/k without or with the flip.
-ring_fields therefore assembles W = Sigma V_i, Sigma V_i^3, the radius
-mode Z = Sigma V_i^2 dV_i/dR and the overlap Sigma_{i>=2} int V_1^3 V_i
-in one pass that evaluates the profile once per H-orbit of bumps (3
-orbits at k = 16, 5 at k = 32) and adds the permuted images of that
-one evaluation.
+On the part only H+, the elements of H that map the part onto itself
+(the identity and, for k = 0 mod 4, the transpose of y1 and y2), act by
+node permutations.  ring_fields therefore assembles W = Sigma V_i,
+Sigma V_i^3, the radius mode Z = Sigma V_i^2 dV_i/dR and the overlap
+Sigma_{i>=2} int V_1^3 V_i on the part, in one pass that evaluates the
+profile once per H+-orbit of bumps on part-sized arrays (9 orbits of a
+quarter box at k = 16, 2.25 full-box evaluations against the 3 of one
+per H-orbit on the full box) and adds the permuted images of that one
+evaluation; a full-box grid gets the part mirrored back.
 """
 from __future__ import annotations
 
@@ -160,27 +168,27 @@ class RingFields:
 
 
 def _ring_orbits(k: int, dim: int) -> list:
-    """The H-orbits of the bump indices 0..k-1.
+    """The H+-orbits of the bump indices 0..k-1.
 
-    Each orbit is (j, images): j its smallest index and images the pairs
-    (i, h), one h in H per distinct i with h^-1 x_j = x_i, so that the
-    node permutation of bump j by h is bump i.  Bump 0's orbit comes last
-    and ends with bump 0 itself.
+    H+ holds the elements of H that map the part of the box folded on
+    mirror_axes(k) onto itself, those whose matrix has no negative entry:
+    the identity and, for k = 0 mod 4, the transpose of y1 and y2.  Each
+    orbit is (j, images): j its smallest index and images the pairs (i,
+    h), one h in H+ per distinct i with h^-1 x_j = x_i, so that the node
+    permutation of bump j by h is bump i on the part.
     """
-    subgroup = _node_subgroup(k, dim)
+    positive = [(s, flip2, h) for s, flip2, h in _node_subgroup(k, dim)
+                if np.all(h >= 0.0)]
     orbits = []
     seen = set()
     for j in range(k):
         if j in seen:
             continue
         images = {}
-        for s, flip2, h in subgroup:
+        for s, flip2, h in positive:
             images.setdefault((s - j) % k if flip2 else (j - s) % k, h)
         seen.update(images)
         orbits.append((j, list(images.items())))
-    # the identity comes first in H, so bump 0 is its orbit's first image
-    _, first = orbits.pop(0)
-    orbits.append((0, first[1:] + first[:1]))
     return orbits
 
 
@@ -189,35 +197,74 @@ def ring_fields(g: Grid, profile: RadialProfile, config: BumpConfiguration,
                 overlap: bool = False) -> RingFields:
     """W, and on request Sigma V_i^3, Z and the overlap, in one pass.
 
-    The profile (and, for Z, its derivative) is evaluated once per
-    H-orbit representative j; every bump of the orbit is then a node
-    permutation of V_j, V_j^3 and V_j^2 ∂V_j/∂R.  Bump 1's orbit is
-    summed last: the overlap is taken against W while W holds every
-    other bump, and V_1 is added after it.  The summation order does not
-    depend on which parts are requested, so W is the same floats for
-    every caller.
+    The sums are assembled on the part of the box folded on mirror_axes(k)
+    (``grid.fold``), whatever g is: the arrays come back folded for a grid
+    folded there, mirrored back to the full box for an unfolded one, and
+    a grid folded on other axes is refused (ValueError).  The profile
+    (and, for Z, its derivative) is evaluated on the part once per
+    H+-orbit representative j; every other bump of the orbit is a node
+    permutation of V_j, V_j^3 and V_j^2 dV_j/dR there.
+
+    V_1 alone is not even in y1, so for even k the overlap is half the
+    part's quadrature of the mirror-even G = V_1^3 (W' + V_m) + V_m^3 (W'
+    + V_1), m = k/2 + 1 the bump opposite x_1 and W' the sum of every
+    other bump; for odd k it is the quadrature of V_1^3 W'.  Bumps 1 and
+    m are held back and added last, after the overlap is taken, so every
+    term is a sum of positive parts and no difference of sums cancels.
+    The summation order does not depend on which parts are requested, so
+    W is the same floats for every caller.
     """
-    mesh = g.mesh()
-    W = np.zeros(g.shape)
-    C = np.zeros(g.shape) if cubes else None
-    Z = np.zeros(g.shape) if constraint else None
-    total = None
+    axes = mirror_axes(config.k, g.dim)
+    if g.mirrored not in ((), axes):
+        raise ValueError(f"grid folded on axes {g.mirrored}, the "
+                         f"fold-{config.k} class mirrors {axes}")
+    part = g.with_mirrored(axes)
+    mesh = part.mesh()
+    W = np.zeros(part.shape)
+    C = np.zeros(part.shape) if cubes else None
+    Z = np.zeros(part.shape) if constraint else None
+    last = {0, config.k // 2} if config.k % 2 == 0 else {0}
+    held = {}
+
+    def add(parts):
+        for total, a in zip((W, C, Z), parts):
+            if total is not None:
+                total += a
+
     for j, images in _ring_orbits(config.k, g.dim):
         rho = _bump_radii(config, j, mesh)
         vj = eval_profile(profile, rho)
-        cj = vj ** 3 if cubes or (overlap and j == 0) else None
+        cj = None
+        if cubes or (overlap and any(i in last for i, _h in images)):
+            cj = vj ** 3
         zj = None
         if constraint:
             zj = vj * vj * _radial_derivative(profile, config, j, mesh, rho)
         del rho
         for i, h in images:
-            if overlap and i == 0:
-                total = quad_product(Field(g, cj), Field(g, W))
-            W += _apply_signed_permutation(vj, h)
-            if cubes:
-                C += _apply_signed_permutation(cj, h)
-            if constraint:
-                Z += _apply_signed_permutation(zj, h)
+            parts = [None if a is None else _apply_signed_permutation(a, h)
+                     for a in (vj, cj, zj)]
+            if i in last:
+                held[i] = parts
+            else:
+                add(parts)
+        # a held bump keeps its arrays through held; free the others
+        # before the next orbit allocates
+        del vj, cj, zj, parts
+    total = None
+    if overlap:
+        v1, c1, _ = held[0]
+        if len(last) == 2:
+            vm, cm, _ = held[config.k // 2]
+            total = 0.5 * quad_product(Field(part, c1 * (W + vm)
+                                             + cm * (W + v1)))
+        else:
+            total = quad_product(Field(part, c1), Field(part, W))
+    for i in sorted(held, reverse=True):
+        add(held.pop(i))
+    if not g.mirrored:
+        W, C, Z = (None if a is None else mirror_back(a, axes)
+                   for a in (W, C, Z))
     return RingFields(W=W, cubes=C, Z=Z, overlap=total)
 
 
@@ -301,14 +348,17 @@ def symmetrize(f: Field, k: int) -> Field:
     k ≡ 0 mod 4, as the transpose of y1 and y2: F_H = |H|/2 (f + fᵀ) or
     |H| f, formed on the folded part, and the answer is folded too.
     When H is all of G (q = k/gcd(k, 4) = 1) that is the answer.
-    Otherwise F_H is prefiltered once for quintic splines, and each
-    coset, 1 ≤ m < q, costs one interpolation of F_H at r_m⁻¹·x, r_m the
-    rotation by 2πm/k.  Only one node x per H-orbit is interpolated: the
-    half box of mirror_axes (y2 ≥ 0; also y1 ≥ 0 for even k; y3 ≥ 0 in
-    3-D), and within it y1 ≥ y2 when k ≡ 0 mod 4.  The average at those
-    nodes is scattered back by the |H| node permutations (a transpose
-    for k ≡ 0 mod 4, then the axis mirrors), so the output is
-    H-invariant bit for bit.
+    Otherwise F_H is prefiltered once for quintic splines, on the part
+    when f is folded (SciPy's spline boundary reflects the coefficients
+    about index 0 of a folded axis, which is the fold), and each coset,
+    1 ≤ m < q, costs one interpolation of F_H at r_m⁻¹·x, r_m the
+    rotation by 2π m/k, read at |r_m⁻¹·x| along the folded axes.  Only
+    one node x per H-orbit is interpolated: the half box of mirror_axes
+    (y2 ≥ 0; also y1 ≥ 0 for even k; y3 ≥ 0 in 3-D), and within it
+    y1 ≥ y2 when k ≡ 0 mod 4.  The average at those nodes is scattered
+    back by the |H| node permutations (a transpose for k ≡ 0 mod 4, then,
+    for a full-box f, the axis mirrors), so the output is H-invariant bit
+    for bit.
 
     In exact arithmetic this is the average over every element of G:
     G = G⁻¹, so the elements h·r_m⁻¹ run over G as the r_m·h do; the
@@ -331,29 +381,32 @@ def symmetrize(f: Field, k: int) -> Field:
             raise ValueError(f"field folded on axes {g.mirrored}, the "
                              f"fold-{k} class mirrors {axes}")
         # |H|/2 and |H| are powers of 2: the scalings are exact
-        exact_total = (0.5 * n_h * (a + a.swapaxes(0, 1)) if k % 4 == 0
-                       else n_h * a)
+        part_total = (0.5 * n_h * (a + a.swapaxes(0, 1)) if k % 4 == 0
+                      else n_h * a)
         if q == 1:
-            return Field(g, exact_total / n_h)
-        part_total = exact_total
-        exact_total = mirror_back(exact_total, axes)
+            return Field(g, part_total / n_h)
+        source = part_total
     else:
-        exact_total = np.zeros(g.shape)
+        source = np.zeros(g.shape)
         for _s, _flip2, h in _node_subgroup(k, dim):
-            exact_total += _apply_signed_permutation(a, h)
+            source += _apply_signed_permutation(a, h)
         if q == 1:
-            out = exact_total / n_h
+            out = source / n_h
             if dim == 3:
                 out = 0.5 * (out + out[:, :, ::-1])
             return Field(g, out)
         if dim == 3:
-            exact_total = 0.5 * (exact_total + exact_total[:, :, ::-1])
-        part_total = exact_total[half_box(g, axes)]
-    # the B-spline prefilter map_coordinates would otherwise rerun on
-    # every call (mode "constant" needs no padding)
-    coeffs = spline_filter(exact_total, order=5, output=np.float64,
-                           mode="constant")
-    del exact_total
+            source = 0.5 * (source + source[:, :, ::-1])
+        part_total = source[half_box(g, axes)]
+    # The B-spline coefficients of F_H, on the part when f is folded,
+    # prefiltered once rather than by every map_coordinates call.  The
+    # prefilter's "mirror" boundary (the same filter as "constant") and
+    # map_coordinates' "constant" mode inside the array both reflect the
+    # coefficients about the end node without repeating it: at index 0 of
+    # a folded axis that is the fold, so the part's coefficients read at
+    # |y| give the box's value at y.
+    coeffs = spline_filter(source, order=5, output=np.float64, mode="mirror")
+    del source
     mesh = np.meshgrid(*g.with_mirrored(axes).axes(), indexing="ij")
     rep = mesh[0] >= mesh[1] if k % 4 == 0 else np.ones(mesh[0].shape, bool)
     pts = np.stack([x[rep] for x in mesh])
@@ -363,9 +416,17 @@ def symmetrize(f: Field, k: int) -> Field:
     cosets = np.ones(total.size, dtype=int)
     for m in range(1, q):
         coords = _rotation_matrix(-2.0 * math.pi * m / k, dim, False) @ pts
-        vals = map_coordinates(coeffs, (coords + g.L) / g.h, order=5,
-                               mode="constant", cval=0.0, prefilter=False)
         inbox = np.all(np.abs(coords) <= g.L + 1e-12, axis=0)
+        # node index of each coordinate, in place: |y| / h on an axis the
+        # coefficients are folded on, (y + L) / h on a full axis
+        for ax in range(dim):
+            if ax in g.mirrored:
+                np.abs(coords[ax], out=coords[ax])
+            else:
+                coords[ax] += g.L
+        coords /= g.h
+        vals = map_coordinates(coeffs, coords, order=5, mode="constant",
+                               cval=0.0, prefilter=False)
         total += np.where(inbox, vals, 0.0)
         cosets += inbox
     out = np.zeros(rep.shape)

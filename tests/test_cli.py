@@ -427,22 +427,25 @@ def test_expansion_run_artifacts(tmp_path, monkeypatch, beta_line):
 
 def test_expansion_beta_unset_assembles_once(tmp_path, monkeypatch):
     """Resolving beta = f0/2 reuses the fields expansion_compare reads:
-    per k, one U0 evaluation and one per H-orbit of bumps (2 orbits at
-    k = 6 and at k = 8), the same count as with beta given."""
+    per k, one U0 evaluation and one per H+-orbit of bumps on the folded
+    part (6 orbits at k = 6, 5 at k = 8), the same count as with beta
+    given, and no profile is evaluated on the full box."""
     from ringnls import energy, geometry
+    from ringnls.grid import grid_for_radius
 
     calls = []
 
     def counting(fn):
-        def wrapper(*args, **kwargs):
-            calls.append(1)
-            return fn(*args, **kwargs)
+        def wrapper(profile, r):
+            calls.append(np.size(r))
+            return fn(profile, r)
         return wrapper
 
     for module in (geometry, energy):
         monkeypatch.setattr(module, "eval_profile",
                             counting(module.eval_profile))
     counts = []
+    sizes = set()
     for beta_line in ("", "beta = 0.07\n"):
         cfg = tmp_path / "e.cfg"
         cfg.write_text("ks = 6,8\nh = 0.5\n" + beta_line)
@@ -452,7 +455,14 @@ def test_expansion_beta_unset_assembles_once(tmp_path, monkeypatch):
             assert main(["expansion", "--config", str(cfg),
                          "--out", str(tmp_path / "out")]) == 0
         counts.append(len(calls))
-    assert counts == [6, 6]
+        sizes.update(calls)
+    assert [len(geometry._ring_orbits(k, 2)) for k in (6, 8)] == [6, 5]
+    assert counts == [13, 13]
+    config = RunConfig()
+    parts = {grid_for_radius(cli._radius_for(config, k), config.lam, 2,
+                             h=0.5).with_mirrored(geometry.mirror_axes(k, 2))
+             .size for k in (6, 8)}
+    assert sizes == parts
 
 
 # ---------------------------------------------------------------------------

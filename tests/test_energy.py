@@ -12,7 +12,7 @@ from ringnls.energy import (check_ksum_bound, draw_sector_samples, energy,
                             expansion_constants, interaction_term,
                             potential_field, potential_moment)
 from ringnls.geometry import (bump_centers, bump_cubes_field, bump_sum_field,
-                              radial_field, ring_fields)
+                              mirror_axes, radial_field, ring_fields)
 from ringnls.grid import (Field, grid_for_radius, make_grid, quad_product,
                           zeros)
 from ringnls.model import ModelParams, Potential, make_potential, mid_radius
@@ -285,23 +285,31 @@ def test_expansion_compare_internal_consistency(townes):
 
 @pytest.mark.parametrize("k", [5, 8])
 def test_expansion_compare_matches_separate_passes(townes, k):
-    # one loop feeds W and the overlap sum; the results must be the same
-    # floats as bump_sum_field + energy and interaction_term on that grid
+    # one loop feeds W and the overlap sum on the folded part; the results
+    # must be the same floats as bump_sum_field + energy and
+    # interaction_term on that part, and the full-box energy and overlap
+    # to rounding
     p = ModelParams(beta=0.05)
     cfg = bump_centers(k, mid_radius(k, p.m, p.theta), 2)
     g = grid_for_radius(cfg.R, p.lam, 2, h=0.25)
+    part = g.with_mirrored(mirror_axes(k, 2))
     rep = expansion_compare(townes, townes, cfg, p, g=g)
-    W = bump_sum_field(g, townes, cfg)
-    direct = energy(radial_field(g, townes), W,
-                    potential_field(g, make_potential(p)), p)
-    inter = interaction_term(townes, cfg, p, g=g)
+    W = bump_sum_field(part, townes, cfg)
+    direct = energy(radial_field(part, townes), W,
+                    potential_field(part, make_potential(p)), p)
+    inter = interaction_term(townes, cfg, p, g=part)
     # the energy absorbs last-bit changes of W, so W is compared directly
-    assert np.array_equal(ring_fields(g, townes, cfg, overlap=True).W,
+    assert np.array_equal(ring_fields(part, townes, cfg, overlap=True).W,
                           W.data)
     assert rep.direct == direct
     assert rep.interaction_sum == 0.5 * p.alpha1 * k * inter.total
     assert rep.J_exact == inter.J_exact
     assert rep.J_surrogate == inter.J_surrogate
+    full = energy(radial_field(g, townes), bump_sum_field(g, townes, cfg),
+                  potential_field(g, make_potential(p)), p)
+    assert abs(rep.direct - full) <= 1e-13 * abs(full)
+    full_inter = interaction_term(townes, cfg, p, g=g)
+    assert abs(inter.total - full_inter.total) <= 1e-13 * full_inter.total
 
 
 def _synthetic_pair(g):

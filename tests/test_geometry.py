@@ -333,6 +333,50 @@ def test_symmetrize_exactly_invariant(dim, k, wall):
         assert np.max(np.abs(s[:, :, ::-1] - s)) == 0.0
 
 
+def _even_field(g, axes):
+    """Off-centre bumps made even in each of axes, with a broad part
+    that is still O(1) at the box wall."""
+    def fn(*y):
+        out = 0.5 * np.exp(-0.02 * sum(c * c for c in y))
+        for signs in np.ndindex(*(2,) * len(axes)):
+            shift = [0.0] * g.dim
+            shift[0], shift[1] = 1.2, 0.4
+            for ax, s in zip(axes, signs):
+                shift[ax] *= -1.0 if s else 1.0
+            out = out + np.exp(-2.0 * sum((c - d) ** 2
+                                          for c, d in zip(y, shift)))
+        return out
+    return grid.sample(g, fn)
+
+
+@pytest.mark.parametrize("dim,k", [(2, 3), (2, 5), (2, 6), (2, 16), (3, 6)])
+def test_symmetrize_folded_stays_on_part(monkeypatch, dim, k):
+    """On a folded field the orbit average is the fold of the full-box
+    one, computed without the full box: neither mirror_back nor a
+    spline prefilter of a full-box array runs."""
+    g = grid.make_grid(2, 6.0, 0.125) if dim == 2 else \
+        grid.make_grid(3, 4.0, 0.25)
+    axes = geometry.mirror_axes(k, dim)
+    f = _even_field(g, axes)
+    want = grid.fold(geometry.symmetrize(f, k), axes).data
+    part = g.with_mirrored(axes)
+    filtered = []
+
+    def part_filter(a, **kwargs):
+        filtered.append(a.shape)
+        return ndimage.spline_filter(a, **kwargs)
+
+    def boom(*args, **kwargs):
+        raise AssertionError("mirror_back called on the folded path")
+
+    monkeypatch.setattr(geometry, "spline_filter", part_filter)
+    monkeypatch.setattr(geometry, "mirror_back", boom)
+    got = geometry.symmetrize(grid.fold(f, axes), k)
+    assert got.grid == part
+    assert filtered == [part.shape]
+    assert np.max(np.abs(got.data - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 def test_symmetrize_fast_peak_memory():
     """One interpolating call at k = 16 allocates at most 10 field sizes
     at its peak: the H-average, its spline coefficients, and arrays over
@@ -428,8 +472,9 @@ def _ring_per_bump(g, profile, conf):
     *((2, k) for k in (1, 2, 3, 4, 5, 6, 8, 12, 16, 24)),
     *((3, k) for k in (2, 3, 4, 5))])
 def test_ring_fields_match_per_bump_assembly(dim, k):
-    """One evaluation per H-orbit, permuted onto the other bumps of the
-    orbit, gives the per-bump sums to rounding."""
+    """One evaluation per H+-orbit on the folded part, permuted onto the
+    other bumps of the orbit, gives the per-bump sums to rounding: folded
+    on a folded grid, mirrored back on a full one."""
     profile = radial.ground_state(1.0, 1.0, dim)
     if dim == 2:
         R = 2.0 + 0.25 * k
@@ -438,28 +483,84 @@ def test_ring_fields_match_per_bump_assembly(dim, k):
         R = 2.5
         g = grid.make_grid(3, 7.0, 0.5)
     conf = geometry.bump_centers(k, R, dim)
+    axes = geometry.mirror_axes(k, dim)
     W, cubes, Z, overlap = _ring_per_bump(g, profile, conf)
-    got = geometry.ring_fields(g, profile, conf, cubes=True,
-                               constraint=True, overlap=True)
-    for mine, want in ((got.W, W), (got.cubes, cubes), (got.Z, Z)):
-        assert np.max(np.abs(mine - want)) <= 1e-13 * np.max(np.abs(want))
-    assert abs(got.overlap - overlap) <= 1e-12 * max(abs(overlap), 1e-300)
+    for gg in (g, g.with_mirrored(axes)):
+        got = geometry.ring_fields(gg, profile, conf, cubes=True,
+                                   constraint=True, overlap=True)
+        for mine, want in ((got.W, W), (got.cubes, cubes), (got.Z, Z)):
+            want = grid.fold(grid.Field(g, want), gg.mirrored).data
+            assert mine.shape == gg.shape
+            assert np.max(np.abs(mine - want)) <= 1e-13 * np.max(np.abs(want))
+        assert abs(got.overlap - overlap) <= 1e-12 * max(abs(overlap), 1e-300)
+
+
+def test_ring_fields_overlap_of_distant_pair():
+    """At k = 2, R = 12 the overlap is 2e-11 of int V^4 per bump: the
+    mirror-even integrand on the folded part keeps it to 1e-12, where a
+    difference of ring sums such as int (C W - Sigma V_i^4) / k would
+    lose it to rounding."""
+    profile = radial.ground_state(1.0, 1.0, 2)
+    conf = geometry.bump_centers(2, 12.0, 2)
+    g = grid.grid_for_radius(12.0, 1.0, 2)
+    _W, _cubes, _Z, overlap = _ring_per_bump(g, profile, conf)
+    assert 4.7e-10 < overlap < 4.8e-10
+    for gg in (g, g.with_mirrored(geometry.mirror_axes(2, 2))):
+        got = geometry.ring_fields(gg, profile, conf, overlap=True).overlap
+        assert abs(got - overlap) <= 1e-12 * overlap
+
+
+def test_ring_fields_rejects_grid_folded_for_another_k():
+    profile = radial.ground_state(1.0, 1.0, 2)
+    g = grid.make_grid(2, 8.0, 0.5).with_mirrored(geometry.mirror_axes(3, 2))
+    with pytest.raises(ValueError, match="fold-4 class"):
+        geometry.ring_fields(g, profile, geometry.bump_centers(4, 3.0, 2))
+
+
+def test_ring_fields_memory_independent_of_k():
+    """The orbits stream through part-sized arrays: the peak allocation
+    at k = 32 stays within one part size of that at k = 8."""
+    profile = radial.ground_state(1.0, 1.0, 2)
+    part = grid.make_grid(2, 14.0, 0.125).with_mirrored((0, 1))
+
+    def peak(k):
+        conf = geometry.bump_centers(k, 6.0, 2)
+        tracemalloc.start()
+        try:
+            geometry.ring_fields(part, profile, conf, cubes=True,
+                                 constraint=True, overlap=True)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(32) <= peak(8) + part.size * 8
+
+
+# summed sizes passed to eval_profile and eval_profile_deriv by
+# build_inputs at h = 0.5, on the full box before assembly moved onto the
+# folded part, and now
+POINTS_BEFORE_AND_NOW = {3: (36125, 25585), 5: (52983, 42108),
+                         16: (86247, 59584), 24: (154449, 117612),
+                         32: (257499, 207515)}
 
 
 @pytest.mark.parametrize("k,orbits", [(3, 2), (5, 3), (16, 3), (24, 4),
                                       (32, 5)])
 def test_build_inputs_one_evaluation_per_orbit(monkeypatch, k, orbits):
-    """build_inputs evaluates the profile once for U0 and once per H-orbit
-    of bumps, and its derivative once per orbit, instead of per bump."""
+    """build_inputs evaluates the profile once for U0 and once per
+    H+-orbit of bumps, and its derivative once per H+-orbit, each on the
+    part of the box folded on mirror_axes(k).  orbits counts the H-orbits
+    of the full-box assembly this replaced, which evaluated 1 + 2 orbits
+    full boxes of points; the part never evaluates more."""
     from ringnls.corrector import build_inputs
     from ringnls.model import ModelParams, mid_radius
 
-    calls = {"value": 0, "deriv": 0}
+    points = {"value": 0, "deriv": 0}
 
     def counting(kind, fn):
-        def wrapper(*args, **kwargs):
-            calls[kind] += 1
-            return fn(*args, **kwargs)
+        def wrapper(profile, r):
+            points[kind] += r.size
+            return fn(profile, r)
         return wrapper
 
     monkeypatch.setattr(geometry, "eval_profile",
@@ -467,6 +568,12 @@ def test_build_inputs_one_evaluation_per_orbit(monkeypatch, k, orbits):
     monkeypatch.setattr(geometry, "eval_profile_deriv",
                         counting("deriv", geometry.eval_profile_deriv))
     params = ModelParams()
-    build_inputs(k, mid_radius(k, params.m, params.theta), params, h=0.5)
-    assert len(geometry._ring_orbits(k, 2)) == orbits
-    assert calls == {"value": 1 + orbits, "deriv": orbits}
+    inputs = build_inputs(k, mid_radius(k, params.m, params.theta), params,
+                          h=0.5)
+    part = inputs.g.with_mirrored(geometry.mirror_axes(k, 2))
+    n_orbits = len(geometry._ring_orbits(k, 2))
+    assert points == {"value": (1 + n_orbits) * part.size,
+                      "deriv": n_orbits * part.size}
+    before, now = POINTS_BEFORE_AND_NOW[k]
+    assert before == (1 + 2 * orbits) * inputs.g.size
+    assert sum(points.values()) == now <= before

@@ -69,7 +69,7 @@ def test_reduced_energy_passes_max_iter(corr_k2):
 def test_reduced_energy_reuses_build_inputs_overlap(monkeypatch):
     """reduced_energy reports the overlap sum that build_inputs assembled,
     bit for bit the report interaction_term computes on the same grid,
-    and the profile is evaluated once per H-orbit of bumps per radius."""
+    and the profile is evaluated once per H+-orbit of bumps per radius."""
     from ringnls import geometry, reduction
     from ringnls.energy import interaction_term
 
@@ -93,9 +93,10 @@ def test_reduced_energy_reuses_build_inputs_overlap(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         reduced_energy(inputs, params, max_iter=2)
-    # U0 once, then once per orbit of bumps: {1} and {2, 3} at k = 3
-    assert len(geometry._ring_orbits(3, 2)) == 2
-    assert len(evals) == 1 + 2
+    # U0 once, then once per H+-orbit of bumps on the half box folded
+    # on y2: {1}, {2} and {3} at k = 3
+    assert len(geometry._ring_orbits(3, 2)) == 3
+    assert len(evals) == 1 + 3
     monkeypatch.undo()
     assert reports == [interaction_term(inputs.v0_profile, inputs.config,
                                         params, g=inputs.g)]
