@@ -125,11 +125,12 @@ def _radial_derivative(profile: RadialProfile, config: BumpConfiguration,
     where ρ = 0 the smooth limit 0 is returned.
     """
     c, n = config.centers[i], config.normals[i]
-    proj = np.broadcast_to((y[0] - c[0]) * n[0] + (y[1] - c[1]) * n[1],
-                           rho.shape)
-    out = np.zeros(rho.shape)
-    ok = rho > 0.0
-    out[ok] = -eval_profile_deriv(profile, rho[ok]) * proj[ok] / rho[ok]
+    proj = (y[0] - c[0]) * n[0] + (y[1] - c[1]) * n[1]
+    # on the whole array, no gather of the ρ > 0 nodes; the 0/0 at ρ = 0
+    # is then overwritten by the limit
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = -eval_profile_deriv(profile, rho) * proj / rho
+    out[rho == 0.0] = 0.0
     return out
 
 

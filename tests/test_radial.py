@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -262,3 +263,67 @@ def test_eval_split_matches_where_at_scalars(dim):
     for r in (0.0, p.r_max, np.nextafter(p.r_max, -np.inf),
               np.nextafter(p.r_max, np.inf), p.r_max + 5.0):
         _assert_matches_where_oracle(p, r)
+
+
+def _production_radii(dim):
+    """Radii of every node of a default grid from one bump of a k = 24
+    ring at its mid-window radius (2-D) or a k = 2 pair (3-D); many lie
+    beyond r_max."""
+    from ringnls.geometry import _bump_radii, bump_centers
+    from ringnls.grid import grid_for_radius, make_grid
+    from ringnls.model import mid_radius
+
+    if dim == 2:
+        R = mid_radius(24, 1.0, 2.0)
+        return _bump_radii(bump_centers(24, R, 2), 5,
+                           grid_for_radius(R, 1.0, 2).mesh())
+    return _bump_radii(bump_centers(2, 8.0, 3), 1, make_grid(3, 24.0, 1.0).mesh())
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_eval_matches_bspline_and_tail(dim):
+    # the piecewise-polynomial form against the quintic B-spline of the
+    # same mirrored nodes inside r_max, and the tail formula beyond it
+    from scipy.interpolate import make_interp_spline
+
+    p = radial.ground_state(1.0, 1.0, dim)
+    rm = np.concatenate([-p.r[5:0:-1], p.r])
+    rho = _production_radii(dim)
+    far = rho > p.r_max
+    assert 0 < np.count_nonzero(far) < rho.size
+    inside = np.concatenate([[0.0, p.r_max], p.r, rho[~far]])
+    decay = np.exp(-p.sqrt_c * (rho[far] - p.r_max))
+    for fast, nodes, parity, tail_scale in (
+            (radial.eval_profile, p.values, 1.0, p.values[-1]),
+            (radial.eval_profile_deriv, p.deriv, -1.0, -p.sqrt_c * p.values[-1])):
+        bspline = make_interp_spline(
+            rm, np.concatenate([parity * nodes[5:0:-1], nodes]), k=5)
+        err = np.max(np.abs(fast(p, inside) - bspline(inside)))
+        assert err <= 1e-14 * np.max(np.abs(nodes))
+        got = fast(p, rho)
+        assert not np.any(np.isnan(got))
+        assert np.array_equal(got[far], tail_scale * decay)
+        for r in (0.0, p.r_max, p.r_max + 1.0):
+            assert np.shape(fast(p, r)) == ()
+            assert np.shape(fast(p, np.float64(r))) == ()
+
+
+@pytest.mark.parametrize("where", ["mixed", "far"])
+def test_eval_temporaries_bounded(where):
+    # beside the returned array, one evaluation on N radii holds at most
+    # 3 N float64 of temporaries (bounded memory for 3-D fields); a numpy
+    # Horner over gathered coefficients would hold about 6 N
+    p = radial.ground_state(1.0, 1.0, 2)
+    n = 200_000
+    lo = 0.0 if where == "mixed" else p.r_max + 1.0
+    r = np.linspace(lo, 3.0 * p.r_max, n)
+    for fast in (radial.eval_profile, radial.eval_profile_deriv):
+        fast(p, r[:8])
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = fast(p, r)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base - out.nbytes <= 3 * n * 8
