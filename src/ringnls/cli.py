@@ -175,12 +175,17 @@ def parse_config(text: str) -> RunConfig:
 # artifact plumbing
 
 
-def _atomic_write(path: Path, text: str) -> None:
+def _atomic_write(path: Path, content) -> None:
+    """Write content to path through a temporary file and a rename: a str
+    as it is, a Field as dump_field's text of its full box, row by row."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            if isinstance(content, str):
+                fh.write(content)
+            else:
+                dump_field(content, fh)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -414,8 +419,8 @@ def _run_corrector(config: RunConfig, out: Path):
     params = replace(params0, beta=beta)
     res = fixed_point_iterate(inputs, params, tol=config.tol,
                               max_iter=config.max_iter)
-    _atomic_write(out / "u.field", dump_field(res.u))
-    _atomic_write(out / "v.field", dump_field(res.v))
+    _atomic_write(out / "u.field", res.u)
+    _atomic_write(out / "v.field", res.v)
     _atomic_write(out / "steps.csv", _csv_text(
         ("iteration", "step"),
         [(i + 1, float(s)) for i, s in enumerate(res.steps)]))
@@ -498,8 +503,8 @@ def _run_solve(config: RunConfig, out: Path):
     inputs = build_inputs(config.k, R0, params, h=config.h, L=config.L)
     sol = assemble_solution(inputs, params, tol=config.tol,
                             max_iter=config.max_iter)
-    _atomic_write(out / "U.field", dump_field(sol.U))
-    _atomic_write(out / "V.field", dump_field(sol.V))
+    _atomic_write(out / "U.field", sol.U)
+    _atomic_write(out / "V.field", sol.V)
     res_U, res_V = sol.residuals
     h_eff = inputs.g.h
     budget = 50.0 * h_eff * h_eff

@@ -16,18 +16,17 @@ multiplier for L1) instead of from zero; until then, and whenever a step
 fails to shrink, it starts from zero.
 
 The symmetric class contains the reflections of the axes mirror_axes(k):
-y2 (and y3 in 3-D) always, y1 for even k.  The iteration therefore runs
+y2 (and y3 in 3-D) always, y1 for even k.  The corrector therefore lives
 on the part of the box that they fix, the nodes from the centre on along
 each mirrored axis, half the grid for odd k and a quarter (an eighth in
 3-D) for even k: build_inputs samples U0, W, Sigma V_i^3, mu and Z on
-that part (``CorrectorInputs`` holds them mirrored back to the full
-grid), the loop cuts them to it once (``grid.fold``), and the iterates,
-right-hand sides, linear solves, symmetrizations, Z projections and
-E-norm steps all stay there.  The
-folded stencils read the node at index -j of a mirrored axis as the
-mirror copy of node j and the quadratures weight each node by its number
-of full-grid copies, so every value on the part is that of the full
-grid.  Only the returned pair is mirrored back to the full grid.
+that part and ``CorrectorInputs`` holds them there, and the iterates,
+right-hand sides, linear solves, symmetrizations, Z projections, E-norm
+steps and the returned pair all stay there.  The folded stencils read
+the node at index -j of a mirrored axis as the mirror copy of node j and
+the quadratures weight each node by its number of full-grid copies, so
+every value on the part is that of the full grid.  Only
+``grid.dump_field`` writes the full box, as the even extension.
 
 Linear systems are symmetric indefinite and solved by ``minres``, a
 preconditioned MINRES with a spectral preconditioner.  Next to each
@@ -76,9 +75,8 @@ from .geometry import (BumpConfiguration, bump_centers, bump_cubes_field,
                        bump_sum_field, constraint_field, mirror_axes,
                        radial_field, ring_fields, symmetrize)
 from .geometry import symmetrize as symmetrize_fast
-from .grid import (Field, Grid, fold, grid_for_radius, laplacian,
-                   laplacian_eigenvalues, norm_E, quad_product, unfold,
-                   zeros)
+from .grid import (Field, Grid, grid_for_radius, laplacian,
+                   laplacian_eigenvalues, norm_E, quad_product, zeros)
 from .model import (CouplingBudget, ModelParams, bump_radius_interval,
                     compute_gamma0_f0, derive_exponents, make_potential)
 from .radial import ground_state
@@ -479,7 +477,11 @@ class _KrylovCount:
 
 @dataclass
 class CorrectorInputs:
-    """Grid-sampled ingredients shared by the corrector solves at one R."""
+    """Grid-sampled ingredients shared by the corrector solves at one R.
+
+    g is the part of the box folded on mirror_axes(k) (``Grid.mirrored``)
+    and every field lies on it.
+    """
 
     g: Grid
     config: BumpConfiguration
@@ -501,15 +503,15 @@ def build_inputs(k: int, Rvalue: float, params: ModelParams,
     k-ring at Rvalue.
 
     Every field is sampled on the part of the box folded on
-    mirror_axes(k) (``grid.fold``) and mirrored back to the full box with
-    ``grid.unfold``; f0 reads the suprema there, which are those of the
-    box.  W, Sigma V_i^3, Z and the overlap come from one ring_fields
-    pass, which evaluates the profile and its derivative once per
-    H+-orbit of bumps on the part, so W is the same floats as
-    bump_sum_field's and the overlap as interaction_term's on g.
+    mirror_axes(k), which is the returned ``g``; f0 reads the suprema
+    there, which are those of the box.  W, Sigma V_i^3, Z and the overlap
+    come from one ring_fields pass, which evaluates the profile and its
+    derivative once per H+-orbit of bumps on the part, so W is the same
+    floats as bump_sum_field's and the overlap as interaction_term's on
+    g.
     """
-    g = grid_for_radius(Rvalue, params.lam, params.dim, h=h, L=L)
-    part = g.with_mirrored(mirror_axes(k, params.dim))
+    part = grid_for_radius(Rvalue, params.lam, params.dim, h=h,
+                           L=L).with_mirrored(mirror_axes(k, params.dim))
     u0 = ground_state(params.lam, params.alpha0, params.dim)
     v0 = ground_state(1.0, params.alpha1, params.dim)
     config = bump_centers(k, Rvalue, params.dim)
@@ -518,15 +520,17 @@ def build_inputs(k: int, Rvalue: float, params: ModelParams,
                        overlap=True)
     mu = potential_field(part, make_potential(params))
     budget = compute_gamma0_f0(U0f.data, ring.W, v0.decay_const)
-    return CorrectorInputs(g=g, config=config, u0_profile=u0, v0_profile=v0,
-                           U0f=unfold(U0f), W=unfold(Field(part, ring.W)),
-                           cubes=unfold(Field(part, ring.cubes)),
-                           mu=unfold(mu), Z=unfold(Field(part, ring.Z)),
-                           budget=budget, overlap=ring.overlap)
+    return CorrectorInputs(g=part, config=config, u0_profile=u0,
+                           v0_profile=v0, U0f=U0f, W=Field(part, ring.W),
+                           cubes=Field(part, ring.cubes), mu=mu,
+                           Z=Field(part, ring.Z), budget=budget,
+                           overlap=ring.overlap)
 
 
 @dataclass
 class CorrectorResult:
+    """The corrector pair, on the grid of its inputs, and its run."""
+
     u: Field
     v: Field
     norm_E: float
@@ -574,18 +578,18 @@ def fixed_point_iterate(inputs: CorrectorInputs, params: ModelParams,
     """Iterate the corrector map from (0, 0) until the E-norm step < tol.
 
     The fold order k and the radius R are read from ``inputs.config``.
-    The iteration runs on the box folded on ``mirror_axes(k)``: U0, W,
-    Sigma V_i^3, mu and Z are cut to that part once, and the iterates,
-    right-hand sides, linear solves, Z projections and E-norm steps stay
-    there.  Both components are refreshed simultaneously from the
-    previous pair; the linear solves return each iterate symmetrized and
-    v orthogonal to Z, so the last pair is returned as it is, mirrored
-    back to the full box.  When the last step shrank (step ratio < 1),
-    both linear solves start from the previous iterate: u for L0 and
-    [v, lam_c] for the bordered L1 system; otherwise they start from
-    zero.  The MINRES iterations of each step, summed over
-    restarts, are kept as [L0, L1] pairs in ``krylov_iters``.  Merely
-    warns when R lies outside the admissible window.  Raises
+    The iteration runs on ``inputs.g``, the box folded on
+    ``mirror_axes(k)``: the iterates, right-hand sides, linear solves, Z
+    projections and E-norm steps use the inputs' fields as they are.
+    Both components are refreshed simultaneously from the previous pair;
+    the linear solves return each iterate symmetrized and v orthogonal to
+    Z, so the last pair is returned as it is, on ``inputs.g``.  When the
+    last step shrank (step ratio < 1), both linear solves start from the
+    previous iterate: u for L0 and [v, lam_c] for the bordered L1 system;
+    otherwise they start from zero.  The MINRES iterations of each step,
+    summed over restarts, are kept as [L0, L1] pairs in
+    ``krylov_iters``.  Merely warns when R lies outside the admissible
+    window.  Raises
 
     - ValueError when |beta| >= f0 (contraction hypothesis);
     - CorrectorDivergence after five consecutive step ratios >= 1, that
@@ -610,11 +614,10 @@ def fixed_point_iterate(inputs: CorrectorInputs, params: ModelParams,
             warnings.warn(f"R = {Rvalue:g} outside the admissible window "
                           f"[{lo:g}, {hi:g}] for k = {k}", stacklevel=2)
 
-    axes = mirror_axes(k, inputs.g.dim)
-    U0f, W, cubes, mu, Z = (fold(f, axes) for f in (
-        inputs.U0f, inputs.W, inputs.cubes, inputs.mu, inputs.Z))
+    U0f, W, cubes, mu, Z = (inputs.U0f, inputs.W, inputs.cubes, inputs.mu,
+                            inputs.Z)
     lin_tol = tol / 10.0
-    u, v = zeros(U0f.grid), zeros(U0f.grid)
+    u, v = zeros(inputs.g), zeros(inputs.g)
     lagrange = 0.0
     steps: list[float] = []
     ratios: list[float] = []
@@ -666,7 +669,7 @@ def fixed_point_iterate(inputs: CorrectorInputs, params: ModelParams,
             raise _divergence_error()
 
     return CorrectorResult(
-        u=unfold(u), v=unfold(v),
+        u=u, v=v,
         norm_E=norm_E(u, v, params.lam, mu),
         iterations=iterations,
         contraction_factor=max(ratios) if ratios else 0.0,

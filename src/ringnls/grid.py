@@ -22,7 +22,8 @@ there, and the quadratures weight each stored node by its number of
 full-box copies w (2 per mirrored axis off that axis's centre, 1 on
 it).  Stencil values at the stored nodes are then exactly those of the
 full box, and every quadrature is the full-box one of the even
-extension, summed in another order.
+extension, summed in another order.  ``dump_field`` writes the full box
+of a folded field without unfolding it.
 """
 from __future__ import annotations
 
@@ -341,30 +342,45 @@ def zeros(g: Grid) -> Field:
     return Field(g, np.zeros(g.shape))
 
 
-def dump_field(f: Field) -> str:
-    """Text form: header "N L h", then row-major node values, one per line.
+def dump_field(f: Field, out) -> None:
+    """Write the text form of f's full box into the open text file out:
+    header "N L h", then row-major node values, one per line.
 
-    Each value is its shortest round-trip repr.  The text is built one
-    grid row at a time, so no string per node is held at once, and each
-    distinct value is formatted once per row: a row equal byte for byte
-    to an earlier one (a mirror row) reuses that row's text from a cache
-    keyed by its bytes, and a new row formats the unique bit patterns of
-    its values (``np.unique`` on the uint64 view, so 0.0 and -0.0 stay
-    apart) and joins their strings through the inverse index.
+    Each value is its shortest round-trip repr.  A folded f is written as
+    its even extension without building it: full-box row (i_1, ...,
+    i_{N-1}) is the stored row at |i_a - c| along each mirrored leading
+    axis, c the centre index, and along a mirrored last axis the stored
+    half row is written mirrored, then as it is.  The text goes out one
+    row at a time, so neither a full-box array nor the whole text is ever
+    held, and each distinct value is formatted once per row: a row equal
+    byte for byte to an earlier one (a mirror row) reuses that row's text
+    from a cache keyed by its bytes, and a new row formats the unique bit
+    patterns of its values (``np.unique`` on the uint64 view, so 0.0 and
+    -0.0 stay apart) and joins their strings through the inverse index.
     """
     g = f.grid
-    lines = [f"{g.dim} {g.L!r} {g.h!r}"]
+    out.write(f"{g.dim} {g.L!r} {g.h!r}\n")
+    full = np.arange(g.n_axis)
+    rows = f.data.reshape(-1, f.data.shape[-1])
+    # the stored row of each full-box row, in full-box order
+    order = np.arange(rows.shape[0]).reshape(f.data.shape[:-1])[np.ix_(*(
+        np.abs(full - g.centre) if ax in g.mirrored else full
+        for ax in range(g.dim - 1)))]
+    mirror_row = g.dim - 1 in g.mirrored
     row_text = {}
-    for row in f.data.reshape(-1, g.n_axis):
+    for r in order.ravel().tolist():
+        row = rows[r]
         key = row.tobytes()
         text = row_text.get(key)
         if text is None:
             bits, inv = np.unique(row.view(np.uint64), return_inverse=True)
             strs = [repr(x) for x in bits.view(np.float64).tolist()]
-            text = row_text[key] = "\n".join([strs[i] for i in inv.tolist()])
-        lines.append(text)
-    lines.append("")  # the final newline, without a second copy of the text
-    return "\n".join(lines)
+            if mirror_row:
+                inv = np.concatenate([inv[:0:-1], inv])
+            lines = [strs[i] for i in inv.tolist()]
+            lines.append("")  # ends the row's last line
+            text = row_text[key] = "\n".join(lines)
+        out.write(text)
 
 
 def load_field(text: str) -> Field:

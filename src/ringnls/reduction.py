@@ -57,7 +57,8 @@ class ScanReport:
 
 @dataclass
 class Solution:
-    """Assembled field pair at the maximizing radius."""
+    """Assembled field pair at the maximizing radius, on the folded part
+    of the box its corrector ran on (``CorrectorInputs.g``)."""
 
     U: Field
     V: Field
@@ -194,7 +195,8 @@ def pde_residual(U: Field, V: Field, mu: Field, params: ModelParams) -> tuple:
 def assemble_solution(inputs: CorrectorInputs, params: ModelParams,
                       tol: float = 1e-8, max_iter: int = 50) -> Solution:
     """Run the corrector on ``inputs`` (at most max_iter steps) and
-    assemble the corrected field pair at its radius R0 = inputs.config.R."""
+    assemble the corrected field pair at its radius R0 = inputs.config.R,
+    on ``inputs.g``."""
     res = fixed_point_iterate(inputs, params, tol=tol, max_iter=max_iter)
     U = inputs.U0f + res.u
     V = inputs.W + res.v

@@ -357,6 +357,38 @@ def test_max_iter_reaches_corrector(tmp_path, monkeypatch, subcommand):
     assert seen == [3]
 
 
+def test_solve_writes_full_box_fields(tmp_path, monkeypatch):
+    # the assembled pair lies on the folded part; U.field and V.field
+    # hold its even extension over the whole box
+    from ringnls import cli, reduction
+    from ringnls.geometry import mirror_axes
+    from ringnls.grid import unfold
+
+    solutions = []
+
+    def kept(*args, **kwargs):
+        solutions.append(reduction.assemble_solution(*args, **kwargs))
+        return solutions[-1]
+
+    monkeypatch.setattr(cli, "assemble_solution", kept)
+    monkeypatch.setattr(cli, "maximize_over_Sk", lambda k, params, **kw:
+                        (3.0, reduction.ScanReport(samples=[(3.0, 0.0)])))
+    out = tmp_path / "solve"
+    config = RunConfig(k=2, h=0.5, beta=0.01, out=str(out))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        # the stubbed scan has no interior maximizer
+        assert run("solve", config) == 1
+    assert json.loads((out / "failure.json").read_text())["invariant"] \
+        == "interior_maximizer"
+    (sol,) = solutions
+    assert sol.U.grid.mirrored == mirror_axes(2, 2)
+    for name, f in (("U.field", sol.U), ("V.field", sol.V)):
+        got, want = load_field((out / name).read_text()), unfold(f)
+        assert got.grid == want.grid
+        assert np.array_equal(got.data, want.data)
+
+
 def _forbid_build_inputs(monkeypatch):
     from ringnls import cli
 

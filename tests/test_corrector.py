@@ -626,14 +626,18 @@ def test_fixed_point_converges_in_window_k16_m2():
     assert res.converged
     assert res.iterations == 6
     assert res.contraction_factor < 0.1
+    # the pair stays on the part of the box folded on mirror_axes(16)
+    assert inputs.g.mirrored == corrector.mirror_axes(16, 2)
     assert res.u.grid == inputs.g and res.v.grid == inputs.g
 
 
 @pytest.mark.parametrize("dim,R,h,beta,bound", [
     # peaks with the iteration on the full grid: 13.4-13.8 and 11.7-11.8
-    # field sizes; on the folded box 8.2-8.5 and 4.1-4.3
-    (2, 6.0, 0.25, 0.05, 11.0),
-    (3, 4.0, 0.5, 0.02, 8.0),
+    # field sizes; on the folded box 8.2-8.5 and 4.0-4.1 while the loop
+    # cut full-box inputs to the part, 6.9-7.2 and 3.3-3.4 on inputs
+    # built there
+    (2, 6.0, 0.25, 0.05, 7.6),
+    (3, 4.0, 0.5, 0.02, 3.7),
 ])
 def test_fixed_point_peak_memory(dim, R, h, beta, bound):
     assert _fixed_point_peak(2, dim, R, h, beta) <= bound
@@ -641,7 +645,8 @@ def test_fixed_point_peak_memory(dim, R, h, beta, bound):
 
 def _fixed_point_peak(k, dim, R, h, beta):
     """The traced peak of one call beyond its inputs, in full-grid field
-    sizes, over the first Picard steps (cold and warm solves)."""
+    sizes (the inputs lie on the folded part, the unit stays the unfolded
+    grid's field), over the first Picard steps (cold and warm solves)."""
     params = ModelParams(beta=beta, dim=dim)
     inputs = build_inputs(k, R, params, h=h, L=R + 8.0)
     with warnings.catch_warnings():
@@ -653,20 +658,42 @@ def _fixed_point_peak(k, dim, R, h, beta):
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
-    return peak / (inputs.g.size * 8)
+    return peak / (inputs.g.with_mirrored(()).size * 8)
 
 
 @pytest.mark.parametrize("dim,k,R,h,beta,bound", [
     # 3-D k = 3 (q = 3): 9.2 field sizes while symmetrize mirrored F_H
-    # back to the full box, 8.3 with the orbit average on the part
-    (3, 3, 4.0, 0.5, 0.02, 8.75),
-    # 2-D k = 3 peaks inside MINRES on the half box, 16.7-16.8 field
-    # sizes with either symmetrize: a guard against growth only
-    (2, 3, 6.0, 0.25, 0.05, 17.0),
+    # back to the full box, 8.0-8.3 with the orbit average on the part,
+    # 6.7-7.0 once the inputs are built there rather than cut to it
+    (3, 3, 4.0, 0.5, 0.02, 7.5),
+    # 2-D k = 3 peaks inside MINRES on the half box: 15.8-16.7 field
+    # sizes with full-box inputs cut to it, 13.3-14.1 on inputs built
+    # there
+    (2, 3, 6.0, 0.25, 0.05, 15.0),
 ])
 def test_fixed_point_peak_memory_interpolating_fold(dim, k, R, h, beta,
                                                     bound):
     assert _fixed_point_peak(k, dim, R, h, beta) <= bound
+
+
+def test_build_inputs_on_folded_part_peak_memory():
+    """build_inputs assembles and returns every field on the part of the
+    box folded on mirror_axes(k), never on the full box: at 3-D k = 2
+    (an eighth of the box) its traced peak was 46.5 part sizes while it
+    mirrored its five fields back to the full box, and is 13.6 now."""
+    params = ModelParams(dim=3)
+    build_inputs(2, 4.0, params, h=0.5, L=12.0)   # warm the ground states
+    tracemalloc.start()
+    try:
+        inputs = build_inputs(2, 4.0, params, h=0.5, L=12.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    g = inputs.g
+    assert g.mirrored == corrector.mirror_axes(2, 3)
+    for f in (inputs.U0f, inputs.W, inputs.cubes, inputs.mu, inputs.Z):
+        assert f.grid == g and f.data.shape == g.shape
+    assert peak <= 30.0 * g.size * 8
 
 
 @pytest.mark.parametrize("fixture,level", [
@@ -699,7 +726,7 @@ def test_fixed_point_constraint_held(request, fixture):
     _params, inputs, res = request.getfixturevalue(fixture)
     k = inputs.config.k
     for _s, _flip2, h in _node_subgroup(k, 2):
-        for f in (res.u, res.v):
+        for f in (unfold(res.u), unfold(res.v)):
             assert np.array_equal(_apply_signed_permutation(f.data, h),
                                   f.data)
     zv = quad_product(inputs.Z, res.v)

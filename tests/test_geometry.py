@@ -570,10 +570,12 @@ def test_build_inputs_one_evaluation_per_orbit(monkeypatch, k, orbits):
     params = ModelParams()
     inputs = build_inputs(k, mid_radius(k, params.m, params.theta), params,
                           h=0.5)
-    part = inputs.g.with_mirrored(geometry.mirror_axes(k, 2))
+    full = inputs.g.with_mirrored(())
+    part = full.with_mirrored(geometry.mirror_axes(k, 2))
+    assert inputs.g == part
     n_orbits = len(geometry._ring_orbits(k, 2))
     assert points == {"value": (1 + n_orbits) * part.size,
                       "deriv": n_orbits * part.size}
     before, now = POINTS_BEFORE_AND_NOW[k]
-    assert before == (1 + 2 * orbits) * inputs.g.size
+    assert before == (1 + 2 * orbits) * full.size
     assert sum(points.values()) == now <= before

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import math
 import tracemalloc
 import warnings
@@ -189,15 +190,22 @@ def test_norm_e():
         == 2.0 * grid.norm_E(u, z, 1.0, mu)
 
 
+def _dump(f):
+    """dump_field's text, written into memory."""
+    buf = io.StringIO()
+    grid.dump_field(f, buf)
+    return buf.getvalue()
+
+
 def test_field_dump_round_trip():
     g = grid.make_grid(2, 2.0, 0.5)
     rng = np.random.default_rng(17)
     f = grid.Field(g, rng.standard_normal(g.shape))
-    f2 = grid.load_field(grid.dump_field(f))
+    f2 = grid.load_field(_dump(f))
     assert f2.grid == g
     assert np.array_equal(f2.data, f.data)
 
-    text = grid.dump_field(f)
+    text = _dump(f)
     clipped = "\n".join(text.splitlines()[:-3])
     with pytest.raises(ValueError):
         grid.load_field(clipped)
@@ -215,7 +223,7 @@ def test_field_dump_matches_per_node_repr(dim, L, h):
     f = grid.Field(g, a)
     per_node = [f"{g.dim} {g.L!r} {g.h!r}"]
     per_node.extend(repr(float(x)) for x in a.ravel())
-    assert grid.dump_field(f) == "\n".join(per_node) + "\n"
+    assert _dump(f) == "\n".join(per_node) + "\n"
 
 
 def _mirror_even(a):
@@ -247,24 +255,65 @@ def test_field_dump_repeated_values_match_per_node_repr(dim, L, h):
     f = grid.Field(g, a)
     per_node = [f"{g.dim} {g.L!r} {g.h!r}"]
     per_node.extend(repr(float(x)) for x in a.ravel())
-    assert grid.dump_field(f) == "\n".join(per_node) + "\n"
+    assert _dump(f) == "\n".join(per_node) + "\n"
 
 
-def test_field_dump_peak_memory():
-    """One dump of a 513^2 mirror-even field allocates at most three
-    times its output text at its peak: the row cache holds one text per
-    distinct row, never an index array over the whole grid."""
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("fold", ["odd_k", "even_k", "y1_alone"])
+def test_field_dump_folded_writes_full_box(tmp_path, dim, fold):
+    """A folded field is written as the text of its even extension: the
+    bytes in the file are those of dump_field(unfold(f)), with the
+    signed zeros, nan and inf of the repeated-values case in the stored
+    part, for the odd-k fold (y1 whole), the even-k fold (y1 mirrored
+    too) and a fold on y1 alone (the last axis whole).  Their mirror
+    copies are equal bit for bit, so the full box repeats them through
+    the centre."""
+    from ringnls.geometry import mirror_axes
+
+    g = grid.make_grid(dim, 2.0 if dim == 2 else 1.5, 0.25)
+    axes = {"odd_k": mirror_axes(1, dim), "even_k": mirror_axes(2, dim),
+            "y1_alone": (0,)}[fold]
+    f = grid.fold(grid.Field(g, np.random.default_rng(9).standard_normal(
+        g.shape)), axes)
+    assert f.grid.mirrored == axes
+    p = f.data
+    # stored rows of +0.0 and of -0.0, and both in one stored row
+    p[1], p[2] = 0.0, -0.0
+    p[3, ..., 0], p[3, ..., -1] = 0.0, -0.0
+    # nan of both signs and inf of both signs, in a row stored twice
+    p[4, ..., 1:5] = [np.nan, np.copysign(np.nan, -1.0), np.inf, -np.inf]
+    p[5] = p[4]
+    path = tmp_path / "f.field"
+    with open(path, "w") as fh:
+        grid.dump_field(f, fh)
+    full = grid.unfold(f)
+    assert path.read_bytes() == _dump(full).encode()
+    per_node = [f"{g.dim} {g.L!r} {g.h!r}"]
+    per_node.extend(repr(float(x)) for x in full.data.ravel())
+    assert _dump(full) == "\n".join(per_node) + "\n"
+    assert np.array_equal(grid.load_field(path.read_text()).data,
+                          full.data, equal_nan=True)
+
+
+def test_field_dump_peak_memory(tmp_path):
+    """Writing a 513^2 mirror-even field, folded on both axes, to a file
+    allocates at most the file's size at its peak: the row cache holds
+    one text per distinct stored row (0.62 of the file here), and neither
+    the full box nor the whole text is built; the whole-text form peaked
+    at 1.72 times its text."""
     g = grid.make_grid(2, 32.0, 0.125)
     assert g.n_axis == 513
-    f = grid.Field(g, _mirror_even(
-        np.random.default_rng(13).standard_normal(g.shape)))
-    tracemalloc.start()
-    try:
-        text = grid.dump_field(f)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 3.0 * len(text)
+    f = grid.fold(grid.Field(g, _mirror_even(
+        np.random.default_rng(13).standard_normal(g.shape))), (0, 1))
+    path = tmp_path / "f.field"
+    with open(path, "w") as fh:
+        tracemalloc.start()
+        try:
+            grid.dump_field(f, fh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= path.stat().st_size
 
 
 def test_pairwise_sum_deterministic():

@@ -9,8 +9,7 @@ import importlib.util
 from pathlib import Path
 
 import ringnls.corrector as corrector
-from ringnls.geometry import mirror_axes
-from ringnls.grid import fold, zeros
+from ringnls.grid import zeros
 from ringnls.model import ModelParams
 
 SPANS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -32,15 +31,15 @@ def test_traced_names_resolve():
 
 
 def test_tracer_sees_every_krylov_iteration():
-    # one bordered L1 solve on inputs folded as the Picard loop folds
-    # them, with the tracer installed: its MINRES wrapper counts exactly
+    # one bordered L1 solve on the folded inputs the Picard loop runs
+    # on, with the tracer installed: its MINRES wrapper counts exactly
     # the iterations the solve's own callback does
     spans = _load_spans()
     params = ModelParams(beta=0.05)
     inputs = corrector.build_inputs(2, 6.0, params, h=0.5, L=12.0)
-    U0f, W, cubes, mu, Z = (fold(f, mirror_axes(2, 2)) for f in (
-        inputs.U0f, inputs.W, inputs.cubes, inputs.mu, inputs.Z))
-    zero = zeros(U0f.grid)
+    U0f, W, cubes, mu, Z = (inputs.U0f, inputs.W, inputs.cubes, inputs.mu,
+                            inputs.Z)
+    zero = zeros(inputs.g)
     rhs = corrector.g1_rhs(zero, zero, U0f, W, cubes, mu, params)
     count = corrector._KrylovCount()
     tracer = spans.Tracer()
