@@ -114,7 +114,7 @@ def _bump_radii(config: BumpConfiguration, i: int, mesh):
     rho2 = (mesh[0] - ci[0]) ** 2 + (mesh[1] - ci[1]) ** 2
     for d in range(2, config.dim):
         rho2 = rho2 + mesh[d] ** 2
-    return np.sqrt(rho2)
+    return np.sqrt(rho2, out=rho2)
 
 
 def _radial_derivative(profile: RadialProfile, config: BumpConfiguration,
@@ -126,10 +126,13 @@ def _radial_derivative(profile: RadialProfile, config: BumpConfiguration,
     """
     c, n = config.centers[i], config.normals[i]
     proj = (y[0] - c[0]) * n[0] + (y[1] - c[1]) * n[1]
-    # on the whole array, no gather of the ρ > 0 nodes; the 0/0 at ρ = 0
-    # is then overwritten by the limit
+    # on the whole array, no gather of the ρ > 0 nodes, formed in place;
+    # the 0/0 at ρ = 0 is then overwritten by the limit
+    out = eval_profile_deriv(profile, rho)
+    np.negative(out, out=out)
+    out *= proj
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = -eval_profile_deriv(profile, rho) * proj / rho
+        out /= rho
     out[rho == 0.0] = 0.0
     return out
 
@@ -209,11 +212,14 @@ def ring_fields(g: Grid, profile: RadialProfile, config: BumpConfiguration,
     V_1 alone is not even in y1, so for even k the overlap is half the
     part's quadrature of the mirror-even G = V_1^3 (W' + V_m) + V_m^3 (W'
     + V_1), m = k/2 + 1 the bump opposite x_1 and W' the sum of every
-    other bump; for odd k it is the quadrature of V_1^3 W'.  Bumps 1 and
-    m are held back and added last, after the overlap is taken, so every
-    term is a sum of positive parts and no difference of sums cancels.
-    The summation order does not depend on which parts are requested, so
-    W is the same floats for every caller.
+    other bump; for odd k it is the quadrature of V_1^3 W'.  V and V^3 of
+    bumps 1 and m are held back and added last, after the overlap is
+    taken, so every term is a sum of positive parts and no difference of
+    sums cancels; their Z terms are added with their orbit.  The
+    summation order does not depend on which parts are requested, so W
+    is the same floats for every caller.  V_j^2 dV_j/dR and the overlap
+    integrand are formed in place, so the peak is the three sums, the
+    four held arrays and one orbit's three.
     """
     axes = mirror_axes(config.k, g.dim)
     if g.mirrored not in ((), axes):
@@ -229,36 +235,45 @@ def ring_fields(g: Grid, profile: RadialProfile, config: BumpConfiguration,
 
     def add(parts):
         for total, a in zip((W, C, Z), parts):
-            if total is not None:
+            if total is not None and a is not None:
                 total += a
 
     for j, images in _ring_orbits(config.k, g.dim):
         rho = _bump_radii(config, j, mesh)
         vj = eval_profile(profile, rho)
+        zj = None
+        if constraint:
+            zj = _radial_derivative(profile, config, j, mesh, rho)
+            zj *= vj
+            zj *= vj
+        del rho
         cj = None
         if cubes or (overlap and any(i in last for i, _h in images)):
             cj = vj ** 3
-        zj = None
-        if constraint:
-            zj = vj * vj * _radial_derivative(profile, config, j, mesh, rho)
-        del rho
         for i, h in images:
             parts = [None if a is None else _apply_signed_permutation(a, h)
                      for a in (vj, cj, zj)]
             if i in last:
-                held[i] = parts
-            else:
-                add(parts)
-        # a held bump keeps its arrays through held; free the others
+                # V_i and V_i^3 wait for the overlap; Z takes its term now
+                held[i] = parts[:2]
+                parts[:2] = None, None
+            add(parts)
+        # a held bump keeps V_j and V_j^3 through held; free the others
         # before the next orbit allocates
         del vj, cj, zj, parts
     total = None
     if overlap:
-        v1, c1, _ = held[0]
+        v1, c1 = held[0]
         if len(last) == 2:
-            vm, cm, _ = held[config.k // 2]
-            total = 0.5 * quad_product(Field(part, c1 * (W + vm)
-                                             + cm * (W + v1)))
+            vm, cm = held[config.k // 2]
+            G = W + vm
+            G *= c1
+            rest = W + v1
+            rest *= cm
+            G += rest
+            del rest
+            total = 0.5 * quad_product(Field(part, G))
+            del G
         else:
             total = quad_product(Field(part, c1), Field(part, W))
     for i in sorted(held, reverse=True):

@@ -10,10 +10,14 @@ method, solves the discrete problem on the 801-node floor grid; its
 peak sets the node count, and Newton on the final grid, started from
 the interpolated coarse profile, gives the tabulated solution.
 
+Both iterations hold the linear part as a 9-band matrix, the ghosts
+folded into its bands, and solve with LAPACK's banded solver.
+
 Field assembly samples the profile and its slope at every grid node
-through eval_profile and eval_profile_deriv: quintic interpolants of the
-tabulated nodes, stored in piecewise-polynomial form, inside r_max and
-the exponential tail beyond it, in one pass over the radii.
+through eval_profile and eval_profile_deriv: inside r_max the quintic
+interpolants of the tabulated nodes (of their parity extension about
+r = 0), stored as tables of Taylor coefficients per knot interval and
+evaluated by Horner's rule; the exponential tail beyond it.
 
 N = 1 admits the closed form √(2c/α) sech(√c r) and is kept as an
 oracle for tests; production runs use N ∈ {2, 3}.
@@ -26,9 +30,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.interpolate import PPoly, make_interp_spline
-from scipy.sparse.linalg import splu
+from scipy.linalg import solve_banded
+from scipy.ndimage import map_coordinates, spline_filter1d
 from scipy.special import k0e, k1e
 
 from .grid import _G8
@@ -39,7 +42,21 @@ _SURFACE = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
 _D8 = np.array([-1.0 / 560, 8.0 / 315, -1.0 / 5, 8.0 / 5, -205.0 / 72,
                 8.0 / 5, -1.0 / 5, 8.0 / 315, -1.0 / 560])
 
+# the uniform quintic B-spline on one knot interval: row p holds 120 times
+# the coefficients of t^p, t = r/Δr - i in [0, 1), of the B-splines at
+# nodes i-2 .. i+3
+_QUINTIC = np.array([[1, 26, 66, 26, 1, 0],
+                     [-5, -50, 0, 50, 5, 0],
+                     [10, 20, -60, 20, 10, 0],
+                     [-10, 20, 0, -20, 10, 0],
+                     [5, -20, 30, -20, 5, 0],
+                     [-1, 5, -10, 10, -5, 1]], dtype=float)
+
 _FLOOR_NODES = 801
+
+# radii per pass of the profile evaluation: its temporaries stay about
+# half a megabyte, in cache, whatever the number of radii
+_CHUNK = 1 << 14
 
 
 class GroundStateError(RuntimeError):
@@ -63,23 +80,21 @@ class RadialProfile:
     max_residual: float
 
     def __post_init__(self):
-        # quintic interpolation on a parity-mirrored extension: w is even
-        # and w' odd about r = 0, so reflecting a few nodes gives interior
-        # accuracy (~h^6) at the peak instead of one-sided end conditions.
-        # Field assembly samples these splines at every grid node, and any
-        # evaluation error shows up directly as asymmetry of the ansatz.
-        # They are stored as piecewise polynomials (one Taylor polynomial
-        # per knot interval), which evaluate over twice as fast as the
-        # B-spline (de Boor) form and agree with it to rounding; without
-        # extrapolation, radii beyond r_max come back as NaN at almost no
-        # cost, for _spline_or_tail to overwrite.
-        rm = np.concatenate([-self.r[5:0:-1], self.r])
-        vm = np.concatenate([self.values[5:0:-1], self.values])
-        dm = np.concatenate([-self.deriv[5:0:-1], self.deriv])
-        self._spline = PPoly.from_spline(make_interp_spline(rm, vm, k=5),
-                                         extrapolate=False)
-        self._dspline = PPoly.from_spline(make_interp_spline(rm, dm, k=5),
-                                          extrapolate=False)
+        # quintic interpolation of the parity extension over [-r_max,
+        # r_max]: w is even and w' odd about r = 0, so the peak gets
+        # interior accuracy (~h^6) instead of one-sided end conditions.
+        # Field assembly samples these interpolants at every grid node,
+        # and any evaluation error shows up directly as asymmetry of the
+        # ansatz.  Each is stored as a table of Taylor coefficients per
+        # knot interval (_quintic_table), which _spline_or_tail evaluates
+        # by Horner's rule at the radii inside r_max.
+        n = self.r.size
+        self._step = float(self.r[-1]) / (n - 1)
+        if self.r[0] != 0.0 or np.max(np.abs(np.diff(self.r) - self._step)) \
+                > 1e-9 * self._step:
+            raise ValueError("profile nodes must be uniform from r = 0")
+        self._table = _quintic_table(self.values, 1.0)
+        self._dtable = _quintic_table(self.deriv, -1.0)
 
     @property
     def r_max(self):
@@ -88,6 +103,29 @@ class RadialProfile:
     @property
     def sqrt_c(self):
         return math.sqrt(self.c)
+
+
+def _quintic_table(nodes, parity):
+    """(6, n-1) Taylor coefficients of the quintic interpolant of uniform
+    nodes at r = 0, Δr, ..., r_max: row p holds those of t^p on interval
+    i, t = r/Δr - i.
+
+    The B-spline coefficients are those of the parity extension (nodes
+    even or odd about r = 0 by parity) over [-r_max, r_max], mirrored at
+    both ends.  The constant row is the nodes themselves, so t = 0 returns
+    the node value exactly and an odd profile is exactly 0 at r = 0.
+    """
+    n = nodes.size
+    coef = spline_filter1d(np.concatenate([parity * nodes[:0:-1], nodes]),
+                           order=5, mode="mirror")
+    # nodes -2 .. n+1, the last two mirrored about r_max
+    coef = np.concatenate([coef[n - 3:], coef[-2:-4:-1]])
+    table = np.zeros((6, n - 1))
+    for m in range(6):
+        table += _QUINTIC[:, m, None] * coef[m:m + n - 1]
+    table /= 120.0
+    table[0] = nodes[:-1]
+    return table
 
 
 def _tail(c, dim, r):
@@ -153,17 +191,42 @@ def _defect(c, alpha, dim, r, w):
 
 
 def _operator(c, dim, r):
-    """The linear part of _defect as a sparse matrix (9 bands)."""
+    """The linear part of _defect as a (9, n) banded matrix: entry (i, j)
+    in row 4 + i - j, the layout of solve_banded((4, 4), ...).
+
+    The ghost nodes are folded into the columns they copy: the even
+    ghosts left of r = 0 into nodes 1..4, the tail ghosts beyond r_max
+    into the last node with the tail's factors.
+    """
     n = r.size
     h = r[1] - r[0]
-    cols = np.concatenate([np.arange(4, 0, -1), np.arange(n), np.full(4, n - 1)])
-    vals = np.concatenate([np.ones(n + 4), _far_ghosts(c, dim, r, 1.0)])
-    ghosts = sparse.csr_matrix((vals, (np.arange(n + 8), cols)), shape=(n + 8, n))
-    d1, d2 = (sparse.diags(list(weights), range(9), shape=(n, n + 8)) @ ghosts / h ** p
-              for p, weights in ((1, _G8), (2, _D8)))
+    rows = np.repeat(np.arange(n), 9)
+    k = np.tile(np.arange(9), n)
+    cols = rows + k - 4
+    tail = cols >= n
+    scale = np.ones(cols.size)
+    scale[tail] = _far_ghosts(c, dim, r, 1.0)[cols[tail] - n]
+    cols = np.abs(np.minimum(cols, n - 1))
     curvature, friction = _coefficients(dim, r)
-    return (c * sparse.identity(n) - sparse.diags(curvature) @ d2
-            - sparse.diags(friction) @ d1).tocsc()
+    d2 = _D8[k] * scale * (1.0 / h ** 2)
+    d1 = _G8[k] * scale * (1.0 / h)
+    entries = c * (k == 4) - curvature[rows] * d2 - friction[rows] * d1
+    bands = np.zeros((9, n))
+    np.add.at(bands, (4 + rows - cols, cols), entries)
+    return bands
+
+
+def _band_product(bands, w):
+    """The banded matrix of _operator applied to w."""
+    n = w.size
+    out = np.zeros(n)
+    for u in range(9):
+        d = 4 - u  # band u holds the entries (i, i + d)
+        if d >= 0:
+            out[:n - d] += bands[u, d:] * w[d:]
+        else:
+            out[-d:] += bands[u, :n + d] * w[:n + d]
+    return out
 
 
 def _petviashvili(c, alpha, dim, r, max_iter=500):
@@ -171,11 +234,11 @@ def _petviashvili(c, alpha, dim, r, max_iter=500):
     the linear part and the stabilizing factor M = <w, L w> / <w, α w³>
     is 1 at a solution."""
     op = _operator(c, dim, r)
-    lu = splu(op)
     w = 2.0 * math.sqrt(c / alpha) * np.exp(-0.5 * c * r * r)
     for _ in range(max_iter):
         cube = alpha * w ** 3
-        w_new = (w @ (op @ w) / (w @ cube)) ** 1.5 * lu.solve(cube)
+        w_new = ((w @ _band_product(op, w) / (w @ cube)) ** 1.5
+                 * solve_banded((4, 4), op, cube))
         if np.max(np.abs(w_new - w)) <= 1e-8 * np.max(np.abs(w_new)):
             return w_new
         w = w_new
@@ -191,8 +254,10 @@ def _newton(c, alpha, dim, r, w, tol, max_iter=20):
     """
     op = _operator(c, dim, r)
     for _ in range(max_iter):
-        jac = op - sparse.diags(3.0 * alpha * w * w)
-        step = splu(jac.tocsc()).solve(-_defect(c, alpha, dim, r, w))
+        jac = op.copy()
+        jac[4] -= 3.0 * alpha * w * w
+        step = solve_banded((4, 4), jac, -_defect(c, alpha, dim, r, w),
+                            overwrite_ab=True)
         w = w + step
         if np.max(np.abs(step)) <= tol:
             return w
@@ -230,7 +295,7 @@ def solve_ground_state(c: float, alpha: float, dim: int,
     # s^2 = w(0)/|w''(0)| with w''(0) = (c*w0 - alpha*w0^3)/dim
     s = math.sqrt(dim / (alpha * w0 * w0 - c))
     if n_nodes is None:
-        # dense enough that cubic-spline evaluation between nodes stays
+        # dense enough that quintic interpolation between nodes stays
         # below ~1e-10 of the peak (field assembly resamples the profile
         # at arbitrary radii, so evaluation error must not dominate);
         # rounding keeps the solver's last digits out of the ceil, which
@@ -241,7 +306,10 @@ def solve_ground_state(c: float, alpha: float, dim: int,
 
     r = np.linspace(0.0, r_max, n_nodes)
     h = r[1] - r[0]
-    values = _newton(c, alpha, dim, r, make_interp_spline(r0, w, k=3)(r), tol)
+    # Newton starts from the cubic spline of the floor solution, mirrored
+    # (even) at r = 0
+    start = map_coordinates(w, [r / (r0[1] - r0[0])], order=3, mode="mirror")
+    values = _newton(c, alpha, dim, r, start, tol)
     deriv = _stencil(_G8, _ghosted(values, _far_ghosts(c, dim, r, values[-1]))) / h
     deriv[0] = 0.0  # the mirrored stencil cancels only to rounding
 
@@ -307,36 +375,53 @@ def _simpson(f, h):
     return h / 3.0 * (f[0] + f[-1] + 4.0 * f[1:-1:2].sum() + 2.0 * f[2:-2:2].sum())
 
 
-def _spline_or_tail(profile: RadialProfile, r, spline, tail_scale):
-    """spline(r) where r ≤ r_max, tail_scale·e^{-√c (r − r_max)} beyond.
+def _spline_or_tail(profile: RadialProfile, r, table, tail_scale):
+    """The quintic table where r ≤ r_max, tail_scale·e^{-√c (r − r_max)}
+    beyond.
 
-    One pass: the piecewise polynomial runs on the whole array and returns
-    NaN, without evaluating a polynomial, for radii beyond its last
-    breakpoint r_max; the exponential then overwrites just those.  Each
-    radius is thus evaluated by its own branch only, with no gather of
-    the near radii.
+    Each radius is evaluated by its own branch only: Horner's rule over
+    the table rows, gathered at its knot interval, or the exponential.
+    The radii are taken _CHUNK at a time, so the temporaries beside the
+    returned array do not grow with r.
     """
     r = np.asarray(r, dtype=float)
-    out = spline(r)
-    far = r > profile.r_max
-    out[far] = tail_scale * np.exp(-profile.sqrt_c * (r[far] - profile.r_max))
+    out = np.empty(r.shape)
+    flat_r, flat_out = r.reshape(-1), out.reshape(-1)
+    last = table.shape[1] - 1
+    for start in range(0, flat_r.size, _CHUNK):
+        rc = flat_r[start:start + _CHUNK]
+        oc = flat_out[start:start + _CHUNK]
+        far = rc > profile.r_max
+        near = ~far
+        x = rc[near] / profile._step
+        i = np.clip(x.astype(np.intp), 0, last)
+        x -= i
+        acc = table[5, i]
+        for row in table[4::-1]:
+            acc *= x
+            acc += row[i]
+        oc[near] = acc
+        oc[far] = tail_scale * np.exp(-profile.sqrt_c
+                                      * (rc[far] - profile.r_max))
     return out
 
 
 def eval_profile(profile: RadialProfile, r):
     """Profile values at radii r ≥ 0; exponential decay beyond r_max.
 
-    Inside r_max it is the quintic interpolant of the tabulated nodes in
-    piecewise-polynomial form; each radius costs one evaluation, by the
-    polynomial or by the exponential.  The result has the shape of r.
+    Inside r_max it is the quintic interpolant of the tabulated nodes,
+    evaluated from its table of Taylor coefficients; each radius costs one
+    evaluation, by the polynomial or by the exponential.  The result has
+    the shape of r.
     """
-    return _spline_or_tail(profile, r, profile._spline, profile.values[-1])
+    return _spline_or_tail(profile, r, profile._table, profile.values[-1])
 
 
 def eval_profile_deriv(profile: RadialProfile, r):
-    """d/dr of the (extrapolated) profile at radii r ≥ 0, evaluated
-    once per radius like eval_profile."""
-    return _spline_or_tail(profile, r, profile._dspline,
+    """d/dr of the (extrapolated) profile at radii r ≥ 0: the quintic
+    interpolant of the tabulated slopes, evaluated once per radius like
+    eval_profile."""
+    return _spline_or_tail(profile, r, profile._dtable,
                            -profile.sqrt_c * profile.values[-1])
 
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .corrector import CorrectorInputs, build_inputs, fixed_point_iterate
 from .energy import (EnergyBreakdown, _interaction_report, energy_breakdown,
@@ -153,6 +152,9 @@ def maximize_over_Sk(k: int, params: ModelParams, n_coarse: int = 9,
     if 0 < i_best < n_coarse - 1:
         bracket = (float(nodes[i_best - 1]), float(nodes[i_best]),
                    float(nodes[i_best + 1]))
+        # imported here so that only a refining scan loads scipy.optimize
+        from scipy.optimize import minimize_scalar
+
         try:
             opt = minimize_scalar(lambda R: -evaluate(R), bracket=bracket,
                                   method="golden",

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 import warnings
@@ -501,14 +502,56 @@ def test_expansion_beta_unset_assembles_once(tmp_path, monkeypatch):
 # console entry point
 
 
-def test_console_entry_subprocess(tmp_path):
-    # the child imports the same ringnls as this process, however the
-    # test run put it on the path
+def _child_env():
+    """The environment of a child interpreter that imports the same
+    ringnls as this process, however the test run put it on the path."""
     import ringnls
 
     src = str(Path(ringnls.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+def test_cli_import_leaves_out_interpolate_optimize_sparse():
+    # every subcommand starts by importing ringnls.cli; these three
+    # subpackages would add ~20 MB and ~0.2 s to each start, and only a
+    # refining reduce scan needs scipy.optimize
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, ringnls.cli; "
+         "print(' '.join(m for m in sys.modules if m.startswith('scipy.')))"],
+        capture_output=True, text=True, timeout=120, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert {"scipy.fft", "scipy.linalg", "scipy.ndimage"} <= loaded
+    for name in ("scipy.interpolate", "scipy.optimize", "scipy.sparse"):
+        assert name not in loaded
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="sets glibc's malloc thresholds")
+def test_keep_freed_heap_reuses_pages():
+    # arrays of a few MB allocated and freed in turn, as the solver loops
+    # do, fault their pages in once rather than on every allocation
+    # (about 39,000 faults here without the call)
+    code = ("import resource, numpy as np, ringnls.cli as cli\n"
+            "cli._keep_freed_heap()\n"
+            "a = np.ones(500_000) * 2.0\n"
+            "del a\n"
+            "start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "for _ in range(20):\n"
+            "    a = np.ones(500_000)\n"
+            "    b = a * 2.0\n"
+            "    del a, b\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt"
+            " - start)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 2000
+
+
+def test_console_entry_subprocess(tmp_path):
+    env = _child_env()
     out = tmp_path / "sub"
     proc = subprocess.run(
         [sys.executable, "-m", "ringnls.cli", "ground-state",

@@ -536,6 +536,30 @@ def test_ring_fields_memory_independent_of_k():
     assert peak(32) <= peak(8) + part.size * 8
 
 
+@pytest.mark.parametrize("dim,R,h", [(2, 7.06, 0.125), (3, 14.12, 0.5)])
+def test_ring_fields_peak_memory(dim, R, h):
+    """At k = 16 with every sum requested, ring_fields holds W, Sigma
+    V_i^3 and Z, only V and V^3 of the two bumps the overlap reads, and
+    one orbit's V_j, V_j^3 and V_j^2 dV_j/dR formed in place: its traced
+    peak was 16.0 part sizes above its start in both cases while it also
+    held those two bumps' Z terms and formed V_j^2 dV_j/dR and the
+    overlap integrand through temporaries, and is 12.5 (2-D) and 10.1
+    (3-D) now."""
+    profile = radial.ground_state(1.0, 1.0, dim)
+    conf = geometry.bump_centers(16, R, dim)
+    part = grid.grid_for_radius(R, 1.0, dim, h=h).with_mirrored(
+        geometry.mirror_axes(16, dim))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        geometry.ring_fields(part, profile, conf, cubes=True,
+                             constraint=True, overlap=True)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 14.0 * part.size * 8
+
+
 # summed sizes passed to eval_profile and eval_profile_deriv by
 # build_inputs at h = 0.5, on the full box before assembly moved onto the
 # folded part, and now

@@ -195,11 +195,23 @@ def test_random_parameter_draws():
             math.sqrt(c / alpha) * base.peak, rel=1e-9)
 
 
+def _horner(table, step, r):
+    """The quintic table at radii r ≤ r_max by the operations of
+    eval_profile, on every radius at once."""
+    x = r / step
+    i = np.clip(x.astype(np.intp), 0, table.shape[1] - 1)
+    t = x - i
+    acc = table[5][i]
+    for row in table[4::-1]:
+        acc = acc * t + row[i]
+    return acc
+
+
 def _where_value(p, r):
-    """eval_profile as first written: the spline and the tail run on every
+    """eval_profile without the split: the table and the tail run on every
     radius and np.where picks one; kept as the oracle for the split."""
     r = np.asarray(r, dtype=float)
-    out = p._spline(np.minimum(r, p.r_max))
+    out = _horner(p._table, p._step, np.minimum(r, p.r_max))
     far = r > p.r_max
     if np.any(far):
         out = np.where(far, p.values[-1] * np.exp(-p.sqrt_c * (r - p.r_max)),
@@ -208,9 +220,9 @@ def _where_value(p, r):
 
 
 def _where_deriv(p, r):
-    """eval_profile_deriv as first written (see _where_value)."""
+    """eval_profile_deriv without the split (see _where_value)."""
     r = np.asarray(r, dtype=float)
-    out = p._dspline(np.minimum(r, p.r_max))
+    out = _horner(p._dtable, p._step, np.minimum(r, p.r_max))
     far = r > p.r_max
     if np.any(far):
         out = np.where(far, -p.sqrt_c * p.values[-1]
@@ -282,22 +294,25 @@ def _production_radii(dim):
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_eval_matches_bspline_and_tail(dim):
-    # the piecewise-polynomial form against the quintic B-spline of the
-    # same mirrored nodes inside r_max, and the tail formula beyond it
+    # the Taylor table against the quintic B-spline of the parity
+    # extension of the nodes over [-r_max, r_max] inside r_max, and the
+    # tail formula beyond it; the radii include (0, 5 Δr), which the
+    # production radii do not sample
     from scipy.interpolate import make_interp_spline
 
     p = radial.ground_state(1.0, 1.0, dim)
-    rm = np.concatenate([-p.r[5:0:-1], p.r])
+    rm = np.concatenate([-p.r[:0:-1], p.r])
     rho = _production_radii(dim)
     far = rho > p.r_max
     assert 0 < np.count_nonzero(far) < rho.size
-    inside = np.concatenate([[0.0, p.r_max], p.r, rho[~far]])
+    near_origin = np.random.default_rng(5).uniform(0.0, 5.0 * p.r[1], 500)
+    inside = np.concatenate([[0.0, p.r_max], p.r, near_origin, rho[~far]])
     decay = np.exp(-p.sqrt_c * (rho[far] - p.r_max))
     for fast, nodes, parity, tail_scale in (
             (radial.eval_profile, p.values, 1.0, p.values[-1]),
             (radial.eval_profile_deriv, p.deriv, -1.0, -p.sqrt_c * p.values[-1])):
         bspline = make_interp_spline(
-            rm, np.concatenate([parity * nodes[5:0:-1], nodes]), k=5)
+            rm, np.concatenate([parity * nodes[:0:-1], nodes]), k=5)
         err = np.max(np.abs(fast(p, inside) - bspline(inside)))
         assert err <= 1e-14 * np.max(np.abs(nodes))
         got = fast(p, rho)
@@ -312,7 +327,8 @@ def test_eval_matches_bspline_and_tail(dim):
 def test_eval_temporaries_bounded(where):
     # beside the returned array, one evaluation on N radii holds at most
     # 3 N float64 of temporaries (bounded memory for 3-D fields); a numpy
-    # Horner over gathered coefficients would hold about 6 N
+    # Horner over gathered coefficients of all N radii at once would hold
+    # about 6 N
     p = radial.ground_state(1.0, 1.0, 2)
     n = 200_000
     lo = 0.0 if where == "mixed" else p.r_max + 1.0
@@ -327,3 +343,49 @@ def test_eval_temporaries_bounded(where):
         finally:
             tracemalloc.stop()
         assert peak - base - out.nbytes <= 3 * n * 8
+
+
+def _sparse_operator(c, dim, r):
+    """radial._operator as first assembled with scipy.sparse: a ghost
+    matrix maps the nodes onto the ghosted array, the 9-point stencils
+    act on that, and the result is returned dense."""
+    from scipy import sparse
+
+    n = r.size
+    h = r[1] - r[0]
+    cols = np.concatenate([np.arange(4, 0, -1), np.arange(n), np.full(4, n - 1)])
+    vals = np.concatenate([np.ones(n + 4), radial._far_ghosts(c, dim, r, 1.0)])
+    ghosts = sparse.csr_matrix((vals, (np.arange(n + 8), cols)),
+                               shape=(n + 8, n))
+    d1, d2 = (sparse.diags(list(weights), range(9), shape=(n, n + 8))
+              @ ghosts / h ** p
+              for p, weights in ((1, radial._G8), (2, radial._D8)))
+    curvature, friction = radial._coefficients(dim, r)
+    return (c * sparse.identity(n) - sparse.diags(curvature) @ d2
+            - sparse.diags(friction) @ d1).toarray()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_banded_operator_matches_sparse_assembly(dim):
+    # every entry of the banded operator, the ghost-folded first and last
+    # four rows included, against the sparse assembly on the floor grid
+    c = 1.3
+    r = np.linspace(0.0, 30.0 / math.sqrt(c), radial._FLOOR_NODES)
+    n = r.size
+    want = _sparse_operator(c, dim, r)
+    bands = radial._operator(c, dim, r)
+    assert bands.shape == (9, n)
+    got = np.zeros((n, n))
+    for u in range(9):
+        d = 4 - u  # band u holds the entries (i, i + d)
+        i = np.arange(n)
+        inside = (i + d >= 0) & (i + d < n)
+        got[i[inside], i[inside] + d] = bands[u, i[inside] + d]
+        # the slots of the band layout outside the matrix stay empty
+        assert np.all(bands[u, (i - d < 0) | (i - d >= n)] == 0.0)
+    for rows in (slice(0, 4), slice(4, n - 4), slice(n - 4, n)):
+        assert np.all(np.abs(got[rows] - want[rows])
+                      <= 1e-14 * np.abs(want[rows]))
+    w = np.exp(-r)
+    assert np.max(np.abs(radial._band_product(bands, w) - want @ w)) \
+        <= 1e-14 * np.max(np.abs(want @ w))
