@@ -45,7 +45,7 @@ from .corrector import (CorrectorDivergence, LinearSolveStalled, build_inputs,
 from .energy import (ansatz_fields, check_ksum_bound, draw_sector_samples,
                      expansion_compare)
 from .geometry import (BumpConfiguration, bump_centers, bump_sum_field,
-                       mirror_axes, radial_field)
+                       radial_field)
 from .grid import Grid, dump_field, grid_for_radius, quad_product
 from .model import (ModelParams, bump_radius_interval, compute_gamma0_f0,
                     default_sample_radii, derive_exponents, make_potential,
@@ -239,14 +239,13 @@ def _ring_f0(config: RunConfig, g: Grid, ring: BumpConfiguration) -> float:
     """The coupling bound f0 that build_inputs reports for this ring on g.
 
     f0 depends only on the suprema of U0 and W = Sigma V_i, so only those
-    two fields are assembled, as build_inputs assembles them, on the part
-    of g folded on mirror_axes(k), where the suprema are those of the box.
+    two fields are assembled, as build_inputs assembles them, on g, the
+    part of the box folded on mirror_axes(k), where the suprema are those
+    of the box.
     """
-    part = g.with_mirrored(mirror_axes(ring.k, config.dim))
     v0 = ground_state(1.0, config.alpha1, config.dim)
-    U0f = radial_field(part,
-                       ground_state(config.lam, config.alpha0, config.dim))
-    W = bump_sum_field(part, v0, ring)
+    U0f = radial_field(g, ground_state(config.lam, config.alpha0, config.dim))
+    W = bump_sum_field(g, v0, ring)
     return compute_gamma0_f0(U0f.data, W.data, v0.decay_const).f0
 
 
@@ -335,11 +334,12 @@ def _run_bounds(config: RunConfig, out: Path):
         ("k", "R", "eta", "n_samples", "max_ratio_tail", "max_ratio_all",
          "passed"), rows))
 
-    # cross-term decay: quad(U0^2 W^2) against R for an 8-bump ring
+    # cross-term decay: quad(U0^2 W^2) against R for an 8-bump ring, on
+    # the part of the box its class folds
     radii = (2.5, 3.5, 4.5)
     cross_rows = []
     for R in radii:
-        g = grid_for_radius(R, config.lam, config.dim, h=config.h)
+        g = grid_for_radius(R, config.lam, config.dim, 8, h=config.h)
         U = radial_field(g, u0)
         W = bump_sum_field(g, v0, bump_centers(8, R, config.dim))
         cross_rows.append((float(R), float(quad_product(U, U, W, W))))
@@ -383,7 +383,8 @@ def _run_expansion(config: RunConfig, out: Path):
     j_exacts = []
     for k in ks:
         R = _radius_for(config, k)
-        g = grid_for_radius(R, config.lam, config.dim, h=config.h, L=config.L)
+        g = grid_for_radius(R, config.lam, config.dim, k, h=config.h,
+                            L=config.L)
         ring = bump_centers(k, R, config.dim)
         fields = f0 = None
         if config.beta is None:
@@ -471,7 +472,7 @@ def _maximize(config: RunConfig):
     params0 = _base_params(config)
     k = config.k
     R = mid_radius(k, config.m, config.theta)
-    g = grid_for_radius(R, config.lam, config.dim, h=config.h, L=config.L)
+    g = grid_for_radius(R, config.lam, config.dim, k, h=config.h, L=config.L)
     f0 = _ring_f0(config, g, bump_centers(k, R, config.dim))
     beta = _resolve_beta(config, f0)
     params = replace(params0, beta=beta)

@@ -72,8 +72,8 @@ from .energy import potential_field
 # not called here, but perfbench/spans.py patches them on this module by
 # name; it times the projections below under symmetrize_fast
 from .geometry import (BumpConfiguration, bump_centers, bump_cubes_field,
-                       bump_sum_field, constraint_field, mirror_axes,
-                       radial_field, ring_fields, symmetrize)
+                       bump_sum_field, constraint_field, radial_field,
+                       ring_fields, symmetrize)
 from .geometry import symmetrize as symmetrize_fast
 from .grid import (Field, Grid, grid_for_radius, laplacian,
                    laplacian_eigenvalues, norm_E, quad_product, zeros)
@@ -169,7 +169,7 @@ def _inverse_spectrum(n_box: int, dim: int, h: float, shift: float,
     centre, j = 2l + 1, which are the cosine modes cos(pi (2l + 1) p /
     (2 M_b)) of the half box of M_b = (n_box + 1) / 2 nodes; the array
     also carries the 1 / (2 M_b) per folded axis that normalizes the
-    unnormalized DCT-III/DCT-II pair of ``_precondition``.
+    unnormalized DCT-III/DCT-II pair of ``_shifted_operator``.
     """
     j = np.arange(1, n_box + 1)
     total = np.zeros(tuple((n_box + 1) // 2 if ax in folded else n_box
@@ -180,36 +180,6 @@ def _inverse_spectrum(n_box: int, dim: int, h: float, shift: float,
         shape[ax] = modes.size
         total = total + laplacian_eigenvalues(n_box, h, modes).reshape(shape)
     return 1.0 / (total + shift) / (n_box + 1) ** len(folded)
-
-
-def _precondition(x: np.ndarray, g: Grid, inv: np.ndarray) -> np.ndarray:
-    """Inner block of the inverse spectrum applied on the padded box.
-
-    Unmirrored axes of g run the orthonormal DST-I over the centred box.
-    On a mirrored axis x holds the half from the centre node on, the
-    field being even there; it sits at the start of the half box and
-    runs DCT-III, then the spectrum, then DCT-II, which is the full DST-I
-    pair restricted to the even modes.  ``inv`` comes from
-    ``_inverse_spectrum`` with ``g.mirrored`` as its folded axes.
-    """
-    axes = g.mirrored
-    inner = tuple(slice(0, g.centre + 1) if ax in axes else
-                  slice((inv.shape[ax] - g.n_axis) // 2,
-                        (inv.shape[ax] + g.n_axis) // 2)
-                  for ax in range(g.dim))
-    plain = tuple(ax for ax in range(g.dim) if ax not in axes)
-    t = np.zeros(inv.shape)
-    t[inner] = x.reshape(t[inner].shape)
-    if plain:
-        t = dstn(t, type=1, norm="ortho", axes=plain, overwrite_x=True)
-    if axes:
-        t = dctn(t, type=3, axes=axes, overwrite_x=True)
-    t *= inv
-    if axes:
-        t = dctn(t, type=2, axes=axes, overwrite_x=True)
-    if plain:
-        t = dstn(t, type=1, norm="ortho", axes=plain, overwrite_x=True)
-    return t[inner].ravel()
 
 
 def _shifted_operator(g: Grid, pot: np.ndarray, shift: float):
@@ -227,10 +197,23 @@ def _shifted_operator(g: Grid, pot: np.ndarray, shift: float):
     symmetric, so both maps are symmetric up to rounding, and the
     Euclidean product of scaled vectors is the full-box product of the
     even extensions.
+
+    precond zero-pads its input into the inner block of the padded box,
+    whose slices are fixed here once.  Unmirrored axes run the
+    orthonormal DST-I over the centred box.  On a mirrored axis the input
+    holds the half from the centre node on, the field being even there;
+    it sits at the start of the half box and runs DCT-III, then the
+    spectrum, then DCT-II, which is the full DST-I pair restricted to the
+    even modes.
     """
     root_w = np.sqrt(g.mirror_weights()).ravel()
-    inv = _inverse_spectrum(_padded_size(g.n_axis), g.dim, g.h, shift,
-                            g.mirrored)
+    axes = g.mirrored
+    inv = _inverse_spectrum(_padded_size(g.n_axis), g.dim, g.h, shift, axes)
+    inner = tuple(slice(0, g.centre + 1) if ax in axes else
+                  slice((inv.shape[ax] - g.n_axis) // 2,
+                        (inv.shape[ax] + g.n_axis) // 2)
+                  for ax in range(g.dim))
+    plain = tuple(ax for ax in range(g.dim) if ax not in axes)
 
     def matvec(x):
         a = (x / root_w).reshape(g.shape)
@@ -241,7 +224,18 @@ def _shifted_operator(g: Grid, pot: np.ndarray, shift: float):
         return out
 
     def precond(x):
-        out = _precondition(x / root_w, g, inv)
+        t = np.zeros(inv.shape)
+        t[inner] = (x / root_w).reshape(g.shape)
+        if plain:
+            t = dstn(t, type=1, norm="ortho", axes=plain, overwrite_x=True)
+        if axes:
+            t = dctn(t, type=3, axes=axes, overwrite_x=True)
+        t *= inv
+        if axes:
+            t = dctn(t, type=2, axes=axes, overwrite_x=True)
+        if plain:
+            t = dstn(t, type=1, norm="ortho", axes=plain, overwrite_x=True)
+        out = t[inner].ravel()
         out *= root_w
         return out
 
@@ -392,8 +386,8 @@ def solve_L0(rhs: Field, U0f: Field, params: ModelParams, tol: float,
     unknowns of ``_shifted_operator``, so on a folded box the residual
     test is on the full-box norm of the even extension.  With the fold
     order k the answer is projected by ``symmetrize``, which raises
-    ValueError when the grid is folded on axes other than
-    ``mirror_axes(k)``; rhs is expected to lie in the symmetric class.
+    ValueError unless the grid is folded on ``mirror_axes(k)``; rhs is
+    expected to lie in the symmetric class.
     x0 (flat, rhs.grid.size values) is the Krylov starting guess, zero
     when None; ``callback`` is MINRES's per-iteration callback.
     """
@@ -510,8 +504,7 @@ def build_inputs(k: int, Rvalue: float, params: ModelParams,
     floats as bump_sum_field's and the overlap as interaction_term's on
     g.
     """
-    part = grid_for_radius(Rvalue, params.lam, params.dim, h=h,
-                           L=L).with_mirrored(mirror_axes(k, params.dim))
+    part = grid_for_radius(Rvalue, params.lam, params.dim, k, h=h, L=L)
     u0 = ground_state(params.lam, params.alpha0, params.dim)
     v0 = ground_state(1.0, params.alpha1, params.dim)
     config = bump_centers(k, Rvalue, params.dim)
@@ -557,9 +550,9 @@ def _forcing_split(U0f: Field, W: Field, mu: Field, cubes: Field,
                    params: ModelParams) -> str:
     """L2 norms of the three parts of the forcing at (u, v) = (0, 0).
 
-    The fields may be folded (``grid.fold``): the parts lie in the
-    symmetric class, and the mirror-weighted quadrature of the folded box
-    is the full-box one.
+    The fields lie on the folded part: the parts lie in the symmetric
+    class, and the mirror-weighted quadrature of the part is the full-box
+    one.
     """
     def l2(*parts):
         return math.sqrt(sum(quad_product(p, p) for p in parts))

@@ -22,10 +22,8 @@ import numpy as np
 # bump_sum_field is not called here, but perfbench/spans.py patches it
 # on this module by name, so the import stays
 from .geometry import (BumpConfiguration, RingFields, bump_sum_field,
-                       mirror_axes, radial_field, ring_fields,
-                       sector_membership)
-from .grid import (Field, Grid, grad8, grid_for_radius, make_grid, quad,
-                   quad_product)
+                       radial_field, ring_fields, sector_membership)
+from .grid import Field, Grid, grad8, grid_for_radius, quad_product
 from .model import ModelParams, Potential, make_potential
 from .radial import RadialProfile, eval_profile
 
@@ -105,42 +103,15 @@ def interaction_term(V0prof: RadialProfile, config: BumpConfiguration,
                      g: Grid | None = None) -> InteractionReport:
     """Sigma_{i>=2} int V1^3 V_i on g, normalized to its levels J.
 
-    The sum comes from one ring_fields pass on the part of g folded on
-    mirror_axes(k), which evaluates the profile once per H+-orbit of
-    bumps there.
+    g is the part of the box folded on mirror_axes(k) (by default
+    grid_for_radius's for the ring), and the sum comes from one
+    ring_fields pass there, which evaluates the profile once per
+    H+-orbit of bumps.
     """
     if g is None:
-        g = grid_for_radius(config.R, 1.0, config.dim)
-    ring = ring_fields(g.with_mirrored(mirror_axes(config.k, config.dim)),
-                       V0prof, config, overlap=True)
+        g = grid_for_radius(config.R, 1.0, config.dim, config.k)
+    ring = ring_fields(g, V0prof, config, overlap=True)
     return _interaction_report(ring.overlap, config, params)
-
-
-def potential_moment(V0prof: RadialProfile, config: BumpConfiguration,
-                     mu: Potential, params: ModelParams,
-                     g: Grid | None = None) -> tuple[float, float]:
-    """int (mu(|y|) - 1) V1^2 dy and its leading model (a/R^m) int V0^2.
-
-    The integrand concentrates in a ball around the bump centre x1, so
-    the quadrature runs on a bump-centred local grid: with z = y - x1 the
-    integrand reads (mu(|z + x1|) - 1) V0(|z|)^2.  Both numbers are
-    returned so callers can track the deviation as R grows.
-    """
-    if g is None:
-        h = 0.125 if config.dim == 2 else 0.25
-        g = make_grid(config.dim, h * math.ceil(22.0 / h), h)
-    x1 = config.centers[0]
-    mesh = g.mesh()
-    rho2 = mesh[0] ** 2
-    shift2 = (mesh[0] + x1[0]) ** 2
-    for d in range(1, config.dim):
-        rho2 = rho2 + mesh[d] ** 2
-        shift2 = shift2 + (mesh[d] + x1[d]) ** 2
-    integrand = (mu(np.sqrt(shift2)) - 1.0) \
-        * eval_profile(V0prof, np.sqrt(rho2)) ** 2
-    integral = quad(Field(g, np.broadcast_to(integrand, g.shape).copy()))
-    leading = params.a / config.R ** params.m * V0prof.moment2
-    return float(integral), float(leading)
 
 
 @dataclass
@@ -238,12 +209,11 @@ def ansatz_fields(U0prof: RadialProfile, V0prof: RadialProfile,
                   config: BumpConfiguration,
                   g: Grid) -> tuple[Field, RingFields]:
     """U0 and the ring pass (W and the overlap sum) that expansion_compare
-    reads, sampled on the part of g's box folded on mirror_axes(k)
-    (``grid.fold``); a caller that also needs W, for f0, builds them once
-    here, and sup |W| on the part is that of the box."""
-    part = g.with_mirrored(mirror_axes(config.k, config.dim))
-    return radial_field(part, U0prof), ring_fields(part, V0prof, config,
-                                                   overlap=True)
+    reads, sampled on g, the part of the box folded on mirror_axes(k); a
+    caller that also needs W, for f0, builds them once here, and sup |W|
+    on the part is that of the box."""
+    return radial_field(g, U0prof), ring_fields(g, V0prof, config,
+                                                overlap=True)
 
 
 def expansion_compare(U0prof: RadialProfile, V0prof: RadialProfile,
@@ -257,8 +227,8 @@ def expansion_compare(U0prof: RadialProfile, V0prof: RadialProfile,
     The per-bump remainder rho = |direct - model| / k collects everything
     the model drops: the finite-R potential deviation, beyond-pair
     overlaps, and the beta cross term.  U0, W = Sigma V_i, mu and the
-    overlap sum are built by ansatz_fields on the part of g's box folded
-    on mirror_axes(k), and the energy is evaluated there: the folded
+    overlap sum are built by ansatz_fields on g, the part of the box
+    folded on mirror_axes(k), and the energy is evaluated there: the folded
     gradients and quadratures give the full box's values of the even
     fields, summed in another order.  The fields and sums equal those of
     bump_sum_field, energy and interaction_term on that part exactly.
@@ -266,7 +236,7 @@ def expansion_compare(U0prof: RadialProfile, V0prof: RadialProfile,
     """
     if fields is None:
         if g is None:
-            g = grid_for_radius(config.R, params.lam, config.dim)
+            g = grid_for_radius(config.R, params.lam, config.dim, config.k)
         fields = ansatz_fields(U0prof, V0prof, config, g)
     U0f, ring = fields
     part = U0f.grid

@@ -3,39 +3,36 @@
 The k bumps sit at x_i = (R cos(2(i-1)pi/k), R sin(2(i-1)pi/k)), padded
 with a zero third coordinate in 3-D.  The symmetric class is generated
 by the rotation Q through 2pi/k in the (y1, y2)-plane together with the
-coordinate reflections y_n -> -y_n for n >= 2; symmetrize averages a
-field over that group.  The reflections of the axes mirror_axes(k) (y2,
-y3 in 3-D, and y1 for even k) lie in the group, so a symmetric field is
-known from the part of the box they fix, the nodes from the centre on
-along each of those axes (``grid.fold``): half the box for odd k, a
-quarter (an eighth in 3-D) for even k.  The elements whose matrix is a
-signed permutation of the axes (the quarter-turn rotations the group
-contains, with and without y2 -> -y2) form a subgroup H of order
-2 gcd(k, 4) and act by exact node permutations; _node_subgroup builds H
-once for both users below.  The other elements form the cosets H r_m^-1,
-r_m the rotation by 2pi m/k, 1 <= m < q = k/gcd(k, 4).  symmetrize
-therefore forms the exact H-average F_H = Sigma_h f o h by node
-permutations and interpolates it (quintic splines) once per coset at
-r_m^-1 x, for one node x per H-orbit only: the part of mirror_axes, cut
-to y1 >= y2 when k = 0 mod 4, about an eighth of the grid at k = 16.
-The averages at those nodes are scattered back by the node permutations
-of H, so the result is H-invariant bit for bit.  A field already folded
-onto the part is averaged there and returned folded: F_H, its spline
-coefficients and the interpolation never touch the full box.  Memory is
-O(nodes) and independent of k.
+coordinate reflections y_n -> -y_n for n >= 2.  The reflections of the
+axes mirror_axes(k) (y2, y3 in 3-D, and y1 for even k) lie in the group,
+so a symmetric field is known from the part of the box they fix, the
+nodes from the centre on along each of those axes: half the box for odd
+k, a quarter (an eighth in 3-D) for even k.  That part, the grid
+``grid.grid_for_radius`` builds, is the only layout symmetrize and
+ring_fields accept.
 
-H also permutes the bumps: the node permutation by h of the field of
-bump j is the field of the bump at h^-1 x_j, whose index is j - s or
-s - j (mod k) for h the rotation by 2pi s/k without or with the flip.
-On the part only H+, the elements of H that map the part onto itself
-(the identity and, for k = 0 mod 4, the transpose of y1 and y2), act by
-node permutations.  ring_fields therefore assembles W = Sigma V_i,
-Sigma V_i^3, the radius mode Z = Sigma V_i^2 dV_i/dR and the overlap
+The elements of the group whose matrix is a signed permutation of the
+axes (the quarter-turn rotations it contains, with and without y2 ->
+-y2) form a subgroup H of order 2 gcd(k, 4).  On the part, H+, the
+elements of H that map the part onto itself, is the identity and, for k
+= 0 mod 4, the transpose of y1 and y2; every other element of H agrees
+there with one of H+, since the field is even in the mirrored axes.  The
+other elements of the group form the cosets H r_m^-1, r_m the rotation
+by 2pi m/k, 1 <= m < q = k/gcd(k, 4).  symmetrize therefore forms the
+exact H-average F_H on the part, |H| f or |H|/2 (f + f^T), and
+interpolates it (quintic splines) once per coset at r_m^-1 x, for one
+node x per H-orbit only: the part, cut to y1 >= y2 when k = 0 mod 4,
+about an eighth of the grid at k = 16.  The averages at those nodes are
+scattered back by the transpose, so the result is H-invariant bit for
+bit.  Memory is O(nodes) and independent of k.
+
+H+ also permutes the bumps: the transpose maps the field of bump j to
+that of bump k/4 - j (mod k).  ring_fields therefore assembles W = Sigma
+V_i, Sigma V_i^3, the radius mode Z = Sigma V_i^2 dV_i/dR and the overlap
 Sigma_{i>=2} int V_1^3 V_i on the part, in one pass that evaluates the
-profile once per H+-orbit of bumps on part-sized arrays (9 orbits of a
-quarter box at k = 16, 2.25 full-box evaluations against the 3 of one
-per H-orbit on the full box) and adds the permuted images of that one
-evaluation; a full-box grid gets the part mirrored back.
+profile once per H+-orbit of bumps (9 orbits of a quarter box at k = 16,
+2.25 full-box evaluations) and adds the transposed image of that one
+evaluation.
 """
 from __future__ import annotations
 
@@ -45,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.ndimage import map_coordinates, spline_filter
 
-from .grid import Field, Grid, half_box, mirror_back, quad_product
+from .grid import Field, Grid, mirror_axes, quad_product
 from .radial import RadialProfile, eval_profile, eval_profile_deriv
 
 
@@ -137,26 +134,6 @@ def _radial_derivative(profile: RadialProfile, config: BumpConfiguration,
     return out
 
 
-def d_bump_dR(profile: RadialProfile, config: BumpConfiguration,
-              i: int, y):
-    """∂V_i/∂R at y (1-based i): −V0'(ρ)·((y−x_i)·n_i)/ρ, ρ = |y−x_i|.
-
-    The bump center moves radially outward with R, so the value rises on
-    the far side of the bump and falls on the near side; at y = x_i the
-    smooth limit is 0 since V0'(0) = 0.
-    """
-    if not 1 <= i <= config.k:
-        raise ValueError(f"bump index {i} outside 1..{config.k}")
-    y = np.asarray(y, dtype=float)
-    single = y.ndim == 1
-    pts = y.reshape(-1, y.shape[-1])
-    rho = np.linalg.norm(pts - config.centers[i - 1], axis=1)
-    out = _radial_derivative(profile, config, i - 1, pts.T, rho)
-    if single:
-        return float(out[0])
-    return out.reshape(y.shape[:-1])
-
-
 @dataclass
 class RingFields:
     """Sums over the ring on one grid; the parts not requested are None.
@@ -171,28 +148,25 @@ class RingFields:
     overlap: float | None = None
 
 
-def _ring_orbits(k: int, dim: int) -> list:
+def _ring_orbits(k: int) -> list:
     """The H+-orbits of the bump indices 0..k-1.
 
-    H+ holds the elements of H that map the part of the box folded on
-    mirror_axes(k) onto itself, those whose matrix has no negative entry:
-    the identity and, for k = 0 mod 4, the transpose of y1 and y2.  Each
-    orbit is (j, images): j its smallest index and images the pairs (i,
-    h), one h in H+ per distinct i with h^-1 x_j = x_i, so that the node
-    permutation of bump j by h is bump i on the part.
+    Each orbit is (j, images): j its smallest index and images the pairs
+    (i, swap), the identity's (j, False) first and, for k = 0 mod 4 when
+    it is another bump, the transpose's (k/4 - j mod k, True): the field
+    of bump j, transposed in y1 and y2 when swap, is bump i on the part.
     """
-    positive = [(s, flip2, h) for s, flip2, h in _node_subgroup(k, dim)
-                if np.all(h >= 0.0)]
     orbits = []
     seen = set()
     for j in range(k):
         if j in seen:
             continue
-        images = {}
-        for s, flip2, h in positive:
-            images.setdefault((s - j) % k if flip2 else (j - s) % k, h)
-        seen.update(images)
-        orbits.append((j, list(images.items())))
+        images = [(j, False)]
+        t = (k // 4 - j) % k
+        if k % 4 == 0 and t != j:
+            images.append((t, True))
+        seen.update(i for i, _swap in images)
+        orbits.append((j, images))
     return orbits
 
 
@@ -201,13 +175,12 @@ def ring_fields(g: Grid, profile: RadialProfile, config: BumpConfiguration,
                 overlap: bool = False) -> RingFields:
     """W, and on request Sigma V_i^3, Z and the overlap, in one pass.
 
-    The sums are assembled on the part of the box folded on mirror_axes(k)
-    (``grid.fold``), whatever g is: the arrays come back folded for a grid
-    folded there, mirrored back to the full box for an unfolded one, and
-    a grid folded on other axes is refused (ValueError).  The profile
-    (and, for Z, its derivative) is evaluated on the part once per
-    H+-orbit representative j; every other bump of the orbit is a node
-    permutation of V_j, V_j^3 and V_j^2 dV_j/dR there.
+    g must be the part of the box folded on mirror_axes(k), as
+    ``grid.grid_for_radius`` builds it; any other grid is refused
+    (ValueError), and the arrays come back on g.  The profile (and, for
+    Z, its derivative) is evaluated on g once per H+-orbit representative
+    j; the other bump of the orbit, if any, is the y1/y2 transpose of V_j,
+    V_j^3 and V_j^2 dV_j/dR there.
 
     V_1 alone is not even in y1, so for even k the overlap is half the
     part's quadrature of the mirror-even G = V_1^3 (W' + V_m) + V_m^3 (W'
@@ -222,14 +195,13 @@ def ring_fields(g: Grid, profile: RadialProfile, config: BumpConfiguration,
     four held arrays and one orbit's three.
     """
     axes = mirror_axes(config.k, g.dim)
-    if g.mirrored not in ((), axes):
+    if g.mirrored != axes:
         raise ValueError(f"grid folded on axes {g.mirrored}, the "
                          f"fold-{config.k} class mirrors {axes}")
-    part = g.with_mirrored(axes)
-    mesh = part.mesh()
-    W = np.zeros(part.shape)
-    C = np.zeros(part.shape) if cubes else None
-    Z = np.zeros(part.shape) if constraint else None
+    mesh = g.mesh()
+    W = np.zeros(g.shape)
+    C = np.zeros(g.shape) if cubes else None
+    Z = np.zeros(g.shape) if constraint else None
     last = {0, config.k // 2} if config.k % 2 == 0 else {0}
     held = {}
 
@@ -238,7 +210,7 @@ def ring_fields(g: Grid, profile: RadialProfile, config: BumpConfiguration,
             if total is not None and a is not None:
                 total += a
 
-    for j, images in _ring_orbits(config.k, g.dim):
+    for j, images in _ring_orbits(config.k):
         rho = _bump_radii(config, j, mesh)
         vj = eval_profile(profile, rho)
         zj = None
@@ -248,10 +220,10 @@ def ring_fields(g: Grid, profile: RadialProfile, config: BumpConfiguration,
             zj *= vj
         del rho
         cj = None
-        if cubes or (overlap and any(i in last for i, _h in images)):
+        if cubes or (overlap and any(i in last for i, _swap in images)):
             cj = vj ** 3
-        for i, h in images:
-            parts = [None if a is None else _apply_signed_permutation(a, h)
+        for i, swap in images:
+            parts = [a.swapaxes(0, 1) if swap and a is not None else a
                      for a in (vj, cj, zj)]
             if i in last:
                 # V_i and V_i^3 wait for the overlap; Z takes its term now
@@ -272,15 +244,12 @@ def ring_fields(g: Grid, profile: RadialProfile, config: BumpConfiguration,
             rest *= cm
             G += rest
             del rest
-            total = 0.5 * quad_product(Field(part, G))
+            total = 0.5 * quad_product(Field(g, G))
             del G
         else:
-            total = quad_product(Field(part, c1), Field(part, W))
+            total = quad_product(Field(g, c1), Field(g, W))
     for i in sorted(held, reverse=True):
         add(held.pop(i))
-    if not g.mirrored:
-        W, C, Z = (None if a is None else mirror_back(a, axes)
-                   for a in (W, C, Z))
     return RingFields(W=W, cubes=C, Z=Z, overlap=total)
 
 
@@ -311,70 +280,35 @@ def radial_field(g: Grid, profile: RadialProfile) -> Field:
     return Field(g, eval_profile(profile, np.sqrt(r2)))
 
 
-def _apply_signed_permutation(a: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """b with b[idx] = a[index of M @ y(idx)] for signed-permutation M."""
-    dim = M.shape[0]
-    perm = []
-    flips = []
-    for s in range(dim):
-        d = int(np.argmax(np.abs(M[s])))
-        perm.append(d)
-        flips.append(slice(None, None, -1) if M[s, d] < 0 else slice(None))
-    b = a[tuple(flips)]
-    return np.transpose(b, axes=perm)
-
-
-def _rotation_matrix(theta: float, dim: int, flip2: bool) -> np.ndarray:
+def _rotation_matrix(theta: float, dim: int) -> np.ndarray:
     c, s = math.cos(theta), math.sin(theta)
     M = np.eye(dim)
     M[0, 0], M[0, 1] = c, -s
     M[1, 0], M[1, 1] = s, c
-    if flip2:
-        M[:, 1] *= -1.0
     return M
-
-
-def _node_subgroup(k: int, dim: int) -> list:
-    """H as (s, flip2, h): h the rotation by 2πs/k, s a multiple of
-    q = k/gcd(k, 4), composed with y2 → −y2 when flip2, as an exact
-    signed-permutation matrix.  Enumerated rotation index first, then
-    flip, the order in which the group is enumerated."""
-    q = k // math.gcd(k, 4)
-    return [(s, flip2,
-             np.round(_rotation_matrix(2.0 * math.pi * s / k, dim, flip2)))
-            for s in range(0, k, q) for flip2 in (False, True)]
-
-
-def mirror_axes(k: int | None, dim: int) -> tuple:
-    """The axes n whose reflection y_n -> -y_n lies in the fold-k class:
-    y2 (and y3 in 3-D) always, y1 when k is even, since the rotation by
-    pi then lies in the group.  With k None no axis is mirrored."""
-    return () if k is None else tuple(range(k % 2, dim))
 
 
 def symmetrize(f: Field, k: int) -> Field:
     """Average f over the symmetry group G (rotations by 2π/k and the
     reflections y_n → −y_n, n ≥ 2).
 
-    The subgroup H of elements that permute grid nodes (rotations by
-    multiples of π/2, each with and without y2 → −y2) is applied
-    exactly: F_H = Σ_h f∘h, in 3-D also averaged with its y3 mirror.
-    A field folded on mirror_axes(k) (``grid.fold``) is even in those
-    axes, so there every element of H acts as the identity or, for
-    k ≡ 0 mod 4, as the transpose of y1 and y2: F_H = |H|/2 (f + fᵀ) or
-    |H| f, formed on the folded part, and the answer is folded too.
-    When H is all of G (q = k/gcd(k, 4) = 1) that is the answer.
-    Otherwise F_H is prefiltered once for quintic splines, on the part
-    when f is folded (SciPy's spline boundary reflects the coefficients
-    about index 0 of a folded axis, which is the fold), and each coset,
-    1 ≤ m < q, costs one interpolation of F_H at r_m⁻¹·x, r_m the
-    rotation by 2π m/k, read at |r_m⁻¹·x| along the folded axes.  Only
-    one node x per H-orbit is interpolated: the half box of mirror_axes
-    (y2 ≥ 0; also y1 ≥ 0 for even k; y3 ≥ 0 in 3-D), and within it
-    y1 ≥ y2 when k ≡ 0 mod 4.  The average at those nodes is scattered
-    back by the |H| node permutations (a transpose for k ≡ 0 mod 4, then,
-    for a full-box f, the axis mirrors), so the output is H-invariant bit
-    for bit.
+    f must be folded on mirror_axes(k), the layout of
+    ``grid.grid_for_radius``; any other grid is refused (ValueError), and
+    the answer comes back on f's grid.  f is even in those axes, so there
+    every element of the subgroup H of node permutations (rotations by
+    multiples of π/2, each with and without y2 → −y2) acts as the
+    identity or, for k ≡ 0 mod 4, as the transpose of y1 and y2: the
+    exact H-average is F_H = |H|/2 (f + fᵀ) or |H| f.  When H is all of G
+    (q = k/gcd(k, 4) = 1) F_H / |H| is the answer.  Otherwise F_H is
+    prefiltered once for quintic splines on the part (SciPy's spline
+    boundary reflects the coefficients about index 0 of a folded axis,
+    which is the fold), and each coset, 1 ≤ m < q, costs one
+    interpolation of F_H at r_m⁻¹·x, r_m the rotation by 2π m/k, read at
+    |r_m⁻¹·x| along the folded axes.  Only one node x per H-orbit is
+    interpolated: the part itself (y2 ≥ 0; also y1 ≥ 0 for even k; y3 ≥ 0
+    in 3-D), and within it y1 ≥ y2 when k ≡ 0 mod 4.  The average at
+    those nodes is scattered back by the transpose for k ≡ 0 mod 4, so
+    the output is H-invariant bit for bit.
 
     In exact arithmetic this is the average over every element of G:
     G = G⁻¹, so the elements h·r_m⁻¹ run over G as the r_m·h do; the
@@ -391,39 +325,23 @@ def symmetrize(f: Field, k: int) -> Field:
     q = k // math.gcd(k, 4)
     axes = mirror_axes(k, dim)
     n_h = 2 * math.gcd(k, 4)
-
-    if g.mirrored:
-        if g.mirrored != axes:
-            raise ValueError(f"field folded on axes {g.mirrored}, the "
-                             f"fold-{k} class mirrors {axes}")
-        # |H|/2 and |H| are powers of 2: the scalings are exact
-        part_total = (0.5 * n_h * (a + a.swapaxes(0, 1)) if k % 4 == 0
-                      else n_h * a)
-        if q == 1:
-            return Field(g, part_total / n_h)
-        source = part_total
-    else:
-        source = np.zeros(g.shape)
-        for _s, _flip2, h in _node_subgroup(k, dim):
-            source += _apply_signed_permutation(a, h)
-        if q == 1:
-            out = source / n_h
-            if dim == 3:
-                out = 0.5 * (out + out[:, :, ::-1])
-            return Field(g, out)
-        if dim == 3:
-            source = 0.5 * (source + source[:, :, ::-1])
-        part_total = source[half_box(g, axes)]
-    # The B-spline coefficients of F_H, on the part when f is folded,
-    # prefiltered once rather than by every map_coordinates call.  The
-    # prefilter's "mirror" boundary (the same filter as "constant") and
-    # map_coordinates' "constant" mode inside the array both reflect the
-    # coefficients about the end node without repeating it: at index 0 of
-    # a folded axis that is the fold, so the part's coefficients read at
-    # |y| give the box's value at y.
-    coeffs = spline_filter(source, order=5, output=np.float64, mode="mirror")
-    del source
-    mesh = np.meshgrid(*g.with_mirrored(axes).axes(), indexing="ij")
+    if g.mirrored != axes:
+        raise ValueError(f"field folded on axes {g.mirrored}, the "
+                         f"fold-{k} class mirrors {axes}")
+    # |H|/2 and |H| are powers of 2: the scalings are exact
+    part_total = (0.5 * n_h * (a + a.swapaxes(0, 1)) if k % 4 == 0
+                  else n_h * a)
+    if q == 1:
+        return Field(g, part_total / n_h)
+    # The B-spline coefficients of F_H, prefiltered once rather than by
+    # every map_coordinates call.  The prefilter's "mirror" boundary (the
+    # same filter as "constant") and map_coordinates' "constant" mode
+    # inside the array both reflect the coefficients about the end node
+    # without repeating it: at index 0 of a folded axis that is the fold,
+    # so the part's coefficients read at |y| give the box's value at y.
+    coeffs = spline_filter(part_total, order=5, output=np.float64,
+                           mode="mirror")
+    mesh = np.meshgrid(*g.axes(), indexing="ij")
     rep = mesh[0] >= mesh[1] if k % 4 == 0 else np.ones(mesh[0].shape, bool)
     pts = np.stack([x[rep] for x in mesh])
     del mesh
@@ -431,12 +349,12 @@ def symmetrize(f: Field, k: int) -> Field:
     del part_total
     cosets = np.ones(total.size, dtype=int)
     for m in range(1, q):
-        coords = _rotation_matrix(-2.0 * math.pi * m / k, dim, False) @ pts
+        coords = _rotation_matrix(-2.0 * math.pi * m / k, dim) @ pts
         inbox = np.all(np.abs(coords) <= g.L + 1e-12, axis=0)
         # node index of each coordinate, in place: |y| / h on an axis the
         # coefficients are folded on, (y + L) / h on a full axis
         for ax in range(dim):
-            if ax in g.mirrored:
+            if ax in axes:
                 np.abs(coords[ax], out=coords[ax])
             else:
                 coords[ax] += g.L
@@ -449,4 +367,4 @@ def symmetrize(f: Field, k: int) -> Field:
     out[rep] = total / (n_h * cosets)
     if k % 4 == 0:
         out = np.where(rep, out, out.swapaxes(0, 1))
-    return Field(g, out if g.mirrored else mirror_back(out, axes))
+    return Field(g, out)

@@ -14,16 +14,19 @@ identities checked downstream need gradient quadrature errors well below
 the 1e-4 tier, which second-order differences cannot deliver at the
 default spacings.
 
-A grid may store a field even in some axes by its nodes from the centre
-on along each of them (``Grid.mirrored``; ``fold`` and ``unfold`` convert
-between the layouts).  The node at index -j of a mirrored axis is the
-mirror copy of node j: ``laplacian`` and ``grad8`` read it as their ghost
-there, and the quadratures weight each stored node by its number of
-full-box copies w (2 per mirrored axis off that axis's centre, 1 on
-it).  Stencil values at the stored nodes are then exactly those of the
-full box, and every quadrature is the full-box one of the even
-extension, summed in another order.  ``dump_field`` writes the full box
-of a folded field without unfolding it.
+The ring fields of the k-bump class are even in the axes mirror_axes(k)
+and live on the part of the box those reflections fix, the nodes from
+the centre on along each of them (``Grid.mirrored``).  grid_for_radius
+is the one constructor of that part; a full box comes from make_grid,
+and ``fold`` and ``unfold`` convert a field between the two layouts.
+The node at index -j of a mirrored axis is the mirror copy of node j:
+``laplacian`` and ``grad8`` read it as their ghost there, and the
+quadratures weight each stored node by its number of full-box copies w
+(2 per mirrored axis off that axis's centre, 1 on it).  Stencil values
+at the stored nodes are then exactly those of the full box, and every
+quadrature is the full-box one of the even extension, summed in another
+order.  ``dump_field`` writes the full box of a folded field without
+unfolding it.
 """
 from __future__ import annotations
 
@@ -136,32 +139,22 @@ def _axis_slice(dim: int, ax: int, sl) -> tuple:
     return tuple(index)
 
 
-def half_box(g: Grid, axes: tuple) -> tuple:
-    """Index of the part of g's arrays from the centre node on along each
-    of axes that g stores whole, the other axes whole."""
-    return tuple(slice(g.centre, None)
-                 if ax in axes and ax not in g.mirrored else slice(None)
-                 for ax in range(g.dim))
-
-
-def mirror_back(a: np.ndarray, axes: tuple) -> np.ndarray:
-    """The full-box array, even in each of axes, whose half_box part is a."""
-    for ax in axes:
-        a = np.concatenate([a[_axis_slice(a.ndim, ax, slice(None, 0, -1))],
-                            a], axis=ax)
-    return a
-
-
 def fold(f: Field, axes: tuple) -> Field:
-    """f, even in each of axes, stored from the centre on along them."""
-    g = f.grid.with_mirrored(axes)
-    return Field(g, np.ascontiguousarray(f.data[half_box(f.grid, axes)]))
+    """The full-box field f, even in each of axes, stored from the centre
+    node on along them."""
+    g = f.grid
+    part = tuple(slice(g.centre, None) if ax in axes else slice(None)
+                 for ax in range(g.dim))
+    return Field(g.with_mirrored(axes), np.ascontiguousarray(f.data[part]))
 
 
 def unfold(f: Field) -> Field:
     """The full-box field whose mirrored-axis halves are f."""
-    g = f.grid
-    return Field(g.with_mirrored(()), mirror_back(f.data, g.mirrored))
+    a = f.data
+    for ax in f.grid.mirrored:
+        a = np.concatenate([a[_axis_slice(a.ndim, ax, slice(None, 0, -1))],
+                            a], axis=ax)
+    return Field(f.grid.with_mirrored(()), a)
 
 
 def make_grid(dim: int, L: float, h: float) -> Grid:
@@ -180,10 +173,18 @@ def make_grid(dim: int, L: float, h: float) -> Grid:
     return Grid(dim=dim, L=float(L), h=float(h), n_axis=n_axis, axis=axis)
 
 
-def grid_for_radius(R: float, lam: float, dim: int,
+def mirror_axes(k: int, dim: int) -> tuple:
+    """The axes n whose reflection y_n -> -y_n lies in the fold-k class:
+    y2 (and y3 in 3-D) always, y1 when k is even, since the rotation by
+    pi then lies in the group."""
+    return tuple(range(k % 2, dim))
+
+
+def grid_for_radius(R: float, lam: float, dim: int, k: int,
                     h: float | None = None,
                     L: float | None = None) -> Grid:
-    """Box sized so the ring sits >= max(20, 15/sqrt(lam)) from the wall.
+    """The part, folded on mirror_axes(k), of the box sized so the k-ring
+    of radius R sits >= max(20, 15/sqrt(lam)) from the wall.
 
     An explicit L overrides the padding rule but must still leave the
     ring strictly inside the box.
@@ -196,7 +197,7 @@ def grid_for_radius(R: float, lam: float, dim: int,
     elif L <= R:
         raise ValueError(f"box half-width L={L} does not contain "
                          f"the ring radius R={R}")
-    return make_grid(dim, L, h)
+    return make_grid(dim, L, h).with_mirrored(mirror_axes(k, dim))
 
 
 def sample(g: Grid, fn) -> Field:

@@ -162,6 +162,31 @@ def test_bounds_bit_identical_across_threads(tmp_path):
     assert summary["config"]["seed"] == 7
 
 
+def test_bounds_crossterm_on_part_matches_full_box(tmp_path):
+    # the cross-term quad(U0^2 W^2) runs on the part of the box the
+    # 8-bump ring's class folds; the full-box quadrature of the unfolded
+    # fields gives it to 1e-15 relative
+    from ringnls.geometry import bump_centers, bump_sum_field, radial_field
+    from ringnls.grid import grid_for_radius, quad_product, unfold
+    from ringnls.radial import ground_state
+
+    cfg = tmp_path / "b.cfg"
+    cfg.write_text("n_samples = 40\nks = 6\netas = 1\n")
+    out = tmp_path / "bounds"
+    assert main(["bounds", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = [line.split(",") for line in
+            (out / "crossprod.csv").read_text().splitlines()[1:]]
+    u0 = ground_state(1.0, 1.0, 2)
+    v0 = ground_state(1.0, 1.0, 2)
+    assert [float(R) for R, _ in rows] == [2.5, 3.5, 4.5]
+    for R, value in rows:
+        part = grid_for_radius(float(R), 1.0, 2, 8)
+        U = unfold(radial_field(part, u0))
+        W = unfold(bump_sum_field(part, v0, bump_centers(8, float(R), 2)))
+        full = quad_product(U, U, W, W)
+        assert abs(float(value) - full) <= 1e-15 * full
+
+
 # ---------------------------------------------------------------------------
 # failure records
 
@@ -362,8 +387,7 @@ def test_solve_writes_full_box_fields(tmp_path, monkeypatch):
     # the assembled pair lies on the folded part; U.field and V.field
     # hold its even extension over the whole box
     from ringnls import cli, reduction
-    from ringnls.geometry import mirror_axes
-    from ringnls.grid import unfold
+    from ringnls.grid import mirror_axes, unfold
 
     solutions = []
 
@@ -489,12 +513,11 @@ def test_expansion_beta_unset_assembles_once(tmp_path, monkeypatch):
                          "--out", str(tmp_path / "out")]) == 0
         counts.append(len(calls))
         sizes.update(calls)
-    assert [len(geometry._ring_orbits(k, 2)) for k in (6, 8)] == [6, 5]
+    assert [len(geometry._ring_orbits(k)) for k in (6, 8)] == [6, 5]
     assert counts == [13, 13]
     config = RunConfig()
-    parts = {grid_for_radius(cli._radius_for(config, k), config.lam, 2,
-                             h=0.5).with_mirrored(geometry.mirror_axes(k, 2))
-             .size for k in (6, 8)}
+    parts = {grid_for_radius(cli._radius_for(config, k), config.lam, 2, k,
+                             h=0.5).size for k in (6, 8)}
     assert sizes == parts
 
 

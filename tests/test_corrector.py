@@ -17,19 +17,19 @@ from scipy.fft import dstn
 import ringnls.corrector as corrector
 from ringnls.corrector import (CorrectorDivergence, LinearSolveStalled,
                                _inverse_spectrum, _KrylovCount, _padded_size,
-                               _precondition, _solve_minres, apply_L0,
+                               _shifted_operator, _solve_minres, apply_L0,
                                apply_L1, build_inputs, fixed_point_iterate,
                                g0_rhs, g1_rhs, solve_L0,
                                solve_L1_constrained)
 from ringnls.energy import potential_field
-from ringnls.geometry import (_apply_signed_permutation, _node_subgroup,
-                              bump_centers, bump_cubes_field, bump_sum_field,
+from ringnls.geometry import (bump_centers, bump_cubes_field, bump_sum_field,
                               constraint_field, radial_field, symmetrize)
-from ringnls.grid import (Field, fold, half_box, laplacian,
-                         laplacian_eigenvalues, make_grid, quad_product,
-                         unfold, zeros)
+from ringnls.grid import (Field, fold, laplacian, laplacian_eigenvalues,
+                         make_grid, mirror_axes, quad_product, unfold, zeros)
 from ringnls.model import ModelParams, make_potential, mid_radius
 from ringnls.radial import ground_state
+from symmetry_oracles import (apply_signed_permutation, fold_even,
+                              node_subgroup)
 
 
 @pytest.fixture(scope="module")
@@ -39,8 +39,9 @@ def townes():
 
 @pytest.fixture(scope="module")
 def ring2(townes):
-    """Small two-bump scene shared by the right-hand-side tests."""
-    g = make_grid(2, 16.0, 0.25)
+    """Small two-bump scene shared by the right-hand-side tests, on the
+    part of the box its class folds."""
+    g = make_grid(2, 16.0, 0.25).with_mirrored(mirror_axes(2, 2))
     params = ModelParams(beta=0.05)
     config = bump_centers(2, 6.0, 2)
     return {
@@ -85,7 +86,7 @@ def test_g1_at_zero_state(ring2):
 
 def test_g1_single_bump_cube_mismatch_vanishes(townes):
     # one bump: the sum of cubes IS the cube of the sum, bitwise
-    g = make_grid(2, 16.0, 0.25)
+    g = make_grid(2, 16.0, 0.25).with_mirrored(mirror_axes(1, 2))
     config = bump_centers(1, 5.0, 2)
     W = bump_sum_field(g, townes, config)
     cubes = bump_cubes_field(g, townes, config)
@@ -307,16 +308,22 @@ def test_padded_size(n, m):
     assert _padded_size(n) == m
 
 
+def _preconditioner(g, shift=1.0):
+    """The preconditioner of _shifted_operator on g (the potential does
+    not enter it)."""
+    return _shifted_operator(g, np.zeros(g.shape), shift)[2]
+
+
 def test_preconditioner_symmetric_positive_on_padded_box():
     g = make_grid(2, 9.0, 0.25)
     assert g.n_axis == 73 and _padded_size(g.n_axis) > g.n_axis
-    inv = _inverse_spectrum(_padded_size(g.n_axis), g.dim, g.h, 1.0)
+    precond = _preconditioner(g)
     rng = np.random.default_rng(7)
     x, y = rng.standard_normal((2, g.size))
-    xPy = float(np.dot(x, _precondition(y, g, inv)))
-    yPx = float(np.dot(y, _precondition(x, g, inv)))
+    xPy = float(np.dot(x, precond(y)))
+    yPx = float(np.dot(y, precond(x)))
     assert abs(xPy - yPx) < 1e-12 * abs(xPy)
-    assert float(np.dot(x, _precondition(x, g, inv))) > 0.0
+    assert float(np.dot(x, precond(x))) > 0.0
 
 
 def test_preconditioner_unpadded_when_size_is_fast():
@@ -329,7 +336,7 @@ def test_preconditioner_unpadded_when_size_is_fast():
     t = dstn(x.reshape(g.shape), type=1, norm="ortho")
     t *= inv
     plain = dstn(t, type=1, norm="ortho").ravel()
-    assert np.array_equal(_precondition(x, g, inv), plain)
+    assert np.array_equal(_preconditioner(g)(x), plain)
 
 
 # fold sets: y2 always folds (and y3 in 3-D), y1 for even k; the 2-D grid
@@ -355,13 +362,15 @@ def test_folded_preconditioner_matches_full_dst(dim, k, axes):
     g = _fold_grid(dim)
     m = _padded_size(g.n_axis)
     assert m > g.n_axis
-    assert corrector.mirror_axes(k, dim) == axes
-    part = half_box(g, axes)
-    x = _even(np.random.default_rng(11).standard_normal(g.shape), axes)
-    full = _precondition(x.ravel(), g, _inverse_spectrum(m, dim, g.h, 1.0))
-    full = full.reshape(g.shape)[part]
-    half = _precondition(x[part], g.with_mirrored(axes),
-                         _inverse_spectrum(m, dim, g.h, 1.0, axes))
+    assert mirror_axes(k, dim) == axes
+    x = fold_even(Field(g, np.random.default_rng(11).standard_normal(
+        g.shape)), axes)
+    full = _preconditioner(g)(unfold(x).data.ravel())
+    full = fold(Field(g, full.reshape(g.shape)), axes).data
+    # the folded apply, on sqrt(w)-scaled vectors, undone here
+    root_w, _matvec, precond = _shifted_operator(
+        x.grid, np.zeros(x.grid.shape), 1.0)
+    half = precond(root_w * x.data.ravel()) / root_w
     assert np.max(np.abs(half.reshape(full.shape) - full)) \
         < 1e-13 * np.max(np.abs(full))
 
@@ -375,9 +384,8 @@ def test_folded_operator_and_preconditioner_symmetric(dim, k, axes):
     rng = np.random.default_rng(5)
     pot = _even(1.0 + rng.random(g.shape), axes)
     gf = g.with_mirrored(axes)
-    part = half_box(g, axes)
-    root_w, matvec, precond = corrector._shifted_operator(gf, pot[part],
-                                                          1.0)
+    root_w, matvec, precond = _shifted_operator(gf, fold(Field(g, pot),
+                                                         axes).data, 1.0)
     assert np.array_equal(root_w, np.sqrt(gf.mirror_weights()).ravel())
     x, y = rng.standard_normal((2, gf.size))
     for op in (matvec, precond):
@@ -387,18 +395,21 @@ def test_folded_operator_and_preconditioner_symmetric(dim, k, axes):
     assert float(np.dot(x, precond(x))) > 0.0
     f = Field(g, _even(rng.standard_normal(g.shape), axes))
     full = -laplacian(f).data + pot * f.data
-    want = root_w * full[part].ravel()
-    got = matvec(root_w * f.data[part].ravel())
+    want = root_w * fold(Field(g, full), axes).data.ravel()
+    got = matvec(root_w * fold(f, axes).data.ravel())
     assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
 
 
 def _ring_scene(townes, k):
-    """Coarse k-bump scene with a right-hand side in the symmetric class."""
+    """Coarse k-bump scene on the full box with a right-hand side in the
+    symmetric class; the ring fields are assembled on the part and
+    unfolded."""
     params = ModelParams(beta=0.05)
     g = make_grid(2, 14.0, 0.25)
+    part = g.with_mirrored(mirror_axes(k, 2))
     config = bump_centers(k, 5.0, 2)
-    W = bump_sum_field(g, townes, config)
-    Z = constraint_field(g, townes, config)
+    W = unfold(bump_sum_field(part, townes, config))
+    Z = unfold(constraint_field(part, townes, config))
     U0f = radial_field(g, townes)
     mu = potential_field(g, make_potential(params))
     rhs = Field(g, U0f.data * W.data + W.data ** 2 + 0.1 * U0f.data ** 3)
@@ -413,7 +424,7 @@ def test_folded_solves_match_full_grid(townes, monkeypatch, k):
     monkeypatch.setattr(corrector, "symmetrize_fast", lambda f, _k: f)
     params, g, U0f, W, Z, mu, rhs = _ring_scene(townes, k)
     tol = 1e-11
-    axes = corrector.mirror_axes(k, 2)
+    axes = mirror_axes(k, 2)
     fU0, fW, fZ, fmu, frhs = (fold(f, axes) for f in (U0f, W, Z, mu, rhs))
 
     u_full = solve_L0(rhs, U0f, params, tol)
@@ -435,22 +446,25 @@ def test_folded_solves_match_full_grid(townes, monkeypatch, k):
 @pytest.mark.parametrize("k", [2, 3])
 def test_solves_on_folded_inputs(townes, k):
     # with the re-symmetrization in place, inputs folded on mirror_axes(k)
-    # give the folded solution of the full-grid inputs under the same k;
-    # lam_c agrees and the Z-orthogonality holds on the folded box
+    # give the folded full-grid solution projected as the solves project
+    # it under the same k (symmetrize, then v off Z); lam_c agrees and the
+    # Z-orthogonality holds on the folded box
     params, g, U0f, W, Z, mu, rhs = _ring_scene(townes, k)
     tol = 1e-11
-    axes = corrector.mirror_axes(k, 2)
+    axes = mirror_axes(k, 2)
     fU0, fW, fZ, fmu, frhs = (fold(f, axes) for f in (U0f, W, Z, mu, rhs))
 
-    u_full = solve_L0(rhs, U0f, params, tol, k=k)
+    u_full = symmetrize(fold(solve_L0(rhs, U0f, params, tol), axes), k)
     u = solve_L0(frhs, fU0, params, tol, k=k)
     assert u.grid == frhs.grid
-    assert _relerr(unfold(u), u_full) < 1e-10
+    assert _relerr(u, u_full) < 1e-10
 
-    v_full, lam_full = solve_L1_constrained(rhs, W, mu, Z, params, tol, k=k)
+    v_full, lam_full = solve_L1_constrained(rhs, W, mu, Z, params, tol)
+    v_full = corrector._project_off_Z(symmetrize(fold(v_full, axes), k), fZ,
+                                      quad_product(fZ, fZ))
     v, lam_c = solve_L1_constrained(frhs, fW, fmu, fZ, params, tol, k=k)
     assert v.grid == frhs.grid
-    assert _relerr(unfold(v), v_full) < 1e-10
+    assert _relerr(v, v_full) < 1e-10
     assert abs(lam_c - lam_full) < 1e-10 * abs(lam_full)
     assert abs(quad_product(fZ, v)) < 1e-12 * math.sqrt(
         quad_product(fZ, fZ) * quad_product(v, v))
@@ -473,7 +487,7 @@ def test_solves_reject_inputs_folded_for_another_k(townes):
 
 def test_solve_L0_round_trip(townes):
     params = ModelParams()
-    g = make_grid(2, 16.0, 0.125)
+    g = make_grid(2, 16.0, 0.125).with_mirrored(mirror_axes(1, 2))
     U0f = radial_field(g, townes)
     rhs = Field(g, -2.0 * params.alpha0 * U0f.data ** 3)
     u = solve_L0(rhs, U0f, params, 1e-9, k=1)
@@ -485,7 +499,7 @@ def test_solve_L0_round_trip(townes):
 
 def test_solve_L1_round_trip_and_constraint(townes):
     params = ModelParams()
-    g = make_grid(2, 32.0, 0.25)
+    g = make_grid(2, 32.0, 0.25).with_mirrored(mirror_axes(2, 2))
     config = bump_centers(2, 12.0, 2)
     W = bump_sum_field(g, townes, config)
     Z = constraint_field(g, townes, config)
@@ -517,7 +531,7 @@ def test_solve_L1_round_trip_and_constraint(townes):
 
 def test_solve_L1_degenerate_constraint(townes):
     params = ModelParams()
-    g = make_grid(2, 16.0, 0.25)
+    g = make_grid(2, 16.0, 0.25).with_mirrored(mirror_axes(2, 2))
     config = bump_centers(2, 6.0, 2)
     W = bump_sum_field(g, townes, config)
     mu = potential_field(g, make_potential(params))
@@ -530,14 +544,17 @@ def rayleigh_floor(U0f: Field, params: ModelParams, k: int,
                    n_iter: int = 6, tol: float = 1e-7) -> float:
     """Smallest |eigenvalue| of the first linearized operator on the
     symmetric subspace, estimated by inverse iteration: a numeric
-    stand-in for the invertibility constant rho_0."""
+    stand-in for the invertibility constant rho_0.  U0f lies on the part
+    of the box folded on mirror_axes(k); the start is the projection of
+    a field sampled on the full box."""
     g = U0f.grid
-    mesh = g.mesh()
-    r2 = sum(np.broadcast_to(m, g.shape) ** 2 for m in mesh)
+    full = g.with_mirrored(())
+    mesh = full.mesh()
+    r2 = sum(np.broadcast_to(m, full.shape) ** 2 for m in mesh)
     bump = np.exp(-0.5 * ((mesh[0] - 0.4) ** 2 + (mesh[1] + 0.2) ** 2))
-    w = Field(g, np.exp(-0.25 * r2) * (1.0 + 0.3 * np.broadcast_to(bump,
-                                                                   g.shape)))
-    w = symmetrize(w, k)
+    w = Field(full, np.exp(-0.25 * r2)
+              * (1.0 + 0.3 * np.broadcast_to(bump, full.shape)))
+    w = symmetrize(fold_even(w, g.mirrored), k)
     quotient = math.inf
     for _ in range(n_iter):
         w = solve_L0(w, U0f, params, tol, k=k)
@@ -553,7 +570,8 @@ def test_rayleigh_floor_bounded_away_from_zero(townes):
     # near-kernel) the smallest |eigenvalue| sits at the essential
     # spectrum edge ~lam and stays there across fold orders
     params = ModelParams()
-    g = make_grid(2, 16.0, 0.25)
+    g = make_grid(2, 16.0, 0.25).with_mirrored(mirror_axes(2, 2))
+    assert mirror_axes(4, 2) == g.mirrored
     U0f = radial_field(g, townes)
     fl2 = rayleigh_floor(U0f, params, k=2)
     fl4 = rayleigh_floor(U0f, params, k=4)
@@ -627,7 +645,7 @@ def test_fixed_point_converges_in_window_k16_m2():
     assert res.iterations == 6
     assert res.contraction_factor < 0.1
     # the pair stays on the part of the box folded on mirror_axes(16)
-    assert inputs.g.mirrored == corrector.mirror_axes(16, 2)
+    assert inputs.g.mirrored == mirror_axes(16, 2)
     assert res.u.grid == inputs.g and res.v.grid == inputs.g
 
 
@@ -690,7 +708,7 @@ def test_build_inputs_on_folded_part_peak_memory():
     finally:
         tracemalloc.stop()
     g = inputs.g
-    assert g.mirrored == corrector.mirror_axes(2, 3)
+    assert g.mirrored == mirror_axes(2, 3)
     for f in (inputs.U0f, inputs.W, inputs.cubes, inputs.mu, inputs.Z):
         assert f.grid == g and f.data.shape == g.shape
     assert peak <= 30.0 * g.size * 8
@@ -725,9 +743,9 @@ def test_fixed_point_constraint_held(request, fixture):
     # v is orthogonal to Z
     _params, inputs, res = request.getfixturevalue(fixture)
     k = inputs.config.k
-    for _s, _flip2, h in _node_subgroup(k, 2):
+    for _s, _flip2, h in node_subgroup(k, 2):
         for f in (unfold(res.u), unfold(res.v)):
-            assert np.array_equal(_apply_signed_permutation(f.data, h),
+            assert np.array_equal(apply_signed_permutation(f.data, h),
                                   f.data)
     zv = quad_product(inputs.Z, res.v)
     assert abs(zv) < 1e-12 * math.sqrt(quad_product(inputs.Z, inputs.Z)

@@ -10,13 +10,13 @@ import pytest
 from ringnls.energy import (check_ksum_bound, draw_sector_samples, energy,
                             energy_breakdown, expansion_compare,
                             expansion_constants, interaction_term,
-                            potential_field, potential_moment)
+                            potential_field)
 from ringnls.geometry import (bump_centers, bump_cubes_field, bump_sum_field,
-                              mirror_axes, radial_field, ring_fields)
-from ringnls.grid import (Field, grid_for_radius, make_grid, quad_product,
-                          zeros)
+                              radial_field, ring_fields)
+from ringnls.grid import (Field, grid_for_radius, make_grid, quad,
+                          quad_product, unfold, zeros)
 from ringnls.model import ModelParams, Potential, make_potential, mid_radius
-from ringnls.radial import ground_state
+from ringnls.radial import eval_profile, ground_state
 
 # Expansion constants of the planar profile (c = alpha = 1), from the
 # frozen radial moments: A0 = A1 = m4/4 and A2 = m2/2.  A1 and A2 agree
@@ -62,7 +62,7 @@ def test_energy_single_species_weak_identity(townes, params):
 
 
 def test_energy_beta_additivity(townes, params):
-    g = grid_for_radius(2.5, 1.0, 2)
+    g = grid_for_radius(2.5, 1.0, 2, 6)
     U = radial_field(g, townes)
     V = bump_sum_field(g, townes, bump_centers(6, 2.5, 2))
     mu = potential_field(g, make_potential(params))
@@ -73,7 +73,7 @@ def test_energy_beta_additivity(townes, params):
 
 
 def test_energy_beta_term_wiring(townes):
-    g = grid_for_radius(2.5, 1.0, 2)
+    g = grid_for_radius(2.5, 1.0, 2, 6)
     U = radial_field(g, townes)
     V = bump_sum_field(g, townes, bump_centers(6, 2.5, 2))
     p0 = ModelParams(beta=0.0)
@@ -85,12 +85,15 @@ def test_energy_beta_term_wiring(townes):
 
 def test_energy_group_action_invariance(townes, params):
     # a quarter turn and the axis flip act by exact node permutations, so
-    # the quadrature must be blind to them down to rounding
-    g = grid_for_radius(2.5, 1.0, 2)
+    # the quadrature must be blind to them down to rounding; the ring is
+    # assembled on the part and unfolded onto the full box
+    part = grid_for_radius(2.5, 1.0, 2, 6)
+    g = part.with_mirrored(())
     mesh = g.mesh()
     bumpy = np.exp(-0.2 * ((mesh[0] - 1.0) ** 2 + mesh[1] ** 2))
     U = Field(g, radial_field(g, townes).data * (1.0 + 0.2 * bumpy))
-    V = Field(g, bump_sum_field(g, townes, bump_centers(6, 2.5, 2)).data
+    V = Field(g, unfold(bump_sum_field(part, townes,
+                                       bump_centers(6, 2.5, 2))).data
               * (1.0 + 0.1 * np.broadcast_to(bumpy, g.shape)))
     mu = potential_field(g, make_potential(params))
     e0 = energy(U, V, mu, params)
@@ -136,13 +139,14 @@ def test_interaction_pair_symmetry(townes, params):
     # two bumps at +-R: the overlap integral is the same from either side
     # because y -> -y permutes the grid nodes exactly
     cfg = bump_centers(2, 4.0, 2)
-    g = grid_for_radius(4.0, 1.0, 2)
-    rep = interaction_term(townes, cfg, params, g=g)
+    part = grid_for_radius(4.0, 1.0, 2, 2)
+    rep = interaction_term(townes, cfg, params, g=part)
+    # independent route: sample both bumps directly on the full box and
+    # integrate
+    g = part.with_mirrored(())
     mesh = g.mesh()
     r1 = np.sqrt((mesh[0] - 4.0) ** 2 + mesh[1] ** 2)
     r2 = np.sqrt((mesh[0] + 4.0) ** 2 + mesh[1] ** 2)
-    # independent route: sample both bumps directly and integrate
-    from ringnls.radial import eval_profile
     v1 = Field(g, eval_profile(townes, r1))
     v2 = Field(g, eval_profile(townes, r2))
     pair = quad_product(v1, v1, v1, v2)
@@ -167,6 +171,31 @@ def test_interaction_decreasing_in_radius(townes, params):
     totals = [interaction_term(townes, bump_centers(8, R, 2), params).total
               for R in (2.5, 3.25, 4.0)]
     assert totals[0] > totals[1] > totals[2] > 0.0
+
+
+def potential_moment(V0prof, config, mu, params, g=None):
+    """int (mu(|y|) - 1) V1^2 dy and its leading model (a/R^m) int V0^2.
+
+    The integrand concentrates in a ball around the bump centre x1, so
+    the quadrature runs on a bump-centred local grid: with z = y - x1 the
+    integrand reads (mu(|z + x1|) - 1) V0(|z|)^2.  Both numbers are
+    returned so callers can track the deviation as R grows.
+    """
+    if g is None:
+        h = 0.125 if config.dim == 2 else 0.25
+        g = make_grid(config.dim, h * math.ceil(22.0 / h), h)
+    x1 = config.centers[0]
+    mesh = g.mesh()
+    rho2 = mesh[0] ** 2
+    shift2 = (mesh[0] + x1[0]) ** 2
+    for d in range(1, config.dim):
+        rho2 = rho2 + mesh[d] ** 2
+        shift2 = shift2 + (mesh[d] + x1[d]) ** 2
+    integrand = (mu(np.sqrt(shift2)) - 1.0) \
+        * eval_profile(V0prof, np.sqrt(rho2)) ** 2
+    integral = quad(Field(g, np.broadcast_to(integrand, g.shape).copy()))
+    leading = params.a / config.R ** params.m * V0prof.moment2
+    return float(integral), float(leading)
 
 
 def test_potential_moment_flat_mu_vanishes(townes, params):
@@ -291,9 +320,9 @@ def test_expansion_compare_matches_separate_passes(townes, k):
     # to rounding
     p = ModelParams(beta=0.05)
     cfg = bump_centers(k, mid_radius(k, p.m, p.theta), 2)
-    g = grid_for_radius(cfg.R, p.lam, 2, h=0.25)
-    part = g.with_mirrored(mirror_axes(k, 2))
-    rep = expansion_compare(townes, townes, cfg, p, g=g)
+    part = grid_for_radius(cfg.R, p.lam, 2, k, h=0.25)
+    g = part.with_mirrored(())
+    rep = expansion_compare(townes, townes, cfg, p, g=part)
     W = bump_sum_field(part, townes, cfg)
     direct = energy(radial_field(part, townes), W,
                     potential_field(part, make_potential(p)), p)
@@ -305,11 +334,16 @@ def test_expansion_compare_matches_separate_passes(townes, k):
     assert rep.interaction_sum == 0.5 * p.alpha1 * k * inter.total
     assert rep.J_exact == inter.J_exact
     assert rep.J_surrogate == inter.J_surrogate
-    full = energy(radial_field(g, townes), bump_sum_field(g, townes, cfg),
+    full = energy(radial_field(g, townes), unfold(W),
                   potential_field(g, make_potential(p)), p)
     assert abs(rep.direct - full) <= 1e-13 * abs(full)
-    full_inter = interaction_term(townes, cfg, p, g=g)
-    assert abs(inter.total - full_inter.total) <= 1e-13 * full_inter.total
+    # the full-box overlap, bump by bump
+    mesh = g.mesh()
+    bumps = [Field(g, eval_profile(townes, np.sqrt(
+        (mesh[0] - x[0]) ** 2 + (mesh[1] - x[1]) ** 2))) for x in cfg.centers]
+    full_inter = sum(quad_product(bumps[0], bumps[0], bumps[0], v)
+                     for v in bumps[1:])
+    assert abs(inter.total - full_inter) <= 1e-13 * full_inter
 
 
 def _synthetic_pair(g):
@@ -328,13 +362,14 @@ def test_breakdown_identity_exact(townes):
     # invariant later
     p = ModelParams(beta=0.05)
     cfg = bump_centers(6, 2.5, 2)
-    g = grid_for_radius(2.5, 1.0, 2)
+    part = grid_for_radius(2.5, 1.0, 2, 6)
+    g = part.with_mirrored(())
     U0f = radial_field(g, townes)
-    W = bump_sum_field(g, townes, cfg)
+    W = unfold(bump_sum_field(part, townes, cfg))
     mu = potential_field(g, make_potential(p))
     u, v = _synthetic_pair(g)
     constants = expansion_constants(townes, townes, p)
-    inter = interaction_term(townes, cfg, p, g=g)
+    inter = interaction_term(townes, cfg, p, g=part)
     bd = energy_breakdown(U0f, W, u, v, mu, p, cfg, constants, inter)
     lhs = bd.main + bd.l_val + bd.q_val + bd.h_val
     assert abs(bd.total - lhs) <= 1e-12 * abs(bd.total)
@@ -348,14 +383,15 @@ def test_breakdown_linear_term_matches_reduced_form(townes):
     # profiles' discrete weak-form defect, measured at the 1e-9 level
     p = ModelParams(beta=0.05)
     cfg = bump_centers(6, 2.5, 2)
-    g = grid_for_radius(2.5, 1.0, 2)
+    part = grid_for_radius(2.5, 1.0, 2, 6)
+    g = part.with_mirrored(())
     U0f = radial_field(g, townes)
-    W = bump_sum_field(g, townes, cfg)
-    cubes = bump_cubes_field(g, townes, cfg)
+    W = unfold(bump_sum_field(part, townes, cfg))
+    cubes = unfold(bump_cubes_field(part, townes, cfg))
     mu = potential_field(g, make_potential(p))
     u, v = _synthetic_pair(g)
     constants = expansion_constants(townes, townes, p)
-    inter = interaction_term(townes, cfg, p, g=g)
+    inter = interaction_term(townes, cfg, p, g=part)
     bd = energy_breakdown(U0f, W, u, v, mu, p, cfg, constants, inter)
     reduced = (quad_product(mu - 1.0, W, v)
                + p.alpha1 * (quad_product(cubes, v)
@@ -370,8 +406,9 @@ def test_breakdown_identity_three_dimensional():
     prof = ground_state(1.0, 1.0, 3)
     cfg = bump_centers(4, 2.0, 3)
     g = make_grid(3, 8.0, 0.25)
+    part = g.with_mirrored((0, 1, 2))
     U0f = radial_field(g, prof)
-    W = bump_sum_field(g, prof, cfg)
+    W = unfold(bump_sum_field(part, prof, cfg))
     mu = potential_field(g, make_potential(p))
     mesh = g.mesh()
     u = Field(g, 0.1 * np.exp(-0.5 * ((mesh[0] - 0.5) ** 2
@@ -379,7 +416,7 @@ def test_breakdown_identity_three_dimensional():
     v = Field(g, 0.06 * np.exp(-0.4 * (mesh[0] ** 2 + (mesh[1] + 0.3) ** 2
                                        + mesh[2] ** 2)))
     constants = expansion_constants(prof, prof, p)
-    inter = interaction_term(prof, cfg, p, g=g)
+    inter = interaction_term(prof, cfg, p, g=part)
     bd = energy_breakdown(U0f, W, u, v, mu, p, cfg, constants, inter)
     lhs = bd.main + bd.l_val + bd.q_val + bd.h_val
     assert abs(bd.total - lhs) <= 1e-12 * abs(bd.total)
@@ -391,7 +428,7 @@ def test_crossterm_decay(townes, params):
     radii = (2.5, 3.5, 4.5)
     vals = []
     for R in radii:
-        g = grid_for_radius(R, 1.0, 2)
+        g = grid_for_radius(R, 1.0, 2, 8)
         U = radial_field(g, townes)
         W = bump_sum_field(g, townes, bump_centers(8, R, 2))
         vals.append(quad_product(U, U, W, W))

@@ -9,6 +9,8 @@ import pytest
 from scipy import ndimage
 
 from ringnls import geometry, grid, radial
+from symmetry_oracles import (apply_signed_permutation, fold_even,
+                              node_subgroup, rotation, symmetrize_per_element)
 
 
 @pytest.fixture(scope="module")
@@ -20,7 +22,7 @@ def townes():
 def ring8(townes):
     """k=8 ring on a production-padded grid, with its ansatz and Z."""
     conf = geometry.bump_centers(8, 3.0, 2)
-    g = grid.grid_for_radius(3.0, 1.0, 2)
+    g = grid.grid_for_radius(3.0, 1.0, 2, 8)
     W = geometry.bump_sum_field(g, townes, conf)
     Z = geometry.constraint_field(g, townes, conf)
     return conf, g, W, Z
@@ -114,12 +116,31 @@ def test_sector_covers_grid(ring8):
     assert idx.min() >= 1 and idx.max() <= conf.k
 
 
+def d_bump_dR(profile, config, i, y):
+    """∂V_i/∂R at y (1-based i): −V0'(ρ)·((y−x_i)·n_i)/ρ, ρ = |y−x_i|.
+
+    The bump center moves radially outward with R, so the value rises on
+    the far side of the bump and falls on the near side; at y = x_i the
+    smooth limit is 0 since V0'(0) = 0.
+    """
+    if not 1 <= i <= config.k:
+        raise ValueError(f"bump index {i} outside 1..{config.k}")
+    y = np.asarray(y, dtype=float)
+    single = y.ndim == 1
+    pts = y.reshape(-1, y.shape[-1])
+    rho = np.linalg.norm(pts - config.centers[i - 1], axis=1)
+    out = geometry._radial_derivative(profile, config, i - 1, pts.T, rho)
+    if single:
+        return float(out[0])
+    return out.reshape(y.shape[:-1])
+
+
 def test_d_bump_at_center_is_zero(townes):
     conf = geometry.bump_centers(5, 2.5, 2)
     for i in range(1, 6):
-        assert geometry.d_bump_dR(townes, conf, i, conf.centers[i - 1]) == 0.0
+        assert d_bump_dR(townes, conf, i, conf.centers[i - 1]) == 0.0
     with pytest.raises(ValueError):
-        geometry.d_bump_dR(townes, conf, 6, np.zeros(2))
+        d_bump_dR(townes, conf, 6, np.zeros(2))
 
 
 def test_d_bump_matches_radius_difference(townes):
@@ -133,7 +154,7 @@ def test_d_bump_matches_radius_difference(townes):
     for _ in range(200):
         y = rng.normal(size=2) * 3.0
         i = int(rng.integers(1, k + 1))
-        got = geometry.d_bump_dR(townes, conf, i, y)
+        got = d_bump_dR(townes, conf, i, y)
         rho_up = np.linalg.norm(y - up.centers[i - 1])
         rho_dn = np.linalg.norm(y - dn.centers[i - 1])
         fd = (radial.eval_profile(townes, rho_up)
@@ -146,14 +167,14 @@ def test_d_bump_sign_on_outward_ray(townes):
     # so the value must rise
     conf = geometry.bump_centers(4, 2.0, 2)
     y = np.array([3.5, 0.0])
-    assert geometry.d_bump_dR(townes, conf, 1, y) > 0.0
+    assert d_bump_dR(townes, conf, 1, y) > 0.0
     # inside the ring the same motion carries the bump away
-    assert geometry.d_bump_dR(townes, conf, 1, np.array([0.5, 0.0])) < 0.0
+    assert d_bump_dR(townes, conf, 1, np.array([0.5, 0.0])) < 0.0
 
 
 def test_single_bump_cubes(townes):
     conf = geometry.bump_centers(1, 1.0, 2)
-    g = grid.make_grid(2, 6.0, 0.25)
+    g = grid.make_grid(2, 6.0, 0.25).with_mirrored(grid.mirror_axes(1, 2))
     s = geometry.bump_sum_field(g, townes, conf)
     cubes = geometry.bump_cubes_field(g, townes, conf)
     assert np.max(np.abs(cubes.data - s.data ** 3)) < 1e-13
@@ -163,7 +184,8 @@ def test_symmetrize_idempotent_exact_k4():
     # rotations by multiples of pi/2 permute grid nodes, so the k=4
     # projector is exact: applying it twice changes nothing
     g = grid.make_grid(2, 6.0, 0.125)
-    f = grid.sample(g, lambda x, y: np.exp(-2.0 * ((x - 1.2) ** 2 + (y - 0.4) ** 2)))
+    f = fold_even(grid.sample(g, lambda x, y: np.exp(
+        -2.0 * ((x - 1.2) ** 2 + (y - 0.4) ** 2))), (0, 1))
     s1 = geometry.symmetrize(f, 4)
     s2 = geometry.symmetrize(s1, 4)
     assert np.max(np.abs(s2.data - s1.data)) < 1e-13
@@ -171,7 +193,8 @@ def test_symmetrize_idempotent_exact_k4():
 
 def test_symmetrize_fixed_point_k4():
     g = grid.make_grid(2, 6.0, 0.125)
-    f = grid.sample(g, lambda x, y: np.exp(-0.7 * (x * x + y * y)))
+    f = grid.fold(grid.sample(g, lambda x, y: np.exp(-0.7 * (x * x + y * y))),
+                  (0, 1))
     s = geometry.symmetrize(f, 4)
     assert np.max(np.abs(s.data - f.data)) < 1e-13
 
@@ -187,43 +210,7 @@ def test_symmetrize_exact_k_never_interpolates(monkeypatch, k):
     monkeypatch.setattr(geometry, "map_coordinates", boom)
     g = grid.make_grid(2, 4.0, 0.25)
     f = grid.sample(g, lambda x, y: np.exp(-2.0 * ((x - 1.2) ** 2 + (y - 0.4) ** 2)))
-    geometry.symmetrize(f, k)
-
-
-def _symmetrize_per_element(f, k):
-    """Reference orbit average: one interpolation per group element that
-    does not permute nodes (2k - |H| of them)."""
-    g = f.grid
-    a = f.data
-    dim = g.dim
-    exact_total = np.zeros(g.shape)
-    interp_total = np.zeros(g.shape)
-    counts = np.zeros(g.shape, dtype=int)
-    coeffs = None
-    for m in range(k):
-        for flip2 in (False, True):
-            M = geometry._rotation_matrix(2.0 * math.pi * m / k, dim, flip2)
-            if (4 * m) % k == 0:
-                exact_total += geometry._apply_signed_permutation(a, np.round(M))
-                counts += 1
-                continue
-            if coeffs is None:
-                coeffs = ndimage.spline_filter(a, order=5, output=np.float64,
-                                               mode="constant")
-                pts = np.stack(np.meshgrid(*g.axes(), indexing="ij"))
-                pts = pts.reshape(dim, -1)
-            coords = M @ pts
-            vals = ndimage.map_coordinates(
-                coeffs, (coords + g.L) / g.h, order=5, mode="constant",
-                cval=0.0, prefilter=False)
-            inbox = np.all(np.abs(coords) <= g.L + 1e-12,
-                           axis=0).reshape(g.shape)
-            interp_total += np.where(inbox, vals.reshape(g.shape), 0.0)
-            counts += inbox
-    out = (exact_total + interp_total) / counts
-    if dim == 3:
-        out = 0.5 * (out + out[:, :, ::-1])
-    return out
+    geometry.symmetrize(fold_even(f, grid.mirror_axes(k, 2)), k)
 
 
 def _broad_bump(g):
@@ -243,8 +230,9 @@ def _broad_bump(g):
     *((3, k, False) for k in (3, 5, 6, 8)), (3, 8, True)])
 def test_symmetrize_matches_per_element_average(dim, k, wall):
     """Interpolating the H-average once per coset at one node per H-orbit
-    and scattering it back gives the per-element average to rounding,
-    also (wall=True) for a field that does not vanish at the box wall."""
+    of the folded part and scattering it back gives the per-element
+    average of the full box to rounding, also (wall=True) for a field
+    that does not vanish at the box wall."""
     if dim == 2:
         g = grid.make_grid(2, 6.0, 0.125)
         f = grid.sample(g, lambda x, y: np.exp(
@@ -255,8 +243,9 @@ def test_symmetrize_matches_per_element_average(dim, k, wall):
             -2.0 * ((x - 1.0) ** 2 + (y - 0.3) ** 2 + z * z)))
     if wall:
         f = grid.Field(g, f.data + _broad_bump(g).data)
-    want = _symmetrize_per_element(f, k)
-    got = geometry.symmetrize(f, k).data
+    axes = grid.mirror_axes(k, dim)
+    want = grid.fold(grid.Field(g, symmetrize_per_element(f, k)), axes).data
+    got = geometry.symmetrize(fold_even(f, axes), k).data
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
@@ -266,7 +255,7 @@ def _node_permuting_elements(k, dim):
     out = []
     for m in range(k):
         for flip2 in (False, True):
-            M = geometry._rotation_matrix(2.0 * math.pi * m / k, dim, flip2)
+            M = rotation(2.0 * math.pi * m / k, dim, flip2)
             if np.max(np.abs(M - np.round(M))) < 1e-12:
                 out.append(np.round(M))
     return out
@@ -302,7 +291,7 @@ def test_symmetrize_one_interpolation_per_coset(monkeypatch, k):
     monkeypatch.setattr(geometry, "map_coordinates", counted)
     g = grid.make_grid(2, 4.0, 0.25)
     f = grid.sample(g, lambda x, y: np.exp(-2.0 * ((x - 1.2) ** 2 + (y - 0.4) ** 2)))
-    geometry.symmetrize(f, k)
+    geometry.symmetrize(fold_even(f, grid.mirror_axes(k, 2)), k)
     orbits = _node_orbit_count(g.n_axis, k)
     assert points == [orbits] * (k // math.gcd(k, 4) - 1)
 
@@ -311,10 +300,10 @@ def test_symmetrize_one_interpolation_per_coset(monkeypatch, k):
 @pytest.mark.parametrize("dim,k", [
     *((2, k) for k in (3, 5, 6, 8, 16)), (3, 3), (3, 8)])
 def test_symmetrize_exactly_invariant(dim, k, wall):
-    """The output is invariant bit for bit under every node permutation
-    of the group, and in 3-D under y3 -> -y3, since it is scattered from
-    one node per orbit; also (wall=True) where the corner zone of the
-    box carries weight."""
+    """The output, unfolded to the full box, is invariant bit for bit
+    under every node permutation of the group, and in 3-D under y3 ->
+    -y3, since it is scattered from one node per orbit; also (wall=True)
+    where the corner zone of the box carries weight."""
     if dim == 2:
         g = grid.make_grid(2, 4.0, 0.25)
         f = grid.sample(g, lambda x, y: np.exp(
@@ -325,10 +314,10 @@ def test_symmetrize_exactly_invariant(dim, k, wall):
             -2.0 * ((x - 1.0) ** 2 + (y - 0.3) ** 2 + z * z)))
     if wall:
         f = grid.Field(g, f.data + _broad_bump(g).data)
-    s = geometry.symmetrize(f, k).data
+    s = grid.unfold(geometry.symmetrize(
+        fold_even(f, grid.mirror_axes(k, dim)), k)).data
     for M in _node_permuting_elements(k, dim):
-        assert np.max(np.abs(
-            geometry._apply_signed_permutation(s, M) - s)) == 0.0
+        assert np.max(np.abs(apply_signed_permutation(s, M) - s)) == 0.0
     if dim == 3:
         assert np.max(np.abs(s[:, :, ::-1] - s)) == 0.0
 
@@ -351,14 +340,12 @@ def _even_field(g, axes):
 
 @pytest.mark.parametrize("dim,k", [(2, 3), (2, 5), (2, 6), (2, 16), (3, 6)])
 def test_symmetrize_folded_stays_on_part(monkeypatch, dim, k):
-    """On a folded field the orbit average is the fold of the full-box
-    one, computed without the full box: neither mirror_back nor a
-    spline prefilter of a full-box array runs."""
+    """The orbit average of a folded field is computed and returned on
+    the part: the one spline prefilter runs on a part-sized array."""
     g = grid.make_grid(2, 6.0, 0.125) if dim == 2 else \
         grid.make_grid(3, 4.0, 0.25)
-    axes = geometry.mirror_axes(k, dim)
+    axes = grid.mirror_axes(k, dim)
     f = _even_field(g, axes)
-    want = grid.fold(geometry.symmetrize(f, k), axes).data
     part = g.with_mirrored(axes)
     filtered = []
 
@@ -366,23 +353,19 @@ def test_symmetrize_folded_stays_on_part(monkeypatch, dim, k):
         filtered.append(a.shape)
         return ndimage.spline_filter(a, **kwargs)
 
-    def boom(*args, **kwargs):
-        raise AssertionError("mirror_back called on the folded path")
-
     monkeypatch.setattr(geometry, "spline_filter", part_filter)
-    monkeypatch.setattr(geometry, "mirror_back", boom)
     got = geometry.symmetrize(grid.fold(f, axes), k)
     assert got.grid == part
     assert filtered == [part.shape]
-    assert np.max(np.abs(got.data - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_symmetrize_fast_peak_memory():
-    """One interpolating call at k = 16 allocates at most 10 field sizes
-    at its peak: the H-average, its spline coefficients, and arrays over
-    an eighth of the grid."""
+    """One interpolating call at k = 16 allocates at most 10 sizes of its
+    folded input at its peak: the H-average, its spline coefficients, and
+    arrays over half the part (7.6 of them)."""
     g = grid.make_grid(2, 12.0, 0.125)
-    f = grid.sample(g, lambda x, y: np.exp(-0.5 * ((x - 3.0) ** 2 + y * y)))
+    f = fold_even(grid.sample(g, lambda x, y: np.exp(
+        -0.5 * ((x - 3.0) ** 2 + y * y))), (0, 1))
     tracemalloc.start()
     try:
         geometry.symmetrize(f, 16)
@@ -396,7 +379,8 @@ def test_symmetrize_memory_independent_of_k():
     """The orbit average streams over the group: its peak allocation at
     k = 32 stays within that at k = 8 instead of growing with k."""
     g = grid.make_grid(2, 12.0, 0.125)
-    f = grid.sample(g, lambda x, y: np.exp(-0.5 * ((x - 3.0) ** 2 + y * y)))
+    f = fold_even(grid.sample(g, lambda x, y: np.exp(
+        -0.5 * ((x - 3.0) ** 2 + y * y))), (0, 1))
 
     def peak(k):
         tracemalloc.start()
@@ -414,7 +398,8 @@ def test_symmetrize_orbit_average_k4():
     quarter of the amplitude (8 group elements, each center hit twice)."""
     g = grid.make_grid(2, 4.0, 0.25)
     b = grid.sample(g, lambda x, y: np.exp(-8.0 * ((x - 1.5) ** 2 + y * y)))
-    s = geometry.symmetrize(b, 4)
+    folded = geometry.symmetrize(fold_even(b, (0, 1)), 4)
+    s = grid.unfold(folded)
     i0 = int(np.argmin(np.abs(g.axis - 1.5)))
     mid = g.n_axis // 2
     peaks = [s.data[i0, mid], s.data[mid, i0],
@@ -422,16 +407,19 @@ def test_symmetrize_orbit_average_k4():
     for pv in peaks:
         assert abs(pv - 0.25 * b.data[i0, mid]) < 1e-12
     # and the output is exactly invariant under a quarter turn
-    assert np.max(np.abs(geometry.symmetrize(s, 4).data - s.data)) < 1e-13
+    assert np.max(np.abs(geometry.symmetrize(folded, 4).data
+                         - folded.data)) < 1e-13
 
 
 def test_symmetrize_dim3():
     g = grid.make_grid(3, 6.0, 0.25)
     f = grid.sample(g, lambda x, y, z: (1.0 + 0.3 * z)
                     * np.exp(-2.0 * ((x - 1.0) ** 2 + (y - 0.3) ** 2 + z * z)))
-    s1 = geometry.symmetrize(f, 3)
-    # output even in the third coordinate
-    assert np.max(np.abs(s1.data - s1.data[:, :, ::-1])) == 0.0
+    s1 = geometry.symmetrize(fold_even(f, (1, 2)), 3)
+    # output stored folded on y3, so even in the third coordinate
+    assert s1.grid.mirrored == (1, 2)
+    full = grid.unfold(s1).data
+    assert np.max(np.abs(full - full[:, :, ::-1])) == 0.0
 
 
 def test_fast_projector_consistent(ring8):
@@ -472,9 +460,9 @@ def _ring_per_bump(g, profile, conf):
     *((2, k) for k in (1, 2, 3, 4, 5, 6, 8, 12, 16, 24)),
     *((3, k) for k in (2, 3, 4, 5))])
 def test_ring_fields_match_per_bump_assembly(dim, k):
-    """One evaluation per H+-orbit on the folded part, permuted onto the
-    other bumps of the orbit, gives the per-bump sums to rounding: folded
-    on a folded grid, mirrored back on a full one."""
+    """One evaluation per H+-orbit on the folded part, transposed onto
+    the other bump of the orbit, gives the fold of the full-box per-bump
+    sums to rounding."""
     profile = radial.ground_state(1.0, 1.0, dim)
     if dim == 2:
         R = 2.0 + 0.25 * k
@@ -483,16 +471,16 @@ def test_ring_fields_match_per_bump_assembly(dim, k):
         R = 2.5
         g = grid.make_grid(3, 7.0, 0.5)
     conf = geometry.bump_centers(k, R, dim)
-    axes = geometry.mirror_axes(k, dim)
+    axes = grid.mirror_axes(k, dim)
     W, cubes, Z, overlap = _ring_per_bump(g, profile, conf)
-    for gg in (g, g.with_mirrored(axes)):
-        got = geometry.ring_fields(gg, profile, conf, cubes=True,
-                                   constraint=True, overlap=True)
-        for mine, want in ((got.W, W), (got.cubes, cubes), (got.Z, Z)):
-            want = grid.fold(grid.Field(g, want), gg.mirrored).data
-            assert mine.shape == gg.shape
-            assert np.max(np.abs(mine - want)) <= 1e-13 * np.max(np.abs(want))
-        assert abs(got.overlap - overlap) <= 1e-12 * max(abs(overlap), 1e-300)
+    part = g.with_mirrored(axes)
+    got = geometry.ring_fields(part, profile, conf, cubes=True,
+                               constraint=True, overlap=True)
+    for mine, want in ((got.W, W), (got.cubes, cubes), (got.Z, Z)):
+        want = grid.fold(grid.Field(g, want), axes).data
+        assert mine.shape == part.shape
+        assert np.max(np.abs(mine - want)) <= 1e-13 * np.max(np.abs(want))
+    assert abs(got.overlap - overlap) <= 1e-12 * max(abs(overlap), 1e-300)
 
 
 def test_ring_fields_overlap_of_distant_pair():
@@ -502,19 +490,68 @@ def test_ring_fields_overlap_of_distant_pair():
     lose it to rounding."""
     profile = radial.ground_state(1.0, 1.0, 2)
     conf = geometry.bump_centers(2, 12.0, 2)
-    g = grid.grid_for_radius(12.0, 1.0, 2)
-    _W, _cubes, _Z, overlap = _ring_per_bump(g, profile, conf)
+    part = grid.grid_for_radius(12.0, 1.0, 2, 2)
+    _W, _cubes, _Z, overlap = _ring_per_bump(part.with_mirrored(()),
+                                             profile, conf)
     assert 4.7e-10 < overlap < 4.8e-10
-    for gg in (g, g.with_mirrored(geometry.mirror_axes(2, 2))):
-        got = geometry.ring_fields(gg, profile, conf, overlap=True).overlap
-        assert abs(got - overlap) <= 1e-12 * overlap
+    got = geometry.ring_fields(part, profile, conf, overlap=True).overlap
+    assert abs(got - overlap) <= 1e-12 * overlap
 
 
 def test_ring_fields_rejects_grid_folded_for_another_k():
     profile = radial.ground_state(1.0, 1.0, 2)
-    g = grid.make_grid(2, 8.0, 0.5).with_mirrored(geometry.mirror_axes(3, 2))
+    g = grid.make_grid(2, 8.0, 0.5).with_mirrored(grid.mirror_axes(3, 2))
     with pytest.raises(ValueError, match="fold-4 class"):
         geometry.ring_fields(g, profile, geometry.bump_centers(4, 3.0, 2))
+
+
+# grids that are not the part of the fold-k class: the full box, and
+# boxes folded on a subset or a superset of mirror_axes(k)
+WRONG_LAYOUTS = [(2, 3, ()), (2, 3, (0, 1)), (2, 4, ()), (2, 4, (1,)),
+                 (3, 3, ()), (3, 3, (1,)), (3, 2, (0, 1))]
+
+
+@pytest.mark.parametrize("dim,k,mirrored", WRONG_LAYOUTS)
+def test_ring_fields_refuse_other_layouts(dim, k, mirrored):
+    profile = radial.ground_state(1.0, 1.0, dim)
+    g = grid.make_grid(dim, 6.0, 0.5).with_mirrored(mirrored)
+    with pytest.raises(ValueError, match=f"fold-{k} class"):
+        geometry.ring_fields(g, profile, geometry.bump_centers(k, 2.0, dim))
+
+
+@pytest.mark.parametrize("dim,k,mirrored", WRONG_LAYOUTS)
+def test_symmetrize_refuses_other_layouts(dim, k, mirrored):
+    g = grid.make_grid(dim, 3.0, 0.5).with_mirrored(mirrored)
+    with pytest.raises(ValueError, match=f"fold-{k} class"):
+        geometry.symmetrize(grid.zeros(g), k)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_ring_orbits_match_node_subgroup(dim):
+    """For k = 1..40 the H+-orbits and their image order are those found
+    from the node permutations of H that have no negative entry (the ones
+    that map the folded part onto itself), bump j going to s - j or j - s
+    (mod k) under the rotation by 2 pi s / k with or without the flip."""
+    transpose = np.eye(dim)
+    transpose[:2, :2] = [[0.0, 1.0], [1.0, 0.0]]
+    for k in range(1, 41):
+        positive = [(s, flip2, h) for s, flip2, h in node_subgroup(k, dim)
+                    if np.all(h >= 0.0)]
+        want = []
+        seen = set()
+        for j in range(k):
+            if j in seen:
+                continue
+            images = {}
+            for s, flip2, h in positive:
+                images.setdefault((s - j) % k if flip2 else (j - s) % k, h)
+            seen.update(images)
+            want.append((j, [(i, not np.array_equal(h, np.eye(dim)))
+                             for i, h in images.items()]))
+            assert all(np.array_equal(h, np.eye(dim))
+                       or np.array_equal(h, transpose)
+                       for h in images.values())
+        assert geometry._ring_orbits(k) == want
 
 
 def test_ring_fields_memory_independent_of_k():
@@ -547,8 +584,7 @@ def test_ring_fields_peak_memory(dim, R, h):
     (3-D) now."""
     profile = radial.ground_state(1.0, 1.0, dim)
     conf = geometry.bump_centers(16, R, dim)
-    part = grid.grid_for_radius(R, 1.0, dim, h=h).with_mirrored(
-        geometry.mirror_axes(16, dim))
+    part = grid.grid_for_radius(R, 1.0, dim, 16, h=h)
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
@@ -595,9 +631,9 @@ def test_build_inputs_one_evaluation_per_orbit(monkeypatch, k, orbits):
     inputs = build_inputs(k, mid_radius(k, params.m, params.theta), params,
                           h=0.5)
     full = inputs.g.with_mirrored(())
-    part = full.with_mirrored(geometry.mirror_axes(k, 2))
+    part = full.with_mirrored(grid.mirror_axes(k, 2))
     assert inputs.g == part
-    n_orbits = len(geometry._ring_orbits(k, 2))
+    n_orbits = len(geometry._ring_orbits(k))
     assert points == {"value": (1 + n_orbits) * part.size,
                       "deriv": n_orbits * part.size}
     before, now = POINTS_BEFORE_AND_NOW[k]

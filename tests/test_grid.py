@@ -41,12 +41,16 @@ def test_total_quadrature_weight():
 
 
 def test_grid_for_radius():
-    g = grid.grid_for_radius(7.06, 1.0, 2)
+    # the part of the box folded on mirror_axes(k)
+    g = grid.grid_for_radius(7.06, 1.0, 2, 16)
     assert g.h == 0.125
     assert g.L == pytest.approx(0.125 * math.ceil((7.06 + 20.0) / 0.125))
+    assert g.mirrored == grid.mirror_axes(16, 2) == (0, 1)
     # small lambda stretches the padding through 15/sqrt(lam)
-    g2 = grid.grid_for_radius(1.0, 0.25, 2, h=0.25)
+    g2 = grid.grid_for_radius(1.0, 0.25, 2, 3, h=0.25)
     assert g2.L >= 1.0 + 15.0 / 0.5
+    assert g2.mirrored == grid.mirror_axes(3, 2) == (1,)
+    assert grid.grid_for_radius(1.0, 1.0, 3, 5).mirrored == (1, 2)
 
 
 def test_sample_radial_symmetry():
@@ -111,7 +115,7 @@ def test_quad_odd_function_vanishes():
 
 def test_quad_matches_radial_moment():
     p = radial.ground_state(1.0, 1.0, 2)
-    g = grid.grid_for_radius(0.0, 1.0, 2)
+    g = grid.make_grid(2, 20.0, 0.125)   # the padding of a ring at R = 0
     U0 = grid.sample(g, lambda a, b: radial.eval_profile(p, np.hypot(a, b)))
     m2 = grid.quad_product(U0, U0)
     assert abs(m2 - p.moment2) < 1e-4 * p.moment2
@@ -150,7 +154,7 @@ def test_quad_second_order_refinement():
 def test_weak_form_identity():
     # multiply -ΔU0 + λU0 = α0 U0³ by U0 and integrate by parts
     p = radial.ground_state(1.0, 1.0, 2)
-    g = grid.grid_for_radius(0.0, 1.0, 2)
+    g = grid.make_grid(2, 20.0, 0.125)   # the padding of a ring at R = 0
     U0 = grid.sample(g, lambda a, b: radial.eval_profile(p, np.hypot(a, b)))
     lhs = grid.inner0(U0, U0, 1.0)
     rhs = grid.quad_product(U0, U0, U0, U0)
@@ -268,9 +272,8 @@ def test_field_dump_folded_writes_full_box(tmp_path, dim, fold):
     too) and a fold on y1 alone (the last axis whole).  Their mirror
     copies are equal bit for bit, so the full box repeats them through
     the centre."""
-    from ringnls.geometry import mirror_axes
-
     g = grid.make_grid(dim, 2.0 if dim == 2 else 1.5, 0.25)
+    mirror_axes = grid.mirror_axes
     axes = {"odd_k": mirror_axes(1, dim), "even_k": mirror_axes(2, dim),
             "y1_alone": (0,)}[fold]
     f = grid.fold(grid.Field(g, np.random.default_rng(9).standard_normal(
@@ -356,10 +359,8 @@ def _close(folded, full):
 
 @pytest.mark.parametrize("dim,k", FOLD_CASES)
 def test_folded_operations_match_full_grid(dim, k):
-    from ringnls.geometry import mirror_axes
-
     g = _fold_test_grid(dim)
-    axes = mirror_axes(k, dim)
+    axes = grid.mirror_axes(k, dim)
     u, v, mu = (_even_field(g, axes, seed) for seed in (1, 2, 3))
     fu, fv, fmu = (grid.fold(f, axes) for f in (u, v, mu))
     assert fu.grid.mirrored == axes and fu.data.shape == fu.grid.shape
@@ -367,12 +368,11 @@ def test_folded_operations_match_full_grid(dim, k):
     assert grid.unfold(fu).grid == g
     # the stencils read mirror ghosts: the folded values are the
     # full-grid ones at the kept nodes, bit for bit
-    part = grid.half_box(g, axes)
     assert np.array_equal(grid.laplacian(fu).data,
-                          grid.laplacian(u).data[part])
+                          grid.fold(grid.laplacian(u), axes).data)
     for ax in range(dim):
         assert np.array_equal(grid.grad8(fu, ax).data,
-                              grid.grad8(u, ax).data[part])
+                              grid.fold(grid.grad8(u, ax), axes).data)
     # the mirror weights turn folded quadratures into full-grid ones
     assert grid.quad_product(grid.fold(grid.sample(g, ones_like), axes)) \
         == pytest.approx((2.0 * g.L) ** dim, rel=1e-13)
@@ -387,14 +387,15 @@ def test_folded_operations_match_full_grid(dim, k):
 def test_folded_orbit_average_matches_full_grid(dim, k):
     # the H-average of a folded field (identity, or the y1/y2 transpose
     # for k = 0 mod 4; the spline cosets on top at k = 3) is the folded
-    # full-grid average
-    from ringnls.geometry import mirror_axes, symmetrize
+    # full-grid average, element by element
+    from ringnls.geometry import symmetrize
+    from symmetry_oracles import symmetrize_per_element
 
     g = _fold_test_grid(dim)
-    axes = mirror_axes(k, dim)
+    axes = grid.mirror_axes(k, dim)
     f = _even_field(g, axes, 4)
     folded = symmetrize(grid.fold(f, axes), k)
-    full = grid.fold(symmetrize(f, k), axes)
+    full = grid.fold(grid.Field(g, symmetrize_per_element(f, k)), axes)
     assert folded.grid == full.grid
     assert np.max(np.abs(folded.data - full.data)) \
         <= 1e-13 * np.max(np.abs(full.data))

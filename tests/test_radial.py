@@ -248,7 +248,7 @@ def test_eval_split_matches_where_on_production_grid():
     p = radial.ground_state(1.0, 1.0, 2)
     R = mid_radius(24, 1.0, 2.0)
     assert R == pytest.approx(12.14, abs=5e-3)
-    g = grid_for_radius(R, 1.0, 2)
+    g = grid_for_radius(R, 1.0, 2, 24).with_mirrored(())
     assert g.n_axis == 517
     cfg = bump_centers(24, R, 2)
     for i in (0, 5, 13):
@@ -288,7 +288,8 @@ def _production_radii(dim):
     if dim == 2:
         R = mid_radius(24, 1.0, 2.0)
         return _bump_radii(bump_centers(24, R, 2), 5,
-                           grid_for_radius(R, 1.0, 2).mesh())
+                           grid_for_radius(R, 1.0, 2, 24).with_mirrored(())
+                           .mesh())
     return _bump_radii(bump_centers(2, 8.0, 3), 1, make_grid(3, 24.0, 1.0).mesh())
 
 

@@ -95,7 +95,7 @@ def test_reduced_energy_reuses_build_inputs_overlap(monkeypatch):
         reduced_energy(inputs, params, max_iter=2)
     # U0 once, then once per H+-orbit of bumps on the half box folded
     # on y2: {1}, {2} and {3} at k = 3
-    assert len(geometry._ring_orbits(3, 2)) == 3
+    assert len(geometry._ring_orbits(3)) == 3
     assert len(evals) == 1 + 3
     monkeypatch.undo()
     assert reports == [interaction_term(inputs.v0_profile, inputs.config,
