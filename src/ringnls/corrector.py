@@ -43,6 +43,17 @@ recomputes its residual from the returned iterate, and a restart from
 that iterate covers rounding drift of the recurred residual.  Given the
 fold order k, the answer is projected onto the symmetric class.
 
+The solves' working set is what sets the memory peak of a corrector
+run, so nothing in it is held twice.  The Picard loop builds each
+right-hand side inside its solve's call, and the solve drops it once
+sqrt(w) rhs (bordered by a zero for L1) is MINRES's b; the warm start
+is scaled once into the vector MINRES iterates on.  The operators write
+into MINRES's vectors rather than return new ones, the L1 border
+included, and MINRES updates its ten vectors in place.  The matvec holds
+one part-sized scratch, MINRES one between its matvec and
+preconditioner, and the preconditioner its zero-padded box.  Nothing is
+kept across Picard steps.
+
 The preconditioner inverts the second-order Laplacian plus a positive
 shift, with zero ghost values one spacing outside a box, which the type-I
 discrete sine transform diagonalizes exactly on that box.  The transform
@@ -188,25 +199,30 @@ def _shifted_operator(g: Grid, pot: np.ndarray, shift: float):
     pot lives on g, the full box or a box folded by ``grid.fold``.
     Returns (root_w, matvec, precond): root_w is sqrt(w) flattened, w
     the number of full-box copies of each node (``Grid.mirror_weights``,
-    1 everywhere on an unmirrored grid); matvec(x) = root_w (-lap +
-    pot)(x / root_w), the expression of ``apply_L0`` and ``apply_L1``,
-    and precond applies the padded-box inverse of -lap + shift in the
-    same scaling.  On a mirrored axis the stencil reads the ghost at
-    index -1 as the mirror copy of index 1, so the centre node sees its
-    neighbour twice and the neighbour sees the centre once.  w (-lap) is
-    symmetric, so both maps are symmetric up to rounding, and the
-    Euclidean product of scaled vectors is the full-box product of the
-    even extensions.
+    1 everywhere on an unmirrored grid); matvec(x, out) writes root_w
+    (-lap + pot)(x / root_w), the expression of ``apply_L0`` and
+    ``apply_L1``, into the caller's flat array out, and precond(x, out)
+    writes the padded-box inverse of -lap + shift in the same scaling.
+    On a mirrored axis the stencil reads the ghost at index -1 as the
+    mirror copy of index 1, so the centre node sees its neighbour twice
+    and the neighbour sees the centre once.  w (-lap) is symmetric, so
+    both maps are symmetric up to rounding, and the Euclidean product of
+    scaled vectors is the full-box product of the even extensions.
 
-    precond zero-pads its input into the inner block of the padded box,
-    whose slices are fixed here once.  Unmirrored axes run the
-    orthonormal DST-I over the centred box.  On a mirrored axis the input
-    holds the half from the centre node on, the field being even there;
-    it sits at the start of the half box and runs DCT-III, then the
-    spectrum, then DCT-II, which is the full DST-I pair restricted to the
-    even modes.
+    matvec holds one part-sized scratch, a = x / root_w: the Laplacian
+    of a goes into out, then a *= pot, out = a - out and out *= root_w,
+    the operations and order of pot a - lap a, so each value rounds as in
+    ``apply_L0``.  precond divides x by root_w straight into the inner
+    block of the zero-padded box, whose slices are fixed here once, and
+    writes the inner block times root_w straight into out.  Unmirrored
+    axes run the orthonormal DST-I over the centred box.  On a mirrored
+    axis the input holds the half from the centre node on, the field
+    being even there; it sits at the start of the half box and runs
+    DCT-III, then the spectrum, then DCT-II, which is the full DST-I pair
+    restricted to the even modes.
     """
     root_w = np.sqrt(g.mirror_weights()).ravel()
+    root_w_grid = root_w.reshape(g.shape)
     axes = g.mirrored
     inv = _inverse_spectrum(_padded_size(g.n_axis), g.dim, g.h, shift, axes)
     inner = tuple(slice(0, g.centre + 1) if ax in axes else
@@ -215,17 +231,17 @@ def _shifted_operator(g: Grid, pot: np.ndarray, shift: float):
                   for ax in range(g.dim))
     plain = tuple(ax for ax in range(g.dim) if ax not in axes)
 
-    def matvec(x):
-        a = (x / root_w).reshape(g.shape)
-        out = pot * a
-        out -= laplacian(Field(g, a)).data
-        out = out.ravel()
-        out *= root_w
-        return out
+    def matvec(x, out):
+        a = x.reshape(g.shape) / root_w_grid
+        lap = out.reshape(g.shape)
+        laplacian(Field(g, a), out=lap)
+        a *= pot
+        np.subtract(a, lap, out=lap)
+        lap *= root_w_grid
 
-    def precond(x):
+    def precond(x, out):
         t = np.zeros(inv.shape)
-        t[inner] = (x / root_w).reshape(g.shape)
+        np.divide(x.reshape(g.shape), root_w_grid, out=t[inner])
         if plain:
             t = dstn(t, type=1, norm="ortho", axes=plain, overwrite_x=True)
         if axes:
@@ -235,9 +251,7 @@ def _shifted_operator(g: Grid, pot: np.ndarray, shift: float):
             t = dctn(t, type=2, axes=axes, overwrite_x=True)
         if plain:
             t = dstn(t, type=1, norm="ortho", axes=plain, overwrite_x=True)
-        out = t[inner].ravel()
-        out *= root_w
-        return out
+        np.multiply(t[inner], root_w_grid, out=out.reshape(g.shape))
 
     return root_w, matvec, precond
 
@@ -246,32 +260,48 @@ def minres(matvec, precond, b: np.ndarray, tol: float, maxiter: int,
            x0: np.ndarray | None = None, callback=None) -> np.ndarray:
     """Preconditioned MINRES, stopped when ||b - A x|| <= tol ||b||.
 
-    ``matvec`` applies a symmetric A and ``precond`` a symmetric positive
-    definite approximation of its inverse.  The Lanczos and plane-rotation
-    recurrences are those of Paige and Saunders (1975), as in SciPy's
-    ``minres``.  Each search direction w comes with A w, recurred from the
-    A v of the Lanczos step, so the residual r = b - A x is updated in
-    place next to x and the stopping test is on its Euclidean norm, not
-    on the preconditioner-weighted norm or a backward error.  A start x0
-    (zero when None) that already meets the test is returned after 0
-    iterations; after ``maxiter`` iterations the last iterate is
-    returned.  The pass also stops when the Krylov space closes, that is
-    when the next beta falls to rounding level, 8 eps times the largest
-    alpha or beta of the Lanczos matrix T so far (not the first beta,
-    which carries the scale of b rather than of the operator).  The step
-    that closes the space is kept when its rotation is defined; when gbar
-    is at rounding level too, T is singular on the closed space, the
-    step would divide rounding by rounding, and the iterate from before
-    it is returned.  ``callback(x)`` runs once per iteration that
-    updates x.
+    ``matvec(x, out)`` writes A x into out for a symmetric A, and
+    ``precond(x, out)`` writes M x for a symmetric positive definite
+    approximation M of its inverse; out never aliases x.  The Lanczos and
+    plane-rotation recurrences are those of Paige and Saunders (1975), as
+    in SciPy's ``minres``.  Each search direction w comes with A w,
+    recurred from the A v of the Lanczos step, so the residual r = b - A
+    x is updated in place next to x and the stopping test is on its
+    Euclidean norm, not on the preconditioner-weighted norm or a backward
+    error.  A start x0 (zero when None) is taken over, not copied: the
+    iteration updates it in place and returns it, and one that already
+    meets the test is returned after 0 iterations; after ``maxiter``
+    iterations the last iterate is returned.  The pass also stops when
+    the Krylov space closes, that is when the next beta falls to
+    rounding level, 8 eps times the largest alpha or beta of the Lanczos
+    matrix T so far (not the first beta, which carries the scale of b
+    rather than of the operator).  The step that closes the space is
+    kept when its rotation is defined; when gbar is at rounding level
+    too, T is singular on the closed space, the step would divide
+    rounding by rounding, and the iterate from before it is returned.
+    ``callback(x)`` runs once per iteration that updates x.
+
+    Every vector is updated in place.  The pass holds ten of b's size:
+    x, r, the last two Lanczos vectors, the last two w and A w, v (which
+    first receives the preconditioned vector y, then y / beta) and A v.
+    The products a p of the Lanczos and direction updates go through one
+    scratch that lives only between the matvec and the preconditioner;
+    those of the x and r updates reuse A v's buffer, free by then.
     """
-    x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)
-    r = b - matvec(x) if x0 is not None else b.copy()
+    if x0 is None:
+        x = np.zeros_like(b)
+        r = b.copy()
+    else:
+        x = x0
+        r = np.empty_like(b)
+        matvec(x, r)
+        np.subtract(b, r, out=r)
     target = tol * tol * float(np.dot(b, b))
     if float(np.dot(r, r)) <= target:
         return x
-    y = precond(r)
-    beta = float(np.dot(r, y))
+    v = np.empty_like(b)
+    precond(r, v)
+    beta = float(np.dot(r, v))
     if beta <= 0.0:
         raise ValueError("MINRES preconditioner is not positive definite")
     beta = math.sqrt(beta)
@@ -285,33 +315,34 @@ def minres(matvec, precond, b: np.ndarray, tol: float, maxiter: int,
     r1, r2 = np.zeros_like(b), r.copy()
     w_old, w = np.zeros_like(b), np.zeros_like(b)
     aw_old, aw = np.zeros_like(b), np.zeros_like(b)
+    av = np.empty_like(b)
     eps = np.finfo(float).eps
     for _ in range(maxiter):
-        v = y / beta
-        del y
-        av = matvec(v)
+        v /= beta
+        matvec(v, av)
+        scratch = np.empty_like(b)
         # next Lanczos vector, built in r1's buffer
         r1 *= -(beta / oldb)
         r1 += av
         alfa = float(np.dot(v, r1))
         tnorm = max(tnorm, abs(alfa))
-        r1 -= (alfa / beta) * r2
+        r1 -= np.multiply(r2, alfa / beta, out=scratch)
         r1, r2 = r2, r1
         # previous rotation on the new column
         oldeps = epsln
         delta = cs * dbar + sn * alfa
         gbar = sn * dbar - cs * alfa
         # gamma_k w_k = v_k - eps_k w_{k-2} - delta_k w_{k-1}, and A w_k
-        # alike from A v_k; gamma_k needs the next beta, but v and A v
-        # are released before the preconditioner allocates
+        # alike from A v_k; gamma_k needs the next beta, but the scratch
+        # is released before the preconditioner allocates
         for new, prev, head in ((w_old, w, v), (aw_old, aw, av)):
             new *= -oldeps
-            new -= delta * prev
+            new -= np.multiply(prev, delta, out=scratch)
             new += head
-        del v, av
-        y = precond(r2)
+        del scratch
+        precond(r2, v)
         oldb = beta
-        beta = float(np.dot(r2, y))
+        beta = float(np.dot(r2, v))
         if beta < 0.0:
             raise ValueError("MINRES preconditioner is not positive definite")
         beta = math.sqrt(beta)
@@ -331,8 +362,8 @@ def minres(matvec, precond, b: np.ndarray, tol: float, maxiter: int,
         aw_old /= gamma
         w_old, w = w, w_old
         aw_old, aw = aw, aw_old
-        x += phi * w
-        r -= phi * aw
+        x += np.multiply(w, phi, out=av)
+        r -= np.multiply(aw, phi, out=av)
         if callback is not None:
             callback(x)
         if float(np.dot(r, r)) <= target or closed:
@@ -345,16 +376,17 @@ def _solve_minres(matvec, precond, b: np.ndarray, tol: float,
                   callback=None) -> np.ndarray:
     """MINRES with verification of the true residual.
 
-    The first pass starts from x0 (zero when None); a good guess such as
-    the previous Picard iterate saves Krylov iterations, and the answer
-    meets the same test.  Each pass stops on its recurred residual,
-    ||b - A x|| <= tol ||b||, which is then recomputed as matvec(x) - b
-    from the returned iterate.  When the recomputed residual misses tol
-    (rounding drift of the recurrence) the solve restarts from the last
-    iterate with twice the iteration budget, and after three passes it
-    is reported as stalled with the achieved residual history.  b = 0
-    returns exact zeros whatever x0 is.  ``callback`` is handed to every
-    pass, so it sees the iterations of all of them.
+    The first pass starts from x0 (zero when None), which it takes over
+    as ``minres`` does; a good guess such as the previous Picard iterate
+    saves Krylov iterations, and the answer meets the same test.  Each
+    pass stops on its recurred residual, ||b - A x|| <= tol ||b||, which
+    is then recomputed as matvec(x) - b from the returned iterate.  When
+    the recomputed residual misses tol (rounding drift of the recurrence)
+    the solve restarts from the last iterate with twice the iteration
+    budget, and after three passes it is reported as stalled with the
+    achieved residual history.  b = 0 returns exact zeros whatever x0 is.
+    ``callback`` is handed to every pass, so it sees the iterations of
+    all of them.
     """
     bnorm = math.sqrt(float(np.dot(b, b)))
     if bnorm == 0.0:
@@ -365,8 +397,11 @@ def _solve_minres(matvec, precond, b: np.ndarray, tol: float,
     for _ in range(3):
         x = minres(matvec, precond, b, tol, maxiter, x0=x,
                    callback=callback)
-        r = matvec(x) - b
+        r = np.empty_like(b)
+        matvec(x, r)
+        r -= b
         res = math.sqrt(float(np.dot(r, r))) / bnorm
+        del r
         history.append(res)
         if res <= tol:
             return x
@@ -389,15 +424,22 @@ def solve_L0(rhs: Field, U0f: Field, params: ModelParams, tol: float,
     ValueError unless the grid is folded on ``mirror_axes(k)``; rhs is
     expected to lie in the symmetric class.
     x0 (flat, rhs.grid.size values) is the Krylov starting guess, zero
-    when None; ``callback`` is MINRES's per-iteration callback.
+    when None; it is read, not changed.  ``callback`` is MINRES's
+    per-iteration callback.  sqrt(w) rhs becomes MINRES's b and rhs is
+    dropped, so a caller that keeps no reference to rhs frees it for the
+    solve.
     """
     g = rhs.grid
     pot = params.lam - 3.0 * params.alpha0 * U0f.data ** 2
     root_w, mv, pc = _shifted_operator(g, pot, params.lam)
-    x = _solve_minres(mv, pc, root_w * rhs.data.ravel(), tol, "L0",
+    b = root_w * rhs.data.ravel()
+    del rhs
+    x = _solve_minres(mv, pc, b, tol, "L0",
                       x0=None if x0 is None else root_w * x0,
                       callback=callback)
-    u = Field(g, (x / root_w).reshape(g.shape))
+    del b
+    x /= root_w
+    u = Field(g, x.reshape(g.shape))
     if k is not None:
         u = symmetrize_fast(u, k)
     return u
@@ -408,9 +450,35 @@ def _project_off_Z(v: Field, Z: Field, zz: float) -> Field:
     return Field(v.grid, v.data - (quad_product(Z, v) / zz) * Z.data)
 
 
+def _bordered_operator(op, op_pc, zf: np.ndarray):
+    """The saddle matvec [[A, zf], [zf^T, 0]] and its block-diagonal
+    preconditioner diag(M, 1 / (zf^T M zf)), from the field-block pair
+    (op, op_pc) of ``_shifted_operator``.
+
+    Both write into the caller's (zf.size + 1) array: the field block
+    through op or op_pc on its leading zf.size entries, then the last
+    entry; A x + x_last zf adds the product x_last zf into place.
+    """
+    pz = np.empty_like(zf)
+    op_pc(zf, pz)
+    schur = float(np.dot(zf, pz))
+
+    def mv(x, out):
+        op(x[:-1], out[:-1])
+        out[:-1] += x[-1] * zf
+        out[-1] = np.dot(zf, x[:-1])
+
+    def pc(x, out):
+        op_pc(x[:-1], out[:-1])
+        out[-1] = x[-1] / schur
+
+    return mv, pc
+
+
 def solve_L1_constrained(rhs: Field, bumpsum: Field, mu: Field, Z: Field,
                          params: ModelParams, tol: float,
-                         k: int | None = None, x0: np.ndarray | None = None,
+                         k: int | None = None,
+                         x0: tuple[np.ndarray, float] | None = None,
                          callback=None) -> tuple[Field, float]:
     """Solve apply_L1(v) + lam_c Z = rhs with quad(Z v) = 0.
 
@@ -420,10 +488,13 @@ def solve_L1_constrained(rhs: Field, bumpsum: Field, mu: Field, Z: Field,
     symmetric for MINRES.  The inputs share one grid, full or folded, as
     in ``solve_L0``; the field block is that solve's scaled operator, and
     the bordered row and column are sqrt(w) Z, whose product with the
-    scaled v is the full-box node sum.  k projects v as in ``solve_L0``.
-    x0 is the Krylov starting guess for the bordered unknown [v
-    flattened, lam_c] (rhs.grid.size + 1 values), zero when None;
-    ``callback`` is MINRES's per-iteration callback.  Returns (v, lam_c).
+    scaled v is the full-box node sum; ``_bordered_operator`` applies the
+    system and its preconditioner into MINRES's rhs.grid.size + 1
+    vectors.  k projects v as in ``solve_L0``.  x0 = (v flattened, lam_c)
+    is the Krylov starting guess, read once into the scaled bordered
+    start that MINRES takes over; zero when None.  As in ``solve_L0``,
+    rhs is dropped once scaled into MINRES's b.  ``callback`` is MINRES's
+    per-iteration callback.  Returns (v, lam_c).
     """
     g = rhs.grid
     zz = quad_product(Z, Z)
@@ -431,23 +502,24 @@ def solve_L1_constrained(rhs: Field, bumpsum: Field, mu: Field, Z: Field,
         raise ValueError("degenerate constraint: quad(Z^2) is zero")
     pot = mu.data - 3.0 * params.alpha1 * bumpsum.data ** 2
     root_w, op, op_pc = _shifted_operator(g, pot, 1.0)
-    zf = root_w * Z.data.ravel()
+    mv, pc = _bordered_operator(op, op_pc, root_w * Z.data.ravel())
 
-    def mv(x):
-        return np.concatenate([op(x[:-1]) + x[-1] * zf,
-                               [float(np.dot(zf, x[:-1]))]])
+    def bordered(field, last):
+        out = np.empty(g.size + 1)
+        np.multiply(root_w, field, out=out[:-1])
+        out[-1] = last
+        return out
 
-    schur = float(np.dot(zf, op_pc(zf)))
-
-    def pc(x):
-        return np.concatenate([op_pc(x[:-1]), [x[-1] / schur]])
-
-    b = np.append(root_w * rhs.data.ravel(), 0.0)
-    if x0 is not None:
-        x0 = np.append(root_w * x0[:-1], x0[-1])
-    x = _solve_minres(mv, pc, b, tol, "L1", x0=x0, callback=callback)
-    v = Field(g, (x[:-1] / root_w).reshape(g.shape))
+    b = bordered(rhs.data.ravel(), 0.0)
+    del rhs
+    x = _solve_minres(mv, pc, b, tol, "L1",
+                      x0=None if x0 is None else bordered(*x0),
+                      callback=callback)
+    del b
     lam_c = float(x[-1])
+    x = x[:-1]
+    x /= root_w
+    v = Field(g, x.reshape(g.shape))
     if k is not None:
         v = symmetrize_fast(v, k)
     # the Krylov tolerance and the symmetrization leave a rounding-level
@@ -625,17 +697,21 @@ def fixed_point_iterate(inputs: CorrectorInputs, params: ModelParams,
             steps=steps, krylov_iters=krylov)
 
     for iterations in range(1, max_iter + 1):
-        b0 = g0_rhs(u, v, U0f, W, params)
-        b1 = g1_rhs(u, v, U0f, W, cubes, mu, params)
         warm = bool(ratios) and ratios[-1] < 1.0
         count0, count1 = _KrylovCount(), _KrylovCount()
         try:
-            u_new = solve_L0(b0, U0f, params, lin_tol, k=k,
+            # each right-hand side is built in its call, so the solve
+            # holds the only reference and frees it once scaled into
+            # MINRES's b; g1 is formed after the L0 solve, still from the
+            # old (u, v)
+            u_new = solve_L0(g0_rhs(u, v, U0f, W, params), U0f, params,
+                             lin_tol, k=k,
                              x0=u.data.ravel() if warm else None,
                              callback=count0)
             v_new, lagrange = solve_L1_constrained(
-                b1, W, mu, Z, params, lin_tol, k=k,
-                x0=np.append(v.data.ravel(), lagrange) if warm else None,
+                g1_rhs(u, v, U0f, W, cubes, mu, params), W, mu, Z, params,
+                lin_tol, k=k,
+                x0=(v.data.ravel(), lagrange) if warm else None,
                 callback=count1)
         except LinearSolveStalled as exc:
             # A stalled inner solve on a blown-up right-hand side is the

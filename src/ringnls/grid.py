@@ -206,12 +206,16 @@ def sample(g: Grid, fn) -> Field:
     return Field(g, np.broadcast_to(vals, g.shape).copy())
 
 
-def laplacian(f: Field) -> Field:
+def laplacian(f: Field, out: np.ndarray | None = None) -> Field:
     """Second-order (2N+1)-point discrete Laplacian, Dirichlet-zero ghosts
-    at the box wall and mirror ghosts at the centre of a mirrored axis."""
+    at the box wall and mirror ghosts at the centre of a mirrored axis.
+
+    out, an array of f's shape that does not overlap f.data, receives
+    the values when given (a new array otherwise); the returned field
+    holds it."""
     g = f.grid
     a = f.data
-    out = (-2.0 * g.dim) * a.copy()
+    out = np.multiply(a, -2.0 * g.dim, out=out)
     for ax in range(g.dim):
         lo = _axis_slice(g.dim, ax, slice(0, -1))
         hi = _axis_slice(g.dim, ax, slice(1, None))

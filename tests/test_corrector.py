@@ -5,14 +5,13 @@ from __future__ import annotations
 import ast
 import math
 import re
-import tracemalloc
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from scipy.fft import dstn
+from scipy.fft import dctn, dstn
 
 import ringnls.corrector as corrector
 from ringnls.corrector import (CorrectorDivergence, LinearSolveStalled,
@@ -24,12 +23,14 @@ from ringnls.corrector import (CorrectorDivergence, LinearSolveStalled,
 from ringnls.energy import potential_field
 from ringnls.geometry import (bump_centers, bump_cubes_field, bump_sum_field,
                               constraint_field, radial_field, symmetrize)
-from ringnls.grid import (Field, fold, laplacian, laplacian_eigenvalues,
-                         make_grid, mirror_axes, quad_product, unfold, zeros)
+from ringnls.grid import (Field, fold, grid_for_radius, laplacian,
+                         laplacian_eigenvalues, make_grid, mirror_axes,
+                         quad_product, unfold, zeros)
 from ringnls.model import ModelParams, make_potential, mid_radius
 from ringnls.radial import ground_state
 from symmetry_oracles import (apply_signed_permutation, fold_even,
                               node_subgroup)
+from traced import traced_peak
 
 
 @pytest.fixture(scope="module")
@@ -183,7 +184,7 @@ def test_solve_minres_zero_rhs_ignores_start():
     # b = 0 short-circuits to exact zeros, whatever the starting guess
     b = np.zeros(6)
     count = _KrylovCount()
-    x = _solve_minres(lambda x: 2.0 * x, lambda x: 0.5 * x, b, 1e-10, "t",
+    x = _solve_minres(_diag(2.0), _diag(0.5), b, 1e-10, "t",
                       x0=np.arange(1.0, 7.0), callback=count)
     assert np.array_equal(x, np.zeros(6))
     assert count.n == 0
@@ -198,13 +199,30 @@ def test_solve_minres_reports_stall():
     d = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 0.0])
     count = _KrylovCount()
     with pytest.raises(LinearSolveStalled, match="t solve stalled") as info:
-        _solve_minres(lambda x: d * x, lambda x: x.copy(), np.ones(6),
+        _solve_minres(_diag(d), _diag(1.0), np.ones(6),
                       1e-8, "t", callback=count)
     history = ast.literal_eval(
         re.search(r"residuals (\[.*?\])", str(info.value)).group(1))
     assert count.n <= 3 * 7
     assert len(history) == 3
     assert all(res <= 1.0 for res in history)
+
+
+def _dense(a):
+    """x -> a @ x, written into out as MINRES's operators are."""
+    return lambda x, out: np.matmul(a, x, out=out)
+
+
+def _diag(d):
+    """x -> d x for an array or scalar d, written into out."""
+    return lambda x, out: np.multiply(d, x, out=out)
+
+
+def _apply(op, x):
+    """An operator that writes into out, applied into a new array."""
+    out = np.empty_like(x)
+    op(x, out)
+    return out
 
 
 def _indefinite_system(n=60):
@@ -228,7 +246,7 @@ def test_minres_meets_true_residual(start):
     a, d, b, guess = _indefinite_system()
     tol = 1e-10
     iterates = []
-    x = corrector.minres(lambda x: a @ x, lambda x: d * x, b, tol, 500,
+    x = corrector.minres(_dense(a), _diag(d), b, tol, 500,
                          x0=guess if start == "x0" else None,
                          callback=lambda xk: iterates.append(xk.copy()))
     assert np.linalg.norm(b - a @ x) <= tol * np.linalg.norm(b)
@@ -244,7 +262,7 @@ def test_minres_callback_once_per_iteration():
     # an unreachable tolerance runs the whole budget: one callback each
     a, d, b, _ = _indefinite_system()
     count = _KrylovCount()
-    corrector.minres(lambda x: a @ x, lambda x: d * x, b, 0.0, 7,
+    corrector.minres(_dense(a), _diag(d), b, 0.0, 7,
                      callback=count)
     assert count.n == 7
 
@@ -254,7 +272,7 @@ def test_minres_start_within_tolerance():
     a, d, b, _ = _indefinite_system()
     exact = np.linalg.solve(a, b)
     count = _KrylovCount()
-    x = corrector.minres(lambda x: a @ x, lambda x: d * x, b, 1e-8, 500,
+    x = corrector.minres(_dense(a), _diag(d), b, 1e-8, 500,
                          x0=exact, callback=count)
     assert count.n == 0
     assert np.array_equal(x, exact)
@@ -263,7 +281,7 @@ def test_minres_start_within_tolerance():
 def test_minres_rejects_indefinite_preconditioner():
     a, d, b, _ = _indefinite_system()
     with pytest.raises(ValueError, match="not positive definite"):
-        corrector.minres(lambda x: a @ x, lambda x: -d * x, b, 1e-8, 500)
+        corrector.minres(_dense(a), _diag(-d), b, 1e-8, 500)
 
 
 def test_solve_L0_started_at_solution():
@@ -310,8 +328,9 @@ def test_padded_size(n, m):
 
 def _preconditioner(g, shift=1.0):
     """The preconditioner of _shifted_operator on g (the potential does
-    not enter it)."""
-    return _shifted_operator(g, np.zeros(g.shape), shift)[2]
+    not enter it), applied into a new array."""
+    precond = _shifted_operator(g, np.zeros(g.shape), shift)[2]
+    return lambda x: _apply(precond, x)
 
 
 def test_preconditioner_symmetric_positive_on_padded_box():
@@ -370,7 +389,7 @@ def test_folded_preconditioner_matches_full_dst(dim, k, axes):
     # the folded apply, on sqrt(w)-scaled vectors, undone here
     root_w, _matvec, precond = _shifted_operator(
         x.grid, np.zeros(x.grid.shape), 1.0)
-    half = precond(root_w * x.data.ravel()) / root_w
+    half = _apply(precond, root_w * x.data.ravel()) / root_w
     assert np.max(np.abs(half.reshape(full.shape) - full)) \
         < 1e-13 * np.max(np.abs(full))
 
@@ -389,15 +408,96 @@ def test_folded_operator_and_preconditioner_symmetric(dim, k, axes):
     assert np.array_equal(root_w, np.sqrt(gf.mirror_weights()).ravel())
     x, y = rng.standard_normal((2, gf.size))
     for op in (matvec, precond):
-        xAy = float(np.dot(x, op(y)))
-        yAx = float(np.dot(y, op(x)))
+        xAy = float(np.dot(x, _apply(op, y)))
+        yAx = float(np.dot(y, _apply(op, x)))
         assert abs(xAy - yAx) < 1e-12 * abs(xAy)
-    assert float(np.dot(x, precond(x))) > 0.0
+    assert float(np.dot(x, _apply(precond, x))) > 0.0
     f = Field(g, _even(rng.standard_normal(g.shape), axes))
     full = -laplacian(f).data + pot * f.data
     want = root_w * fold(Field(g, full), axes).data.ravel()
-    got = matvec(root_w * fold(f, axes).data.ravel())
+    got = _apply(matvec, root_w * fold(f, axes).data.ravel())
     assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
+
+
+def _reference_operator(g, pot, shift):
+    """The scaled matvec and preconditioner as they were before they
+    wrote into caller arrays: each apply allocated its result and
+    temporaries.  Kept as the bit-for-bit reference of
+    ``_shifted_operator``."""
+    root_w = np.sqrt(g.mirror_weights()).ravel()
+    axes = g.mirrored
+    inv = _inverse_spectrum(_padded_size(g.n_axis), g.dim, g.h, shift, axes)
+    inner = tuple(slice(0, g.centre + 1) if ax in axes else
+                  slice((inv.shape[ax] - g.n_axis) // 2,
+                        (inv.shape[ax] + g.n_axis) // 2)
+                  for ax in range(g.dim))
+    plain = tuple(ax for ax in range(g.dim) if ax not in axes)
+
+    def matvec(x):
+        a = (x / root_w).reshape(g.shape)
+        out = pot * a
+        out -= laplacian(Field(g, a)).data
+        out = out.ravel()
+        out *= root_w
+        return out
+
+    def precond(x):
+        t = np.zeros(inv.shape)
+        t[inner] = (x / root_w).reshape(g.shape)
+        if plain:
+            t = dstn(t, type=1, norm="ortho", axes=plain, overwrite_x=True)
+        if axes:
+            t = dctn(t, type=3, axes=axes, overwrite_x=True)
+        t *= inv
+        if axes:
+            t = dctn(t, type=2, axes=axes, overwrite_x=True)
+        if plain:
+            t = dstn(t, type=1, norm="ortho", axes=plain, overwrite_x=True)
+        out = t[inner].ravel()
+        out *= root_w
+        return out
+
+    return root_w, matvec, precond
+
+
+def _reference_bordered(matvec, precond, zf):
+    """The bordered L1 apply and preconditioner as they were, built with
+    np.concatenate per apply."""
+    schur = float(np.dot(zf, precond(zf)))
+
+    def mv(x):
+        return np.concatenate([matvec(x[:-1]) + x[-1] * zf,
+                               [float(np.dot(zf, x[:-1]))]])
+
+    def pc(x):
+        return np.concatenate([precond(x[:-1]), [x[-1] / schur]])
+
+    return mv, pc
+
+
+@pytest.mark.parametrize("dim,k", [(2, 2), (2, 3), (2, 16), (3, 2)])
+def test_operators_write_reference_bits(dim, k):
+    # the applies that write into caller arrays give the allocating
+    # reference's values bit for bit on a padded folded part (k = 3
+    # keeps a plain y1 axis), unscaled, bordered and preconditioned
+    g = grid_for_radius(3.0, 1.0, dim, k, h=0.5 if dim == 2 else 1.0,
+                        L=10.0 if dim == 2 else 6.0)
+    assert _padded_size(g.n_axis) > g.n_axis
+    assert g.mirrored == mirror_axes(k, dim)
+    rng = np.random.default_rng(17)
+    pot = 1.0 + rng.random(g.shape)
+    shift = 1.0
+    root_w, matvec, precond = _shifted_operator(g, pot, shift)
+    ref_w, ref_matvec, ref_precond = _reference_operator(g, pot, shift)
+    assert np.array_equal(root_w, ref_w)
+    zf = root_w * rng.standard_normal(g.size)
+    mv, pc = corrector._bordered_operator(matvec, precond, zf)
+    ref_mv, ref_pc = _reference_bordered(ref_matvec, ref_precond, zf)
+    x = rng.standard_normal(g.size + 1)
+    for op, ref, vec in ((matvec, ref_matvec, x[:-1]),
+                         (precond, ref_precond, x[:-1]),
+                         (mv, ref_mv, x), (pc, ref_pc, x)):
+        assert np.array_equal(_apply(op, vec), ref(vec))
 
 
 def _ring_scene(townes, k):
@@ -522,7 +622,7 @@ def test_solve_L1_round_trip_and_constraint(townes):
     # started from its own solution, the bordered solve takes fewer
     # Krylov iterations and lands on the same pair
     v2, lam2 = solve_L1_constrained(rhs, W, mu, Z, params, 1e-9, k=2,
-                                    x0=np.append(v.data.ravel(), lam_c),
+                                    x0=(v.data.ravel(), lam_c),
                                     callback=warm)
     assert warm.n < cold.n
     assert _relerr(v2, v) < 1e-8
@@ -653,9 +753,9 @@ def test_fixed_point_converges_in_window_k16_m2():
     # peaks with the iteration on the full grid: 13.4-13.8 and 11.7-11.8
     # field sizes; on the folded box 8.2-8.5 and 4.0-4.1 while the loop
     # cut full-box inputs to the part, 6.9-7.2 and 3.3-3.4 on inputs
-    # built there
-    (2, 6.0, 0.25, 0.05, 7.6),
-    (3, 4.0, 0.5, 0.02, 3.7),
+    # built there, 5.8-6.2 and 2.6-2.8 with the Krylov temporaries cut
+    (2, 6.0, 0.25, 0.05, 6.5),
+    (3, 4.0, 0.5, 0.02, 3.0),
 ])
 def test_fixed_point_peak_memory(dim, R, h, beta, bound):
     assert _fixed_point_peak(2, dim, R, h, beta) <= bound
@@ -669,29 +769,87 @@ def _fixed_point_peak(k, dim, R, h, beta):
     inputs = build_inputs(k, R, params, h=h, L=R + 8.0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            fixed_point_iterate(inputs, params, max_iter=4)
-            peak = tracemalloc.get_traced_memory()[1] - start
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(fixed_point_iterate, inputs, params,
+                              max_iter=4)
     return peak / (inputs.g.with_mirrored(()).size * 8)
 
 
 @pytest.mark.parametrize("dim,k,R,h,beta,bound", [
     # 3-D k = 3 (q = 3): 9.2 field sizes while symmetrize mirrored F_H
     # back to the full box, 8.0-8.3 with the orbit average on the part,
-    # 6.7-7.0 once the inputs are built there rather than cut to it
-    (3, 3, 4.0, 0.5, 0.02, 7.5),
+    # 6.7-7.0 once the inputs are built there rather than cut to it,
+    # 5.4-5.7 with the Krylov temporaries cut
+    (3, 3, 4.0, 0.5, 0.02, 6.2),
     # 2-D k = 3 peaks inside MINRES on the half box: 15.8-16.7 field
     # sizes with full-box inputs cut to it, 13.3-14.1 on inputs built
-    # there
-    (2, 3, 6.0, 0.25, 0.05, 15.0),
+    # there, 10.7-11.6 with the Krylov temporaries cut
+    (2, 3, 6.0, 0.25, 0.05, 12.5),
 ])
 def test_fixed_point_peak_memory_interpolating_fold(dim, k, R, h, beta,
                                                     bound):
     assert _fixed_point_peak(k, dim, R, h, beta) <= bound
+
+
+@pytest.fixture(scope="module")
+def seed3_rings():
+    """Corrector inputs and parameters of the benchmark workloads
+    ring2_converge (k = 2, R = 12) and ring16_diverge (k = 16 at the
+    mid-window radius) at seed 3, whose beta sits 2/7 % below nominal,
+    as ``ringnls corrector`` builds them."""
+    base = ModelParams()
+    below = 1.0 - 0.02 / 7.0
+    rings = {}
+    for name, k, R, beta in (
+            ("ring2", 2, 12.0, 0.05),
+            ("ring16", 16, mid_radius(16, base.m, base.theta),
+             0.5 * 0.14650082444345194)):
+        rings[name] = (build_inputs(k, R, base),
+                       replace(base, beta=beta * below))
+    return rings
+
+
+def _cold_peak(inputs, fn, *args, **kwargs):
+    """The traced peak of fn in part sizes of inputs.g, with the
+    preconditioner spectra built inside the call."""
+    _inverse_spectrum.cache_clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        _, peak = traced_peak(fn, *args, **kwargs)
+    return peak / (inputs.g.size * 8)
+
+
+@pytest.mark.parametrize("ring", ["ring2", "ring16"])
+def test_fixed_point_peak_within_20_part_sizes(seed3_rings, ring):
+    """Three Picard steps of the benchmark configs peak inside an L1
+    matvec.  The right-hand sides are freed once scaled into MINRES's b,
+    the bordered vectors are built in place, MINRES iterates on its start
+    and the matvec holds one scratch: the peak was 24.5 (ring2) and 23.7
+    (ring16) part sizes when the loop held b0 and b1 through both solves,
+    and is 19.5 and 19.7 now."""
+    inputs, params = seed3_rings[ring]
+    assert _cold_peak(inputs, fixed_point_iterate, inputs, params,
+                      max_iter=3) <= 20.0
+
+
+@pytest.mark.parametrize("solve", ["L0", "L1"])
+def test_solve_peak_memory(seed3_rings, solve):
+    """One cold solve on the ring2 seed-3 inputs, its right-hand side
+    held by the caller: 17.5 (L0) and 18.5 (L1) part sizes while each
+    matvec allocated x / sqrt(w), pot a and the Laplacian and L1 bordered
+    its vectors with np.append, 15.5 and 16.5 now."""
+    inputs, params = seed3_rings["ring2"]
+    zero = zeros(inputs.g)
+    if solve == "L0":
+        rhs = g0_rhs(zero, zero, inputs.U0f, inputs.W, params)
+        peak = _cold_peak(inputs, solve_L0, rhs, inputs.U0f, params, 1e-9,
+                          k=2)
+        assert peak <= 16.5
+    else:
+        rhs = g1_rhs(zero, zero, inputs.U0f, inputs.W, inputs.cubes,
+                     inputs.mu, params)
+        peak = _cold_peak(inputs, solve_L1_constrained, rhs, inputs.W,
+                          inputs.mu, inputs.Z, params, 1e-9, k=2)
+        assert peak <= 17.5
 
 
 def test_build_inputs_on_folded_part_peak_memory():
@@ -701,12 +859,7 @@ def test_build_inputs_on_folded_part_peak_memory():
     mirrored its five fields back to the full box, and is 13.6 now."""
     params = ModelParams(dim=3)
     build_inputs(2, 4.0, params, h=0.5, L=12.0)   # warm the ground states
-    tracemalloc.start()
-    try:
-        inputs = build_inputs(2, 4.0, params, h=0.5, L=12.0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    inputs, peak = traced_peak(build_inputs, 2, 4.0, params, h=0.5, L=12.0)
     g = inputs.g
     assert g.mirrored == mirror_axes(2, 3)
     for f in (inputs.U0f, inputs.W, inputs.cubes, inputs.mu, inputs.Z):

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +10,7 @@ from scipy import ndimage
 from ringnls import geometry, grid, radial
 from symmetry_oracles import (apply_signed_permutation, fold_even,
                               node_subgroup, rotation, symmetrize_per_element)
+from traced import traced_peak
 
 
 @pytest.fixture(scope="module")
@@ -366,12 +366,7 @@ def test_symmetrize_fast_peak_memory():
     g = grid.make_grid(2, 12.0, 0.125)
     f = fold_even(grid.sample(g, lambda x, y: np.exp(
         -0.5 * ((x - 3.0) ** 2 + y * y))), (0, 1))
-    tracemalloc.start()
-    try:
-        geometry.symmetrize(f, 16)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(geometry.symmetrize, f, 16)
     assert peak <= 10 * f.data.nbytes
 
 
@@ -383,12 +378,7 @@ def test_symmetrize_memory_independent_of_k():
         -0.5 * ((x - 3.0) ** 2 + y * y))), (0, 1))
 
     def peak(k):
-        tracemalloc.start()
-        try:
-            geometry.symmetrize(f, k)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        return traced_peak(geometry.symmetrize, f, k)[1]
 
     assert peak(32) <= 1.25 * peak(8)
 
@@ -562,13 +552,8 @@ def test_ring_fields_memory_independent_of_k():
 
     def peak(k):
         conf = geometry.bump_centers(k, 6.0, 2)
-        tracemalloc.start()
-        try:
-            geometry.ring_fields(part, profile, conf, cubes=True,
-                                 constraint=True, overlap=True)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        return traced_peak(geometry.ring_fields, part, profile, conf,
+                           cubes=True, constraint=True, overlap=True)[1]
 
     assert peak(32) <= peak(8) + part.size * 8
 
@@ -585,14 +570,8 @@ def test_ring_fields_peak_memory(dim, R, h):
     profile = radial.ground_state(1.0, 1.0, dim)
     conf = geometry.bump_centers(16, R, dim)
     part = grid.grid_for_radius(R, 1.0, dim, 16, h=h)
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        geometry.ring_fields(part, profile, conf, cubes=True,
-                             constraint=True, overlap=True)
-        peak = tracemalloc.get_traced_memory()[1] - start
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(geometry.ring_fields, part, profile, conf,
+                          cubes=True, constraint=True, overlap=True)
     assert peak <= 14.0 * part.size * 8
 
 

@@ -1,12 +1,12 @@
 from __future__ import annotations
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 
 from ringnls import radial
+from traced import traced_peak
 
 # frozen regression values from the default-resolution solver; moments
 # cross-validated against an independent adaptive integration carrying
@@ -336,14 +336,8 @@ def test_eval_temporaries_bounded(where):
     r = np.linspace(lo, 3.0 * p.r_max, n)
     for fast in (radial.eval_profile, radial.eval_profile_deriv):
         fast(p, r[:8])
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            out = fast(p, r)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak - base - out.nbytes <= 3 * n * 8
+        out, peak = traced_peak(fast, p, r)
+        assert peak - out.nbytes <= 3 * n * 8
 
 
 def _sparse_operator(c, dim, r):
