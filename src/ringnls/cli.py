@@ -22,12 +22,16 @@ so they still reach stderr.
 Scan and sampling stages run serially from a single seeded generator,
 so identical config + seed produce bit-identical artifacts (the output
 path is not echoed into them).
+
+A run leaves the host process's memory allocator at its settings: the
+Krylov solves and the field assembly reuse their own buffers (one
+workspace per linear solve, one block per ring pass), so they do not
+depend on the C library keeping freed memory for them.
 """
 
 from __future__ import annotations
 
 import argparse
-import ctypes
 import io
 import json
 import math
@@ -542,42 +546,10 @@ def _failure_name(exc: Exception) -> str:
     return "parameter_bounds"
 
 
-# glibc's mallopt parameter numbers
-_M_TRIM_THRESHOLD = -1
-_M_MMAP_THRESHOLD = -3
-
-
-def _keep_freed_heap():
-    """Have glibc keep freed memory in the heap for reuse instead of
-    returning it to the system.
-
-    glibc serves an allocation above its mmap threshold by a fresh
-    mapping and gives the heap top back to the system once more than
-    twice that threshold is free; it raises the threshold only when a
-    larger mapped block is freed.  The solver loops allocate and free
-    several part-sized arrays per Krylov step, so with the threshold near
-    one part size each step faults its arrays in again: about 50,000
-    page faults and 0.07 s of system time in one k = 16 corrector run,
-    against about 2,200 faults with the fixed thresholds set here,
-    glibc's own ceiling for the dynamic ones (32 MB mapped, 64 MB
-    trimmed).  Other C libraries are left as they are.
-    """
-    if sys.platform != "linux":
-        return
-    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
-    if mallopt is None:
-        return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
-    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
-
-
 def run(subcommand: str, config: RunConfig) -> int:
     """Execute one subcommand; returns the process exit status."""
     if subcommand not in _HANDLERS:
         raise ValueError(f"unknown subcommand {subcommand!r}")
-    _keep_freed_heap()
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
     error = None

@@ -47,12 +47,19 @@ The solves' working set is what sets the memory peak of a corrector
 run, so nothing in it is held twice.  The Picard loop builds each
 right-hand side inside its solve's call, and the solve drops it once
 sqrt(w) rhs (bordered by a zero for L1) is MINRES's b; the warm start
-is scaled once into the vector MINRES iterates on.  The operators write
-into MINRES's vectors rather than return new ones, the L1 border
-included, and MINRES updates its ten vectors in place.  The matvec holds
-one part-sized scratch, MINRES one between its matvec and
-preconditioner, and the preconditioner its zero-padded box.  Nothing is
-kept across Picard steps.
+is scaled once into the vector MINRES iterates on.  sqrt(w) is never
+stored: it is 2^(m/2) on each block of the part that lies off the
+centre index along m of the mirrored axes, and every scaling (of b, of
+x0 and x, of Z, and inside the operators) runs block by block.  The
+operators write into MINRES's vectors rather than return new ones, the
+L1 border included, and MINRES updates its ten vectors in place, nine
+of them rows of one block per pass.  One workspace per solve, the size
+of the preconditioner's padded box, serves in turn as the matvec's
+scratch x / sqrt(w), as MINRES's scratch between its matvec and
+preconditioner and as the preconditioner's zero-padded box, so no
+Krylov step allocates.  The workspace goes with the operator when the
+solve returns, before the projection onto the symmetric class, and
+nothing is kept across solves or Picard steps.
 
 The preconditioner inverts the second-order Laplacian plus a positive
 shift, with zero ghost values one spacing outside a box, which the type-I
@@ -70,6 +77,7 @@ are cosine modes, applied as a DCT-III, the spectrum, and a DCT-II.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -193,36 +201,66 @@ def _inverse_spectrum(n_box: int, dim: int, h: float, shift: float,
     return 1.0 / (total + shift) / (n_box + 1) ** len(folded)
 
 
+def _root_w_blocks(g: Grid) -> list:
+    """The blocks of g on which sqrt(w) is constant, as (index, sqrt(w)).
+
+    w, the number of full-box copies of a node (``Grid.mirror_weights``),
+    is 2^m for a node off the centre index 0 along m of the mirrored axes,
+    so a block takes index 0 or the rest along each mirrored axis and
+    everything along the others; sqrt(2.0**m) is np.sqrt of that weight
+    bit for bit.  On an unmirrored grid the one block is the grid, with
+    sqrt(w) = 1.
+    """
+    blocks = []
+    for off in itertools.product((False, True), repeat=len(g.mirrored)):
+        index = [slice(None)] * g.dim
+        for ax, rest in zip(g.mirrored, off):
+            index[ax] = slice(1, None) if rest else slice(0, 1)
+        blocks.append((tuple(index), math.sqrt(2.0 ** sum(off))))
+    return blocks
+
+
+def _scale_root_w(op, blocks, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = op(x, sqrt(w)) block by block, op np.multiply or np.divide;
+    x and out have the grid's shape, and out may be x."""
+    for index, root in blocks:
+        op(x[index], root, out=out[index])
+    return out
+
+
 def _shifted_operator(g: Grid, pot: np.ndarray, shift: float):
     """-lap + pot on g and its preconditioner, on sqrt(w)-scaled vectors.
 
-    pot lives on g, the full box or a box folded by ``grid.fold``.
-    Returns (root_w, matvec, precond): root_w is sqrt(w) flattened, w
-    the number of full-box copies of each node (``Grid.mirror_weights``,
-    1 everywhere on an unmirrored grid); matvec(x, out) writes root_w
-    (-lap + pot)(x / root_w), the expression of ``apply_L0`` and
-    ``apply_L1``, into the caller's flat array out, and precond(x, out)
-    writes the padded-box inverse of -lap + shift in the same scaling.
-    On a mirrored axis the stencil reads the ghost at index -1 as the
-    mirror copy of index 1, so the centre node sees its neighbour twice
-    and the neighbour sees the centre once.  w (-lap) is symmetric, so
-    both maps are symmetric up to rounding, and the Euclidean product of
-    scaled vectors is the full-box product of the even extensions.
+    pot lives on g, the full box or the part folded on some axes.
+    Returns (blocks, matvec, precond, work): blocks is
+    ``_root_w_blocks(g)``, w the number of full-box copies of each node
+    (1 everywhere on an unmirrored grid), through which ``_scale_root_w``
+    scales a vector; matvec(x, out) writes sqrt(w) (-lap + pot)(x /
+    sqrt(w)), the expression of ``apply_L0`` and ``apply_L1``, into the
+    caller's flat array out, and precond(x, out) writes the padded-box
+    inverse of -lap + shift in the same scaling.  On a mirrored axis the
+    stencil reads the ghost at index -1 as the mirror copy of index 1, so
+    the centre node sees its neighbour twice and the neighbour sees the
+    centre once.  w (-lap) is symmetric, so both maps are symmetric up to
+    rounding, and the Euclidean product of scaled vectors is the full-box
+    product of the even extensions.
 
-    matvec holds one part-sized scratch, a = x / root_w: the Laplacian
-    of a goes into out, then a *= pot, out = a - out and out *= root_w,
-    the operations and order of pot a - lap a, so each value rounds as in
-    ``apply_L0``.  precond divides x by root_w straight into the inner
-    block of the zero-padded box, whose slices are fixed here once, and
-    writes the inner block times root_w straight into out.  Unmirrored
-    axes run the orthonormal DST-I over the centred box.  On a mirrored
-    axis the input holds the half from the centre node on, the field
-    being even there; it sits at the start of the half box and runs
-    DCT-III, then the spectrum, then DCT-II, which is the full DST-I pair
-    restricted to the even modes.
+    sqrt(w) is never stored: it is applied block by block.  work, a flat
+    array with room for the padded box and for g.size + 1 values, is the
+    one scratch of the solve, free between applies, and its lifetime is
+    the operator's.  matvec uses it for a = x / sqrt(w): the Laplacian of
+    a goes into out, then a *= pot, out = a - out and out *= sqrt(w), the
+    operations and order of pot a - lap a, so each value rounds as in
+    ``apply_L0``.  precond uses it as the zero-padded box, whose slices
+    are fixed here once: it divides x by sqrt(w) straight into the inner
+    block and writes the inner block times sqrt(w) straight into out.
+    Unmirrored axes run the orthonormal DST-I over the centred box, in
+    place.  On a mirrored axis the input holds the half from the centre
+    node on, the field being even there; it sits at the start of the half
+    box and runs DCT-III, then the spectrum, then DCT-II, which is the
+    full DST-I pair restricted to the even modes.
     """
-    root_w = np.sqrt(g.mirror_weights()).ravel()
-    root_w_grid = root_w.reshape(g.shape)
+    blocks = _root_w_blocks(g)
     axes = g.mirrored
     inv = _inverse_spectrum(_padded_size(g.n_axis), g.dim, g.h, shift, axes)
     inner = tuple(slice(0, g.centre + 1) if ax in axes else
@@ -230,18 +268,22 @@ def _shifted_operator(g: Grid, pot: np.ndarray, shift: float):
                         (inv.shape[ax] + g.n_axis) // 2)
                   for ax in range(g.dim))
     plain = tuple(ax for ax in range(g.dim) if ax not in axes)
+    work = np.empty(max(inv.size, g.size + 1))
+    box = work[:inv.size].reshape(inv.shape)
 
     def matvec(x, out):
-        a = x.reshape(g.shape) / root_w_grid
+        a = _scale_root_w(np.divide, blocks, x.reshape(g.shape),
+                          work[:g.size].reshape(g.shape))
         lap = out.reshape(g.shape)
         laplacian(Field(g, a), out=lap)
         a *= pot
         np.subtract(a, lap, out=lap)
-        lap *= root_w_grid
+        _scale_root_w(np.multiply, blocks, lap, lap)
 
     def precond(x, out):
-        t = np.zeros(inv.shape)
-        np.divide(x.reshape(g.shape), root_w_grid, out=t[inner])
+        box.fill(0.0)
+        _scale_root_w(np.divide, blocks, x.reshape(g.shape), box[inner])
+        t = box
         if plain:
             t = dstn(t, type=1, norm="ortho", axes=plain, overwrite_x=True)
         if axes:
@@ -251,13 +293,14 @@ def _shifted_operator(g: Grid, pot: np.ndarray, shift: float):
             t = dctn(t, type=2, axes=axes, overwrite_x=True)
         if plain:
             t = dstn(t, type=1, norm="ortho", axes=plain, overwrite_x=True)
-        np.multiply(t[inner], root_w_grid, out=out.reshape(g.shape))
+        _scale_root_w(np.multiply, blocks, t[inner], out.reshape(g.shape))
 
-    return root_w, matvec, precond
+    return blocks, matvec, precond, work
 
 
 def minres(matvec, precond, b: np.ndarray, tol: float, maxiter: int,
-           x0: np.ndarray | None = None, callback=None) -> np.ndarray:
+           x0: np.ndarray | None = None, callback=None,
+           work: np.ndarray | None = None) -> np.ndarray:
     """Preconditioned MINRES, stopped when ||b - A x|| <= tol ||b||.
 
     ``matvec(x, out)`` writes A x into out for a symmetric A, and
@@ -282,24 +325,27 @@ def minres(matvec, precond, b: np.ndarray, tol: float, maxiter: int,
     ``callback(x)`` runs once per iteration that updates x.
 
     Every vector is updated in place.  The pass holds ten of b's size:
-    x, r, the last two Lanczos vectors, the last two w and A w, v (which
-    first receives the preconditioned vector y, then y / beta) and A v.
-    The products a p of the Lanczos and direction updates go through one
-    scratch that lives only between the matvec and the preconditioner;
-    those of the x and r updates reuse A v's buffer, free by then.
+    x, and as the rows of one block allocated once, r, the last two
+    Lanczos vectors, the last two w and A w, v (which first receives the
+    preconditioned vector y, then y / beta) and A v.  The products a p of
+    the Lanczos and direction updates go through one scratch used only
+    between the matvec and the preconditioner: the leading b.size entries
+    of work, the operators' own scratch (``_shifted_operator``), which
+    they do not hold across applies, or a new array when work is None.
+    Those of the x and r updates reuse A v's buffer, free by then.
     """
+    rows = np.empty((9, b.size))
+    r, v, r1, r2, w_old, w, aw_old, aw, av = rows
     if x0 is None:
         x = np.zeros_like(b)
-        r = b.copy()
+        np.copyto(r, b)
     else:
         x = x0
-        r = np.empty_like(b)
         matvec(x, r)
         np.subtract(b, r, out=r)
     target = tol * tol * float(np.dot(b, b))
     if float(np.dot(r, r)) <= target:
         return x
-    v = np.empty_like(b)
     precond(r, v)
     beta = float(np.dot(r, v))
     if beta <= 0.0:
@@ -312,15 +358,14 @@ def minres(matvec, precond, b: np.ndarray, tol: float, maxiter: int,
     # zero on the first step (so the placeholder oldb is never felt);
     # w and A w of the last two directions, the older of each pair
     # overwritten by the new one
-    r1, r2 = np.zeros_like(b), r.copy()
-    w_old, w = np.zeros_like(b), np.zeros_like(b)
-    aw_old, aw = np.zeros_like(b), np.zeros_like(b)
-    av = np.empty_like(b)
+    r1.fill(0.0)
+    np.copyto(r2, r)
+    rows[4:8] = 0.0
+    scratch = np.empty_like(b) if work is None else work[:b.size]
     eps = np.finfo(float).eps
     for _ in range(maxiter):
         v /= beta
         matvec(v, av)
-        scratch = np.empty_like(b)
         # next Lanczos vector, built in r1's buffer
         r1 *= -(beta / oldb)
         r1 += av
@@ -333,13 +378,12 @@ def minres(matvec, precond, b: np.ndarray, tol: float, maxiter: int,
         delta = cs * dbar + sn * alfa
         gbar = sn * dbar - cs * alfa
         # gamma_k w_k = v_k - eps_k w_{k-2} - delta_k w_{k-1}, and A w_k
-        # alike from A v_k; gamma_k needs the next beta, but the scratch
-        # is released before the preconditioner allocates
+        # alike from A v_k; gamma_k needs the next beta, and the
+        # preconditioner then overwrites the scratch
         for new, prev, head in ((w_old, w, v), (aw_old, aw, av)):
             new *= -oldeps
             new -= np.multiply(prev, delta, out=scratch)
             new += head
-        del scratch
         precond(r2, v)
         oldb = beta
         beta = float(np.dot(r2, v))
@@ -373,7 +417,7 @@ def minres(matvec, precond, b: np.ndarray, tol: float, maxiter: int,
 
 def _solve_minres(matvec, precond, b: np.ndarray, tol: float,
                   label: str, x0: np.ndarray | None = None,
-                  callback=None) -> np.ndarray:
+                  callback=None, work: np.ndarray | None = None) -> np.ndarray:
     """MINRES with verification of the true residual.
 
     The first pass starts from x0 (zero when None), which it takes over
@@ -385,8 +429,8 @@ def _solve_minres(matvec, precond, b: np.ndarray, tol: float,
     the solve restarts from the last iterate with twice the iteration
     budget, and after three passes it is reported as stalled with the
     achieved residual history.  b = 0 returns exact zeros whatever x0 is.
-    ``callback`` is handed to every pass, so it sees the iterations of
-    all of them.
+    ``callback`` and the operators' scratch ``work`` are handed to every
+    pass, so the callback sees the iterations of all of them.
     """
     bnorm = math.sqrt(float(np.dot(b, b)))
     if bnorm == 0.0:
@@ -396,7 +440,7 @@ def _solve_minres(matvec, precond, b: np.ndarray, tol: float,
     maxiter = 1200
     for _ in range(3):
         x = minres(matvec, precond, b, tol, maxiter, x0=x,
-                   callback=callback)
+                   callback=callback, work=work)
         r = np.empty_like(b)
         matvec(x, r)
         r -= b
@@ -416,30 +460,34 @@ def solve_L0(rhs: Field, U0f: Field, params: ModelParams, tol: float,
              callback=None) -> Field:
     """u with ||apply_L0(u) - rhs||_L2 <= tol ||rhs||_L2.
 
-    rhs, U0f and the answer share one grid, the full box or a box folded
-    by ``grid.fold``, and MINRES runs on its nodes with the sqrt(w)-scaled
-    unknowns of ``_shifted_operator``, so on a folded box the residual
-    test is on the full-box norm of the even extension.  With the fold
-    order k the answer is projected by ``symmetrize``, which raises
-    ValueError unless the grid is folded on ``mirror_axes(k)``; rhs is
-    expected to lie in the symmetric class.
+    rhs, U0f and the answer share one grid, the full box or the part
+    folded on some axes, and MINRES runs on its nodes with the
+    sqrt(w)-scaled unknowns of ``_shifted_operator``, so on a folded part
+    the residual test is on the full-box norm of the even extension.
+    With the fold order k the answer is projected by ``symmetrize``,
+    which raises ValueError unless the grid is folded on
+    ``mirror_axes(k)``; rhs is expected to lie in the symmetric class.
     x0 (flat, rhs.grid.size values) is the Krylov starting guess, zero
     when None; it is read, not changed.  ``callback`` is MINRES's
     per-iteration callback.  sqrt(w) rhs becomes MINRES's b and rhs is
     dropped, so a caller that keeps no reference to rhs frees it for the
-    solve.
+    solve.  The operator and its scratch are dropped before the
+    projection.
     """
     g = rhs.grid
     pot = params.lam - 3.0 * params.alpha0 * U0f.data ** 2
-    root_w, mv, pc = _shifted_operator(g, pot, params.lam)
-    b = root_w * rhs.data.ravel()
+    blocks, mv, pc, work = _shifted_operator(g, pot, params.lam)
+    del pot
+    b = _scale_root_w(np.multiply, blocks, rhs.data, np.empty(g.shape))
     del rhs
-    x = _solve_minres(mv, pc, b, tol, "L0",
-                      x0=None if x0 is None else root_w * x0,
-                      callback=callback)
-    del b
-    x /= root_w
-    u = Field(g, x.reshape(g.shape))
+    if x0 is not None:
+        x0 = _scale_root_w(np.multiply, blocks, x0.reshape(g.shape),
+                           np.empty(g.shape)).ravel()
+    x = _solve_minres(mv, pc, b.ravel(), tol, "L0", x0=x0,
+                      callback=callback, work=work)
+    del b, mv, pc, work
+    u = Field(g, _scale_root_w(np.divide, blocks, x.reshape(g.shape),
+                               x.reshape(g.shape)))
     if k is not None:
         u = symmetrize_fast(u, k)
     return u
@@ -450,22 +498,24 @@ def _project_off_Z(v: Field, Z: Field, zz: float) -> Field:
     return Field(v.grid, v.data - (quad_product(Z, v) / zz) * Z.data)
 
 
-def _bordered_operator(op, op_pc, zf: np.ndarray):
+def _bordered_operator(op, op_pc, zf: np.ndarray, work: np.ndarray):
     """The saddle matvec [[A, zf], [zf^T, 0]] and its block-diagonal
     preconditioner diag(M, 1 / (zf^T M zf)), from the field-block pair
-    (op, op_pc) of ``_shifted_operator``.
+    (op, op_pc) of ``_shifted_operator`` and its scratch work.
 
     Both write into the caller's (zf.size + 1) array: the field block
     through op or op_pc on its leading zf.size entries, then the last
-    entry; A x + x_last zf adds the product x_last zf into place.
+    entry; A x + x_last zf adds the product x_last zf, formed in work
+    once op is done with it.
     """
     pz = np.empty_like(zf)
     op_pc(zf, pz)
     schur = float(np.dot(zf, pz))
+    prod = work[:zf.size]
 
     def mv(x, out):
         op(x[:-1], out[:-1])
-        out[:-1] += x[-1] * zf
+        out[:-1] += np.multiply(x[-1], zf, out=prod)
         out[-1] = np.dot(zf, x[:-1])
 
     def pc(x, out):
@@ -493,7 +543,8 @@ def solve_L1_constrained(rhs: Field, bumpsum: Field, mu: Field, Z: Field,
     vectors.  k projects v as in ``solve_L0``.  x0 = (v flattened, lam_c)
     is the Krylov starting guess, read once into the scaled bordered
     start that MINRES takes over; zero when None.  As in ``solve_L0``,
-    rhs is dropped once scaled into MINRES's b.  ``callback`` is MINRES's
+    rhs is dropped once scaled into MINRES's b, and the operator and its
+    scratch before the projection.  ``callback`` is MINRES's
     per-iteration callback.  Returns (v, lam_c).
     """
     g = rhs.grid
@@ -501,25 +552,28 @@ def solve_L1_constrained(rhs: Field, bumpsum: Field, mu: Field, Z: Field,
     if zz <= 1e-300:
         raise ValueError("degenerate constraint: quad(Z^2) is zero")
     pot = mu.data - 3.0 * params.alpha1 * bumpsum.data ** 2
-    root_w, op, op_pc = _shifted_operator(g, pot, 1.0)
-    mv, pc = _bordered_operator(op, op_pc, root_w * Z.data.ravel())
+    blocks, op, op_pc, work = _shifted_operator(g, pot, 1.0)
+    del pot
+    zf = _scale_root_w(np.multiply, blocks, Z.data, np.empty(g.shape))
+    mv, pc = _bordered_operator(op, op_pc, zf.ravel(), work)
+    del op, op_pc, zf
 
     def bordered(field, last):
         out = np.empty(g.size + 1)
-        np.multiply(root_w, field, out=out[:-1])
+        _scale_root_w(np.multiply, blocks, field.reshape(g.shape),
+                      out[:-1].reshape(g.shape))
         out[-1] = last
         return out
 
-    b = bordered(rhs.data.ravel(), 0.0)
+    b = bordered(rhs.data, 0.0)
     del rhs
     x = _solve_minres(mv, pc, b, tol, "L1",
                       x0=None if x0 is None else bordered(*x0),
-                      callback=callback)
-    del b
+                      callback=callback, work=work)
+    del b, mv, pc, work
     lam_c = float(x[-1])
-    x = x[:-1]
-    x /= root_w
-    v = Field(g, x.reshape(g.shape))
+    x = x[:-1].reshape(g.shape)
+    v = Field(g, _scale_root_w(np.divide, blocks, x, x))
     if k is not None:
         v = symmetrize_fast(v, k)
     # the Krylov tolerance and the symmetrization leave a rounding-level

@@ -22,7 +22,8 @@ import numpy as np
 # bump_sum_field is not called here, but perfbench/spans.py patches it
 # on this module by name, so the import stays
 from .geometry import (BumpConfiguration, RingFields, bump_sum_field,
-                       radial_field, ring_fields, sector_membership)
+                       node_radii, radial_field, ring_fields,
+                       sector_membership)
 from .grid import Field, Grid, grad8, grid_for_radius, quad_product
 from .model import ModelParams, Potential, make_potential
 from .radial import RadialProfile, eval_profile
@@ -30,11 +31,7 @@ from .radial import RadialProfile, eval_profile
 
 def potential_field(g: Grid, mu: Potential) -> Field:
     """Sample the radial trapping potential mu(|y|) on the grid."""
-    mesh = g.mesh()
-    r2 = mesh[0] ** 2 + mesh[1] ** 2
-    for d in range(2, g.dim):
-        r2 = r2 + mesh[d] ** 2
-    return Field(g, np.broadcast_to(mu(np.sqrt(r2)), g.shape).copy())
+    return Field(g, np.broadcast_to(mu(node_radii(g)), g.shape).copy())
 
 
 def energy(U: Field, V: Field, mu: Field, params: ModelParams) -> float:

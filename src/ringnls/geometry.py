@@ -106,26 +106,42 @@ def sector_membership(y, config: BumpConfiguration):
     return out.reshape(y.shape[:-1])
 
 
-def _bump_radii(config: BumpConfiguration, i: int, mesh):
-    ci = config.centers[i]
-    rho2 = (mesh[0] - ci[0]) ** 2 + (mesh[1] - ci[1]) ** 2
-    for d in range(2, config.dim):
-        rho2 = rho2 + mesh[d] ** 2
-    return np.sqrt(rho2, out=rho2)
+def node_radii(g: Grid, centre=None, out=None) -> np.ndarray:
+    """|y - centre| at every node of g (|y| when centre is None), written
+    into out when given (a new array otherwise).
+
+    The squared distance is summed in place: the first two axes' terms
+    are broadcast to the full shape by the first add, then the others are
+    added one by one, in the order of the sum (y1 term + y2 term) + y3
+    term.
+    """
+    mesh = g.mesh()
+    if centre is None:
+        centre = np.zeros(g.dim)
+    if out is None:
+        out = np.empty(g.shape)
+    np.add((mesh[0] - centre[0]) ** 2, (mesh[1] - centre[1]) ** 2, out=out)
+    for d in range(2, g.dim):
+        out += (mesh[d] - centre[d]) ** 2
+    return np.sqrt(out, out=out)
 
 
 def _radial_derivative(profile: RadialProfile, config: BumpConfiguration,
-                       i: int, y, rho: np.ndarray) -> np.ndarray:
-    """∂V_i/∂R = −V0'(ρ)·((y−x_i)·n_i)/ρ for 0-based i.
+                       i: int, y, rho: np.ndarray, out=None,
+                       proj=None) -> np.ndarray:
+    """∂V_i/∂R = −V0'(ρ)·((y−x_i)·n_i)/ρ for 0-based i, into out.
 
     y holds one coordinate array per axis, broadcastable to ρ = |y−x_i|;
-    where ρ = 0 the smooth limit 0 is returned.
+    where ρ = 0 the smooth limit 0 is returned.  out (of ρ's shape) and
+    proj (of the shape of the first two axes' broadcast) receive the
+    result and the projection (y−x_i)·n_i when given; new arrays
+    otherwise.
     """
     c, n = config.centers[i], config.normals[i]
-    proj = (y[0] - c[0]) * n[0] + (y[1] - c[1]) * n[1]
+    proj = np.add((y[0] - c[0]) * n[0], (y[1] - c[1]) * n[1], out=proj)
     # on the whole array, no gather of the ρ > 0 nodes, formed in place;
     # the 0/0 at ρ = 0 is then overwritten by the limit
-    out = eval_profile_deriv(profile, rho)
+    out = eval_profile_deriv(profile, rho, out=out)
     np.negative(out, out=out)
     out *= proj
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -190,9 +206,21 @@ def ring_fields(g: Grid, profile: RadialProfile, config: BumpConfiguration,
     taken, so every term is a sum of positive parts and no difference of
     sums cancels; their Z terms are added with their orbit.  The
     summation order does not depend on which parts are requested, so W
-    is the same floats for every caller.  V_j^2 dV_j/dR and the overlap
-    integrand are formed in place, so the peak is the three sums, the
-    four held arrays and one orbit's three.
+    is the same floats for every caller.
+
+    Every array but the returned sums is a row of one block, allocated
+    once per call and freed on return: the held V of bumps 1 and m, which
+    their orbits evaluate straight into, and one orbit's arrays, reused
+    by every other orbit with the profile evaluated straight into them:
+    rho, whose row takes V_j^3 once rho is read for the last time, V_j,
+    V_j^2 dV_j/dR and the projection (y - x_j).n_j (a separate plane in
+    3-D).  The held V^3 are formed from the held V when the overlap and
+    the closing sums read them, in the orbit rows, and so are the overlap
+    integrand and its quadrature.  The peak is therefore the sums and the
+    block, one part-sized allocation per call: with every sum requested, two
+    part-sized arrays fewer than when each orbit allocated its own and the
+    held V^3 were kept, since one row serves as V_j^2 dV_j/dR and then as
+    the scratch of the closing sums.
     """
     axes = mirror_axes(config.k, g.dim)
     if g.mirrored != axes:
@@ -204,6 +232,21 @@ def ring_fields(g: Grid, profile: RadialProfile, config: BumpConfiguration,
     Z = np.zeros(g.shape) if constraint else None
     last = {0, config.k // 2} if config.k % 2 == 0 else {0}
     held = {}
+    # one orbit's rho (then V^3), V and t (V^2 dV/dR, then the scratch of
+    # the closing sums), the projection when it is part-sized, and the V
+    # of each held bump
+    plane = np.broadcast_shapes(mesh[0].shape, mesh[1].shape)
+    scratch = constraint or cubes or overlap
+    full_proj = constraint and plane == g.shape
+    orbit_rows = 2 + scratch + full_proj
+    block = np.empty((orbit_rows + len(last),) + g.shape)
+    rho_row, v_row = block[0], block[1]
+    t_row = block[2] if scratch else None
+    zj = t_row if constraint else None
+    proj = None
+    if constraint:
+        proj = block[3] if full_proj else np.empty(plane)
+    free_held = list(block[orbit_rows:])
 
     def add(parts):
         for total, a in zip((W, C, Z), parts):
@@ -211,45 +254,42 @@ def ring_fields(g: Grid, profile: RadialProfile, config: BumpConfiguration,
                 total += a
 
     for j, images in _ring_orbits(config.k):
-        rho = _bump_radii(config, j, mesh)
-        vj = eval_profile(profile, rho)
-        zj = None
+        keep = any(i in last for i, _swap in images)
+        rho = node_radii(g, config.centers[j], out=rho_row)
+        # a held orbit evaluates V into its own row; V^3 takes rho's row
+        vj = eval_profile(profile, rho, out=free_held.pop() if keep
+                          else v_row)
         if constraint:
-            zj = _radial_derivative(profile, config, j, mesh, rho)
+            zj = _radial_derivative(profile, config, j, mesh, rho, out=zj,
+                                    proj=proj)
             zj *= vj
             zj *= vj
-        del rho
-        cj = None
-        if cubes or (overlap and any(i in last for i, _swap in images)):
-            cj = vj ** 3
+        cj = np.power(vj, 3, out=rho_row) if cubes else None
         for i, swap in images:
             parts = [a.swapaxes(0, 1) if swap and a is not None else a
                      for a in (vj, cj, zj)]
             if i in last:
                 # V_i and V_i^3 wait for the overlap; Z takes its term now
-                held[i] = parts[:2]
+                held[i] = parts[0]
                 parts[:2] = None, None
             add(parts)
-        # a held bump keeps V_j and V_j^3 through held; free the others
-        # before the next orbit allocates
-        del vj, cj, zj, parts
     total = None
     if overlap:
-        v1, c1 = held[0]
+        v1 = held[0]
+        c1 = np.power(v1, 3, out=v_row)
         if len(last) == 2:
-            vm, cm = held[config.k // 2]
-            G = W + vm
+            vm = held[config.k // 2]
+            G = np.add(W, vm, out=rho_row)
             G *= c1
-            rest = W + v1
-            rest *= cm
+            rest = np.add(W, v1, out=v_row)
+            rest *= np.power(vm, 3, out=t_row)
             G += rest
-            del rest
-            total = 0.5 * quad_product(Field(g, G))
-            del G
+            total = 0.5 * quad_product(Field(g, G), out=G)
         else:
-            total = quad_product(Field(g, c1), Field(g, W))
+            total = quad_product(Field(g, c1), Field(g, W), out=rho_row)
     for i in sorted(held, reverse=True):
-        add(held.pop(i))
+        v = held.pop(i)
+        add((v, np.power(v, 3, out=t_row) if cubes else None, None))
     return RingFields(W=W, cubes=C, Z=Z, overlap=total)
 
 
@@ -272,12 +312,10 @@ def constraint_field(g: Grid, profile: RadialProfile,
 
 
 def radial_field(g: Grid, profile: RadialProfile) -> Field:
-    """The origin-centred profile U0(|y|) sampled on the grid."""
-    mesh = g.mesh()
-    r2 = mesh[0] ** 2 + mesh[1] ** 2
-    for d in range(2, g.dim):
-        r2 = r2 + mesh[d] ** 2
-    return Field(g, eval_profile(profile, np.sqrt(r2)))
+    """The origin-centred profile U0(|y|) sampled on the grid, evaluated
+    in place over the radii."""
+    r = node_radii(g)
+    return Field(g, eval_profile(profile, r, out=r))
 
 
 def _rotation_matrix(theta: float, dim: int) -> np.ndarray:

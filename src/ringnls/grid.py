@@ -17,8 +17,7 @@ default spacings.
 The ring fields of the k-bump class are even in the axes mirror_axes(k)
 and live on the part of the box those reflections fix, the nodes from
 the centre on along each of them (``Grid.mirrored``).  grid_for_radius
-is the one constructor of that part; a full box comes from make_grid,
-and ``fold`` and ``unfold`` convert a field between the two layouts.
+is the one constructor of that part; a full box comes from make_grid.
 The node at index -j of a mirrored axis is the mirror copy of node j:
 ``laplacian`` and ``grad8`` read it as their ghost there, and the
 quadratures weight each stored node by its number of full-box copies w
@@ -139,24 +138,6 @@ def _axis_slice(dim: int, ax: int, sl) -> tuple:
     return tuple(index)
 
 
-def fold(f: Field, axes: tuple) -> Field:
-    """The full-box field f, even in each of axes, stored from the centre
-    node on along them."""
-    g = f.grid
-    part = tuple(slice(g.centre, None) if ax in axes else slice(None)
-                 for ax in range(g.dim))
-    return Field(g.with_mirrored(axes), np.ascontiguousarray(f.data[part]))
-
-
-def unfold(f: Field) -> Field:
-    """The full-box field whose mirrored-axis halves are f."""
-    a = f.data
-    for ax in f.grid.mirrored:
-        a = np.concatenate([a[_axis_slice(a.ndim, ax, slice(None, 0, -1))],
-                            a], axis=ax)
-    return Field(f.grid.with_mirrored(()), a)
-
-
 def make_grid(dim: int, L: float, h: float) -> Grid:
     if dim not in (2, 3):
         raise ValueError(f"dim must be 2 or 3, got {dim}")
@@ -235,23 +216,35 @@ def laplacian_eigenvalues(n: int, h: float, j):
 
 
 def _pairwise_sum(a: np.ndarray) -> float:
-    """Fixed-tree pairwise reduction; bit-identical across thread counts."""
+    """Fixed-tree pairwise reduction; bit-identical across thread counts.
+
+    Each level adds neighbouring pairs, an odd last entry passing through,
+    until one value is left.  The levels alternate between the two halves
+    of one buffer of 3/4 of a's size, so no level allocates.
+    """
     a = a.ravel()
+    half = (a.size + 1) // 2
+    buf = np.empty(half + (half + 1) // 2)
+    levels = (buf[:half], buf[half:])
     while a.size > 1:
-        if a.size % 2:
-            a = np.concatenate([a[0:-1:2] + a[1::2], a[-1:]])
-        else:
-            a = a[0::2] + a[1::2]
+        n = a.size
+        dst = levels[0][:(n + 1) // 2]
+        np.add(a[0:n - 1:2], a[1::2], out=dst[:n // 2])
+        if n % 2:
+            dst[-1] = a[-1]
+        a = dst
+        levels = levels[::-1]
     return float(a[0])
 
 
-def _weighted(g: Grid, prod: np.ndarray) -> np.ndarray:
-    out = prod
+def _weighted(g: Grid, prod: np.ndarray, out=None) -> np.ndarray:
+    """prod times the trapezoid weights of every axis, into out (a new
+    array when None; prod itself for a caller that owns it)."""
     for ax in range(g.dim):
         w = g.weights1d(ax)
         shape = [1] * g.dim
         shape[ax] = w.size
-        out = out * w.reshape(shape)
+        prod = out = np.multiply(prod, w.reshape(shape), out=out)
     return out
 
 
@@ -279,13 +272,19 @@ def quad(f: Field) -> float:
     return _pairwise_sum(_weighted(g, a))
 
 
-def quad_product(*fields) -> float:
-    """quad of a nodewise product, without the boundary-mass warning."""
+def quad_product(*fields, out: np.ndarray | None = None) -> float:
+    """quad of a nodewise product, without the boundary-mass warning.
+
+    The weighted product is formed in out when given, an array of the
+    grid's shape that may be a field's own data, which the caller then
+    gives up; in a new array otherwise."""
     g = fields[0].grid
     prod = fields[0].data
-    for f in fields[1:]:
-        prod = prod * _raw(f)
-    return _pairwise_sum(_weighted(g, prod))
+    if len(fields) > 1:
+        prod = out = np.multiply(prod, _raw(fields[1]), out=out)
+        for f in fields[2:]:
+            prod *= _raw(f)
+    return _pairwise_sum(_weighted(g, prod, out=out))
 
 
 def grad8(f: Field, ax: int) -> Field:
@@ -315,13 +314,15 @@ def _grad_pairing(u: Field, v: Field, ax: int) -> float:
     """∫ ∂u·∂v along one axis; differentiates once when v is u."""
     gu = grad8(u, ax).data
     gv = gu if v is u else grad8(v, ax).data
-    return _pairwise_sum(_weighted(u.grid, gu * gv))
+    prod = gu * gv
+    return _pairwise_sum(_weighted(u.grid, prod, out=prod))
 
 
 def inner0(u: Field, v: Field, lam: float) -> float:
     """⟨u,v⟩_0 = ∫ ∇u·∇v + λ u v (symmetric bilinear, ≥ λ∫u² on diag)."""
     g = u.grid
-    total = lam * _pairwise_sum(_weighted(g, u.data * v.data))
+    prod = u.data * v.data
+    total = lam * _pairwise_sum(_weighted(g, prod, out=prod))
     for ax in range(g.dim):
         total += _grad_pairing(u, v, ax)
     return total
@@ -330,7 +331,8 @@ def inner0(u: Field, v: Field, lam: float) -> float:
 def inner1(u: Field, v: Field, mu: Field) -> float:
     """⟨u,v⟩_1 = ∫ ∇u·∇v + μ(y) u v with a nodewise potential."""
     g = u.grid
-    total = _pairwise_sum(_weighted(g, _raw(mu) * u.data * v.data))
+    prod = _raw(mu) * u.data * v.data
+    total = _pairwise_sum(_weighted(g, prod, out=prod))
     for ax in range(g.dim):
         total += _grad_pairing(u, v, ax)
     return total
@@ -357,11 +359,8 @@ def dump_field(f: Field, out) -> None:
     axis, c the centre index, and along a mirrored last axis the stored
     half row is written mirrored, then as it is.  The text goes out one
     row at a time, so neither a full-box array nor the whole text is ever
-    held, and each distinct value is formatted once per row: a row equal
-    byte for byte to an earlier one (a mirror row) reuses that row's text
-    from a cache keyed by its bytes, and a new row formats the unique bit
-    patterns of its values (``np.unique`` on the uint64 view, so 0.0 and
-    -0.0 stay apart) and joins their strings through the inverse index.
+    held, and each stored row is formatted once: its text is cached under
+    its stored-row index, and the full-box rows that mirror it reuse it.
     """
     g = f.grid
     out.write(f"{g.dim} {g.L!r} {g.h!r}\n")
@@ -374,17 +373,13 @@ def dump_field(f: Field, out) -> None:
     mirror_row = g.dim - 1 in g.mirrored
     row_text = {}
     for r in order.ravel().tolist():
-        row = rows[r]
-        key = row.tobytes()
-        text = row_text.get(key)
+        text = row_text.get(r)
         if text is None:
-            bits, inv = np.unique(row.view(np.uint64), return_inverse=True)
-            strs = [repr(x) for x in bits.view(np.float64).tolist()]
+            strs = list(map(repr, rows[r].tolist()))
             if mirror_row:
-                inv = np.concatenate([inv[:0:-1], inv])
-            lines = [strs[i] for i in inv.tolist()]
-            lines.append("")  # ends the row's last line
-            text = row_text[key] = "\n".join(lines)
+                strs = strs[:0:-1] + strs
+            strs.append("")  # ends the row's last line
+            text = row_text[r] = "\n".join(strs)
         out.write(text)
 
 

@@ -54,7 +54,7 @@ _QUINTIC = np.array([[1, 26, 66, 26, 1, 0],
 
 _FLOOR_NODES = 801
 
-# radii per pass of the profile evaluation: its temporaries stay about
+# radii per pass of the profile evaluation: its temporaries stay under
 # half a megabyte, in cache, whatever the number of radii
 _CHUNK = 1 << 14
 
@@ -375,54 +375,76 @@ def _simpson(f, h):
     return h / 3.0 * (f[0] + f[-1] + 4.0 * f[1:-1:2].sum() + 2.0 * f[2:-2:2].sum())
 
 
-def _spline_or_tail(profile: RadialProfile, r, table, tail_scale):
+def _spline_or_tail(profile: RadialProfile, r, table, tail_scale, out=None):
     """The quintic table where r ≤ r_max, tail_scale·e^{-√c (r − r_max)}
-    beyond.
+    beyond, written into out (a new array of r's shape when None).
 
-    Each radius is evaluated by its own branch only: Horner's rule over
-    the table rows, gathered at its knot interval, or the exponential.
-    The radii are taken _CHUNK at a time, so the temporaries beside the
-    returned array do not grow with r.
+    The radii are taken _CHUNK at a time through one set of chunk-sized
+    temporaries per call, so the temporaries beside out neither grow with
+    r nor are allocated again per chunk, and no radius is gathered.  In
+    each chunk x = r/Δr − i, i the knot interval, and where r > r_max the
+    tail value replaces x by masked ufuncs; Horner's rule over the table
+    rows then writes into out, skipped when every radius of the chunk is
+    far, and the tail values are copied over the far radii, whose
+    polynomial values are discarded.  Each radius therefore gets the
+    operations, and the bits, of its own branch.  A chunk reads r before
+    it writes out, so out may be r itself.
     """
     r = np.asarray(r, dtype=float)
-    out = np.empty(r.shape)
+    if out is None:
+        out = np.empty(r.shape)
     flat_r, flat_out = r.reshape(-1), out.reshape(-1)
     last = table.shape[1] - 1
+    n = min(flat_r.size, _CHUNK)
+    far_buf, x_buf, tmp_buf = np.empty(n, bool), np.empty(n), np.empty(n)
+    i_buf = np.empty(n, np.intp)
     for start in range(0, flat_r.size, _CHUNK):
         rc = flat_r[start:start + _CHUNK]
         oc = flat_out[start:start + _CHUNK]
-        far = rc > profile.r_max
-        near = ~far
-        x = rc[near] / profile._step
-        i = np.clip(x.astype(np.intp), 0, last)
+        m = rc.size
+        far = np.greater(rc, profile.r_max, out=far_buf[:m])
+        n_far = np.count_nonzero(far)
+        x = np.divide(rc, profile._step, out=x_buf[:m])
+        # the unsafe cast truncates toward zero, as astype does
+        i = i_buf[:m]
+        np.copyto(i, x, casting="unsafe")
+        np.clip(i, 0, last, out=i)
         x -= i
-        acc = table[5, i]
-        for row in table[4::-1]:
-            acc *= x
-            acc += row[i]
-        oc[near] = acc
-        oc[far] = tail_scale * np.exp(-profile.sqrt_c
-                                      * (rc[far] - profile.r_max))
+        if n_far:
+            np.subtract(rc, profile.r_max, out=x, where=far)
+            np.multiply(x, -profile.sqrt_c, out=x, where=far)
+            np.exp(x, out=x, where=far)
+            np.multiply(x, tail_scale, out=x, where=far)
+        if n_far < m:
+            acc = np.take(table[5], i, out=oc, mode="clip")
+            tmp = tmp_buf[:m]
+            for row in table[4::-1]:
+                acc *= x
+                acc += np.take(row, i, out=tmp, mode="clip")
+        if n_far:
+            np.copyto(oc, x, where=far)
     return out
 
 
-def eval_profile(profile: RadialProfile, r):
+def eval_profile(profile: RadialProfile, r, out=None):
     """Profile values at radii r ≥ 0; exponential decay beyond r_max.
 
     Inside r_max it is the quintic interpolant of the tabulated nodes,
     evaluated from its table of Taylor coefficients; each radius costs one
     evaluation, by the polynomial or by the exponential.  The result has
-    the shape of r.
+    the shape of r and is written into out when given (r itself
+    included), a new array otherwise.
     """
-    return _spline_or_tail(profile, r, profile._table, profile.values[-1])
+    return _spline_or_tail(profile, r, profile._table, profile.values[-1],
+                           out)
 
 
-def eval_profile_deriv(profile: RadialProfile, r):
+def eval_profile_deriv(profile: RadialProfile, r, out=None):
     """d/dr of the (extrapolated) profile at radii r ≥ 0: the quintic
     interpolant of the tabulated slopes, evaluated once per radius like
-    eval_profile."""
+    eval_profile, into out when given."""
     return _spline_or_tail(profile, r, profile._dtable,
-                           -profile.sqrt_c * profile.values[-1])
+                           -profile.sqrt_c * profile.values[-1], out)
 
 
 _CACHE: dict = {}

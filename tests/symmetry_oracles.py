@@ -4,7 +4,8 @@ The package keeps ring fields only on the part of the box folded on
 mirror_axes(k), where the node permutations of the group reduce to the
 identity and the y1/y2 transpose.  These helpers state the group on the
 full box, element by element, so that tests can check the folded code
-against it.
+against it, and convert fields between the full box and the part
+(``fold`` and ``unfold``).
 """
 from __future__ import annotations
 
@@ -14,6 +15,26 @@ import numpy as np
 from scipy import ndimage
 
 from ringnls import geometry, grid
+
+
+def fold(f: grid.Field, axes: tuple) -> grid.Field:
+    """The full-box field f, even in each of axes, stored from the centre
+    node on along them."""
+    g = f.grid
+    part = tuple(slice(g.centre, None) if ax in axes else slice(None)
+                 for ax in range(g.dim))
+    return grid.Field(g.with_mirrored(axes),
+                      np.ascontiguousarray(f.data[part]))
+
+
+def unfold(f: grid.Field) -> grid.Field:
+    """The full-box field whose mirrored-axis halves are f."""
+    a = f.data
+    for ax in f.grid.mirrored:
+        a = np.concatenate([a[grid._axis_slice(a.ndim, ax,
+                                               slice(None, 0, -1))],
+                            a], axis=ax)
+    return grid.Field(f.grid.with_mirrored(()), a)
 
 
 def rotation(theta: float, dim: int, flip2: bool) -> np.ndarray:
@@ -55,7 +76,7 @@ def fold_even(f: grid.Field, axes: tuple) -> grid.Field:
     a = f.data
     for ax in axes:
         a = 0.5 * (a + np.flip(a, ax))
-    return grid.fold(grid.Field(f.grid, a), axes)
+    return fold(grid.Field(f.grid, a), axes)
 
 
 def symmetrize_per_element(f: grid.Field, k: int) -> np.ndarray:

@@ -167,8 +167,9 @@ def test_bounds_crossterm_on_part_matches_full_box(tmp_path):
     # 8-bump ring's class folds; the full-box quadrature of the unfolded
     # fields gives it to 1e-15 relative
     from ringnls.geometry import bump_centers, bump_sum_field, radial_field
-    from ringnls.grid import grid_for_radius, quad_product, unfold
+    from ringnls.grid import grid_for_radius, quad_product
     from ringnls.radial import ground_state
+    from symmetry_oracles import unfold
 
     cfg = tmp_path / "b.cfg"
     cfg.write_text("n_samples = 40\nks = 6\netas = 1\n")
@@ -387,7 +388,8 @@ def test_solve_writes_full_box_fields(tmp_path, monkeypatch):
     # the assembled pair lies on the folded part; U.field and V.field
     # hold its even extension over the whole box
     from ringnls import cli, reduction
-    from ringnls.grid import mirror_axes, unfold
+    from ringnls.grid import mirror_axes
+    from symmetry_oracles import unfold
 
     solutions = []
 
@@ -493,9 +495,9 @@ def test_expansion_beta_unset_assembles_once(tmp_path, monkeypatch):
     calls = []
 
     def counting(fn):
-        def wrapper(profile, r):
+        def wrapper(profile, r, out=None):
             calls.append(np.size(r))
-            return fn(profile, r)
+            return fn(profile, r, out=out)
         return wrapper
 
     for module in (geometry, energy):
@@ -550,27 +552,49 @@ def test_cli_import_leaves_out_interpolate_optimize_sparse():
         assert name not in loaded
 
 
+# the seed-3 inputs of the benchmark workloads ring2_converge,
+# ring16_diverge and expansion_sweep (beta 2/7 % below nominal), with
+# the minor page faults of one cli.run each: 19,000-19,500,
+# 10,700-11,200 and 12,000-14,700 while the Krylov steps, the profile
+# evaluator and the ring pass allocated and freed part-sized temporaries
+# (a count that raising glibc's mmap and trim thresholds used to hide),
+# 3,300-4,000, 3,500-3,900 and 2,000-2,700 now
+_BELOW = 1.0 + 0.02 * (3 - 3.5) / 3.5
+_BETA_K16 = 0.5 * 0.14650082444345194
+FAULT_RUNS = (
+    ("corrector", f"k = 2\nR = 12\nbeta = {0.05 * _BELOW!r}\n", 6000),
+    ("corrector", f"k = 16\nbeta = {_BETA_K16 * _BELOW!r}\n", 5000),
+    ("expansion", f"ks = 12,16,24\nbeta = {_BETA_K16 * _BELOW!r}\n", 3000),
+)
+
+
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
-                    reason="sets glibc's malloc thresholds")
-def test_keep_freed_heap_reuses_pages():
-    # arrays of a few MB allocated and freed in turn, as the solver loops
-    # do, fault their pages in once rather than on every allocation
-    # (about 39,000 faults here without the call)
-    code = ("import resource, numpy as np, ringnls.cli as cli\n"
-            "cli._keep_freed_heap()\n"
-            "a = np.ones(500_000) * 2.0\n"
-            "del a\n"
+                    reason="fault counts are those of glibc's allocator")
+def test_workload_page_faults_bounded(tmp_path):
+    # each run in a fresh interpreter with the allocator at its defaults,
+    # the ground states warmed first; the faults counted are those of
+    # cli.run alone
+    code = ("import resource, sys\n"
+            "from dataclasses import replace\n"
+            "import ringnls.cli as cli, ringnls.radial as radial\n"
+            "config = replace(cli.parse_config(sys.argv[2]),\n"
+            "                 out=sys.argv[3])\n"
+            "radial.ground_state(config.lam, config.alpha0, config.dim)\n"
+            "radial.ground_state(1.0, config.alpha1, config.dim)\n"
             "start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
-            "for _ in range(20):\n"
-            "    a = np.ones(500_000)\n"
-            "    b = a * 2.0\n"
-            "    del a, b\n"
+            "cli.run(sys.argv[1], config)\n"
             "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt"
             " - start)\n")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, timeout=120, env=_child_env())
-    assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout) < 2000
+    faults = []
+    for i, (subcommand, text, _bound) in enumerate(FAULT_RUNS):
+        proc = subprocess.run(
+            [sys.executable, "-c", code, subcommand, text,
+             str(tmp_path / str(i))],
+            capture_output=True, text=True, timeout=300, env=_child_env())
+        assert proc.returncode == 0, proc.stderr
+        faults.append(int(proc.stdout))
+    bounds = [bound for _subcommand, _text, bound in FAULT_RUNS]
+    assert all(n <= bound for n, bound in zip(faults, bounds)), faults
 
 
 def test_console_entry_subprocess(tmp_path):

@@ -23,13 +23,13 @@ from ringnls.corrector import (CorrectorDivergence, LinearSolveStalled,
 from ringnls.energy import potential_field
 from ringnls.geometry import (bump_centers, bump_cubes_field, bump_sum_field,
                               constraint_field, radial_field, symmetrize)
-from ringnls.grid import (Field, fold, grid_for_radius, laplacian,
+from ringnls.grid import (Field, grid_for_radius, laplacian,
                          laplacian_eigenvalues, make_grid, mirror_axes,
-                         quad_product, unfold, zeros)
+                         quad_product, zeros)
 from ringnls.model import ModelParams, make_potential, mid_radius
 from ringnls.radial import ground_state
-from symmetry_oracles import (apply_signed_permutation, fold_even,
-                              node_subgroup)
+from symmetry_oracles import (apply_signed_permutation, fold, fold_even,
+                              node_subgroup, unfold)
 from traced import traced_peak
 
 
@@ -387,8 +387,8 @@ def test_folded_preconditioner_matches_full_dst(dim, k, axes):
     full = _preconditioner(g)(unfold(x).data.ravel())
     full = fold(Field(g, full.reshape(g.shape)), axes).data
     # the folded apply, on sqrt(w)-scaled vectors, undone here
-    root_w, _matvec, precond = _shifted_operator(
-        x.grid, np.zeros(x.grid.shape), 1.0)
+    precond = _shifted_operator(x.grid, np.zeros(x.grid.shape), 1.0)[2]
+    root_w = np.sqrt(x.grid.mirror_weights()).ravel()
     half = _apply(precond, root_w * x.data.ravel()) / root_w
     assert np.max(np.abs(half.reshape(full.shape) - full)) \
         < 1e-13 * np.max(np.abs(full))
@@ -403,8 +403,9 @@ def test_folded_operator_and_preconditioner_symmetric(dim, k, axes):
     rng = np.random.default_rng(5)
     pot = _even(1.0 + rng.random(g.shape), axes)
     gf = g.with_mirrored(axes)
-    root_w, matvec, precond = _shifted_operator(gf, fold(Field(g, pot),
-                                                         axes).data, 1.0)
+    blocks, matvec, precond, _work = _shifted_operator(
+        gf, fold(Field(g, pot), axes).data, 1.0)
+    root_w = _root_w(blocks, gf)
     assert np.array_equal(root_w, np.sqrt(gf.mirror_weights()).ravel())
     x, y = rng.standard_normal((2, gf.size))
     for op in (matvec, precond):
@@ -417,6 +418,13 @@ def test_folded_operator_and_preconditioner_symmetric(dim, k, axes):
     want = root_w * fold(Field(g, full), axes).data.ravel()
     got = _apply(matvec, root_w * fold(f, axes).data.ravel())
     assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
+
+
+def _root_w(blocks, g):
+    """sqrt(w) on g as a flat array, from the blocks of
+    ``_shifted_operator``."""
+    return corrector._scale_root_w(np.multiply, blocks, np.ones(g.shape),
+                                   np.empty(g.shape)).ravel()
 
 
 def _reference_operator(g, pot, shift):
@@ -475,11 +483,12 @@ def _reference_bordered(matvec, precond, zf):
     return mv, pc
 
 
-@pytest.mark.parametrize("dim,k", [(2, 2), (2, 3), (2, 16), (3, 2)])
+@pytest.mark.parametrize("dim,k", [(2, 2), (2, 3), (2, 16), (3, 2), (3, 3)])
 def test_operators_write_reference_bits(dim, k):
-    # the applies that write into caller arrays give the allocating
-    # reference's values bit for bit on a padded folded part (k = 3
-    # keeps a plain y1 axis), unscaled, bordered and preconditioned
+    # the applies that write into caller arrays and scale by sqrt(w)
+    # block by block give the allocating reference's values bit for bit
+    # on a padded folded part (k = 3 keeps a plain y1 axis), unscaled,
+    # bordered and preconditioned, and so does the block scaling itself
     g = grid_for_radius(3.0, 1.0, dim, k, h=0.5 if dim == 2 else 1.0,
                         L=10.0 if dim == 2 else 6.0)
     assert _padded_size(g.n_axis) > g.n_axis
@@ -487,11 +496,20 @@ def test_operators_write_reference_bits(dim, k):
     rng = np.random.default_rng(17)
     pot = 1.0 + rng.random(g.shape)
     shift = 1.0
-    root_w, matvec, precond = _shifted_operator(g, pot, shift)
+    blocks, matvec, precond, work = _shifted_operator(g, pot, shift)
     ref_w, ref_matvec, ref_precond = _reference_operator(g, pot, shift)
+    root_w = _root_w(blocks, g)
     assert np.array_equal(root_w, ref_w)
+    y = np.random.default_rng(23).standard_normal(g.shape)
+    y.flat[:3] = [-0.0, np.inf, np.nan]
+    for op in (np.multiply, np.divide):
+        want = op(y.ravel(), ref_w)
+        got = corrector._scale_root_w(op, blocks, y, np.empty(g.shape))
+        assert got.tobytes() == want.tobytes()
+        assert corrector._scale_root_w(op, blocks, y.copy(),
+                                       y.copy()).tobytes() == want.tobytes()
     zf = root_w * rng.standard_normal(g.size)
-    mv, pc = corrector._bordered_operator(matvec, precond, zf)
+    mv, pc = corrector._bordered_operator(matvec, precond, zf, work)
     ref_mv, ref_pc = _reference_bordered(ref_matvec, ref_precond, zf)
     x = rng.standard_normal(g.size + 1)
     for op, ref, vec in ((matvec, ref_matvec, x[:-1]),
@@ -825,10 +843,11 @@ def test_fixed_point_peak_within_20_part_sizes(seed3_rings, ring):
     the bordered vectors are built in place, MINRES iterates on its start
     and the matvec holds one scratch: the peak was 24.5 (ring2) and 23.7
     (ring16) part sizes when the loop held b0 and b1 through both solves,
-    and is 19.5 and 19.7 now."""
+    19.6 and 19.8 while each solve stored sqrt(w), and is 18.7 and 18.8
+    with sqrt(w) applied by blocks and one workspace per solve."""
     inputs, params = seed3_rings[ring]
     assert _cold_peak(inputs, fixed_point_iterate, inputs, params,
-                      max_iter=3) <= 20.0
+                      max_iter=3) <= 19.0
 
 
 @pytest.mark.parametrize("solve", ["L0", "L1"])
@@ -836,20 +855,21 @@ def test_solve_peak_memory(seed3_rings, solve):
     """One cold solve on the ring2 seed-3 inputs, its right-hand side
     held by the caller: 17.5 (L0) and 18.5 (L1) part sizes while each
     matvec allocated x / sqrt(w), pot a and the Laplacian and L1 bordered
-    its vectors with np.append, 15.5 and 16.5 now."""
+    its vectors with np.append, 15.5 and 16.5 while each solve stored
+    sqrt(w), 14.6 and 15.6 now."""
     inputs, params = seed3_rings["ring2"]
     zero = zeros(inputs.g)
     if solve == "L0":
         rhs = g0_rhs(zero, zero, inputs.U0f, inputs.W, params)
         peak = _cold_peak(inputs, solve_L0, rhs, inputs.U0f, params, 1e-9,
                           k=2)
-        assert peak <= 16.5
+        assert peak <= 15.0
     else:
         rhs = g1_rhs(zero, zero, inputs.U0f, inputs.W, inputs.cubes,
                      inputs.mu, params)
         peak = _cold_peak(inputs, solve_L1_constrained, rhs, inputs.W,
                           inputs.mu, inputs.Z, params, 1e-9, k=2)
-        assert peak <= 17.5
+        assert peak <= 16.0
 
 
 def test_build_inputs_on_folded_part_peak_memory():

@@ -14,9 +14,10 @@ from ringnls.energy import (check_ksum_bound, draw_sector_samples, energy,
 from ringnls.geometry import (bump_centers, bump_cubes_field, bump_sum_field,
                               radial_field, ring_fields)
 from ringnls.grid import (Field, grid_for_radius, make_grid, quad,
-                          quad_product, unfold, zeros)
+                          quad_product, zeros)
 from ringnls.model import ModelParams, Potential, make_potential, mid_radius
 from ringnls.radial import eval_profile, ground_state
+from symmetry_oracles import unfold
 
 # Expansion constants of the planar profile (c = alpha = 1), from the
 # frozen radial moments: A0 = A1 = m4/4 and A2 = m2/2.  A1 and A2 agree

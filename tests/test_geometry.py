@@ -8,8 +8,9 @@ import pytest
 from scipy import ndimage
 
 from ringnls import geometry, grid, radial
-from symmetry_oracles import (apply_signed_permutation, fold_even,
-                              node_subgroup, rotation, symmetrize_per_element)
+from symmetry_oracles import (apply_signed_permutation, fold, fold_even,
+                              node_subgroup, rotation, symmetrize_per_element,
+                              unfold)
 from traced import traced_peak
 
 
@@ -193,7 +194,7 @@ def test_symmetrize_idempotent_exact_k4():
 
 def test_symmetrize_fixed_point_k4():
     g = grid.make_grid(2, 6.0, 0.125)
-    f = grid.fold(grid.sample(g, lambda x, y: np.exp(-0.7 * (x * x + y * y))),
+    f = fold(grid.sample(g, lambda x, y: np.exp(-0.7 * (x * x + y * y))),
                   (0, 1))
     s = geometry.symmetrize(f, 4)
     assert np.max(np.abs(s.data - f.data)) < 1e-13
@@ -244,7 +245,7 @@ def test_symmetrize_matches_per_element_average(dim, k, wall):
     if wall:
         f = grid.Field(g, f.data + _broad_bump(g).data)
     axes = grid.mirror_axes(k, dim)
-    want = grid.fold(grid.Field(g, symmetrize_per_element(f, k)), axes).data
+    want = fold(grid.Field(g, symmetrize_per_element(f, k)), axes).data
     got = geometry.symmetrize(fold_even(f, axes), k).data
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -314,7 +315,7 @@ def test_symmetrize_exactly_invariant(dim, k, wall):
             -2.0 * ((x - 1.0) ** 2 + (y - 0.3) ** 2 + z * z)))
     if wall:
         f = grid.Field(g, f.data + _broad_bump(g).data)
-    s = grid.unfold(geometry.symmetrize(
+    s = unfold(geometry.symmetrize(
         fold_even(f, grid.mirror_axes(k, dim)), k)).data
     for M in _node_permuting_elements(k, dim):
         assert np.max(np.abs(apply_signed_permutation(s, M) - s)) == 0.0
@@ -354,7 +355,7 @@ def test_symmetrize_folded_stays_on_part(monkeypatch, dim, k):
         return ndimage.spline_filter(a, **kwargs)
 
     monkeypatch.setattr(geometry, "spline_filter", part_filter)
-    got = geometry.symmetrize(grid.fold(f, axes), k)
+    got = geometry.symmetrize(fold(f, axes), k)
     assert got.grid == part
     assert filtered == [part.shape]
 
@@ -389,7 +390,7 @@ def test_symmetrize_orbit_average_k4():
     g = grid.make_grid(2, 4.0, 0.25)
     b = grid.sample(g, lambda x, y: np.exp(-8.0 * ((x - 1.5) ** 2 + y * y)))
     folded = geometry.symmetrize(fold_even(b, (0, 1)), 4)
-    s = grid.unfold(folded)
+    s = unfold(folded)
     i0 = int(np.argmin(np.abs(g.axis - 1.5)))
     mid = g.n_axis // 2
     peaks = [s.data[i0, mid], s.data[mid, i0],
@@ -408,7 +409,7 @@ def test_symmetrize_dim3():
     s1 = geometry.symmetrize(fold_even(f, (1, 2)), 3)
     # output stored folded on y3, so even in the third coordinate
     assert s1.grid.mirrored == (1, 2)
-    full = grid.unfold(s1).data
+    full = unfold(s1).data
     assert np.max(np.abs(full - full[:, :, ::-1])) == 0.0
 
 
@@ -427,7 +428,7 @@ def _ring_per_bump(g, profile, conf):
     Z = np.zeros(g.shape)
     overlap = 0.0
     for i in range(conf.k):
-        rho = geometry._bump_radii(conf, i, mesh)
+        rho = geometry.node_radii(g, conf.centers[i])
         vi = radial.eval_profile(profile, rho)
         proj = np.broadcast_to(
             (mesh[0] - conf.centers[i, 0]) * conf.normals[i, 0]
@@ -467,7 +468,7 @@ def test_ring_fields_match_per_bump_assembly(dim, k):
     got = geometry.ring_fields(part, profile, conf, cubes=True,
                                constraint=True, overlap=True)
     for mine, want in ((got.W, W), (got.cubes, cubes), (got.Z, Z)):
-        want = grid.fold(grid.Field(g, want), axes).data
+        want = fold(grid.Field(g, want), axes).data
         assert mine.shape == part.shape
         assert np.max(np.abs(mine - want)) <= 1e-13 * np.max(np.abs(want))
     assert abs(got.overlap - overlap) <= 1e-12 * max(abs(overlap), 1e-300)
@@ -565,8 +566,11 @@ def test_ring_fields_peak_memory(dim, R, h):
     one orbit's V_j, V_j^3 and V_j^2 dV_j/dR formed in place: its traced
     peak was 16.0 part sizes above its start in both cases while it also
     held those two bumps' Z terms and formed V_j^2 dV_j/dR and the
-    overlap integrand through temporaries, and is 12.5 (2-D) and 10.1
-    (3-D) now."""
+    overlap integrand through temporaries, 12.5 (2-D) and 10.1 (3-D)
+    once it formed them in place, and is 12.3 and 10.8 with the held and
+    orbit arrays rows of one block that also takes the overlap integrand
+    (the 3-D peak is now the quadrature's level buffer beside the
+    block)."""
     profile = radial.ground_state(1.0, 1.0, dim)
     conf = geometry.bump_centers(16, R, dim)
     part = grid.grid_for_radius(R, 1.0, dim, 16, h=h)
@@ -597,9 +601,9 @@ def test_build_inputs_one_evaluation_per_orbit(monkeypatch, k, orbits):
     points = {"value": 0, "deriv": 0}
 
     def counting(kind, fn):
-        def wrapper(profile, r):
+        def wrapper(profile, r, out=None):
             points[kind] += r.size
-            return fn(profile, r)
+            return fn(profile, r, out=out)
         return wrapper
 
     monkeypatch.setattr(geometry, "eval_profile",

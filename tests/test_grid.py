@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from ringnls import grid, radial
+from symmetry_oracles import fold, unfold
 from traced import traced_peak
 
 
@@ -274,8 +275,8 @@ def test_field_dump_repeated_values_match_per_node_repr(dim, L, h):
 
 
 @pytest.mark.parametrize("dim", [2, 3])
-@pytest.mark.parametrize("fold", ["odd_k", "even_k", "y1_alone"])
-def test_field_dump_folded_writes_full_box(tmp_path, dim, fold):
+@pytest.mark.parametrize("layout", ["odd_k", "even_k", "y1_alone"])
+def test_field_dump_folded_writes_full_box(tmp_path, dim, layout):
     """A folded field is written as the text of its even extension: the
     bytes in the file are those of dump_field(unfold(f)), with the
     signed zeros, nan and inf of the repeated-values case in the stored
@@ -286,8 +287,8 @@ def test_field_dump_folded_writes_full_box(tmp_path, dim, fold):
     g = grid.make_grid(dim, 2.0 if dim == 2 else 1.5, 0.25)
     mirror_axes = grid.mirror_axes
     axes = {"odd_k": mirror_axes(1, dim), "even_k": mirror_axes(2, dim),
-            "y1_alone": (0,)}[fold]
-    f = grid.fold(grid.Field(g, np.random.default_rng(9).standard_normal(
+            "y1_alone": (0,)}[layout]
+    f = fold(grid.Field(g, np.random.default_rng(9).standard_normal(
         g.shape)), axes)
     assert f.grid.mirrored == axes
     p = f.data
@@ -300,7 +301,7 @@ def test_field_dump_folded_writes_full_box(tmp_path, dim, fold):
     path = tmp_path / "f.field"
     with open(path, "w") as fh:
         grid.dump_field(f, fh)
-    full = grid.unfold(f)
+    full = unfold(f)
     assert path.read_bytes() == _dump(full).encode()
     per_node = [f"{g.dim} {g.L!r} {g.h!r}"]
     per_node.extend(repr(float(x)) for x in full.data.ravel())
@@ -317,12 +318,49 @@ def test_field_dump_peak_memory(tmp_path):
     at 1.72 times its text."""
     g = grid.make_grid(2, 32.0, 0.125)
     assert g.n_axis == 513
-    f = grid.fold(grid.Field(g, _mirror_even(
+    f = fold(grid.Field(g, _mirror_even(
         np.random.default_rng(13).standard_normal(g.shape))), (0, 1))
     path = tmp_path / "f.field"
     with open(path, "w") as fh:
         _, peak = traced_peak(grid.dump_field, f, fh)
     assert peak <= path.stat().st_size
+
+
+def _pairwise_sum_by_concatenate(a):
+    """The reduction tree as first written, a new array per level."""
+    a = a.ravel()
+    while a.size > 1:
+        if a.size % 2:
+            a = np.concatenate([a[0:-1:2] + a[1::2], a[-1:]])
+        else:
+            a = a[0::2] + a[1::2]
+    return float(a[0])
+
+
+def test_pairwise_sum_keeps_the_concatenate_tree():
+    # the levels summed into one buffer follow the same tree bit for bit,
+    # odd sizes included, and leave the input as it was
+    rng = np.random.default_rng(21)
+    for n in range(1, 71):
+        a = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, n)
+        before = a.copy()
+        got = grid._pairwise_sum(a)
+        assert np.array_equal(a, before)
+        assert got == _pairwise_sum_by_concatenate(a)
+
+
+def test_quad_product_into_out_matches_new_array():
+    g = grid.make_grid(2, 3.0, 0.25).with_mirrored((1,))
+    rng = np.random.default_rng(4)
+    f, h = (grid.Field(g, rng.standard_normal(g.shape)) for _ in range(2))
+    for fields in ((f,), (f, h), (f, h, f)):
+        want = grid.quad_product(*fields)
+        out = np.empty(g.shape)
+        assert grid.quad_product(*fields, out=out) == want
+    # the first field's own data may take the weighted product
+    scratch = f.data.copy()
+    assert grid.quad_product(grid.Field(g, scratch), h, out=scratch) \
+        == grid.quad_product(f, h)
 
 
 def test_pairwise_sum_deterministic():
@@ -368,19 +406,19 @@ def test_folded_operations_match_full_grid(dim, k):
     g = _fold_test_grid(dim)
     axes = grid.mirror_axes(k, dim)
     u, v, mu = (_even_field(g, axes, seed) for seed in (1, 2, 3))
-    fu, fv, fmu = (grid.fold(f, axes) for f in (u, v, mu))
+    fu, fv, fmu = (fold(f, axes) for f in (u, v, mu))
     assert fu.grid.mirrored == axes and fu.data.shape == fu.grid.shape
-    assert np.array_equal(grid.unfold(fu).data, u.data)
-    assert grid.unfold(fu).grid == g
+    assert np.array_equal(unfold(fu).data, u.data)
+    assert unfold(fu).grid == g
     # the stencils read mirror ghosts: the folded values are the
     # full-grid ones at the kept nodes, bit for bit
     assert np.array_equal(grid.laplacian(fu).data,
-                          grid.fold(grid.laplacian(u), axes).data)
+                          fold(grid.laplacian(u), axes).data)
     for ax in range(dim):
         assert np.array_equal(grid.grad8(fu, ax).data,
-                              grid.fold(grid.grad8(u, ax), axes).data)
+                              fold(grid.grad8(u, ax), axes).data)
     # the mirror weights turn folded quadratures into full-grid ones
-    assert grid.quad_product(grid.fold(grid.sample(g, ones_like), axes)) \
+    assert grid.quad_product(fold(grid.sample(g, ones_like), axes)) \
         == pytest.approx((2.0 * g.L) ** dim, rel=1e-13)
     _close(grid.quad_product(fu, fv), grid.quad_product(u, v))
     _close(grid.quad_product(fu, fv, fmu), grid.quad_product(u, v, mu))
@@ -400,8 +438,8 @@ def test_folded_orbit_average_matches_full_grid(dim, k):
     g = _fold_test_grid(dim)
     axes = grid.mirror_axes(k, dim)
     f = _even_field(g, axes, 4)
-    folded = symmetrize(grid.fold(f, axes), k)
-    full = grid.fold(grid.Field(g, symmetrize_per_element(f, k)), axes)
+    folded = symmetrize(fold(f, axes), k)
+    full = fold(grid.Field(g, symmetrize_per_element(f, k)), axes)
     assert folded.grid == full.grid
     assert np.max(np.abs(folded.data - full.data)) \
         <= 1e-13 * np.max(np.abs(full.data))
@@ -413,7 +451,7 @@ def test_folded_quad_warns_only_at_the_wall():
     peaked = grid.sample(g, lambda a, b: np.exp(-(a * a + b * b)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        grid.quad(grid.fold(peaked, (0, 1)))
-    flat = grid.fold(grid.sample(g, ones_like), (0, 1))
+        grid.quad(fold(peaked, (0, 1)))
+    flat = fold(grid.sample(g, ones_like), (0, 1))
     with pytest.warns(RuntimeWarning, match="boundary mass"):
         grid.quad(flat)

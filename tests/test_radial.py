@@ -241,7 +241,7 @@ def _assert_matches_where_oracle(p, r):
 def test_eval_split_matches_where_on_production_grid():
     # k = 24 at its mid-window radius: the default 517^2 grid, where many
     # nodes lie beyond r_max = 30 from each bump
-    from ringnls.geometry import _bump_radii, bump_centers
+    from ringnls.geometry import bump_centers, node_radii
     from ringnls.grid import grid_for_radius
     from ringnls.model import mid_radius
 
@@ -252,19 +252,19 @@ def test_eval_split_matches_where_on_production_grid():
     assert g.n_axis == 517
     cfg = bump_centers(24, R, 2)
     for i in (0, 5, 13):
-        rho = _bump_radii(cfg, i, g.mesh())
+        rho = node_radii(g, cfg.centers[i])
         far = rho > p.r_max
         assert 0 < np.count_nonzero(far) < rho.size
         _assert_matches_where_oracle(p, rho)
 
 
 def test_eval_split_matches_where_three_d():
-    from ringnls.geometry import _bump_radii, bump_centers
+    from ringnls.geometry import bump_centers, node_radii
     from ringnls.grid import make_grid
 
     p = radial.ground_state(1.0, 1.0, 3)
     g = make_grid(3, 24.0, 1.0)
-    rho = _bump_radii(bump_centers(2, 8.0, 3), 1, g.mesh())
+    rho = node_radii(g, bump_centers(2, 8.0, 3).centers[1])
     assert 0 < np.count_nonzero(rho > p.r_max) < rho.size
     _assert_matches_where_oracle(p, rho)
 
@@ -281,16 +281,16 @@ def _production_radii(dim):
     """Radii of every node of a default grid from one bump of a k = 24
     ring at its mid-window radius (2-D) or a k = 2 pair (3-D); many lie
     beyond r_max."""
-    from ringnls.geometry import _bump_radii, bump_centers
+    from ringnls.geometry import bump_centers, node_radii
     from ringnls.grid import grid_for_radius, make_grid
     from ringnls.model import mid_radius
 
     if dim == 2:
         R = mid_radius(24, 1.0, 2.0)
-        return _bump_radii(bump_centers(24, R, 2), 5,
-                           grid_for_radius(R, 1.0, 2, 24).with_mirrored(())
-                           .mesh())
-    return _bump_radii(bump_centers(2, 8.0, 3), 1, make_grid(3, 24.0, 1.0).mesh())
+        return node_radii(grid_for_radius(R, 1.0, 2, 24).with_mirrored(()),
+                          bump_centers(24, R, 2).centers[5])
+    return node_radii(make_grid(3, 24.0, 1.0),
+                      bump_centers(2, 8.0, 3).centers[1])
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -322,6 +322,30 @@ def test_eval_matches_bspline_and_tail(dim):
         for r in (0.0, p.r_max, p.r_max + 1.0):
             assert np.shape(fast(p, r)) == ()
             assert np.shape(fast(p, np.float64(r))) == ()
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_eval_into_out_matches_allocating_form(dim):
+    # written into a caller's array, into the radii themselves, or into
+    # a new one, the values are the same bits, and those of the oracle
+    # without the split; the radii span chunks that are all near, all
+    # far and mixed
+    p = radial.ground_state(1.0, 1.0, dim)
+    n = 3 * radial._CHUNK + 5
+    r = np.concatenate([np.linspace(0.0, p.r_max, n),
+                        np.linspace(p.r_max, 3.0 * p.r_max, n)])
+    r = np.concatenate([r, np.random.default_rng(5).permutation(r)])
+    r = r.reshape(4, -1)
+    for fast, oracle in ((radial.eval_profile, _where_value),
+                         (radial.eval_profile_deriv, _where_deriv)):
+        want = fast(p, r)
+        assert want.tobytes() == oracle(p, r).tobytes()
+        out = np.full_like(r, np.nan)
+        assert fast(p, r, out=out) is out
+        assert out.tobytes() == want.tobytes()
+        same = r.copy()
+        assert fast(p, same, out=same) is same
+        assert same.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("where", ["mixed", "far"])
