@@ -15,9 +15,10 @@ status is 0 exactly when every invariant the subcommand asserts held;
 otherwise a failure.json names the first violated invariant (a diverging
 corrector also records its Picard steps and their Krylov iterations).
 The warnings a run issues, such as a radius outside the admissible
-window or an integrand with mass on the box wall, are listed in the
-summary.json or failure.json it writes and are issued again afterwards,
-so they still reach stderr.
+window, are listed in the summary.json or failure.json it writes and are
+issued again afterwards, so they still reach stderr.  A run that fails
+by an exception writes no summary.json and removes an earlier run's, and
+a run that passes removes an earlier failure.json.
 
 Scan and sampling stages run serially from a single seeded generator,
 so identical config + seed produce bit-identical artifacts (the output
@@ -250,7 +251,7 @@ def _ring_f0(config: RunConfig, g: Grid, ring: BumpConfiguration) -> float:
     v0 = ground_state(1.0, config.alpha1, config.dim)
     U0f = radial_field(g, ground_state(config.lam, config.alpha0, config.dim))
     W = bump_sum_field(g, v0, ring)
-    return compute_gamma0_f0(U0f.data, W.data, v0.decay_const).f0
+    return compute_gamma0_f0(U0f.data, W.data).f0
 
 
 def _radius_for(config: RunConfig, k: int) -> float:
@@ -370,10 +371,9 @@ def _run_expansion(config: RunConfig, out: Path):
     Per k it builds the grid and the ring, and ansatz_fields assembles
     U0, W and the overlap sum in one pass over the H+-orbits of bumps on
     the part of the box folded on mirror_axes(k), where expansion_compare
-    also evaluates the energy.  When beta is unset, those fields are
-    built first, f0 is read from them (the suprema on the part are those
-    of the box), and expansion_compare is handed the same fields; none of
-    the other corrector inputs are assembled.
+    evaluates the energy.  When beta is unset, f0 is read from the same
+    fields (the suprema on the part are those of the box); none of the
+    other corrector inputs are assembled.
     """
     if config.dim == 1:
         raise ValueError("expansion needs dim 2 or 3")
@@ -390,14 +390,14 @@ def _run_expansion(config: RunConfig, out: Path):
         g = grid_for_radius(R, config.lam, config.dim, k, h=config.h,
                             L=config.L)
         ring = bump_centers(k, R, config.dim)
-        fields = f0 = None
-        if config.beta is None:
-            fields = ansatz_fields(u0, v0, ring, g)
-            U0f, bumps = fields
-            f0 = compute_gamma0_f0(U0f.data, bumps.W, v0.decay_const).f0
+        U0f, bumps = ansatz_fields(u0, v0, ring, g)
+        f0 = (compute_gamma0_f0(U0f.data, bumps.W).f0
+              if config.beta is None else None)
         beta = _resolve_beta(config, f0)
         rep = expansion_compare(u0, v0, ring, replace(params0, beta=beta),
-                                g=g, fields=fields)
+                                (U0f, bumps))
+        # this k's fields go before the next k assembles its own
+        del U0f, bumps
         rows.append((k, float(rep.R), float(beta), float(rep.direct),
                      float(rep.model), float(rep.rho), float(rep.A0),
                      float(rep.A1), float(rep.A2),
@@ -421,7 +421,7 @@ def _run_corrector(config: RunConfig, out: Path):
     k = config.k
     R = _radius_for(config, k)
     inputs = build_inputs(k, R, params0, h=config.h, L=config.L)
-    beta = _resolve_beta(config, inputs.budget.f0)
+    beta = _resolve_beta(config, inputs.f0)
     params = replace(params0, beta=beta)
     res = fixed_point_iterate(inputs, params, tol=config.tol,
                               max_iter=config.max_iter)
@@ -453,7 +453,7 @@ def _run_corrector(config: RunConfig, out: Path):
     ]
     summary = dict(res.as_dict())
     summary.update({"k": k, "R": float(R), "beta": float(beta),
-                    "f0": float(inputs.budget.f0)})
+                    "f0": float(inputs.f0)})
     return summary, checks
 
 
@@ -572,6 +572,7 @@ def run(subcommand: str, config: RunConfig) -> int:
         if isinstance(error, CorrectorDivergence):
             record.update(steps=error.steps, krylov_iters=error.krylov_iters)
         _atomic_write(out / "failure.json", _json_text(record))
+        (out / "summary.json").unlink(missing_ok=True)
         print(f"{subcommand}: FAIL ({record['invariant']}): {error}",
               file=sys.stderr)
         return 1
@@ -593,9 +594,7 @@ def run(subcommand: str, config: RunConfig) -> int:
              "detail": detail, "warnings": warned}))
         print(f"{subcommand}: FAIL ({name}): {detail}", file=sys.stderr)
         return 1
-    stale = out / "failure.json"
-    if stale.exists():
-        stale.unlink()
+    (out / "failure.json").unlink(missing_ok=True)
     return 0
 
 

@@ -96,8 +96,8 @@ from .geometry import (BumpConfiguration, bump_centers, bump_cubes_field,
 from .geometry import symmetrize as symmetrize_fast
 from .grid import (Field, Grid, grid_for_radius, laplacian,
                    laplacian_eigenvalues, norm_E, quad_product, zeros)
-from .model import (CouplingBudget, ModelParams, bump_radius_interval,
-                    compute_gamma0_f0, derive_exponents, make_potential)
+from .model import (ModelParams, bump_radius_interval, compute_gamma0_f0,
+                    derive_exponents, make_potential)
 from .radial import ground_state
 
 
@@ -605,45 +605,38 @@ class CorrectorInputs:
 
     g: Grid
     config: BumpConfiguration
-    u0_profile: object
-    v0_profile: object
     U0f: Field
     W: Field
     cubes: Field
     mu: Field
     Z: Field
-    budget: CouplingBudget
-    overlap: float        # Sigma_{i>=2} int V_1^3 V_i on g
+    f0: float             # the coupling bound |beta| must stay below
 
 
 def build_inputs(k: int, Rvalue: float, params: ModelParams,
                  h: float | None = None,
                  L: float | None = None) -> CorrectorInputs:
-    """Sample U0, W, Sigma V_i^3, mu, Z and the overlap sum for the
-    k-ring at Rvalue.
+    """Sample U0, W, Sigma V_i^3, mu and Z for the k-ring at Rvalue.
 
     Every field is sampled on the part of the box folded on
     mirror_axes(k), which is the returned ``g``; f0 reads the suprema
-    there, which are those of the box.  W, Sigma V_i^3, Z and the overlap
-    come from one ring_fields pass, which evaluates the profile and its
-    derivative once per H+-orbit of bumps on the part, so W is the same
-    floats as bump_sum_field's and the overlap as interaction_term's on
-    g.
+    there, which are those of the box.  W, Sigma V_i^3 and Z come from
+    one ring_fields pass, which evaluates the profile and its derivative
+    once per H+-orbit of bumps on the part, so W is the same floats as
+    bump_sum_field's on g.
     """
     part = grid_for_radius(Rvalue, params.lam, params.dim, k, h=h, L=L)
     u0 = ground_state(params.lam, params.alpha0, params.dim)
     v0 = ground_state(1.0, params.alpha1, params.dim)
     config = bump_centers(k, Rvalue, params.dim)
     U0f = radial_field(part, u0)
-    ring = ring_fields(part, v0, config, cubes=True, constraint=True,
-                       overlap=True)
+    ring = ring_fields(part, v0, config, cubes=True, constraint=True)
     mu = potential_field(part, make_potential(params))
-    budget = compute_gamma0_f0(U0f.data, ring.W, v0.decay_const)
-    return CorrectorInputs(g=part, config=config, u0_profile=u0,
-                           v0_profile=v0, U0f=U0f, W=Field(part, ring.W),
+    return CorrectorInputs(g=part, config=config, U0f=U0f,
+                           W=Field(part, ring.W),
                            cubes=Field(part, ring.cubes), mu=mu,
-                           Z=Field(part, ring.Z), budget=budget,
-                           overlap=ring.overlap)
+                           Z=Field(part, ring.Z),
+                           f0=compute_gamma0_f0(U0f.data, ring.W).f0)
 
 
 @dataclass
@@ -722,9 +715,9 @@ def fixed_point_iterate(inputs: CorrectorInputs, params: ModelParams,
     iterations of the Picard steps completed before it.
     """
     k, Rvalue = inputs.config.k, inputs.config.R
-    if abs(params.beta) >= inputs.budget.f0:
+    if abs(params.beta) >= inputs.f0:
         raise ValueError(
-            f"|beta| = {abs(params.beta):g} >= f0 = {inputs.budget.f0:g}: "
+            f"|beta| = {abs(params.beta):g} >= f0 = {inputs.f0:g}: "
             "coupling too strong for the contraction argument")
     delta0 = derive_exponents(params.m, params.theta).delta0
     if k >= 2:

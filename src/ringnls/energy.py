@@ -5,11 +5,13 @@ The variational energy of a pair (U, V) is
     I(U, V) = 1/2 * int |grad U|^2 + lam U^2 + |grad V|^2 + mu(y) V^2
             - 1/4 * int alpha0 U^4 + alpha1 V^4 + 2 beta U^2 V^2,
 
-evaluated with the grid module's trapezoid quadrature and 8th-order
-gradients.  Around the ring ansatz (U0, Sigma V_i) the energy splits into
-the ansatz value plus parts linear, quadratic, and higher-order in the
-corrector pair (u, v); the split here is carried out as nodewise algebra,
-so the four pieces reproduce the direct energy to rounding on any grid.
+evaluated with the grid module's trapezoid quadrature, its quadratic part
+as grid.inner(U, U, lam) + grid.inner(V, V, mu).  Around the ring ansatz
+(U0, Sigma V_i) the energy splits into the ansatz value plus parts
+linear, quadratic, and higher-order in the corrector pair (u, v); the
+split here is carried out as nodewise algebra, its linear and quadratic
+parts again through grid.inner, so the four pieces reproduce the direct
+energy to rounding on any grid.
 """
 
 from __future__ import annotations
@@ -24,28 +26,23 @@ import numpy as np
 from .geometry import (BumpConfiguration, RingFields, bump_sum_field,
                        node_radii, radial_field, ring_fields,
                        sector_membership)
-from .grid import Field, Grid, grad8, grid_for_radius, quad_product
+from .grid import Field, Grid, grid_for_radius, inner, quad_product
 from .model import ModelParams, Potential, make_potential
 from .radial import RadialProfile, eval_profile
 
 
 def potential_field(g: Grid, mu: Potential) -> Field:
     """Sample the radial trapping potential mu(|y|) on the grid."""
-    return Field(g, np.broadcast_to(mu(node_radii(g)), g.shape).copy())
+    return Field(g, mu(node_radii(g)))
 
 
 def energy(U: Field, V: Field, mu: Field, params: ModelParams) -> float:
     """I(U, V): quadratic transport/trapping part minus the quartic well."""
-    kin = 0.0
-    for ax in range(U.grid.dim):
-        gu = grad8(U, ax)
-        gv = grad8(V, ax)
-        kin += quad_product(gu, gu) + quad_product(gv, gv)
-    quadratic = params.lam * quad_product(U, U) + quad_product(mu, V, V)
     quartic = (params.alpha0 * quad_product(U, U, U, U)
                + params.alpha1 * quad_product(V, V, V, V)
                + 2.0 * params.beta * quad_product(U, U, V, V))
-    return 0.5 * (kin + quadratic) - 0.25 * quartic
+    return (0.5 * (inner(U, U, params.lam) + inner(V, V, mu))
+            - 0.25 * quartic)
 
 
 def expansion_constants(U0prof: RadialProfile, V0prof: RadialProfile,
@@ -215,31 +212,22 @@ def ansatz_fields(U0prof: RadialProfile, V0prof: RadialProfile,
 
 def expansion_compare(U0prof: RadialProfile, V0prof: RadialProfile,
                       config: BumpConfiguration, params: ModelParams,
-                      mu: Potential | None = None,
-                      g: Grid | None = None,
-                      fields: tuple[Field, RingFields] | None = None
-                      ) -> ExpansionReport:
+                      fields: tuple[Field, RingFields]) -> ExpansionReport:
     """Compare I(U0, Sigma V_i) with A0 + k (A1 + A2/R^m) - interaction_sum.
 
     The per-bump remainder rho = |direct - model| / k collects everything
     the model drops: the finite-R potential deviation, beyond-pair
-    overlaps, and the beta cross term.  U0, W = Sigma V_i, mu and the
-    overlap sum are built by ansatz_fields on g, the part of the box
-    folded on mirror_axes(k), and the energy is evaluated there: the folded
-    gradients and quadratures give the full box's values of the even
-    fields, summed in another order.  The fields and sums equal those of
-    bump_sum_field, energy and interaction_term on that part exactly.
-    fields, from ansatz_fields, skips that assembly.
+    overlaps, and the beta cross term.  fields, from ansatz_fields, hold
+    U0, W = Sigma V_i and the overlap sum on the part of the box folded on
+    mirror_axes(k); mu is sampled there from params and the energy is
+    evaluated there: the folded gradients and quadratures give the full
+    box's values of the even fields, summed in another order.  The fields
+    and sums equal those of bump_sum_field, energy and interaction_term on
+    that part exactly.
     """
-    if fields is None:
-        if g is None:
-            g = grid_for_radius(config.R, params.lam, config.dim, config.k)
-        fields = ansatz_fields(U0prof, V0prof, config, g)
     U0f, ring = fields
     part = U0f.grid
-    if mu is None:
-        mu = make_potential(params)
-    muf = potential_field(part, mu)
+    muf = potential_field(part, make_potential(params))
     inter = _interaction_report(ring.overlap, config, params)
     direct = energy(U0f, Field(part, ring.W), muf, params)
     A0, A1, A2 = expansion_constants(U0prof, V0prof, params)
@@ -261,50 +249,18 @@ class EnergyBreakdown:
     main is the ansatz energy, and l_val, q_val, h_val collect the parts
     linear, quadratic, and higher-order in the corrector pair.  The split
     is nodewise algebra, so main + l_val + q_val + h_val reproduces total
-    to rounding.  The expansion constants, the potential term k A2 / R^m,
-    and the interaction sum ride along for reporting.
+    to rounding.
     """
 
-    A0: float
-    A1: float
-    A2: float
-    potential_term: float
-    interaction_sum: float
-    J_estimate: float
     main: float
     l_val: float
     q_val: float
     h_val: float
     total: float
 
-    def as_dict(self):
-        return {
-            "A0": self.A0,
-            "A1": self.A1,
-            "A2": self.A2,
-            "potential_term": self.potential_term,
-            "interaction_sum": self.interaction_sum,
-            "J_estimate": self.J_estimate,
-            "main": self.main,
-            "l_val": self.l_val,
-            "q_val": self.q_val,
-            "h_val": self.h_val,
-            "total": self.total,
-        }
-
-
-def _grad_quad(a: Field, b: Field) -> float:
-    """Sum over axes of int (d_ax a)(d_ax b) with the 8th-order stencil."""
-    out = 0.0
-    for ax in range(a.grid.dim):
-        out += quad_product(grad8(a, ax), grad8(b, ax))
-    return out
-
 
 def energy_breakdown(U0f: Field, W: Field, u: Field, v: Field, mu: Field,
-                     params: ModelParams, config: BumpConfiguration,
-                     constants: tuple[float, float, float],
-                     interaction: InteractionReport) -> EnergyBreakdown:
+                     params: ModelParams) -> EnergyBreakdown:
     """Assemble the exact four-term split of the corrected energy.
 
     The linear part is kept in raw form -- the weak pairing of the ansatz
@@ -314,18 +270,17 @@ def energy_breakdown(U0f: Field, W: Field, u: Field, v: Field, mu: Field,
     energy exactly; the reduced form differs by the sampled profiles'
     discrete weak-form defect, which the tests measure separately.
     """
-    A0, A1, A2 = constants
     lam, al0 = params.lam, params.alpha0
     al1, beta = params.alpha1, params.beta
-    l_val = (_grad_quad(U0f, u) + lam * quad_product(U0f, u)
+    l_val = (inner(U0f, u, lam)
              - al0 * quad_product(U0f, U0f, U0f, u)
              - beta * quad_product(U0f, W, W, u)
-             + _grad_quad(W, v) + quad_product(mu, W, v)
+             + inner(W, v, mu)
              - al1 * quad_product(W, W, W, v)
              - beta * quad_product(U0f, U0f, W, v))
-    q_val = (0.5 * (_grad_quad(u, u) + lam * quad_product(u, u)
+    q_val = (0.5 * (inner(u, u, lam)
                     - 3.0 * al0 * quad_product(U0f, U0f, u, u))
-             + 0.5 * (_grad_quad(v, v) + quad_product(mu, v, v)
+             + 0.5 * (inner(v, v, mu)
                       - 3.0 * al1 * quad_product(W, W, v, v)))
     h_val = (-0.25 * (4.0 * al0 * quad_product(U0f, u, u, u)
                       + al0 * quad_product(u, u, u, u)
@@ -339,11 +294,6 @@ def energy_breakdown(U0f: Field, W: Field, u: Field, v: Field, mu: Field,
                              + quad_product(W, W, u, u)))
     main = energy(U0f, W, mu, params)
     total = energy(U0f + u, W + v, mu, params)
-    return EnergyBreakdown(
-        A0=A0, A1=A1, A2=A2,
-        potential_term=config.k * A2 / config.R ** params.m,
-        interaction_sum=0.5 * al1 * config.k * interaction.total,
-        J_estimate=interaction.J_exact,
-        main=main, l_val=float(l_val), q_val=float(q_val),
-        h_val=float(h_val), total=total,
-    )
+    return EnergyBreakdown(main=main, l_val=float(l_val),
+                           q_val=float(q_val), h_val=float(h_val),
+                           total=total)

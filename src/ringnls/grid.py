@@ -4,12 +4,14 @@ The computational domain is the box [-L, L]^N with uniform spacing h and
 homogeneous Dirichlet data outside the box.  Quadrature is the tensor
 trapezoid rule (boundary nodes carry half weight per axis), summed in a
 fixed pairwise order so results are bit-identical from run to run.  The
-inner products
+Dirichlet form
 
-    inner0(u, v) = int grad u . grad v + lam u v
-    inner1(u, v) = int grad u . grad v + mu(y) u v
+    inner(u, v, pot) = int grad u . grad v + pot u v,
 
-use 8th-order centered differences for the gradients: the energy
+pot a number (lam) or a nodewise potential field (mu(y)), is the one
+gradient pairing of the package: the E-norm and the energy with its
+four-term split all go through it.  It uses 8th-order centered
+differences for the gradients: the energy
 identities checked downstream need gradient quadrature errors well below
 the 1e-4 tier, which second-order differences cannot deliver at the
 default spacings.
@@ -310,38 +312,31 @@ def grad8(f: Field, ax: int) -> Field:
     return Field(g, out)
 
 
-def _grad_pairing(u: Field, v: Field, ax: int) -> float:
-    """∫ ∂u·∂v along one axis; differentiates once when v is u."""
-    gu = grad8(u, ax).data
-    gv = gu if v is u else grad8(v, ax).data
-    prod = gu * gv
-    return _pairwise_sum(_weighted(u.grid, prod, out=prod))
+def inner(u: Field, v: Field, pot) -> float:
+    """∫ ∇u·∇v + pot u v, pot a number (λ) or a nodewise Field (μ(y)).
 
-
-def inner0(u: Field, v: Field, lam: float) -> float:
-    """⟨u,v⟩_0 = ∫ ∇u·∇v + λ u v (symmetric bilinear, ≥ λ∫u² on diag)."""
+    Symmetric bilinear, ≥ min(pot) ∫u² on the diagonal; differentiates
+    once when v is u."""
     g = u.grid
-    prod = u.data * v.data
-    total = lam * _pairwise_sum(_weighted(g, prod, out=prod))
+    # a field weights the integrand, a number scales its integral
+    if isinstance(pot, Field):
+        prod, scale = pot.data * u.data * v.data, 1.0
+    else:
+        prod, scale = u.data * v.data, pot
+    total = scale * _pairwise_sum(_weighted(g, prod, out=prod))
     for ax in range(g.dim):
-        total += _grad_pairing(u, v, ax)
-    return total
-
-
-def inner1(u: Field, v: Field, mu: Field) -> float:
-    """⟨u,v⟩_1 = ∫ ∇u·∇v + μ(y) u v with a nodewise potential."""
-    g = u.grid
-    prod = _raw(mu) * u.data * v.data
-    total = _pairwise_sum(_weighted(g, prod, out=prod))
-    for ax in range(g.dim):
-        total += _grad_pairing(u, v, ax)
+        gu = grad8(u, ax).data
+        gv = gu if v is u else grad8(v, ax).data
+        prod = gu * gv
+        total += _pairwise_sum(_weighted(g, prod, out=prod))
     return total
 
 
 def norm_E(u: Field, v: Field, lam: float, mu: Field) -> float:
-    """max{‖u‖_0, ‖v‖_1}, the product-space norm of the corrector pair."""
-    n0 = math.sqrt(max(inner0(u, u, lam), 0.0))
-    n1 = math.sqrt(max(inner1(v, v, mu), 0.0))
+    """max{√inner(u, u, λ), √inner(v, v, μ)}, the product-space norm of
+    the corrector pair."""
+    n0 = math.sqrt(max(inner(u, u, lam), 0.0))
+    n1 = math.sqrt(max(inner(v, v, mu), 0.0))
     return max(n0, n1)
 
 

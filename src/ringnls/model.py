@@ -16,7 +16,7 @@ whose radius R grows like (m/2π) k log k.  This module fixes the exponent
 bookkeeping behind that statement: the decay-rate parameter τ0, the
 window half-width δ0, the contraction rate p, and the admissible radius
 interval S_k.  It also validates candidate potentials against (A) and
-computes the coupling budget f0 = safety/γ0 that bounds |β|.
+computes the coupling budget f0 = SAFETY/γ0 that bounds |β|.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_SAFETY = 0.9
+SAFETY = 0.9  # f0 = SAFETY/γ0 keeps |β| strictly below 1/γ0
 
 
 @dataclass(frozen=True)
@@ -259,26 +259,14 @@ class CouplingBudget:
     """Saturation level γ0 and the admissible coupling bound f0."""
 
     gamma0: float
-    gamma0_crude: float
     f0: float
-    safety: float = DEFAULT_SAFETY
 
 
-def compute_gamma0_f0(u0_field, bump_sum_field, decay_const: float,
-                      safety: float = DEFAULT_SAFETY) -> CouplingBudget:
-    """Measure γ0 = sup max{U0², (ΣV_i)²} and the bound f0 = safety/γ0.
-
-    The crude variant replaces the measured bump-sum peak with the 7M
-    envelope from the tail lemma and is reported alongside for
-    comparison; f0 always uses the measured γ0.
-    """
-    if not 0 < safety < 1:
-        raise ValueError(f"safety must lie in (0, 1), got {safety}")
+def compute_gamma0_f0(u0_field, bump_sum_field) -> CouplingBudget:
+    """Measure γ0 = sup max{U0², (ΣV_i)²} and the bound f0 = SAFETY/γ0."""
     sup_u = float(np.max(np.abs(u0_field))) if np.size(u0_field) else 0.0
     sup_w = float(np.max(np.abs(bump_sum_field))) if np.size(bump_sum_field) else 0.0
     gamma0 = max(sup_u, sup_w) ** 2
     if gamma0 <= 0:
         raise ValueError("gamma0 vanished: both fields are identically zero")
-    gamma0_crude = max(sup_u, 7.0 * decay_const) ** 2
-    return CouplingBudget(gamma0=gamma0, gamma0_crude=gamma0_crude,
-                          f0=safety / gamma0, safety=safety)
+    return CouplingBudget(gamma0=gamma0, f0=SAFETY / gamma0)

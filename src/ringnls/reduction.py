@@ -20,8 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corrector import CorrectorInputs, build_inputs, fixed_point_iterate
-from .energy import (EnergyBreakdown, _interaction_report, energy_breakdown,
-                     expansion_constants)
+from .energy import EnergyBreakdown, energy_breakdown
 from .grid import Field, laplacian, quad_product
 from .model import ModelParams, bump_radius_interval, derive_exponents
 
@@ -34,14 +33,6 @@ class ReducedEnergySample:
     F: float
     breakdown: EnergyBreakdown
     corrector: dict
-
-    def as_dict(self) -> dict:
-        return {
-            "R": self.R,
-            "F": self.F,
-            "breakdown": self.breakdown.as_dict(),
-            "corrector": self.corrector,
-        }
 
 
 @dataclass
@@ -81,8 +72,7 @@ def reduced_energy(inputs: CorrectorInputs, params: ModelParams,
 
     k and R are read from ``inputs.config``.  Runs the corrector fixed
     point on ``inputs`` with at most max_iter steps (propagating its
-    divergence error), then computes the energy of the corrected pair,
-    with the overlap sum that build_inputs assembled on the same grid,
+    divergence error), then computes the energy of the corrected pair
     both directly and through the four-term decomposition, and insists
     the two agree to 1e-10 relative.
     """
@@ -90,12 +80,8 @@ def reduced_energy(inputs: CorrectorInputs, params: ModelParams,
         raise ValueError(f"reduced energy needs a ring, got k = "
                          f"{inputs.config.k}")
     res = fixed_point_iterate(inputs, params, tol=tol, max_iter=max_iter)
-    constants = expansion_constants(inputs.u0_profile, inputs.v0_profile,
-                                    params)
-    interaction = _interaction_report(inputs.overlap, inputs.config, params)
     breakdown = energy_breakdown(inputs.U0f, inputs.W, res.u, res.v,
-                                 inputs.mu, params, inputs.config,
-                                 constants, interaction)
+                                 inputs.mu, params)
     split = (breakdown.main + breakdown.l_val + breakdown.q_val
              + breakdown.h_val)
     defect = abs(breakdown.total - split)
@@ -119,7 +105,9 @@ def maximize_over_Sk(k: int, params: ModelParams, n_coarse: int = 9,
     refinement bracketed at the best node, to radius tolerance tol_R.
     Returns (R0, ScanReport); the report flags whether R0 is interior
     (strictly between the second and second-to-last coarse nodes).  An
-    endpoint maximum skips refinement and is reported as non-interior.
+    endpoint maximum skips refinement and is reported as non-interior; a
+    plateau, the best node tied with its right neighbour, skips it too
+    and keeps the node.  Errors of the evaluations propagate.
 
     By default each evaluation builds the CorrectorInputs at that radius
     on the grid set by h and L and runs reduced_energy on it with tol and
@@ -148,25 +136,21 @@ def maximize_over_Sk(k: int, params: ModelParams, n_coarse: int = 9,
 
     values = [evaluate(float(r)) for r in nodes]
     i_best = int(np.argmax(values))
+    R0 = float(nodes[i_best])
 
-    if 0 < i_best < n_coarse - 1:
+    # the first argmax lies strictly above its left neighbour, so the tie
+    # with its right one is the only bracket the golden search rejects
+    if (0 < i_best < n_coarse - 1
+            and values[i_best + 1] != values[i_best]):
         bracket = (float(nodes[i_best - 1]), float(nodes[i_best]),
                    float(nodes[i_best + 1]))
         # imported here so that only a refining scan loads scipy.optimize
         from scipy.optimize import minimize_scalar
 
-        try:
-            opt = minimize_scalar(lambda R: -evaluate(R), bracket=bracket,
-                                  method="golden",
-                                  options={"xtol": tol_R})
-            R0, F0 = float(opt.x), float(-opt.fun)
-        except ValueError:
-            # defective bracket (plateau at the coarse level): keep the node
-            R0, F0 = float(nodes[i_best]), values[i_best]
-        if values[i_best] > F0:
-            R0, F0 = float(nodes[i_best]), values[i_best]
-    else:
-        R0 = float(nodes[i_best])
+        opt = minimize_scalar(lambda R: -evaluate(R), bracket=bracket,
+                              method="golden", options={"xtol": tol_R})
+        if -opt.fun >= values[i_best]:
+            R0 = float(opt.x)
 
     report.interior = bool(nodes[1] < R0 < nodes[n_coarse - 2])
     return R0, report

@@ -66,7 +66,7 @@ def divergent_k16():
     base = ModelParams()
     R = mid_radius(16, base.m, base.theta)
     inputs = build_inputs(16, R, base)
-    params = replace(base, beta=0.5 * inputs.budget.f0)
+    params = replace(base, beta=0.5 * inputs.f0)
     outcome = {"params": params, "inputs": inputs, "R": R,
                "result": None, "error": None}
     with warnings.catch_warnings():

@@ -219,6 +219,19 @@ def test_corrector_failure_record_and_cleanup(tmp_path):
     assert (out / "summary.json").exists()
 
 
+def test_failed_run_removes_stale_summary(tmp_path):
+    # a run that fails by an exception leaves no earlier run's summary
+    # beside its own failure record
+    out = tmp_path / "run"
+    assert main(["ground-state", "--out", str(out)]) == 0
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text("k = 2\nR = 12\nh = 0.5\nbeta = 10\n")
+    assert main(["corrector", "--config", str(cfg),
+                 "--out", str(out)]) == 1
+    assert (out / "failure.json").exists()
+    assert not (out / "summary.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # corrector pipeline end to end
 
@@ -443,7 +456,7 @@ def test_reduce_resolves_beta_without_corrector_inputs(tmp_path,
     assert run("reduce", config) == 1
     params = ModelParams()
     f0 = build_inputs(2, mid_radius(2, params.m, params.theta), params,
-                      h=0.5).budget.f0
+                      h=0.5).f0
     assert seen == [0.5 * f0]
 
 
@@ -480,7 +493,7 @@ def test_expansion_run_artifacts(tmp_path, monkeypatch, beta_line):
             assert beta == 0.07
         else:
             f0 = build_inputs(int(row["k"]), float(row["R"]), ModelParams(),
-                              h=0.5).budget.f0
+                              h=0.5).f0
             assert beta == 0.5 * f0
 
 

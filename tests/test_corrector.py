@@ -757,7 +757,7 @@ def test_fixed_point_converges_in_window_k16_m2():
     base = ModelParams(m=2.0)
     R = mid_radius(16, base.m, base.theta)
     inputs = build_inputs(16, R, base, h=0.25)
-    params = replace(base, beta=0.5 * inputs.budget.f0)
+    params = replace(base, beta=0.5 * inputs.f0)
     res = fixed_point_iterate(inputs, params)
     assert res.converged
     assert res.iterations == 6
@@ -1022,7 +1022,7 @@ def test_one_minres_pass_per_solve_while_diverging(monkeypatch):
     base = ModelParams()
     inputs = build_inputs(16, mid_radius(16, base.m, base.theta), base,
                           h=0.5)
-    params = ModelParams(beta=0.5 * inputs.budget.f0)
+    params = ModelParams(beta=0.5 * inputs.f0)
     with pytest.raises(CorrectorDivergence):
         fixed_point_iterate(inputs, params)
     assert len(passes) >= 6
@@ -1036,7 +1036,7 @@ def test_no_warm_start_while_diverging(monkeypatch):
     base = ModelParams()
     inputs = build_inputs(16, mid_radius(16, base.m, base.theta), base,
                           h=0.5)
-    params = ModelParams(beta=0.5 * inputs.budget.f0)
+    params = ModelParams(beta=0.5 * inputs.f0)
     with pytest.raises(CorrectorDivergence):
         fixed_point_iterate(inputs, params)
     assert len(starts) >= 3

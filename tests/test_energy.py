@@ -7,10 +7,11 @@ import math
 import numpy as np
 import pytest
 
-from ringnls.energy import (check_ksum_bound, draw_sector_samples, energy,
-                            energy_breakdown, expansion_compare,
-                            expansion_constants, interaction_term,
-                            potential_field)
+from ringnls import energy as energy_module
+from ringnls.energy import (ansatz_fields, check_ksum_bound,
+                            draw_sector_samples, energy, energy_breakdown,
+                            expansion_compare, expansion_constants,
+                            interaction_term, potential_field)
 from ringnls.geometry import (bump_centers, bump_cubes_field, bump_sum_field,
                               radial_field, ring_fields)
 from ringnls.grid import (Field, grid_for_radius, make_grid, quad,
@@ -289,13 +290,23 @@ def test_draw_sector_samples_deterministic():
     assert np.all(sector_membership(a, cfg) == 1)
 
 
-def test_expansion_compare_decoupled_limit(townes):
+def _compare(prof, cfg, p, g=None):
+    """expansion_compare on the fields ansatz_fields builds on g (by
+    default grid_for_radius's part for the ring)."""
+    if g is None:
+        g = grid_for_radius(cfg.R, p.lam, cfg.dim, cfg.k)
+    return expansion_compare(prof, prof, cfg, p,
+                             ansatz_fields(prof, prof, cfg, g))
+
+
+def test_expansion_compare_decoupled_limit(townes, monkeypatch):
     # beta = 0 and a flat potential decouple the species; at d = 24 the
     # overlaps are invisible and the direct energy is A0 + 2 A1 up to the
     # kinetic stencil bias (~4e-7 relative)
     p = ModelParams(beta=0.0)
-    rep = expansion_compare(townes, townes, bump_centers(2, 12.0, 2), p,
-                            mu=_flat_potential(1.0))
+    monkeypatch.setattr(energy_module, "make_potential",
+                        lambda params: _flat_potential(1.0))
+    rep = _compare(townes, bump_centers(2, 12.0, 2), p)
     target = 3.0 * TOWNES_A0
     assert abs(rep.direct - target) / target < 1e-6
 
@@ -304,7 +315,7 @@ def test_expansion_compare_internal_consistency(townes):
     p = ModelParams(beta=0.05)
     k = 12
     cfg = bump_centers(k, mid_radius(k, p.m, p.theta), 2)
-    rep = expansion_compare(townes, townes, cfg, p)
+    rep = _compare(townes, cfg, p)
     model = rep.A0 + k * (rep.A1 + rep.A2 / cfg.R ** p.m) - rep.interaction_sum
     assert rep.model == pytest.approx(model, rel=1e-13)
     assert rep.rho == abs(rep.direct - rep.model) / k
@@ -323,7 +334,7 @@ def test_expansion_compare_matches_separate_passes(townes, k):
     cfg = bump_centers(k, mid_radius(k, p.m, p.theta), 2)
     part = grid_for_radius(cfg.R, p.lam, 2, k, h=0.25)
     g = part.with_mirrored(())
-    rep = expansion_compare(townes, townes, cfg, p, g=part)
+    rep = _compare(townes, cfg, p, g=part)
     W = bump_sum_field(part, townes, cfg)
     direct = energy(radial_field(part, townes), W,
                     potential_field(part, make_potential(p)), p)
@@ -369,13 +380,9 @@ def test_breakdown_identity_exact(townes):
     W = unfold(bump_sum_field(part, townes, cfg))
     mu = potential_field(g, make_potential(p))
     u, v = _synthetic_pair(g)
-    constants = expansion_constants(townes, townes, p)
-    inter = interaction_term(townes, cfg, p, g=part)
-    bd = energy_breakdown(U0f, W, u, v, mu, p, cfg, constants, inter)
+    bd = energy_breakdown(U0f, W, u, v, mu, p)
     lhs = bd.main + bd.l_val + bd.q_val + bd.h_val
     assert abs(bd.total - lhs) <= 1e-12 * abs(bd.total)
-    assert bd.potential_term == pytest.approx(
-        cfg.k * constants[2] / cfg.R ** p.m, rel=1e-14)
 
 
 def test_breakdown_linear_term_matches_reduced_form(townes):
@@ -391,9 +398,7 @@ def test_breakdown_linear_term_matches_reduced_form(townes):
     cubes = unfold(bump_cubes_field(part, townes, cfg))
     mu = potential_field(g, make_potential(p))
     u, v = _synthetic_pair(g)
-    constants = expansion_constants(townes, townes, p)
-    inter = interaction_term(townes, cfg, p, g=part)
-    bd = energy_breakdown(U0f, W, u, v, mu, p, cfg, constants, inter)
+    bd = energy_breakdown(U0f, W, u, v, mu, p)
     reduced = (quad_product(mu - 1.0, W, v)
                + p.alpha1 * (quad_product(cubes, v)
                              - quad_product(W, W, W, v))
@@ -416,9 +421,7 @@ def test_breakdown_identity_three_dimensional():
                                       + mesh[1] ** 2 + mesh[2] ** 2)))
     v = Field(g, 0.06 * np.exp(-0.4 * (mesh[0] ** 2 + (mesh[1] + 0.3) ** 2
                                        + mesh[2] ** 2)))
-    constants = expansion_constants(prof, prof, p)
-    inter = interaction_term(prof, cfg, p, g=part)
-    bd = energy_breakdown(U0f, W, u, v, mu, p, cfg, constants, inter)
+    bd = energy_breakdown(U0f, W, u, v, mu, p)
     lhs = bd.main + bd.l_val + bd.q_val + bd.h_val
     assert abs(bd.total - lhs) <= 1e-12 * abs(bd.total)
 

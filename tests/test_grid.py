@@ -168,7 +168,7 @@ def test_weak_form_identity():
     p = radial.ground_state(1.0, 1.0, 2)
     g = grid.make_grid(2, 20.0, 0.125)   # the padding of a ring at R = 0
     U0 = grid.sample(g, lambda a, b: radial.eval_profile(p, np.hypot(a, b)))
-    lhs = grid.inner0(U0, U0, 1.0)
+    lhs = grid.inner(U0, U0, 1.0)
     rhs = grid.quad_product(U0, U0, U0, U0)
     assert abs(lhs - rhs) < 1e-4 * abs(rhs)
     assert abs(lhs - rhs) < 1e-5 * abs(rhs)  # measured ~2e-7
@@ -178,11 +178,11 @@ def test_inner_products_symmetry_and_coincidence():
     g = grid.make_grid(2, 4.0, 0.25)
     u = grid.sample(g, lambda a, b: np.exp(-(a * a + b * b)))
     v = grid.sample(g, lambda a, b: a * b * np.exp(-(a * a + b * b)))
-    assert grid.inner0(u, v, 1.3) == grid.inner0(v, u, 1.3)
+    assert grid.inner(u, v, 1.3) == grid.inner(v, u, 1.3)
 
     mu = grid.sample(g, lambda a, b: 1.3 * ones_like(a, b))
-    i1 = grid.inner1(u, v, mu)
-    i0 = grid.inner0(u, v, 1.3)
+    i1 = grid.inner(u, v, mu)
+    i0 = grid.inner(u, v, 1.3)
     assert i1 == pytest.approx(i0, rel=1e-13)
 
 
@@ -191,8 +191,8 @@ def test_inner0_positive_definite():
     rng = np.random.default_rng(5)
     for _ in range(5):
         u = grid.Field(g, rng.standard_normal(g.shape))
-        assert grid.inner0(u, u, 0.7) > 0.0
-    assert grid.inner0(grid.zeros(g), grid.zeros(g), 0.7) == 0.0
+        assert grid.inner(u, u, 0.7) > 0.0
+    assert grid.inner(grid.zeros(g), grid.zeros(g), 0.7) == 0.0
 
 
 def test_norm_e():
@@ -201,7 +201,7 @@ def test_norm_e():
     z = grid.zeros(g)
     mu = grid.sample(g, lambda a, b: 1.0 + 0.5 * np.exp(-a * a - b * b))
     assert grid.norm_E(z, z, 1.0, mu) == 0.0
-    assert grid.norm_E(u, z, 1.0, mu) == math.sqrt(grid.inner0(u, u, 1.0))
+    assert grid.norm_E(u, z, 1.0, mu) == math.sqrt(grid.inner(u, u, 1.0))
     assert grid.norm_E(2.0 * u, 2.0 * z, 1.0, mu) \
         == 2.0 * grid.norm_E(u, z, 1.0, mu)
 
@@ -422,7 +422,7 @@ def test_folded_operations_match_full_grid(dim, k):
         == pytest.approx((2.0 * g.L) ** dim, rel=1e-13)
     _close(grid.quad_product(fu, fv), grid.quad_product(u, v))
     _close(grid.quad_product(fu, fv, fmu), grid.quad_product(u, v, mu))
-    _close(grid.inner1(fu, fv, fmu), grid.inner1(u, v, mu))
+    _close(grid.inner(fu, fv, fmu), grid.inner(u, v, mu))
     _close(grid.norm_E(fu, fv, 1.0, fmu), grid.norm_E(u, v, 1.0, mu))
     _close(grid.norm_E(fv, fu, 0.5, fmu), grid.norm_E(v, u, 0.5, mu))
 

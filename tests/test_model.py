@@ -130,14 +130,12 @@ def test_validate_potential_flags_negative_dip():
 def test_compute_gamma0_f0_arithmetic():
     u0 = np.array([0.0, 1.0, 2.0])
     bumps = np.array([0.5, 0.25, 0.0])
-    out = model.compute_gamma0_f0(u0, bumps, decay_const=1.0, safety=0.5)
+    out = model.compute_gamma0_f0(u0, bumps)
     assert out.gamma0 == pytest.approx(4.0)
-    assert out.f0 == pytest.approx(0.125)
-    assert out.gamma0_crude == pytest.approx(49.0)  # max(2, 7*1)^2
+    assert out.f0 == pytest.approx(0.225)
     assert out.f0 * out.gamma0 < 1.0
 
-    zero = model.compute_gamma0_f0(np.zeros(3), bumps, decay_const=0.1,
-                                   safety=0.9)
+    zero = model.compute_gamma0_f0(np.zeros(3), bumps)
     assert zero.gamma0 == pytest.approx(0.25)
 
 
@@ -147,7 +145,7 @@ def test_compute_gamma0_f0_townes_scale():
     prof = radial.ground_state(1.0, 1.0, 2)
     u0 = prof.values
     bumps = 1e-3 * prof.values
-    out = model.compute_gamma0_f0(u0, bumps, prof.decay_const, safety=0.9)
+    out = model.compute_gamma0_f0(u0, bumps)
     assert out.gamma0 == pytest.approx(prof.peak ** 2, rel=1e-12)
     assert out.gamma0 == pytest.approx(4.867, abs=2e-3)
     assert out.f0 == pytest.approx(0.9 / 4.867, rel=1e-3)

@@ -42,9 +42,7 @@ def test_reduced_energy_identity_at_converged_radius(corr_k2):
     assert sample.corrector["iterations"] <= 15
     # frozen regression for the reduced value itself
     assert abs(sample.F - 18.52475978) < 1e-4
-    d = sample.as_dict()
-    assert d["R"] == 12.0
-    assert d["breakdown"]["total"] == bd.total
+    assert sample.R == 12.0
 
 
 def test_reduced_energy_identity_uncoupled(corr_k3):
@@ -66,28 +64,20 @@ def test_reduced_energy_passes_max_iter(corr_k2):
     assert not sample.corrector["converged"]
 
 
-def test_reduced_energy_reuses_build_inputs_overlap(monkeypatch):
-    """reduced_energy reports the overlap sum that build_inputs assembled,
-    bit for bit the report interaction_term computes on the same grid,
-    and the profile is evaluated once per H+-orbit of bumps per radius."""
-    from ringnls import geometry, reduction
-    from ringnls.energy import interaction_term
+def test_reduced_energy_evaluates_profile_once_per_orbit(monkeypatch):
+    """One radius of reduced_energy, its inputs included, evaluates the
+    profile once for U0 and once per H+-orbit of bumps: the energy split
+    assembles no field of its own."""
+    from ringnls import geometry
 
     evals = []
-    reports = []
     eval_profile = geometry.eval_profile
-    energy_breakdown = reduction.energy_breakdown
 
     def counted(*args, **kwargs):
         evals.append(1)
         return eval_profile(*args, **kwargs)
 
-    def captured(*args):
-        reports.append(args[-1])
-        return energy_breakdown(*args)
-
     monkeypatch.setattr(geometry, "eval_profile", counted)
-    monkeypatch.setattr(reduction, "energy_breakdown", captured)
     params = ModelParams(beta=0.0)
     inputs = build_inputs(3, 11.0, params, h=0.5)
     with warnings.catch_warnings():
@@ -97,9 +87,6 @@ def test_reduced_energy_reuses_build_inputs_overlap(monkeypatch):
     # on y2: {1}, {2} and {3} at k = 3
     assert len(geometry._ring_orbits(3)) == 3
     assert len(evals) == 1 + 3
-    monkeypatch.undo()
-    assert reports == [interaction_term(inputs.v0_profile, inputs.config,
-                                        params, g=inputs.g)]
 
 
 def _golden_max(f, lo: float, hi: float, tol: float) -> float:
@@ -153,6 +140,39 @@ def test_maximize_endpoint_flagged_not_interior():
     lo, _hi = bump_radius_interval(16, params.m, delta0)
     assert R0 == lo
     assert not report.interior
+    assert report.evaluations == 9
+
+
+def test_maximize_refinement_propagates_objective_errors():
+    # a pipeline error during the golden refinement (here at every radius
+    # off the coarse nodes) must surface, not return the coarse node
+    params = ModelParams()
+    delta0 = derive_exponents(params.m, params.theta).delta0
+    nodes = set(np.linspace(*bump_radius_interval(16, params.m, delta0), 9))
+    peak = sorted(nodes)[4] + 0.1
+
+    def objective(R: float) -> float:
+        if R not in nodes:
+            raise ValueError("|beta| >= f0 at a refined radius")
+        return -(R - peak) ** 2
+
+    with pytest.raises(ValueError, match="refined radius"):
+        maximize_over_Sk(16, params, objective=objective)
+
+
+def test_maximize_plateau_keeps_coarse_node():
+    # the best node tied with its right neighbour is no bracket: the scan
+    # keeps the node without refining
+    params = ModelParams()
+    delta0 = derive_exponents(params.m, params.theta).delta0
+    nodes = np.linspace(*bump_radius_interval(16, params.m, delta0), 9)
+
+    def objective(R: float) -> float:
+        return -max(abs(R - nodes[4]), abs(R - nodes[5]))
+
+    R0, report = maximize_over_Sk(16, params, objective=objective)
+    assert R0 == nodes[4]
+    assert report.interior
     assert report.evaluations == 9
 
 

@@ -6,9 +6,11 @@ from __future__ import annotations
 
 import importlib
 import importlib.util
+import warnings
 from pathlib import Path
 
 import ringnls.corrector as corrector
+from ringnls.cli import RunConfig, run
 from ringnls.grid import zeros
 from ringnls.model import ModelParams
 
@@ -53,3 +55,22 @@ def test_tracer_sees_every_krylov_iteration():
     assert count.n > 0
     assert tracer.counts[spans.KRYLOV] == count.n
     assert len(passes) == 1
+
+
+def test_tracer_records_energy_and_assembly_of_expansion(tmp_path):
+    # a tiny expansion run with the tracer installed: the energy of the
+    # ansatz and the assembly of its fields must still show as spans
+    spans = _load_spans()
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            status = run("expansion", RunConfig(ks="6", h=0.5,
+                                                out=str(tmp_path)))
+    finally:
+        tracer.uninstall()
+    assert status == 0
+    names = {s[0] for s in tracer.spans}
+    assert {"energy.expansion_compare", "energy.energy",
+            "geometry.assembly"} <= names
