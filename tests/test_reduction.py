@@ -119,14 +119,13 @@ def test_maximize_surrogate_matches_independent_golden():
         return TOWNES_A2 / R - c * math.exp(-2.0 * math.pi * R / k) \
             * math.sqrt(k / R)
 
-    R0, report = maximize_over_Sk(k, params, objective=g_of_R)
+    R0, report = maximize_over_Sk(g_of_R, k, params)
     delta0 = derive_exponents(params.m, params.theta).delta0
     lo, hi = bump_radius_interval(k, params.m, delta0)
     ref = _golden_max(g_of_R, lo, hi, 2e-4)
     assert abs(R0 - ref) < 1e-3
     assert report.interior
     assert report.evaluations == len(report.samples)
-    assert report.records == []
     assert lo <= R0 <= hi
     # the reported best value is the best value seen
     best = max(f for _, f in report.samples)
@@ -135,7 +134,7 @@ def test_maximize_surrogate_matches_independent_golden():
 
 def test_maximize_endpoint_flagged_not_interior():
     params = ModelParams()
-    R0, report = maximize_over_Sk(16, params, objective=lambda R: 1.0 / R)
+    R0, report = maximize_over_Sk(lambda R: 1.0 / R, 16, params)
     delta0 = derive_exponents(params.m, params.theta).delta0
     lo, _hi = bump_radius_interval(16, params.m, delta0)
     assert R0 == lo
@@ -157,7 +156,7 @@ def test_maximize_refinement_propagates_objective_errors():
         return -(R - peak) ** 2
 
     with pytest.raises(ValueError, match="refined radius"):
-        maximize_over_Sk(16, params, objective=objective)
+        maximize_over_Sk(objective, 16, params)
 
 
 def test_maximize_plateau_keeps_coarse_node():
@@ -170,16 +169,38 @@ def test_maximize_plateau_keeps_coarse_node():
     def objective(R: float) -> float:
         return -max(abs(R - nodes[4]), abs(R - nodes[5]))
 
-    R0, report = maximize_over_Sk(16, params, objective=objective)
+    R0, report = maximize_over_Sk(objective, 16, params)
     assert R0 == nodes[4]
     assert report.interior
     assert report.evaluations == 9
 
 
+def test_maximize_evaluates_each_radius_once():
+    # the golden search asks again for its bracket nodes and centre; F is
+    # called once per distinct radius, and the search path, which reads
+    # only the returned values, lands on the same R0 bit for bit
+    params = ModelParams(m=2.0)
+    lo, hi = bump_radius_interval(
+        16, params.m, derive_exponents(params.m, params.theta).delta0)
+    c = lo + 0.43 * (hi - lo)
+    calls = []
+
+    def objective(R: float) -> float:
+        calls.append(R)
+        return -(R - c) ** 2
+
+    R0, report = maximize_over_Sk(objective, 16, params)
+    assert len(calls) == 17
+    assert len(set(calls)) == 17
+    assert report.evaluations == 17
+    assert [R for R, _ in report.samples] == calls
+    assert R0 == 14.089662234833096
+    assert report.interior
+
+
 def test_maximize_rejects_sparse_scan():
     with pytest.raises(ValueError, match="coarse"):
-        maximize_over_Sk(16, ModelParams(), n_coarse=5,
-                         objective=lambda R: -R)
+        maximize_over_Sk(lambda R: -R, 16, ModelParams(), n_coarse=5)
 
 
 def test_single_species_residual_refinement():
