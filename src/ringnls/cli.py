@@ -49,12 +49,10 @@ from .corrector import (CorrectorDivergence, LinearSolveStalled, build_inputs,
                         fixed_point_iterate)
 from .energy import (ansatz_fields, check_ksum_bound, draw_sector_samples,
                      expansion_compare)
-from .geometry import (BumpConfiguration, bump_centers, bump_sum_field,
-                       radial_field)
-from .grid import Grid, dump_field, grid_for_radius, quad_product
+from .geometry import bump_centers, bump_sum_field, radial_field
+from .grid import dump_field, grid_for_radius, quad_product
 from .model import (ModelParams, bump_radius_interval, compute_gamma0_f0,
-                    default_sample_radii, derive_exponents, make_potential,
-                    mid_radius, validate_potential)
+                    mid_radius)
 from .radial import dump_profile_csv, ground_state
 from .reduction import assemble_solution, maximize_over_Sk, reduced_energy
 
@@ -72,7 +70,6 @@ class RunConfig:
     beta: float | None = None     # default: f0/2, resolved at run time
     a: float = 1.0
     m: float = 1.0
-    theta: float = 2.0
     dim: int = 2
     k: int = 16
     R: float | None = None        # default: mid-window radius for k
@@ -89,8 +86,8 @@ class RunConfig:
     seed: int = 0
 
 
-_FLOAT_KEYS = {"lam", "alpha0", "alpha1", "beta", "a", "m", "theta",
-               "R", "L", "h", "tol", "tol_R"}
+_FLOAT_KEYS = {"lam", "alpha0", "alpha1", "beta", "a", "m", "R", "L", "h",
+               "tol", "tol_R"}
 _INT_KEYS = {"dim", "k", "max_iter", "n_coarse", "n_samples", "seed"}
 _STR_KEYS = {"ks", "etas", "out"}
 
@@ -144,16 +141,10 @@ def parse_config(text: str) -> RunConfig:
         raise ValueError(f"dim must be 1, 2 or 3, got {config.dim}")
     # parameter-level validation through the model record (dim = 1 runs
     # only touch the radial solver, so a planar probe stands in)
-    params = ModelParams(
+    ModelParams(
         lam=config.lam, alpha0=config.alpha0, alpha1=config.alpha1,
-        beta=0.0, a=config.a, m=config.m, theta=config.theta,
+        beta=0.0, a=config.a, m=config.m,
         dim=config.dim if config.dim in (2, 3) else 2)
-    delta0 = derive_exponents(config.m, config.theta).delta0
-    report = validate_potential(
-        make_potential(params), config.a, config.m, config.theta,
-        default_sample_radii(max(config.k, 2), config.m, delta0))
-    if not report.passed:
-        raise ValueError(f"potential fails assumption (A): {report.message}")
     for key in ("tol", "tol_R"):
         if getattr(config, key) <= 0:
             raise ValueError(f"{key} must be positive, "
@@ -234,32 +225,17 @@ def _base_params(config: RunConfig) -> ModelParams:
     """Model record with a placeholder beta = 0 (fields ignore beta)."""
     return ModelParams(
         lam=config.lam, alpha0=config.alpha0, alpha1=config.alpha1,
-        beta=0.0, a=config.a, m=config.m, theta=config.theta,
-        dim=config.dim)
+        beta=0.0, a=config.a, m=config.m, dim=config.dim)
 
 
 def _resolve_beta(config: RunConfig, f0: float | None) -> float:
     return 0.5 * f0 if config.beta is None else config.beta
 
 
-def _ring_f0(config: RunConfig, g: Grid, ring: BumpConfiguration) -> float:
-    """The coupling bound f0 that build_inputs reports for this ring on g.
-
-    f0 depends only on the suprema of U0 and W = Sigma V_i, so only those
-    two fields are assembled, as build_inputs assembles them, on g, the
-    part of the box folded on mirror_axes(k), where the suprema are those
-    of the box.
-    """
-    v0 = ground_state(1.0, config.alpha1, config.dim)
-    U0f = radial_field(g, ground_state(config.lam, config.alpha0, config.dim))
-    W = bump_sum_field(g, v0, ring)
-    return compute_gamma0_f0(U0f.data, W.data).f0
-
-
 def _radius_for(config: RunConfig, k: int) -> float:
     if config.R is not None:
         return config.R
-    return mid_radius(k, config.m, config.theta)
+    return mid_radius(k, config.m)
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +302,7 @@ def _run_bounds(config: RunConfig, out: Path):
     worst = 0.0
     all_pass = True
     for k in ks:
-        R = mid_radius(k, config.m, config.theta)
+        R = mid_radius(k, config.m)
         cfg_k = bump_centers(k, R, config.dim)
         pts = draw_sector_samples(cfg_k, config.n_samples, rng)
         for eta in etas:
@@ -461,16 +437,17 @@ def _run_corrector(config: RunConfig, out: Path):
 def _maximize(config: RunConfig, out: Path):
     """Resolve beta, maximize F over S_k and write the scan CSVs.
 
-    F(R) builds the corrector inputs at R on the grid set by h and L and
-    runs reduced_energy with tol and max_iter; the search calls it once
-    per distinct radius, and each ReducedEnergySample it returns is kept
-    for scan_terms.csv, one row per scan.csv row.
+    f0 is the one build_inputs reports at the mid-window radius, the
+    route the corrector subcommand takes.  F(R) builds the corrector
+    inputs at R on the grid set by h and L and runs reduced_energy with
+    tol and max_iter; the search calls it once per distinct radius, and
+    each ReducedEnergySample it returns is kept for scan_terms.csv, one
+    row per scan.csv row.
     """
     params0 = _base_params(config)
     k = config.k
-    R = mid_radius(k, config.m, config.theta)
-    g = grid_for_radius(R, config.lam, config.dim, k, h=config.h, L=config.L)
-    f0 = _ring_f0(config, g, bump_centers(k, R, config.dim))
+    f0 = build_inputs(k, mid_radius(k, config.m), params0, h=config.h,
+                      L=config.L).f0
     beta = _resolve_beta(config, f0)
     params = replace(params0, beta=beta)
     records = []
@@ -481,7 +458,7 @@ def _maximize(config: RunConfig, out: Path):
                                       max_iter=config.max_iter))
         return records[-1].F
 
-    R0, report = maximize_over_Sk(F, k, params, n_coarse=config.n_coarse,
+    R0, report = maximize_over_Sk(F, k, config.m, n_coarse=config.n_coarse,
                                   tol_R=config.tol_R)
     _atomic_write(out / "scan.csv", _csv_text(
         ("R", "F"), [(float(r), float(f)) for r, f in report.samples]))
@@ -497,9 +474,7 @@ def _maximize(config: RunConfig, out: Path):
 
 def _run_reduce(config: RunConfig, out: Path):
     params, beta, f0, R0, report = _maximize(config, out)
-    lo, hi = bump_radius_interval(
-        config.k, config.m,
-        derive_exponents(config.m, config.theta).delta0)
+    lo, hi = bump_radius_interval(config.k, config.m)
     checks = [("interior_maximizer", report.interior,
                f"R0 = {R0!r} in window [{lo!r}, {hi!r}]")]
     summary = {"k": config.k, "beta": float(beta), "f0": float(f0),

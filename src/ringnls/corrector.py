@@ -97,7 +97,7 @@ from .geometry import symmetrize as symmetrize_fast
 from .grid import (Field, Grid, grid_for_radius, laplacian,
                    laplacian_eigenvalues, norm_E, quad_product, zeros)
 from .model import (ModelParams, bump_radius_interval, compute_gamma0_f0,
-                    derive_exponents, make_potential)
+                    make_potential)
 from .radial import ground_state
 
 
@@ -719,9 +719,8 @@ def fixed_point_iterate(inputs: CorrectorInputs, params: ModelParams,
         raise ValueError(
             f"|beta| = {abs(params.beta):g} >= f0 = {inputs.f0:g}: "
             "coupling too strong for the contraction argument")
-    delta0 = derive_exponents(params.m, params.theta).delta0
     if k >= 2:
-        lo, hi = bump_radius_interval(k, params.m, delta0)
+        lo, hi = bump_radius_interval(k, params.m)
         if not lo <= Rvalue <= hi:
             warnings.warn(f"R = {Rvalue:g} outside the admissible window "
                           f"[{lo:g}, {hi:g}] for k = {k}", stacklevel=2)

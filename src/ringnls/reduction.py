@@ -25,7 +25,7 @@ import numpy as np
 from .corrector import CorrectorInputs, fixed_point_iterate
 from .energy import EnergyBreakdown, energy_breakdown
 from .grid import Field, laplacian, quad_product
-from .model import ModelParams, bump_radius_interval, derive_exponents
+from .model import ModelParams, bump_radius_interval
 
 
 @dataclass
@@ -100,9 +100,10 @@ def reduced_energy(inputs: CorrectorInputs, params: ModelParams,
                                corrector=res.as_dict())
 
 
-def maximize_over_Sk(F, k: int, params: ModelParams, n_coarse: int = 9,
+def maximize_over_Sk(F, k: int, m: float, n_coarse: int = 9,
                      tol_R: float = 2e-4) -> tuple:
-    """Maximize F, a callable R -> float, over the window S_k for k bumps.
+    """Maximize F, a callable R -> float, over the window S_k for k bumps
+    and potential decay exponent m.
 
     Coarse scan on n_coarse equispaced radii, then golden-section
     refinement bracketed at the best node, to radius tolerance tol_R.
@@ -114,12 +115,11 @@ def maximize_over_Sk(F, k: int, params: ModelParams, n_coarse: int = 9,
 
     F is called once per distinct radius: the golden search asks again
     for the bracket nodes (the centre twice) and gets the values the scan
-    already has.  params supplies only m and theta of the window.
+    already has.
     """
     if n_coarse < 9:
         raise ValueError(f"need at least 9 coarse nodes, got {n_coarse}")
-    delta0 = derive_exponents(params.m, params.theta).delta0
-    lo, hi = bump_radius_interval(k, params.m, delta0)
+    lo, hi = bump_radius_interval(k, m)
     nodes = np.linspace(lo, hi, n_coarse)
     seen: dict = {}   # R -> F(R), in evaluation order
 

@@ -64,7 +64,7 @@ def divergent_k16():
     the same single run.
     """
     base = ModelParams()
-    R = mid_radius(16, base.m, base.theta)
+    R = mid_radius(16, base.m)
     inputs = build_inputs(16, R, base)
     params = replace(base, beta=0.5 * inputs.f0)
     outcome = {"params": params, "inputs": inputs, "R": R,
@@ -95,7 +95,7 @@ def reduce_k16_attempt(divergent_k16):
         try:
             outcome["R0"], outcome["report"] = maximize_over_Sk(
                 lambda R: reduced_energy(build_inputs(16, R, params),
-                                         params).F, 16, params)
+                                         params).F, 16, params.m)
         except RuntimeError as exc:
             outcome["error"] = exc
     return outcome

@@ -69,11 +69,15 @@ def test_parse_config_rejects_bad_list():
         parse_config("ks = 6,oops")
 
 
-def test_parse_config_rejects_flat_potential():
-    # the one potential is the inverse-sqrt mu; a flat one is no longer a
-    # config choice (validate_potential refuses it, see test_model)
-    with pytest.raises(ValueError, match="unknown config key 'potential'"):
-        parse_config("potential = constant")
+@pytest.mark.parametrize("line", [
+    # the one potential is the inverse-sqrt mu, so neither a flat one nor
+    # a tail exponent other than its theta = 2 is a config choice
+    "potential = constant", "theta = 2.3",
+])
+def test_parse_config_rejects_removed_keys(line):
+    key = line.partition("=")[0].strip()
+    with pytest.raises(ValueError, match=f"unknown config key '{key}'"):
+        parse_config(line)
 
 
 @pytest.mark.parametrize("line", [
@@ -391,7 +395,7 @@ def test_max_iter_reaches_corrector(tmp_path, monkeypatch, subcommand):
     if subcommand == "solve":
         # skip the scan so the call reaches assemble_solution
         monkeypatch.setattr(cli, "maximize_over_Sk",
-                            lambda F, k, params, **kw:
+                            lambda F, k, m, **kw:
                             (3.0, reduction.ScanReport()))
     config = RunConfig(k=2, h=0.5, beta=0.01, max_iter=3,
                        out=str(tmp_path / subcommand))
@@ -415,7 +419,7 @@ def test_solve_writes_full_box_fields(tmp_path, monkeypatch):
         return solutions[-1]
 
     monkeypatch.setattr(cli, "assemble_solution", kept)
-    monkeypatch.setattr(cli, "maximize_over_Sk", lambda F, k, params, **kw:
+    monkeypatch.setattr(cli, "maximize_over_Sk", lambda F, k, m, **kw:
                         (3.0, reduction.ScanReport(samples=[(3.0, 0.0)])))
     out = tmp_path / "solve"
     config = RunConfig(k=2, h=0.5, beta=0.01, out=str(out))
@@ -440,23 +444,22 @@ def test_reduce_scan_artifacts_one_row_per_radius(tmp_path, monkeypatch):
     from types import SimpleNamespace
 
     from ringnls import cli
-    from ringnls.model import ModelParams, bump_radius_interval, \
-        derive_exponents
+    from ringnls.model import bump_radius_interval
     from ringnls.reduction import ReducedEnergySample
 
-    params = ModelParams()
-    lo, hi = bump_radius_interval(
-        2, params.m, derive_exponents(params.m, params.theta).delta0)
+    lo, hi = bump_radius_interval(2, 1.0)
     peak = lo + 0.43 * (hi - lo)
 
-    def fake_reduced_energy(R, params, **kwargs):
+    def fake_reduced_energy(inputs, params, **kwargs):
+        R = inputs.R
         F = -(R - peak) ** 2
         return ReducedEnergySample(
             R=R, F=F, breakdown=SimpleNamespace(main=F, l_val=0.0,
                                                 q_val=0.0, h_val=0.0),
             corrector={"iterations": 1, "contraction_factor": 0.0})
 
-    monkeypatch.setattr(cli, "build_inputs", lambda k, R, params, **kw: R)
+    monkeypatch.setattr(cli, "build_inputs", lambda k, R, params, **kw:
+                        SimpleNamespace(R=R, f0=0.1))
     monkeypatch.setattr(cli, "reduced_energy", fake_reduced_energy)
     out = tmp_path / "red"
     config = RunConfig(k=2, h=0.5, beta=0.01, out=str(out))
@@ -484,26 +487,33 @@ def _forbid_build_inputs(monkeypatch):
     monkeypatch.setattr(cli, "build_inputs", refuse)
 
 
-def test_reduce_resolves_beta_without_corrector_inputs(tmp_path,
-                                                       monkeypatch):
+def test_reduce_resolves_beta_from_mid_window_inputs(tmp_path,
+                                                     monkeypatch):
+    # beta = f0/2 with f0 read from the corrector inputs at the
+    # mid-window radius, the route the corrector subcommand takes; the
+    # scan's inputs then carry that beta
     from ringnls import cli
     from ringnls.corrector import build_inputs
-    from ringnls.model import ModelParams, mid_radius
+    from ringnls.model import bump_radius_interval, mid_radius
 
-    seen = []
+    calls = []
 
-    def fake_maximize(F, k, params, **kwargs):
-        seen.append(params.beta)
-        raise RuntimeError("stub scan")
+    def recorded(k, R, params, **kwargs):
+        inputs = build_inputs(k, R, params, **kwargs)
+        calls.append((R, params.beta, inputs.f0))
+        return inputs
 
-    _forbid_build_inputs(monkeypatch)
-    monkeypatch.setattr(cli, "maximize_over_Sk", fake_maximize)
+    def stub_reduced_energy(inputs, params, **kwargs):
+        raise RuntimeError("stub reduced energy")
+
+    monkeypatch.setattr(cli, "build_inputs", recorded)
+    monkeypatch.setattr(cli, "reduced_energy", stub_reduced_energy)
     config = RunConfig(k=2, h=0.5, out=str(tmp_path / "red"))
     assert run("reduce", config) == 1
-    params = ModelParams()
-    f0 = build_inputs(2, mid_radius(2, params.m, params.theta), params,
-                      h=0.5).f0
-    assert seen == [0.5 * f0]
+    (R_mid, beta_mid, f0), (R_scan, beta, _) = calls
+    assert (R_mid, beta_mid) == (mid_radius(2, 1.0), 0.0)
+    assert R_scan == bump_radius_interval(2, 1.0)[0]
+    assert beta == 0.5 * f0
 
 
 def _expansion_rows(out):

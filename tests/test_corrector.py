@@ -755,7 +755,7 @@ def test_fixed_point_converges_in_window_k16_m2():
     # q = 4 fold on the folded box takes the 6 steps it took on the full
     # grid (measured there at rho = 0.049)
     base = ModelParams(m=2.0)
-    R = mid_radius(16, base.m, base.theta)
+    R = mid_radius(16, base.m)
     inputs = build_inputs(16, R, base, h=0.25)
     params = replace(base, beta=0.5 * inputs.f0)
     res = fixed_point_iterate(inputs, params)
@@ -819,7 +819,7 @@ def seed3_rings():
     rings = {}
     for name, k, R, beta in (
             ("ring2", 2, 12.0, 0.05),
-            ("ring16", 16, mid_radius(16, base.m, base.theta),
+            ("ring16", 16, mid_radius(16, base.m),
              0.5 * 0.14650082444345194)):
         rings[name] = (build_inputs(k, R, base),
                        replace(base, beta=beta * below))
@@ -1020,7 +1020,7 @@ def test_one_minres_pass_per_solve_while_diverging(monkeypatch):
                             counted_solve(getattr(corrector, name)))
     monkeypatch.setattr(corrector, "minres", counted_minres)
     base = ModelParams()
-    inputs = build_inputs(16, mid_radius(16, base.m, base.theta), base,
+    inputs = build_inputs(16, mid_radius(16, base.m), base,
                           h=0.5)
     params = ModelParams(beta=0.5 * inputs.f0)
     with pytest.raises(CorrectorDivergence):
@@ -1034,7 +1034,7 @@ def test_no_warm_start_while_diverging(monkeypatch):
     # solve starts from zero up to the divergence error
     starts = _record_starts(monkeypatch)
     base = ModelParams()
-    inputs = build_inputs(16, mid_radius(16, base.m, base.theta), base,
+    inputs = build_inputs(16, mid_radius(16, base.m), base,
                           h=0.5)
     params = ModelParams(beta=0.5 * inputs.f0)
     with pytest.raises(CorrectorDivergence):

@@ -240,7 +240,7 @@ def test_potential_moment_deviation_shrinks(townes, params):
 
 def test_ksum_bound_midwindow(townes, params):
     k = 16
-    R = mid_radius(k, params.m, params.theta)
+    R = mid_radius(k, params.m)
     cfg = bump_centers(k, R, 2)
     rng = np.random.default_rng(11)
     pts = draw_sector_samples(cfg, 500, rng)
@@ -317,7 +317,7 @@ def test_expansion_compare_decoupled_limit(townes, monkeypatch):
 def test_expansion_compare_internal_consistency(townes):
     p = ModelParams(beta=0.05)
     k = 12
-    cfg = bump_centers(k, mid_radius(k, p.m, p.theta), 2)
+    cfg = bump_centers(k, mid_radius(k, p.m), 2)
     rep = _compare(townes, cfg, p)
     model = rep.A0 + k * (rep.A1 + rep.A2 / cfg.R ** p.m) - rep.interaction_sum
     assert rep.model == pytest.approx(model, rel=1e-13)
@@ -334,7 +334,7 @@ def test_expansion_compare_matches_separate_passes(townes, k):
     # interaction_term on that part, and the full-box energy and overlap
     # to rounding
     p = ModelParams(beta=0.05)
-    cfg = bump_centers(k, mid_radius(k, p.m, p.theta), 2)
+    cfg = bump_centers(k, mid_radius(k, p.m), 2)
     part = grid_for_radius(cfg.R, p.lam, 2, k, h=0.25)
     g = part.with_mirrored(())
     rep = _compare(townes, cfg, p, g=part)

@@ -611,7 +611,7 @@ def test_build_inputs_one_evaluation_per_orbit(monkeypatch, k, orbits):
     monkeypatch.setattr(geometry, "eval_profile_deriv",
                         counting("deriv", geometry.eval_profile_deriv))
     params = ModelParams()
-    inputs = build_inputs(k, mid_radius(k, params.m, params.theta), params,
+    inputs = build_inputs(k, mid_radius(k, params.m), params,
                           h=0.5)
     full = inputs.g.with_mirrored(())
     part = full.with_mirrored(grid.mirror_axes(k, 2))

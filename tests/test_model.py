@@ -21,119 +21,58 @@ def test_params_defaults_and_validation():
         model.ModelParams(dim=4)
     with pytest.raises(ValueError, match="assumption"):
         model.ModelParams(m=0.5)
-    with pytest.raises(ValueError):
-        model.ModelParams(theta=0.0)
     # beta of either sign is legal; only its size is constrained elsewhere
     model.ModelParams(beta=-0.3)
 
 
-def test_derive_exponents_frozen():
-    ex = model.derive_exponents(1.0, 2.0)
-    assert ex.tau0 == pytest.approx(0.75, abs=1e-15)
-    assert ex.delta0 == pytest.approx(0.0625, abs=1e-15)
-    assert ex.p == pytest.approx(0.1875, abs=1e-15)
-
-    # theta small enough to become the binding term in 4*delta0
-    ex2 = model.derive_exponents(2.0, 0.1)
-    assert ex2.tau0 == pytest.approx(0.625, abs=1e-15)
-    assert ex2.delta0 == pytest.approx(0.025, abs=1e-15)
-    assert ex2.p == pytest.approx(0.725, abs=1e-15)
-
-
-def test_derive_exponents_ranges():
-    rng = np.random.default_rng(20240817)
-    for _ in range(200):
-        m = float(rng.uniform(0.5001, 5.0))
-        theta = float(rng.uniform(1e-3, 5.0))
-        ex = model.derive_exponents(m, theta)
-        assert 0.5 < ex.tau0 < 1.0
-        assert ex.delta0 > 0.0
-        assert ex.p > 0.0
+# S_k at k in {2, 3, 8, 16, 32} and m in {1, 2, 3}: (lo, hi, mid_radius)
+_WINDOWS = {
+    (2, 1.0): (0.20684587514311087, 0.23442532516219233, 0.2206356001526516),
+    (2, 2.0): (0.43437633780053286, 0.44816606281007354, 0.4412712003053032),
+    (2, 3.0): (0.6573102254547746, 0.666503375461135, 0.6619068004579548),
+    (3, 1.0): (0.49176443329602154, 0.5573330244021577, 0.5245487288490897),
+    (3, 2.0): (1.0327053099216452, 1.0654896054747134, 1.0490974576981793),
+    (3, 3.0): (1.5627180880295795, 1.5845742850649585, 1.5736461865472688),
+    (8, 1.0): (2.4821505017173306, 2.8131039019463078, 2.647627201831819),
+    (8, 2.0): (5.212516053606394, 5.377992753720883, 5.295254403663638),
+    (8, 3.0): (7.8877227054572945, 7.998040505533621, 7.942881605495458),
+    (16, 1.0): (6.619068004579548, 7.501610405190155, 7.060339204884851),
+    (16, 2.0): (13.900042809617052, 14.341314009922353, 14.120678409769702),
+    (16, 3.0): (21.033927214552786, 21.32810801475632, 21.181017614654554),
+    (32, 1.0): (16.547670011448872, 18.754026012975388, 17.65084801221213),
+    (32, 2.0): (34.75010702404263, 35.85328502480589, 35.30169602442426),
+    (32, 3.0): (52.58481803638197, 53.32027003689081, 52.95254403663639),
+}
 
 
 def test_bump_radius_interval_frozen():
-    lo, hi = model.bump_radius_interval(8, 1.0, 0.0625)
+    # half-width delta0 = 0.0625 at m = 1 and 0.03125 at m = 2
     base = 8 * math.log(8) / (2.0 * math.pi)
-    assert lo == pytest.approx(0.9375 * base, rel=1e-14)
-    assert hi == pytest.approx(1.0625 * base, rel=1e-14)
+    lo, hi = model.bump_radius_interval(8, 1.0)
+    assert lo == pytest.approx((1.0 - 0.0625) * base, rel=1e-14)
+    assert hi == pytest.approx((1.0 + 0.0625) * base, rel=1e-14)
     assert lo == pytest.approx(2.4822, abs=2e-3)
     assert hi == pytest.approx(2.8132, abs=2e-3)
+    lo2, hi2 = model.bump_radius_interval(8, 2.0)
+    assert lo2 == pytest.approx((2.0 - 0.03125) * base, rel=1e-14)
+    assert hi2 == pytest.approx((2.0 + 0.03125) * base, rel=1e-14)
 
-    lo16, hi16 = model.bump_radius_interval(16, 1.0, 0.0625)
-    assert lo16 == pytest.approx(6.619068004579548, rel=1e-13)
-    assert hi16 == pytest.approx(7.501610405190155, rel=1e-13)
+    for (k, m), (lo, hi, mid) in _WINDOWS.items():
+        assert model.bump_radius_interval(k, m) == (lo, hi)
+        assert model.mid_radius(k, m) == mid
 
     with pytest.raises(ValueError):
-        model.bump_radius_interval(1, 1.0, 0.0625)
+        model.bump_radius_interval(1, 1.0)
 
 
 def test_bump_radius_interval_monotone_in_k():
-    prev = model.bump_radius_interval(3, 1.0, 0.0625)
+    prev = model.bump_radius_interval(3, 1.0)
     for k in range(4, 41):
-        cur = model.bump_radius_interval(k, 1.0, 0.0625)
+        cur = model.bump_radius_interval(k, 1.0)
         assert cur[0] > prev[0]
         assert cur[1] > prev[1]
         assert cur[0] < cur[1]
         prev = cur
-
-
-def test_validate_potential_default_passes():
-    params = model.ModelParams(a=1.0, m=1.0, theta=2.0)
-    pot = model.make_potential(params)
-    radii = model.default_sample_radii(16, 1.0, 0.0625)
-    rep = model.validate_potential(pot, 1.0, 1.0, 2.0, radii)
-    assert rep.passed
-    assert rep.clause == "all"
-    assert rep.measured_bound < 2.0
-
-
-def test_validate_potential_requires_positive_a():
-    radii = model.default_sample_radii(16, 1.0, 0.0625)
-    rep = model.validate_potential(lambda r: np.ones_like(r), 0.0, 1.0, 2.0,
-                                   radii)
-    assert not rep.passed
-    assert rep.clause == "asymptotic"
-    assert "a > 0" in rep.message
-
-    # stays positive on the sampled radii but matches with a = -2 < 0
-    rep2 = model.validate_potential(lambda r: 1.0 - 2.0 / (1.0 + r), -2.0,
-                                    1.0, 1.0, radii)
-    assert not rep2.passed
-    assert rep2.clause == "asymptotic"
-
-
-def test_validate_potential_rejects_flat_potential():
-    # mu = 1 + a has no decaying tail: the scaled defect
-    # a |1 - r^-m| r^(m+theta) grows across the top decade
-    radii = model.default_sample_radii(16, 1.0, 0.0625)
-    rep = model.validate_potential(lambda r: np.full_like(r, 2.0), 1.0, 1.0,
-                                   2.0, radii)
-    assert not rep.passed
-    assert rep.clause == "asymptotic"
-    assert "grows" in rep.message
-
-
-def test_validate_potential_flags_overclaimed_theta():
-    # true tail defect decays like r^-3; declaring theta=5 makes the
-    # scaled defect grow across the top decade
-    params = model.ModelParams(a=1.0, m=1.0, theta=2.0)
-    pot = model.make_potential(params)
-    radii = model.default_sample_radii(16, 1.0, 0.0625)
-    rep = model.validate_potential(pot, 1.0, 1.0, 5.0, radii)
-    assert not rep.passed
-    assert rep.clause == "asymptotic"
-
-
-def test_validate_potential_flags_negative_dip():
-    def mu(r):
-        r = np.asarray(r, dtype=float)
-        return 1.0 + 1.0 / r - 3.0 * np.exp(-((r - 2.0) ** 2))
-
-    radii = np.geomspace(1.0, 500.0, 400)
-    rep = model.validate_potential(mu, 1.0, 1.0, 2.0, radii)
-    assert not rep.passed
-    assert rep.clause == "positivity"
-    assert rep.witness_radius == pytest.approx(2.0, abs=0.5)
 
 
 def test_compute_gamma0_f0_arithmetic():
@@ -163,9 +102,8 @@ def test_compute_gamma0_f0_townes_scale():
 
 def test_mid_radius():
     # symmetric window about (m/(2 pi)) k ln k when delta0 drops out
-    mid = model.mid_radius(16, 1.0, 2.0)
-    lo, hi = model.bump_radius_interval(16, 1.0,
-                                        model.derive_exponents(1.0, 2.0).delta0)
+    mid = model.mid_radius(16, 1.0)
+    lo, hi = model.bump_radius_interval(16, 1.0)
     assert lo < mid < hi
     assert mid == pytest.approx(16.0 * math.log(16.0) / (2.0 * math.pi),
                                 rel=1e-12)

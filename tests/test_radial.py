@@ -246,7 +246,7 @@ def test_eval_split_matches_where_on_production_grid():
     from ringnls.model import mid_radius
 
     p = radial.ground_state(1.0, 1.0, 2)
-    R = mid_radius(24, 1.0, 2.0)
+    R = mid_radius(24, 1.0)
     assert R == pytest.approx(12.14, abs=5e-3)
     g = grid_for_radius(R, 1.0, 2, 24).with_mirrored(())
     assert g.n_axis == 517
@@ -286,7 +286,7 @@ def _production_radii(dim):
     from ringnls.model import mid_radius
 
     if dim == 2:
-        R = mid_radius(24, 1.0, 2.0)
+        R = mid_radius(24, 1.0)
         return node_radii(grid_for_radius(R, 1.0, 2, 24).with_mirrored(()),
                           bump_centers(24, R, 2).centers[5])
     return node_radii(make_grid(3, 24.0, 1.0),

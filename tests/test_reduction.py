@@ -12,8 +12,7 @@ from ringnls.corrector import build_inputs, fixed_point_iterate
 from ringnls.energy import potential_field
 from ringnls.geometry import radial_field
 from ringnls.grid import Field, laplacian, make_grid, quad_product, zeros
-from ringnls.model import (ModelParams, bump_radius_interval,
-                           derive_exponents, make_potential)
+from ringnls.model import ModelParams, bump_radius_interval, make_potential
 from ringnls.radial import ground_state
 from ringnls.reduction import (Solution, assemble_solution, maximize_over_Sk,
                                pde_residual, reduced_energy)
@@ -112,16 +111,14 @@ def test_maximize_surrogate_matches_independent_golden():
     # stand-in objective with the reduced model's shape: potential gain
     # A2/R against a neighbour-overlap loss; c chosen so the balance
     # lands inside the k = 16 window
-    params = ModelParams()
     k, c = 16, 2.66
 
     def g_of_R(R: float) -> float:
         return TOWNES_A2 / R - c * math.exp(-2.0 * math.pi * R / k) \
             * math.sqrt(k / R)
 
-    R0, report = maximize_over_Sk(g_of_R, k, params)
-    delta0 = derive_exponents(params.m, params.theta).delta0
-    lo, hi = bump_radius_interval(k, params.m, delta0)
+    R0, report = maximize_over_Sk(g_of_R, k, 1.0)
+    lo, hi = bump_radius_interval(k, 1.0)
     ref = _golden_max(g_of_R, lo, hi, 2e-4)
     assert abs(R0 - ref) < 1e-3
     assert report.interior
@@ -133,10 +130,8 @@ def test_maximize_surrogate_matches_independent_golden():
 
 
 def test_maximize_endpoint_flagged_not_interior():
-    params = ModelParams()
-    R0, report = maximize_over_Sk(lambda R: 1.0 / R, 16, params)
-    delta0 = derive_exponents(params.m, params.theta).delta0
-    lo, _hi = bump_radius_interval(16, params.m, delta0)
+    R0, report = maximize_over_Sk(lambda R: 1.0 / R, 16, 1.0)
+    lo, _hi = bump_radius_interval(16, 1.0)
     assert R0 == lo
     assert not report.interior
     assert report.evaluations == 9
@@ -145,9 +140,7 @@ def test_maximize_endpoint_flagged_not_interior():
 def test_maximize_refinement_propagates_objective_errors():
     # a pipeline error during the golden refinement (here at every radius
     # off the coarse nodes) must surface, not return the coarse node
-    params = ModelParams()
-    delta0 = derive_exponents(params.m, params.theta).delta0
-    nodes = set(np.linspace(*bump_radius_interval(16, params.m, delta0), 9))
+    nodes = set(np.linspace(*bump_radius_interval(16, 1.0), 9))
     peak = sorted(nodes)[4] + 0.1
 
     def objective(R: float) -> float:
@@ -156,20 +149,18 @@ def test_maximize_refinement_propagates_objective_errors():
         return -(R - peak) ** 2
 
     with pytest.raises(ValueError, match="refined radius"):
-        maximize_over_Sk(objective, 16, params)
+        maximize_over_Sk(objective, 16, 1.0)
 
 
 def test_maximize_plateau_keeps_coarse_node():
     # the best node tied with its right neighbour is no bracket: the scan
     # keeps the node without refining
-    params = ModelParams()
-    delta0 = derive_exponents(params.m, params.theta).delta0
-    nodes = np.linspace(*bump_radius_interval(16, params.m, delta0), 9)
+    nodes = np.linspace(*bump_radius_interval(16, 1.0), 9)
 
     def objective(R: float) -> float:
         return -max(abs(R - nodes[4]), abs(R - nodes[5]))
 
-    R0, report = maximize_over_Sk(objective, 16, params)
+    R0, report = maximize_over_Sk(objective, 16, 1.0)
     assert R0 == nodes[4]
     assert report.interior
     assert report.evaluations == 9
@@ -179,9 +170,7 @@ def test_maximize_evaluates_each_radius_once():
     # the golden search asks again for its bracket nodes and centre; F is
     # called once per distinct radius, and the search path, which reads
     # only the returned values, lands on the same R0 bit for bit
-    params = ModelParams(m=2.0)
-    lo, hi = bump_radius_interval(
-        16, params.m, derive_exponents(params.m, params.theta).delta0)
+    lo, hi = bump_radius_interval(16, 2.0)
     c = lo + 0.43 * (hi - lo)
     calls = []
 
@@ -189,7 +178,7 @@ def test_maximize_evaluates_each_radius_once():
         calls.append(R)
         return -(R - c) ** 2
 
-    R0, report = maximize_over_Sk(objective, 16, params)
+    R0, report = maximize_over_Sk(objective, 16, 2.0)
     assert len(calls) == 17
     assert len(set(calls)) == 17
     assert report.evaluations == 17
@@ -200,7 +189,7 @@ def test_maximize_evaluates_each_radius_once():
 
 def test_maximize_rejects_sparse_scan():
     with pytest.raises(ValueError, match="coarse"):
-        maximize_over_Sk(lambda R: -R, 16, ModelParams(), n_coarse=5)
+        maximize_over_Sk(lambda R: -R, 16, 1.0, n_coarse=5)
 
 
 def test_single_species_residual_refinement():
