@@ -51,7 +51,7 @@ from .energy import (ansatz_fields, check_ksum_bound, draw_sector_samples,
                      expansion_compare)
 from .geometry import bump_centers, bump_sum_field, radial_field
 from .grid import dump_field, grid_for_radius, quad_product
-from .model import (ModelParams, bump_radius_interval, compute_gamma0_f0,
+from .model import (ModelParams, bump_radius_interval, coupling_bound,
                     mid_radius)
 from .radial import dump_profile_csv, ground_state
 from .reduction import assemble_solution, maximize_over_Sk, reduced_energy
@@ -108,8 +108,7 @@ def parse_config(text: str) -> RunConfig:
 
     Absent keys take the documented defaults; beta defaults to half the
     measured coupling bound f0 and is resolved when the run builds its
-    fields.  dim = 1 is accepted solely for the one-dimensional
-    ground-state oracle table; every other subcommand needs dim 2 or 3.
+    fields.  A float key must be finite.
     """
     values: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -135,16 +134,13 @@ def parse_config(text: str) -> RunConfig:
             raise ValueError(
                 f"line {lineno}: key {key!r} expects {cast.__name__}, "
                 f"got {val!r}") from None
+        if cast is float and not math.isfinite(values[key]):
+            raise ValueError(f"line {lineno}: key {key!r} must be finite, "
+                             f"got {val!r}")
 
     config = RunConfig(**values)
-    if config.dim not in (1, 2, 3):
-        raise ValueError(f"dim must be 1, 2 or 3, got {config.dim}")
-    # parameter-level validation through the model record (dim = 1 runs
-    # only touch the radial solver, so a planar probe stands in)
-    ModelParams(
-        lam=config.lam, alpha0=config.alpha0, alpha1=config.alpha1,
-        beta=0.0, a=config.a, m=config.m,
-        dim=config.dim if config.dim in (2, 3) else 2)
+    # parameter-level validation through the model record
+    _base_params(config)
     for key in ("tol", "tol_R"):
         if getattr(config, key) <= 0:
             raise ValueError(f"{key} must be positive, "
@@ -270,28 +266,10 @@ def _run_ground_state(config: RunConfig, out: Path):
     _atomic_write(out / "moments.csv", _csv_text(
         ("species", "n_nodes", "peak", "moment2", "moment4",
          "max_residual"), rows))
-
-    if config.dim == 1:
-        # closed-form reference for the line: w(r) = sqrt(2c/a) sech(√c r)
-        prof = ground_state(config.lam, config.alpha0, 1)
-        amp = math.sqrt(2.0 * config.lam / config.alpha0)
-        rate = math.sqrt(config.lam)
-        ref = amp / np.cosh(rate * prof.r)
-        err = np.abs(prof.values - ref)
-        sech_rows = [(float(r), float(w), float(s), float(e))
-                     for r, w, s, e in zip(prof.r, prof.values, ref, err)]
-        _atomic_write(out / "sech_comparison.csv", _csv_text(
-            ("r", "profile", "sech_reference", "abs_error"), sech_rows))
-        max_err = float(np.max(err))
-        summary["max_sech_error"] = max_err
-        checks.append(("sech_oracle", max_err < 1e-6,
-                       f"max abs deviation {max_err:.3e}"))
     return summary, checks
 
 
 def _run_bounds(config: RunConfig, out: Path):
-    if config.dim == 1:
-        raise ValueError("bounds needs dim 2 or 3")
     u0 = ground_state(config.lam, config.alpha0, config.dim)
     v0 = ground_state(1.0, config.alpha1, config.dim)
     rng = np.random.default_rng(config.seed)
@@ -352,8 +330,6 @@ def _run_expansion(config: RunConfig, out: Path):
     fields (the suprema on the part are those of the box); none of the
     other corrector inputs are assembled.
     """
-    if config.dim == 1:
-        raise ValueError("expansion needs dim 2 or 3")
     params0 = _base_params(config)
     u0 = ground_state(config.lam, config.alpha0, config.dim)
     v0 = ground_state(1.0, config.alpha1, config.dim)
@@ -368,7 +344,7 @@ def _run_expansion(config: RunConfig, out: Path):
                             L=config.L)
         ring = bump_centers(k, R, config.dim)
         U0f, bumps = ansatz_fields(u0, v0, ring, g)
-        f0 = (compute_gamma0_f0(U0f.data, bumps.W).f0
+        f0 = (coupling_bound(U0f.data, bumps.W)
               if config.beta is None else None)
         beta = _resolve_beta(config, f0)
         rep = expansion_compare(u0, v0, ring, replace(params0, beta=beta),
@@ -522,7 +498,7 @@ _HANDLERS = {
 def _failure_name(exc: Exception) -> str:
     if isinstance(exc, (CorrectorDivergence, LinearSolveStalled)):
         return "corrector_convergence"
-    if isinstance(exc, RuntimeError):
+    if isinstance(exc, (RuntimeError, ArithmeticError)):
         return "pipeline_error"
     return "parameter_bounds"
 
@@ -540,7 +516,7 @@ def run(subcommand: str, config: RunConfig) -> int:
         warnings.simplefilter("default")
         try:
             summary, checks = _HANDLERS[subcommand](config, out)
-        except (RuntimeError, ValueError) as exc:
+        except (RuntimeError, ValueError, ArithmeticError) as exc:
             error = exc
     for w in caught:
         warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)

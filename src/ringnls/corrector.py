@@ -96,7 +96,7 @@ from .geometry import (BumpConfiguration, bump_centers, bump_cubes_field,
 from .geometry import symmetrize as symmetrize_fast
 from .grid import (Field, Grid, grid_for_radius, laplacian,
                    laplacian_eigenvalues, norm_E, quad_product, zeros)
-from .model import (ModelParams, bump_radius_interval, compute_gamma0_f0,
+from .model import (ModelParams, bump_radius_interval, coupling_bound,
                     make_potential)
 from .radial import ground_state
 
@@ -150,23 +150,6 @@ def g1_rhs(u: Field, v: Field, U0f: Field, bumpsum: Field, cubes: Field,
         + params.beta * (U + ud) ** 2 * (W + vd) \
         - (mu.data - 1.0) * W + params.alpha1 * (W ** 3 - cubes.data)
     return Field(u.grid, out)
-
-
-# ---------------------------------------------------------------------------
-# linearized operators (strong form, second-order stencil)
-
-
-def apply_L0(u: Field, U0f: Field, params: ModelParams) -> Field:
-    """-lap u + lam u - 3 a0 U0^2 u."""
-    pot = params.lam - 3.0 * params.alpha0 * U0f.data ** 2
-    return Field(u.grid, -laplacian(u).data + pot * u.data)
-
-
-def apply_L1(v: Field, bumpsum: Field, mu: Field,
-             params: ModelParams) -> Field:
-    """-lap v + mu v - 3 a1 W^2 v."""
-    pot = mu.data - 3.0 * params.alpha1 * bumpsum.data ** 2
-    return Field(v.grid, -laplacian(v).data + pot * v.data)
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +219,7 @@ def _shifted_operator(g: Grid, pot: np.ndarray, shift: float):
     ``_root_w_blocks(g)``, w the number of full-box copies of each node
     (1 everywhere on an unmirrored grid), through which ``_scale_root_w``
     scales a vector; matvec(x, out) writes sqrt(w) (-lap + pot)(x /
-    sqrt(w)), the expression of ``apply_L0`` and ``apply_L1``, into the
+    sqrt(w)), the strong form of L0 or L1 (second-order stencil), into the
     caller's flat array out, and precond(x, out) writes the padded-box
     inverse of -lap + shift in the same scaling.  On a mirrored axis the
     stencil reads the ghost at index -1 as the mirror copy of index 1, so
@@ -251,7 +234,7 @@ def _shifted_operator(g: Grid, pot: np.ndarray, shift: float):
     the operator's.  matvec uses it for a = x / sqrt(w): the Laplacian of
     a goes into out, then a *= pot, out = a - out and out *= sqrt(w), the
     operations and order of pot a - lap a, so each value rounds as in
-    ``apply_L0``.  precond uses it as the zero-padded box, whose slices
+    the strong form.  precond uses it as the zero-padded box, whose slices
     are fixed here once: it divides x by sqrt(w) straight into the inner
     block and writes the inner block times sqrt(w) straight into out.
     Unmirrored axes run the orthonormal DST-I over the centred box, in
@@ -458,7 +441,8 @@ def _solve_minres(matvec, precond, b: np.ndarray, tol: float,
 def solve_L0(rhs: Field, U0f: Field, params: ModelParams, tol: float,
              k: int | None = None, x0: np.ndarray | None = None,
              callback=None) -> Field:
-    """u with ||apply_L0(u) - rhs||_L2 <= tol ||rhs||_L2.
+    """u with ||L0 u - rhs||_L2 <= tol ||rhs||_L2, where
+    L0 = -lap + lam - 3 a0 U0^2.
 
     rhs, U0f and the answer share one grid, the full box or the part
     folded on some axes, and MINRES runs on its nodes with the
@@ -530,7 +514,8 @@ def solve_L1_constrained(rhs: Field, bumpsum: Field, mu: Field, Z: Field,
                          k: int | None = None,
                          x0: tuple[np.ndarray, float] | None = None,
                          callback=None) -> tuple[Field, float]:
-    """Solve apply_L1(v) + lam_c Z = rhs with quad(Z v) = 0.
+    """Solve L1 v + lam_c Z = rhs with quad(Z v) = 0, where
+    L1 = -lap + mu - 3 a1 W^2.
 
     The augmented saddle system couples the field unknowns with one
     multiplier through the plain node sum of Z v (identical to the L2
@@ -636,7 +621,7 @@ def build_inputs(k: int, Rvalue: float, params: ModelParams,
                            W=Field(part, ring.W),
                            cubes=Field(part, ring.cubes), mu=mu,
                            Z=Field(part, ring.Z),
-                           f0=compute_gamma0_f0(U0f.data, ring.W).f0)
+                           f0=coupling_bound(U0f.data, ring.W))
 
 
 @dataclass

@@ -32,7 +32,6 @@ unfolding it.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -244,32 +243,9 @@ def _weighted(g: Grid, prod: np.ndarray, out=None) -> np.ndarray:
     return out
 
 
-def quad(f: Field) -> float:
-    """Trapezoid quadrature over the box with a deterministic sum order.
-
-    Warns when the integrand has not decayed to 1e-10 of its peak on the
-    boundary shell (the Dirichlet truncation then pollutes the value).
-    """
-    g = f.grid
-    a = f.data
-    peak = float(np.max(np.abs(a)))
-    if peak > 0.0:
-        edge = 0.0
-        for ax in range(g.dim):
-            # index 0 of a mirrored axis is the box centre, not a wall
-            for end in (-1,) if ax in g.mirrored else (0, -1):
-                edge = max(edge, float(np.max(np.abs(
-                    a[_axis_slice(g.dim, ax, end)]))))
-        if edge > 1e-10 * peak:
-            warnings.warn(
-                f"integrand carries boundary mass {edge:.3e} "
-                f"(peak {peak:.3e}); enlarge the box",
-                RuntimeWarning, stacklevel=2)
-    return _pairwise_sum(_weighted(g, a))
-
-
 def quad_product(*fields, out: np.ndarray | None = None) -> float:
-    """quad of a nodewise product, without the boundary-mass warning.
+    """Trapezoid quadrature of a nodewise product over the box, with a
+    deterministic sum order.
 
     The weighted product is formed in out when given, an array of the
     grid's shape that may be a field's own data, which the caller then

@@ -106,19 +106,11 @@ def make_potential(params: ModelParams):
     return mu
 
 
-@dataclass(frozen=True)
-class CouplingBudget:
-    """Saturation level γ0 and the admissible coupling bound f0."""
-
-    gamma0: float
-    f0: float
-
-
-def compute_gamma0_f0(u0_field, bump_sum_field) -> CouplingBudget:
-    """Measure γ0 = sup max{U0², (ΣV_i)²} and the bound f0 = SAFETY/γ0."""
+def coupling_bound(u0_field, bump_sum_field) -> float:
+    """The bound f0 = SAFETY/γ0 on |β|, γ0 = sup max{U0², (ΣV_i)²}."""
     sup_u = float(np.max(np.abs(u0_field))) if np.size(u0_field) else 0.0
     sup_w = float(np.max(np.abs(bump_sum_field))) if np.size(bump_sum_field) else 0.0
     gamma0 = max(sup_u, sup_w) ** 2
     if gamma0 <= 0:
         raise ValueError("gamma0 vanished: both fields are identically zero")
-    return CouplingBudget(gamma0=gamma0, f0=SAFETY / gamma0)
+    return SAFETY / gamma0

@@ -265,12 +265,11 @@ def _newton(c, alpha, dim, r, w, tol, max_iter=20):
 
 
 def solve_ground_state(c: float, alpha: float, dim: int,
-                       r_max: float | None = None,
                        n_nodes: int | None = None) -> RadialProfile:
     """Solve for the ground state on a uniform grid of radii.
 
-    By default the grid extent scales with the tail length 1/sqrt(c) and
-    the spacing resolves the curvature length at the peak, so the
+    The grid extends to r_max = 30/sqrt(c), thirty tail lengths, and by
+    default the spacing resolves the curvature length at the peak, so the
     tabulated profile satisfies the ODE well below 1e-8*peak at every
     node (checked with an 8th-order stencil and stored in max_residual).
     The profile decays monotonically and carries the decay constant M
@@ -281,10 +280,7 @@ def solve_ground_state(c: float, alpha: float, dim: int,
         raise ValueError(f"need c > 0 and alpha > 0, got c={c}, alpha={alpha}")
     if dim not in (1, 2, 3):
         raise ValueError(f"dim must be 1, 2 or 3, got {dim}")
-    if r_max is None:
-        r_max = 30.0 / math.sqrt(c)
-    if r_max < 15.0 / math.sqrt(c):
-        raise ValueError(f"r_max={r_max} too small to resolve the tail")
+    r_max = 30.0 / math.sqrt(c)
 
     tol = 1e-10 * math.sqrt(c / alpha)
     r0 = np.linspace(0.0, r_max, _FLOOR_NODES)
@@ -452,8 +448,7 @@ _CACHE: dict = {}
 
 def ground_state(c: float, alpha: float, dim: int,
                  n_nodes: int | None = None) -> RadialProfile:
-    """Memoized solve_ground_state at its default r_max; profiles are
-    immutable in practice."""
+    """Memoized solve_ground_state; profiles are immutable in practice."""
     key = (round(float(c), 12), round(float(alpha), 12), dim, n_nodes)
     if key not in _CACHE:
         _CACHE[key] = solve_ground_state(c, alpha, dim, n_nodes=n_nodes)

@@ -156,8 +156,8 @@ def pde_residual(U: Field, V: Field, mu: Field, params: ModelParams) -> tuple:
 
     Both norms are the O(h²) stencil defect of the sampled ansatz, which
     the corrector's forcing leaves out: the first reads the same at every
-    radius (0.2085 at h = 0.25, 0.0535 at h = 0.125, θ = 2 and
-    β = f0/2), and the second is about √k times it.  The multiplier
+    radius (0.2085 at h = 0.25, 0.0535 at h = 0.125, the default
+    potential and β = f0/2), and the second is about √k times it.  The multiplier
     term lagrange_at_R0 * Z of the second equation lies far below that
     defect, so neither norm marks the radius R* where the multiplier
     vanishes; R* lies above the window S_k.

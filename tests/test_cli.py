@@ -83,10 +83,18 @@ def test_parse_config_rejects_removed_keys(line):
 @pytest.mark.parametrize("line", [
     "tol = 0", "n_samples = 0", "h = -0.25", "a = -1",
     "R = -1", "R = 0", "L = -4", "L = 0", "ks = 0,6", "ks = 1", "etas = 3",
-    "etas = 0", "etas = 0.5,-1",
+    "etas = 0", "etas = 0.5,-1", "dim = 1",
 ])
 def test_parse_config_rejects_nonpositive(line):
     with pytest.raises(ValueError):
+        parse_config(line)
+
+
+@pytest.mark.parametrize("line", [
+    "beta = nan", "tol = nan", "a = nan", "R = inf", "lam = inf",
+])
+def test_parse_config_rejects_nonfinite(line):
+    with pytest.raises(ValueError, match="finite"):
         parse_config(line)
 
 
@@ -130,20 +138,6 @@ def test_ground_state_artifacts(tmp_path):
     lines = (out / "moments.csv").read_text().splitlines()
     assert lines[0].startswith("species,")
     assert len(lines) == 5  # header + (base, fine) per species
-
-
-def test_ground_state_line_oracle(tmp_path):
-    cfg = tmp_path / "line.cfg"
-    cfg.write_text("dim = 1\n")
-    out = tmp_path / "gs1"
-    assert main(["ground-state", "--config", str(cfg),
-                 "--out", str(out)]) == 0
-    summary = json.loads((out / "summary.json").read_text())
-    assert summary["max_sech_error"] < 1e-6
-    rows = (out / "sech_comparison.csv").read_text().splitlines()
-    assert rows[0] == "r,profile,sech_reference,abs_error"
-    errs = [float(r.split(",")[3]) for r in rows[1:]]
-    assert max(errs) == summary["max_sech_error"]
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +230,22 @@ def test_failed_run_removes_stale_summary(tmp_path):
     assert main(["corrector", "--config", str(cfg),
                  "--out", str(out)]) == 1
     assert (out / "failure.json").exists()
+    assert not (out / "summary.json").exists()
+
+
+def test_arithmetic_fault_writes_failure_record(tmp_path):
+    # at R = 240, k = 2 the scale e^(-2 pi R / k) of the interaction
+    # report underflows to 0 and dividing by it raises ZeroDivisionError
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / "summary.json").write_text("{}\n")
+    cfg = tmp_path / "far.cfg"
+    cfg.write_text("ks = 2\nR = 240\nh = 1\n")
+    assert main(["expansion", "--config", str(cfg),
+                 "--out", str(out)]) == 1
+    record = json.loads((out / "failure.json").read_text())
+    assert record["invariant"] == "pipeline_error"
+    assert record["subcommand"] == "expansion"
     assert not (out / "summary.json").exists()
 
 

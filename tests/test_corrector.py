@@ -16,10 +16,9 @@ from scipy.fft import dctn, dstn
 import ringnls.corrector as corrector
 from ringnls.corrector import (CorrectorDivergence, LinearSolveStalled,
                                _inverse_spectrum, _KrylovCount, _padded_size,
-                               _shifted_operator, _solve_minres, apply_L0,
-                               apply_L1, build_inputs, fixed_point_iterate,
-                               g0_rhs, g1_rhs, solve_L0,
-                               solve_L1_constrained)
+                               _shifted_operator, _solve_minres,
+                               build_inputs, fixed_point_iterate, g0_rhs,
+                               g1_rhs, solve_L0, solve_L1_constrained)
 from ringnls.energy import potential_field
 from ringnls.geometry import (bump_centers, bump_cubes_field, bump_sum_field,
                               constraint_field, radial_field, symmetrize)
@@ -31,6 +30,25 @@ from ringnls.radial import ground_state
 from symmetry_oracles import (apply_signed_permutation, fold, fold_even,
                               node_subgroup, unfold)
 from traced import traced_peak
+
+
+# ---------------------------------------------------------------------------
+# reference operators: the linearized operators in strong form, with the
+# second-order stencil, stated directly rather than through the solver's
+# scaled operator
+
+
+def apply_L0(u: Field, U0f: Field, params: ModelParams) -> Field:
+    """-lap u + lam u - 3 a0 U0^2 u."""
+    pot = params.lam - 3.0 * params.alpha0 * U0f.data ** 2
+    return Field(u.grid, -laplacian(u).data + pot * u.data)
+
+
+def apply_L1(v: Field, bumpsum: Field, mu: Field,
+             params: ModelParams) -> Field:
+    """-lap v + mu v - 3 a1 W^2 v."""
+    pot = mu.data - 3.0 * params.alpha1 * bumpsum.data ** 2
+    return Field(v.grid, -laplacian(v).data + pot * v.data)
 
 
 @pytest.fixture(scope="module")

@@ -14,8 +14,8 @@ from ringnls.energy import (ansatz_fields, check_ksum_bound,
                             interaction_term, potential_field)
 from ringnls.geometry import (bump_centers, bump_cubes_field, bump_sum_field,
                               radial_field, ring_fields)
-from ringnls.grid import (Field, grid_for_radius, make_grid, quad,
-                          quad_product, zeros)
+from ringnls.grid import (Field, grid_for_radius, make_grid, quad_product,
+                          zeros)
 from ringnls.model import ModelParams, make_potential, mid_radius
 from ringnls.radial import eval_profile, ground_state
 from symmetry_oracles import unfold
@@ -198,7 +198,8 @@ def potential_moment(V0prof, config, mu, params, g=None):
         shift2 = shift2 + (mesh[d] + x1[d]) ** 2
     integrand = (mu(np.sqrt(shift2)) - 1.0) \
         * eval_profile(V0prof, np.sqrt(rho2)) ** 2
-    integral = quad(Field(g, np.broadcast_to(integrand, g.shape).copy()))
+    integral = quad_product(
+        Field(g, np.broadcast_to(integrand, g.shape).copy()))
     leading = params.a / config.R ** params.m * V0prof.moment2
     return float(integral), float(leading)
 

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import io
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -35,9 +34,7 @@ def test_make_grid_basic():
 def test_total_quadrature_weight():
     for dim, L, h in [(2, 1.0, 0.5), (2, 3.0, 0.25), (3, 1.0, 0.25)]:
         g = grid.make_grid(dim, L, h)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # constant has boundary mass
-            total = grid.quad(grid.sample(g, ones_like))
+        total = grid.quad_product(grid.sample(g, ones_like))
         assert total == pytest.approx((2.0 * L) ** dim, rel=1e-12)
 
 
@@ -122,7 +119,7 @@ def test_laplacian_into_out_same_bits():
 def test_quad_odd_function_vanishes():
     g = grid.make_grid(2, 6.0, 0.25)
     f = grid.sample(g, lambda a, b: a * np.exp(-(a * a + b * b)))
-    assert abs(grid.quad(f)) < 1e-13
+    assert abs(grid.quad_product(f)) < 1e-13
 
 
 def test_quad_matches_radial_moment():
@@ -132,17 +129,6 @@ def test_quad_matches_radial_moment():
     m2 = grid.quad_product(U0, U0)
     assert abs(m2 - p.moment2) < 1e-4 * p.moment2
     assert abs(m2 - p.moment2) < 1e-6 * p.moment2  # typically ~3e-8
-
-
-def test_quad_boundary_warning():
-    g = grid.make_grid(2, 2.0, 0.5)
-    hot = grid.sample(g, ones_like)
-    with pytest.warns(RuntimeWarning, match="boundary mass"):
-        grid.quad(hot)
-    cold = grid.sample(g, lambda a, b: np.exp(-8.0 * (a * a + b * b)))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        grid.quad(cold)
 
 
 def test_quad_second_order_refinement():
@@ -157,9 +143,7 @@ def test_quad_second_order_refinement():
     errs = []
     for h in (0.25, 0.125):
         g = grid.make_grid(2, L, h)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            errs.append(abs(grid.quad(grid.sample(g, fn)) - exact))
+        errs.append(abs(grid.quad_product(grid.sample(g, fn)) - exact))
     assert errs[0] / errs[1] >= 3.5
 
 
@@ -443,15 +427,3 @@ def test_folded_orbit_average_matches_full_grid(dim, k):
     assert folded.grid == full.grid
     assert np.max(np.abs(folded.data - full.data)) \
         <= 1e-13 * np.max(np.abs(full.data))
-
-
-def test_folded_quad_warns_only_at_the_wall():
-    # index 0 of a mirrored axis is the box centre, where a field peaks
-    g = grid.make_grid(2, 6.0, 0.25)
-    peaked = grid.sample(g, lambda a, b: np.exp(-(a * a + b * b)))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        grid.quad(fold(peaked, (0, 1)))
-    flat = fold(grid.sample(g, ones_like), (0, 1))
-    with pytest.warns(RuntimeWarning, match="boundary mass"):
-        grid.quad(flat)

@@ -78,13 +78,13 @@ def test_bump_radius_interval_monotone_in_k():
 def test_compute_gamma0_f0_arithmetic():
     u0 = np.array([0.0, 1.0, 2.0])
     bumps = np.array([0.5, 0.25, 0.0])
-    out = model.compute_gamma0_f0(u0, bumps)
-    assert out.gamma0 == pytest.approx(4.0)
-    assert out.f0 == pytest.approx(0.225)
-    assert out.f0 * out.gamma0 < 1.0
+    f0 = model.coupling_bound(u0, bumps)
+    assert f0 == 0.9 / 4.0
+    assert f0 * 4.0 < 1.0
 
-    zero = model.compute_gamma0_f0(np.zeros(3), bumps)
-    assert zero.gamma0 == pytest.approx(0.25)
+    assert model.coupling_bound(np.zeros(3), bumps) == 0.9 / 0.25
+    with pytest.raises(ValueError, match="vanished"):
+        model.coupling_bound(np.zeros(3), np.zeros(3))
 
 
 def test_compute_gamma0_f0_townes_scale():
@@ -93,11 +93,11 @@ def test_compute_gamma0_f0_townes_scale():
     prof = radial.ground_state(1.0, 1.0, 2)
     u0 = prof.values
     bumps = 1e-3 * prof.values
-    out = model.compute_gamma0_f0(u0, bumps)
-    assert out.gamma0 == pytest.approx(prof.peak ** 2, rel=1e-12)
-    assert out.gamma0 == pytest.approx(4.867, abs=2e-3)
-    assert out.f0 == pytest.approx(0.9 / 4.867, rel=1e-3)
-    assert out.f0 * out.gamma0 < 1.0
+    f0 = model.coupling_bound(u0, bumps)
+    assert f0 == 0.9 / prof.peak ** 2
+    assert prof.peak ** 2 == pytest.approx(4.867, abs=2e-3)
+    assert f0 == pytest.approx(0.9 / 4.867, rel=1e-3)
+    assert f0 * prof.peak ** 2 < 1.0
 
 
 def test_mid_radius():

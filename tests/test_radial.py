@@ -113,8 +113,7 @@ def test_scaling_covariance_three_d():
 def test_moment_quadrature_refinement():
     p = radial.ground_state(1.0, 1.0, 2)
     n = p.r.size
-    fine = radial.solve_ground_state(1.0, 1.0, 2, r_max=p.r[-1],
-                                     n_nodes=2 * n - 1)
+    fine = radial.solve_ground_state(1.0, 1.0, 2, n_nodes=2 * n - 1)
     assert abs(fine.moment2 - p.moment2) < 1e-6 * p.moment2
     assert abs(fine.moment4 - p.moment4) < 1e-6 * p.moment4
     assert abs(fine.moment2 - p.moment2) < 1e-3 * p.moment2
@@ -170,8 +169,6 @@ def test_input_validation():
         radial.solve_ground_state(1.0, -1.0, 2)
     with pytest.raises(ValueError):
         radial.solve_ground_state(1.0, 1.0, 4)
-    with pytest.raises(ValueError):
-        radial.solve_ground_state(1.0, 1.0, 2, r_max=5.0)
 
 
 def test_ground_state_memoized():
