@@ -29,19 +29,23 @@ every value on the part is that of the full grid.  Only
 ``grid.dump_field`` writes the full box, as the even extension.
 
 Linear systems are symmetric indefinite and solved by ``minres``, a
-preconditioned MINRES with a spectral preconditioner.  Next to each
-search direction w it recurs A w from the A v of its Lanczos step, so it
-updates the residual b - A x in place and stops on ||b - A x|| <=
-tol ||b|| itself, rather than on a backward-error estimate.  Each solve
-runs on the grid its inputs carry, full or folded, with the unknowns
-scaled by sqrt(w), w the number of full-grid mirror copies of a node (1
-on an unmirrored grid).  That makes the folded stencil and
+preconditioned MINRES with a spectral preconditioner.  It recurs the
+residual b - A x from the Lanczos vectors it already holds (Choi, Paige
+and Saunders 2011), without a product with A, and stops on ||b - A x||
+<= tol ||b|| itself, rather than on a backward-error estimate.  Each
+solve runs on the grid its inputs carry, full or folded, with the
+unknowns scaled by sqrt(w), w the number of full-grid mirror copies of a
+node (1 on an unmirrored grid).  That makes the folded stencil and
 preconditioner symmetric and the Euclidean products those of the full
 grid; in exact arithmetic the Krylov iterates are the full-grid ones and
-the folded residual norm is the full-grid one.  Each MINRES pass then
-recomputes its residual from the returned iterate, and a restart from
-that iterate covers rounding drift of the recurred residual.  Given the
-fold order k, the answer is projected onto the symmetric class.
+the folded residual norm is the full-grid one.  The operators act on the
+scaled vectors directly: the stencil is the folded one with the two
+couplings between the centre line of a mirrored axis and its neighbour
+set to sqrt(2) / h^2, and the preconditioner's orthonormal transforms
+carry the scaling themselves.  Each MINRES pass then recomputes its
+residual from the returned iterate, and a restart from that iterate
+covers rounding drift of the recurred residual.  Given the fold order
+k, the answer is projected onto the symmetric class.
 
 The solves' working set is what sets the memory peak of a corrector
 run, so nothing in it is held twice.  The Picard loop builds each
@@ -49,17 +53,16 @@ right-hand side inside its solve's call, and the solve drops it once
 sqrt(w) rhs (bordered by a zero for L1) is MINRES's b; the warm start
 is scaled once into the vector MINRES iterates on.  sqrt(w) is never
 stored: it is 2^(m/2) on each block of the part that lies off the
-centre index along m of the mirrored axes, and every scaling (of b, of
-x0 and x, of Z, and inside the operators) runs block by block.  The
-operators write into MINRES's vectors rather than return new ones, the
-L1 border included, and MINRES updates its ten vectors in place, nine
-of them rows of one block per pass.  One workspace per solve, the size
-of the preconditioner's padded box, serves in turn as the matvec's
-scratch x / sqrt(w), as MINRES's scratch between its matvec and
-preconditioner and as the preconditioner's zero-padded box, so no
-Krylov step allocates.  The workspace goes with the operator when the
-solve returns, before the projection onto the symmetric class, and
-nothing is kept across solves or Picard steps.
+centre index along m of the mirrored axes, and the scalings, which run
+only where a solve starts and ends (b, x0, x and Z), go block by block.
+The operators write into MINRES's vectors rather than return new ones,
+the L1 border included, and MINRES updates its eight vectors in place,
+seven of them rows of one block per pass.  One workspace per solve, the
+size of the preconditioner's padded box, serves in turn as the matvec's
+scratch and as the preconditioner's zero-padded box, so no Krylov step
+allocates.  The workspace goes with the operator when the solve
+returns, before the projection onto the symmetric class, and nothing is
+kept across solves or Picard steps.
 
 The preconditioner inverts the second-order Laplacian plus a positive
 shift, with zero ghost values one spacing outside a box, which the type-I
@@ -72,7 +75,11 @@ SPD operator is itself SPD, as MINRES requires.  When n_axis + 1 is
 already 5-smooth the box is the grid and the inverse is exact for the
 shifted stencil.  On a folded axis only the sine modes even about the
 centre, j = 2l + 1, are kept; on the half box of (m + 1) / 2 nodes they
-are cosine modes, applied as a DCT-III, the spectrum, and a DCT-II.
+are cosine modes, applied as an orthonormal DCT-III, the spectrum, and
+an orthonormal DCT-II.  That pair is the unnormalized one conjugated by
+sqrt(w) along the axis (the orthonormal DCT-III weighs its first input
+1 / sqrt(2) against the rest, and the DCT-II its first output), so on
+scaled vectors it needs no scaling of its own.
 """
 
 from __future__ import annotations
@@ -94,7 +101,7 @@ from .geometry import (BumpConfiguration, bump_centers, bump_cubes_field,
                        bump_sum_field, constraint_field, radial_field,
                        ring_fields, symmetrize)
 from .geometry import symmetrize as symmetrize_fast
-from .grid import (Field, Grid, grid_for_radius, laplacian,
+from .grid import (Field, Grid, _axis_slice, grid_for_radius, laplacian,
                    laplacian_eigenvalues, norm_E, quad_product, zeros)
 from .model import (ModelParams, bump_radius_interval, coupling_bound,
                     make_potential)
@@ -169,9 +176,9 @@ def _inverse_spectrum(n_box: int, dim: int, h: float, shift: float,
 
     An axis in ``folded`` keeps only the sine modes even about the box
     centre, j = 2l + 1, which are the cosine modes cos(pi (2l + 1) p /
-    (2 M_b)) of the half box of M_b = (n_box + 1) / 2 nodes; the array
-    also carries the 1 / (2 M_b) per folded axis that normalizes the
-    unnormalized DCT-III/DCT-II pair of ``_shifted_operator``.
+    (2 M_b)) of the half box of M_b = (n_box + 1) / 2 nodes.  Every
+    transform of ``_shifted_operator`` is orthonormal, so the array
+    carries no normalization.
     """
     j = np.arange(1, n_box + 1)
     total = np.zeros(tuple((n_box + 1) // 2 if ax in folded else n_box
@@ -181,7 +188,7 @@ def _inverse_spectrum(n_box: int, dim: int, h: float, shift: float,
         shape = [1] * dim
         shape[ax] = modes.size
         total = total + laplacian_eigenvalues(n_box, h, modes).reshape(shape)
-    return 1.0 / (total + shift) / (n_box + 1) ** len(folded)
+    return 1.0 / (total + shift)
 
 
 def _root_w_blocks(g: Grid) -> list:
@@ -214,36 +221,40 @@ def _scale_root_w(op, blocks, x: np.ndarray, out: np.ndarray) -> np.ndarray:
 def _shifted_operator(g: Grid, pot: np.ndarray, shift: float):
     """-lap + pot on g and its preconditioner, on sqrt(w)-scaled vectors.
 
-    pot lives on g, the full box or the part folded on some axes.
-    Returns (blocks, matvec, precond, work): blocks is
-    ``_root_w_blocks(g)``, w the number of full-box copies of each node
-    (1 everywhere on an unmirrored grid), through which ``_scale_root_w``
-    scales a vector; matvec(x, out) writes sqrt(w) (-lap + pot)(x /
-    sqrt(w)), the strong form of L0 or L1 (second-order stencil), into the
-    caller's flat array out, and precond(x, out) writes the padded-box
-    inverse of -lap + shift in the same scaling.  On a mirrored axis the
-    stencil reads the ghost at index -1 as the mirror copy of index 1, so
-    the centre node sees its neighbour twice and the neighbour sees the
-    centre once.  w (-lap) is symmetric, so both maps are symmetric up to
-    rounding, and the Euclidean product of scaled vectors is the full-box
-    product of the even extensions.
+    pot lives on g, the full box or the part folded on some axes, and w
+    is the number of full-box copies of each node (1 everywhere on an
+    unmirrored grid).  Returns (matvec, precond, work): matvec(x, out)
+    writes sqrt(w) (-lap + pot)(x / sqrt(w)), the strong form of L0 or L1
+    (second-order stencil), into the caller's flat array out, and
+    precond(x, out) writes the padded-box inverse of -lap + shift in the
+    same scaling.  On a mirrored axis the stencil reads the ghost at
+    index -1 as the mirror copy of index 1, so the centre node sees its
+    neighbour twice and the neighbour sees the centre once.  w (-lap) is
+    symmetric, so both maps are symmetric up to rounding, and the
+    Euclidean product of scaled vectors is the full-box product of the
+    even extensions.
 
-    sqrt(w) is never stored: it is applied block by block.  work, a flat
-    array with room for the padded box and for g.size + 1 values, is the
-    one scratch of the solve, free between applies, and its lifetime is
-    the operator's.  matvec uses it for a = x / sqrt(w): the Laplacian of
-    a goes into out, then a *= pot, out = a - out and out *= sqrt(w), the
-    operations and order of pot a - lap a, so each value rounds as in
-    the strong form.  precond uses it as the zero-padded box, whose slices
-    are fixed here once: it divides x by sqrt(w) straight into the inner
-    block and writes the inner block times sqrt(w) straight into out.
+    Neither map divides or multiplies by sqrt(w).  matvec runs
+    ``laplacian`` on the scaled x itself: sqrt(w) changes by sqrt(2)
+    only between the centre line of a mirrored axis and its neighbour,
+    so there the centre's coupling 2 / h^2 gains (sqrt(2) - 2) / h^2 and
+    the neighbour's 1 / h^2 gains (sqrt(2) - 1) / h^2, which makes both
+    sqrt(2) / h^2; then out = pot x - lap.  precond runs orthonormal
+    transforms, which on a folded axis are the unnormalized DCT-III /
+    DCT-II pair conjugated by sqrt(w), so x is copied into the inner
+    block of the zero-padded box and the inner block is copied out.
     Unmirrored axes run the orthonormal DST-I over the centred box, in
     place.  On a mirrored axis the input holds the half from the centre
     node on, the field being even there; it sits at the start of the half
     box and runs DCT-III, then the spectrum, then DCT-II, which is the
     full DST-I pair restricted to the even modes.
+
+    work, a flat array with room for the padded box and for g.size + 1
+    values, is the one scratch of the solve, free between applies, and
+    its lifetime is the operator's.  matvec uses it for the couplings'
+    corrections and then for pot x; precond uses it as the padded box,
+    whose slices are fixed here once.
     """
-    blocks = _root_w_blocks(g)
     axes = g.mirrored
     inv = _inverse_spectrum(_padded_size(g.n_axis), g.dim, g.h, shift, axes)
     inner = tuple(slice(0, g.centre + 1) if ax in axes else
@@ -253,72 +264,79 @@ def _shifted_operator(g: Grid, pot: np.ndarray, shift: float):
     plain = tuple(ax for ax in range(g.dim) if ax not in axes)
     work = np.empty(max(inv.size, g.size + 1))
     box = work[:inv.size].reshape(inv.shape)
+    scratch = work[:g.size].reshape(g.shape)
+    # (centre line, its neighbour) of each mirrored axis, and the
+    # corrections of the centre's and the neighbour's coupling
+    seams = [(_axis_slice(g.dim, ax, 0), _axis_slice(g.dim, ax, 1))
+             for ax in axes]
+    to_centre = (math.sqrt(2.0) - 2.0) / (g.h * g.h)
+    to_next = (math.sqrt(2.0) - 1.0) / (g.h * g.h)
 
     def matvec(x, out):
-        a = _scale_root_w(np.divide, blocks, x.reshape(g.shape),
-                          work[:g.size].reshape(g.shape))
+        x = x.reshape(g.shape)
         lap = out.reshape(g.shape)
-        laplacian(Field(g, a), out=lap)
-        a *= pot
-        np.subtract(a, lap, out=lap)
-        _scale_root_w(np.multiply, blocks, lap, lap)
+        laplacian(Field(g, x), out=lap)
+        for centre, nxt in seams:
+            lap[centre] += np.multiply(x[nxt], to_centre, out=scratch[nxt])
+            lap[nxt] += np.multiply(x[centre], to_next, out=scratch[centre])
+        np.multiply(pot, x, out=scratch)
+        np.subtract(scratch, lap, out=lap)
 
     def precond(x, out):
         box.fill(0.0)
-        _scale_root_w(np.divide, blocks, x.reshape(g.shape), box[inner])
+        box[inner] = x.reshape(g.shape)
         t = box
         if plain:
             t = dstn(t, type=1, norm="ortho", axes=plain, overwrite_x=True)
         if axes:
-            t = dctn(t, type=3, axes=axes, overwrite_x=True)
+            t = dctn(t, type=3, norm="ortho", axes=axes, overwrite_x=True)
         t *= inv
         if axes:
-            t = dctn(t, type=2, axes=axes, overwrite_x=True)
+            t = dctn(t, type=2, norm="ortho", axes=axes, overwrite_x=True)
         if plain:
             t = dstn(t, type=1, norm="ortho", axes=plain, overwrite_x=True)
-        _scale_root_w(np.multiply, blocks, t[inner], out.reshape(g.shape))
+        out.reshape(g.shape)[...] = t[inner]
 
-    return blocks, matvec, precond, work
+    return matvec, precond, work
 
 
 def minres(matvec, precond, b: np.ndarray, tol: float, maxiter: int,
-           x0: np.ndarray | None = None, callback=None,
-           work: np.ndarray | None = None) -> np.ndarray:
+           x0: np.ndarray | None = None, callback=None) -> np.ndarray:
     """Preconditioned MINRES, stopped when ||b - A x|| <= tol ||b||.
 
     ``matvec(x, out)`` writes A x into out for a symmetric A, and
     ``precond(x, out)`` writes M x for a symmetric positive definite
     approximation M of its inverse; out never aliases x.  The Lanczos and
     plane-rotation recurrences are those of Paige and Saunders (1975), as
-    in SciPy's ``minres``.  Each search direction w comes with A w,
-    recurred from the A v of the Lanczos step, so the residual r = b - A
-    x is updated in place next to x and the stopping test is on its
-    Euclidean norm, not on the preconditioner-weighted norm or a backward
-    error.  A start x0 (zero when None) is taken over, not copied: the
-    iteration updates it in place and returns it, and one that already
-    meets the test is returned after 0 iterations; after ``maxiter``
-    iterations the last iterate is returned.  The pass also stops when
-    the Krylov space closes, that is when the next beta falls to
-    rounding level, 8 eps times the largest alpha or beta of the Lanczos
-    matrix T so far (not the first beta, which carries the scale of b
-    rather than of the operator).  The step that closes the space is
-    kept when its rotation is defined; when gbar is at rounding level
-    too, T is singular on the closed space, the step would divide
-    rounding by rounding, and the iterate from before it is returned.
-    ``callback(x)`` runs once per iteration that updates x.
+    in SciPy's ``minres``.  The residual r = b - A x is recurred next to
+    x as r_k = s_k^2 r_{k-1} - (c_k phibar_k / beta_{k+1}) z_{k+1}, with
+    (c_k, s_k) the k-th rotation, phibar_k the rotated right-hand side's
+    last entry and z_{k+1} the next Lanczos vector before
+    preconditioning (Choi, Paige and Saunders 2011), so the stopping test
+    is on its Euclidean norm, not on the preconditioner-weighted norm or
+    a backward error, and no product with A is recurred.  A start x0
+    (zero when None) is taken over, not copied: the iteration updates it
+    in place and returns it, and one that already meets the test is
+    returned after 0 iterations; after ``maxiter`` iterations the last
+    iterate is returned.  The pass also stops when the Krylov space
+    closes, that is when the next beta falls to rounding level, 8 eps
+    times the largest alpha or beta of the Lanczos matrix T so far (not
+    the first beta, which carries the scale of b rather than of the
+    operator).  The step that closes the space is kept when its rotation
+    is defined; when gbar is at rounding level too, T is singular on the
+    closed space, the step would divide rounding by rounding, and the
+    iterate from before it is returned.  ``callback(x)`` runs once per
+    iteration that updates x.
 
-    Every vector is updated in place.  The pass holds ten of b's size:
+    Every vector is updated in place.  The pass holds eight of b's size:
     x, and as the rows of one block allocated once, r, the last two
-    Lanczos vectors, the last two w and A w, v (which first receives the
-    preconditioned vector y, then y / beta) and A v.  The products a p of
-    the Lanczos and direction updates go through one scratch used only
-    between the matvec and the preconditioner: the leading b.size entries
-    of work, the operators' own scratch (``_shifted_operator``), which
-    they do not hold across applies, or a new array when work is None.
-    Those of the x and r updates reuse A v's buffer, free by then.
+    Lanczos vectors before preconditioning, the last two directions w, v
+    (which first receives the preconditioned vector y, then y / beta) and
+    A v.  A v is read once, right after the matvec, so its row then holds
+    the products a p of the Lanczos, direction, x and r updates.
     """
-    rows = np.empty((9, b.size))
-    r, v, r1, r2, w_old, w, aw_old, aw, av = rows
+    rows = np.empty((7, b.size))
+    r, v, r1, r2, w_old, w, av = rows
     if x0 is None:
         x = np.zeros_like(b)
         np.copyto(r, b)
@@ -338,13 +356,11 @@ def minres(matvec, precond, b: np.ndarray, tol: float, maxiter: int,
     tnorm = 0.0   # the largest entry of the Lanczos matrix T so far
     oldb, dbar, epsln, cs, sn = 1.0, 0.0, 0.0, -1.0, 0.0
     # r1, r2: the last two Lanczos vectors before preconditioning, r1
-    # zero on the first step (so the placeholder oldb is never felt);
-    # w and A w of the last two directions, the older of each pair
-    # overwritten by the new one
+    # zero on the first step (so the placeholder oldb is never felt); w
+    # of the last two directions, the older overwritten by the new one
     r1.fill(0.0)
     np.copyto(r2, r)
-    rows[4:8] = 0.0
-    scratch = np.empty_like(b) if work is None else work[:b.size]
+    rows[4:6] = 0.0
     eps = np.finfo(float).eps
     for _ in range(maxiter):
         v /= beta
@@ -354,19 +370,17 @@ def minres(matvec, precond, b: np.ndarray, tol: float, maxiter: int,
         r1 += av
         alfa = float(np.dot(v, r1))
         tnorm = max(tnorm, abs(alfa))
-        r1 -= np.multiply(r2, alfa / beta, out=scratch)
+        r1 -= np.multiply(r2, alfa / beta, out=av)
         r1, r2 = r2, r1
         # previous rotation on the new column
         oldeps = epsln
         delta = cs * dbar + sn * alfa
         gbar = sn * dbar - cs * alfa
-        # gamma_k w_k = v_k - eps_k w_{k-2} - delta_k w_{k-1}, and A w_k
-        # alike from A v_k; gamma_k needs the next beta, and the
-        # preconditioner then overwrites the scratch
-        for new, prev, head in ((w_old, w, v), (aw_old, aw, av)):
-            new *= -oldeps
-            new -= np.multiply(prev, delta, out=scratch)
-            new += head
+        # gamma_k w_k = v_k - eps_k w_{k-2} - delta_k w_{k-1}; gamma_k
+        # needs the next beta, and the preconditioner then overwrites v
+        w_old *= -oldeps
+        w_old -= np.multiply(w, delta, out=av)
+        w_old += v
         precond(r2, v)
         oldb = beta
         beta = float(np.dot(r2, v))
@@ -386,21 +400,22 @@ def minres(matvec, precond, b: np.ndarray, tol: float, maxiter: int,
         phi = cs * phibar
         phibar = sn * phibar
         w_old /= gamma
-        aw_old /= gamma
         w_old, w = w, w_old
-        aw_old, aw = aw, aw_old
         x += np.multiply(w, phi, out=av)
-        r -= np.multiply(aw, phi, out=av)
         if callback is not None:
             callback(x)
-        if float(np.dot(r, r)) <= target or closed:
+        if closed:
+            break
+        r *= sn * sn
+        r -= np.multiply(r2, cs * phibar / beta, out=av)
+        if float(np.dot(r, r)) <= target:
             break
     return x
 
 
 def _solve_minres(matvec, precond, b: np.ndarray, tol: float,
                   label: str, x0: np.ndarray | None = None,
-                  callback=None, work: np.ndarray | None = None) -> np.ndarray:
+                  callback=None) -> np.ndarray:
     """MINRES with verification of the true residual.
 
     The first pass starts from x0 (zero when None), which it takes over
@@ -412,8 +427,8 @@ def _solve_minres(matvec, precond, b: np.ndarray, tol: float,
     the solve restarts from the last iterate with twice the iteration
     budget, and after three passes it is reported as stalled with the
     achieved residual history.  b = 0 returns exact zeros whatever x0 is.
-    ``callback`` and the operators' scratch ``work`` are handed to every
-    pass, so the callback sees the iterations of all of them.
+    ``callback`` is handed to every pass, so it sees the iterations of
+    all of them.
     """
     bnorm = math.sqrt(float(np.dot(b, b)))
     if bnorm == 0.0:
@@ -423,7 +438,7 @@ def _solve_minres(matvec, precond, b: np.ndarray, tol: float,
     maxiter = 1200
     for _ in range(3):
         x = minres(matvec, precond, b, tol, maxiter, x0=x,
-                   callback=callback, work=work)
+                   callback=callback)
         r = np.empty_like(b)
         matvec(x, r)
         r -= b
@@ -460,7 +475,8 @@ def solve_L0(rhs: Field, U0f: Field, params: ModelParams, tol: float,
     """
     g = rhs.grid
     pot = params.lam - 3.0 * params.alpha0 * U0f.data ** 2
-    blocks, mv, pc, work = _shifted_operator(g, pot, params.lam)
+    blocks = _root_w_blocks(g)
+    mv, pc, _work = _shifted_operator(g, pot, params.lam)
     del pot
     b = _scale_root_w(np.multiply, blocks, rhs.data, np.empty(g.shape))
     del rhs
@@ -468,8 +484,8 @@ def solve_L0(rhs: Field, U0f: Field, params: ModelParams, tol: float,
         x0 = _scale_root_w(np.multiply, blocks, x0.reshape(g.shape),
                            np.empty(g.shape)).ravel()
     x = _solve_minres(mv, pc, b.ravel(), tol, "L0", x0=x0,
-                      callback=callback, work=work)
-    del b, mv, pc, work
+                      callback=callback)
+    del b, mv, pc, _work
     u = Field(g, _scale_root_w(np.divide, blocks, x.reshape(g.shape),
                                x.reshape(g.shape)))
     if k is not None:
@@ -487,6 +503,8 @@ def _bordered_operator(op, op_pc, zf: np.ndarray, work: np.ndarray):
     preconditioner diag(M, 1 / (zf^T M zf)), from the field-block pair
     (op, op_pc) of ``_shifted_operator`` and its scratch work.
 
+    Everything is in the scaled unknowns of ``_shifted_operator``: zf is
+    sqrt(w) Z, scaled once by the caller, and neither map scales again.
     Both write into the caller's (zf.size + 1) array: the field block
     through op or op_pc on its leading zf.size entries, then the last
     entry; A x + x_last zf adds the product x_last zf, formed in work
@@ -537,7 +555,8 @@ def solve_L1_constrained(rhs: Field, bumpsum: Field, mu: Field, Z: Field,
     if zz <= 1e-300:
         raise ValueError("degenerate constraint: quad(Z^2) is zero")
     pot = mu.data - 3.0 * params.alpha1 * bumpsum.data ** 2
-    blocks, op, op_pc, work = _shifted_operator(g, pot, 1.0)
+    blocks = _root_w_blocks(g)
+    op, op_pc, work = _shifted_operator(g, pot, 1.0)
     del pot
     zf = _scale_root_w(np.multiply, blocks, Z.data, np.empty(g.shape))
     mv, pc = _bordered_operator(op, op_pc, zf.ravel(), work)
@@ -554,7 +573,7 @@ def solve_L1_constrained(rhs: Field, bumpsum: Field, mu: Field, Z: Field,
     del rhs
     x = _solve_minres(mv, pc, b, tol, "L1",
                       x0=None if x0 is None else bordered(*x0),
-                      callback=callback, work=work)
+                      callback=callback)
     del b, mv, pc, work
     lam_c = float(x[-1])
     x = x[:-1].reshape(g.shape)

@@ -81,9 +81,17 @@ def _interaction_report(total: float, config: BumpConfiguration,
     level = 0.5 * params.alpha1 * total / scale
     return InteractionReport(
         total=float(total),
-        J_surrogate=level / math.exp(-2.0 * math.pi * config.R / config.k),
-        J_exact=level / math.exp(-config.nearest_distance),
+        J_surrogate=_undo_decay(level, 2.0 * math.pi * config.R / config.k),
+        J_exact=_undo_decay(level, config.nearest_distance),
     )
+
+
+def _undo_decay(level: float, d: float) -> float:
+    """level / e^{-d}, formed as e^{log(level) + d} (0 for level 0) so
+    that it stays finite where e^{-d} underflows (d > ~745)."""
+    if level == 0.0:
+        return 0.0
+    return math.copysign(math.exp(math.log(abs(level)) + d), level)
 
 
 def interaction_term(V0prof: RadialProfile, config: BumpConfiguration,

@@ -233,14 +233,18 @@ def test_failed_run_removes_stale_summary(tmp_path):
     assert not (out / "summary.json").exists()
 
 
-def test_arithmetic_fault_writes_failure_record(tmp_path):
-    # at R = 240, k = 2 the scale e^(-2 pi R / k) of the interaction
-    # report underflows to 0 and dividing by it raises ZeroDivisionError
+def test_arithmetic_fault_writes_failure_record(tmp_path, monkeypatch):
+    # an ArithmeticError raised inside a subcommand's pipeline is a
+    # pipeline_error with its failure record, not a traceback
+    def divide_by_zero(*_args, **_kwargs):
+        return 1.0 / 0.0
+
+    monkeypatch.setattr(cli, "expansion_compare", divide_by_zero)
     out = tmp_path / "run"
     out.mkdir()
     (out / "summary.json").write_text("{}\n")
-    cfg = tmp_path / "far.cfg"
-    cfg.write_text("ks = 2\nR = 240\nh = 1\n")
+    cfg = tmp_path / "e.cfg"
+    cfg.write_text("ks = 6\nh = 0.5\n")
     assert main(["expansion", "--config", str(cfg),
                  "--out", str(out)]) == 1
     record = json.loads((out / "failure.json").read_text())
@@ -561,6 +565,21 @@ def test_expansion_run_artifacts(tmp_path, monkeypatch, beta_line):
             f0 = build_inputs(int(row["k"]), float(row["R"]), ModelParams(),
                               h=0.5).f0
             assert beta == 0.5 * f0
+
+
+def test_expansion_reports_levels_past_exp_underflow(tmp_path):
+    # at k = 2, R = 240 both decays e^{-2 pi R / k} and e^{-2R} underflow
+    # to zero, yet the levels J they divide out stay finite
+    cfg = tmp_path / "e.cfg"
+    cfg.write_text("ks = 2\nR = 240\nh = 1\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main(["expansion", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 0
+    (row,) = _expansion_rows(tmp_path / "out")
+    assert math.exp(-2.0 * math.pi * float(row["R"]) / 2) == 0.0
+    for key in ("J_surrogate", "J_exact"):
+        assert math.isfinite(float(row[key])) and float(row[key]) > 0.0
 
 
 def test_expansion_beta_unset_assembles_once(tmp_path, monkeypatch):
