@@ -21,8 +21,11 @@ by an exception writes no summary.json and removes an earlier run's, and
 a run that passes removes an earlier failure.json.
 
 Scan and sampling stages run serially from a single seeded generator,
-so identical config + seed produce bit-identical artifacts (the output
-path is not echoed into them).
+so identical config + seed produce bit-identical artifacts at a fixed
+BLAS thread count (the output path is not echoed into them).  The
+quadratures sum without BLAS, so bounds and expansion artifacts do not
+depend on that count; the corrector's Krylov solves take their inner
+products with np.dot, whose sum order can.
 
 A run leaves the host process's memory allocator at its settings: the
 Krylov solves and the field assembly reuse their own buffers (one
@@ -55,9 +58,6 @@ from .model import (ModelParams, bump_radius_interval, coupling_bound,
                     mid_radius)
 from .radial import dump_profile_csv, ground_state
 from .reduction import assemble_solution, maximize_over_Sk, reduced_energy
-
-SUBCOMMANDS = ("ground-state", "bounds", "expansion", "corrector",
-               "reduce", "solve")
 
 
 @dataclass(frozen=True)
@@ -493,6 +493,7 @@ _HANDLERS = {
     "reduce": _run_reduce,
     "solve": _run_solve,
 }
+SUBCOMMANDS = tuple(_HANDLERS)
 
 
 def _failure_name(exc: Exception) -> str:

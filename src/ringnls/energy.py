@@ -24,8 +24,7 @@ import numpy as np
 # bump_sum_field is not called here, but perfbench/spans.py patches it
 # on this module by name, so the import stays
 from .geometry import (BumpConfiguration, RingFields, bump_sum_field,
-                       node_radii, radial_field, ring_fields,
-                       sector_membership)
+                       node_radii, radial_field, ring_fields)
 from .grid import Field, Grid, grid_for_radius, inner, quad_product
 from .model import ModelParams, make_potential
 from .radial import RadialProfile, eval_profile
@@ -150,8 +149,8 @@ def check_ksum_bound(V0prof: RadialProfile, config: BumpConfiguration,
     rhs_tail = (6.0 * envelope_const
                 * math.exp(-eta * math.pi * config.R / config.k) * envelope)
     rhs_all = 7.0 * envelope_const * envelope
-    ratio_tail = float(np.max(lhs_tail / rhs_tail)) if len(pts) else 0.0
-    ratio_all = float(np.max(lhs_all / rhs_all)) if len(pts) else 0.0
+    ratio_tail = float(np.max(lhs_tail / rhs_tail))
+    ratio_all = float(np.max(lhs_all / rhs_all))
     return BoundReport(
         n_samples=len(pts), max_ratio_tail=ratio_tail,
         max_ratio_all=ratio_all,
@@ -161,19 +160,25 @@ def check_ksum_bound(V0prof: RadialProfile, config: BumpConfiguration,
 
 def draw_sector_samples(config: BumpConfiguration, n: int,
                         rng) -> np.ndarray:
-    """n uniform points of sector 1, rejection-sampled from the box
-    [-(R + 20), R + 20]^N around the ring.
+    """n uniform points of the sector Omega_1 = {y : x_1.y >= R|y|
+    cos(pi/k)}, in the first two coordinates, rejection-sampled from the
+    box [-(R + 20), R + 20]^N around the ring.
 
-    Deterministic for a fixed generator state, which is what makes the
-    seeded bound checks reproducible run to run.
+    Both edges of the sector, the rays at angles +-pi/k, are kept: the
+    test allows 1e-15 of rounding.  Deterministic for a fixed generator
+    state, which is what makes the seeded bound checks reproducible run
+    to run.
     """
     box_half = config.R + 20.0
+    cosang = math.cos(math.pi / config.k)
     rows = []
     got = 0
     while got < n:
         cand = rng.uniform(-box_half, box_half,
                            size=(max(4 * n, 64), config.dim))
-        keep = cand[sector_membership(cand, config) == 1]
+        plane = cand[:, :2]
+        inside = plane[:, 0] >= np.linalg.norm(plane, axis=1) * cosang - 1e-15
+        keep = cand[inside]
         rows.append(keep[: n - got])
         got += len(rows[-1])
     return np.concatenate(rows, axis=0)

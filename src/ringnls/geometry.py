@@ -1,4 +1,4 @@
-"""Ring placement of bumps, sectors, symmetry projection, R-derivatives.
+"""Ring placement of bumps, symmetry projection, R-derivatives.
 
 The k bumps sit at x_i = (R cos(2(i-1)pi/k), R sin(2(i-1)pi/k)), padded
 with a zero third coordinate in 3-D.  The symmetric class is generated
@@ -77,33 +77,6 @@ def bump_centers(k: int, R: float, dim: int) -> BumpConfiguration:
     centers[:, :2] = R * normals
     return BumpConfiguration(k=k, R=float(R), dim=dim,
                              centers=centers, normals=normals)
-
-
-def sector_membership(y, config: BumpConfiguration):
-    """Index (1-based) of the sector cone containing y.
-
-    Sector i is {z : x_i . z >= R |z| cos(pi/k)} in the first two
-    coordinates; boundary ties go to the smaller index and the origin
-    goes to sector 1.
-    """
-    y = np.asarray(y, dtype=float)
-    single = y.ndim == 1
-    pts = y.reshape(-1, y.shape[-1])[:, :2]
-    norms = np.linalg.norm(pts, axis=1)
-    cosang = math.cos(math.pi / config.k)
-    out = np.zeros(pts.shape[0], dtype=int)
-    todo = norms > 0.0
-    out[~todo] = 1
-    for i in range(config.k):
-        if not np.any(todo):
-            break
-        hit = todo & (pts @ config.normals[i] >= norms * cosang - 1e-15)
-        out[hit] = i + 1
-        todo &= ~hit
-    out[todo] = 1  # numerical stragglers on cone boundaries
-    if single:
-        return int(out[0])
-    return out.reshape(y.shape[:-1])
 
 
 def node_radii(g: Grid, centre=None, out=None) -> np.ndarray:
@@ -217,10 +190,8 @@ def ring_fields(g: Grid, profile: RadialProfile, config: BumpConfiguration,
     3-D).  The held V^3 are formed from the held V when the overlap and
     the closing sums read them, in the orbit rows, and so are the overlap
     integrand and its quadrature.  The peak is therefore the sums and the
-    block, one part-sized allocation per call: with every sum requested, two
-    part-sized arrays fewer than when each orbit allocated its own and the
-    held V^3 were kept, since one row serves as V_j^2 dV_j/dR and then as
-    the scratch of the closing sums.
+    block, one part-sized allocation per call; one row serves as V_j^2
+    dV_j/dR and then as the scratch of the closing sums.
     """
     axes = mirror_axes(config.k, g.dim)
     if g.mirrored != axes:

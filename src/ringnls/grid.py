@@ -2,8 +2,9 @@
 
 The computational domain is the box [-L, L]^N with uniform spacing h and
 homogeneous Dirichlet data outside the box.  Quadrature is the tensor
-trapezoid rule (boundary nodes carry half weight per axis), summed in a
-fixed pairwise order so results are bit-identical from run to run.  The
+trapezoid rule (boundary nodes carry half weight per axis), summed by
+numpy's pairwise float reduction, a fixed tree in C that calls no BLAS
+and starts no thread, so results are bit-identical from run to run.  The
 Dirichlet form
 
     inner(u, v, pot) = int grad u . grad v + pot u v,
@@ -210,42 +211,21 @@ def laplacian_eigenvalues(n: int, h: float, j):
     return (2.0 - 2.0 * np.cos(np.pi * np.asarray(j) / (n + 1))) / (h * h)
 
 
-def _pairwise_sum(a: np.ndarray) -> float:
-    """Fixed-tree pairwise reduction; bit-identical across thread counts.
-
-    Each level adds neighbouring pairs, an odd last entry passing through,
-    until one value is left.  The levels alternate between the two halves
-    of one buffer of 3/4 of a's size, so no level allocates.
-    """
-    a = a.ravel()
-    half = (a.size + 1) // 2
-    buf = np.empty(half + (half + 1) // 2)
-    levels = (buf[:half], buf[half:])
-    while a.size > 1:
-        n = a.size
-        dst = levels[0][:(n + 1) // 2]
-        np.add(a[0:n - 1:2], a[1::2], out=dst[:n // 2])
-        if n % 2:
-            dst[-1] = a[-1]
-        a = dst
-        levels = levels[::-1]
-    return float(a[0])
-
-
-def _weighted(g: Grid, prod: np.ndarray, out=None) -> np.ndarray:
-    """prod times the trapezoid weights of every axis, into out (a new
-    array when None; prod itself for a caller that owns it)."""
+def _weighted_sum(g: Grid, prod: np.ndarray, out=None) -> float:
+    """The sum of prod times the trapezoid weights of every axis, formed
+    in out (a new array when None; prod itself for a caller that owns
+    it) and summed by numpy's pairwise reduction."""
     for ax in range(g.dim):
         w = g.weights1d(ax)
         shape = [1] * g.dim
         shape[ax] = w.size
         prod = out = np.multiply(prod, w.reshape(shape), out=out)
-    return out
+    return float(np.add.reduce(out, axis=None))
 
 
 def quad_product(*fields, out: np.ndarray | None = None) -> float:
-    """Trapezoid quadrature of a nodewise product over the box, with a
-    deterministic sum order.
+    """Trapezoid quadrature of a nodewise product over the box, summed
+    by numpy's pairwise reduction.
 
     The weighted product is formed in out when given, an array of the
     grid's shape that may be a field's own data, which the caller then
@@ -256,7 +236,7 @@ def quad_product(*fields, out: np.ndarray | None = None) -> float:
         prod = out = np.multiply(prod, _raw(fields[1]), out=out)
         for f in fields[2:]:
             prod *= _raw(f)
-    return _pairwise_sum(_weighted(g, prod, out=out))
+    return _weighted_sum(g, prod, out=out)
 
 
 def grad8(f: Field, ax: int) -> Field:
@@ -293,12 +273,12 @@ def inner(u: Field, v: Field, pot) -> float:
         prod, scale = pot.data * u.data * v.data, 1.0
     else:
         prod, scale = u.data * v.data, pot
-    total = scale * _pairwise_sum(_weighted(g, prod, out=prod))
+    total = scale * _weighted_sum(g, prod, out=prod)
     for ax in range(g.dim):
         gu = grad8(u, ax).data
         gv = gu if v is u else grad8(v, ax).data
         prod = gu * gv
-        total += _pairwise_sum(_weighted(g, prod, out=prod))
+        total += _weighted_sum(g, prod, out=prod)
     return total
 
 

@@ -108,8 +108,8 @@ def make_potential(params: ModelParams):
 
 def coupling_bound(u0_field, bump_sum_field) -> float:
     """The bound f0 = SAFETY/γ0 on |β|, γ0 = sup max{U0², (ΣV_i)²}."""
-    sup_u = float(np.max(np.abs(u0_field))) if np.size(u0_field) else 0.0
-    sup_w = float(np.max(np.abs(bump_sum_field))) if np.size(bump_sum_field) else 0.0
+    sup_u = float(np.max(np.abs(u0_field)))
+    sup_w = float(np.max(np.abs(bump_sum_field)))
     gamma0 = max(sup_u, sup_w) ** 2
     if gamma0 <= 0:
         raise ValueError("gamma0 vanished: both fields are identically zero")

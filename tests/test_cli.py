@@ -144,7 +144,7 @@ def test_ground_state_artifacts(tmp_path):
 # determinism (identical config + seed => bit-identical artifacts)
 
 
-def test_bounds_bit_identical_across_threads(tmp_path):
+def test_bounds_rerun_bit_identical(tmp_path):
     cfg = tmp_path / "b.cfg"
     cfg.write_text("n_samples = 40\nks = 6\netas = 1,2\nseed = 7\n")
     outs = []
@@ -161,6 +161,26 @@ def test_bounds_bit_identical_across_threads(tmp_path):
     assert "out" not in summary["config"]
     assert "threads" not in summary["config"]
     assert summary["config"]["seed"] == 7
+
+
+def test_expansion_bit_identical_across_blas_threads(tmp_path):
+    # the quadratures sum without BLAS, so the expansion artifacts are the
+    # same bytes whatever thread count the BLAS library is given
+    cfg = tmp_path / "e.cfg"
+    cfg.write_text("ks = 6\nh = 0.5\n")
+    blobs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        env = dict(_child_env(), OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-m", "ringnls.cli", "expansion",
+             "--config", str(cfg), "--out", str(out)],
+            capture_output=True, text=True, timeout=300, env=env)
+        assert proc.returncode == 0, proc.stderr
+        blobs.append(tuple((out / name).read_bytes()
+                           for name in ("summary.json", "expansion.csv")))
+    assert blobs[0] == blobs[1]
 
 
 def test_bounds_crossterm_on_part_matches_full_box(tmp_path):

@@ -283,15 +283,21 @@ def test_ksum_bound_small_radius_reports(townes):
 
 
 def test_draw_sector_samples_deterministic():
-    cfg = bump_centers(16, 7.0, 2)
-    a = draw_sector_samples(cfg, 200, np.random.default_rng(3))
-    b = draw_sector_samples(cfg, 200, np.random.default_rng(3))
-    c = draw_sector_samples(cfg, 200, np.random.default_rng(4))
-    assert np.array_equal(a, b)
-    assert not np.array_equal(a, c)
-    assert a.shape == (200, 2)
-    from ringnls.geometry import sector_membership
-    assert np.all(sector_membership(a, cfg) == 1)
+    # a half-plane, a wide and a narrow sector: every sample lies in the
+    # cone of x_1, and the samples reach both of its edges
+    for k in (2, 3, 16):
+        cfg = bump_centers(k, 7.0, 2)
+        a = draw_sector_samples(cfg, 200, np.random.default_rng(3))
+        b = draw_sector_samples(cfg, 200, np.random.default_rng(3))
+        c = draw_sector_samples(cfg, 200, np.random.default_rng(4))
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, c)
+        assert a.shape == (200, 2)
+        radii = np.linalg.norm(a, axis=1)
+        assert np.all(a[:, 0] >= radii * math.cos(math.pi / k) - 1e-15)
+        angles = np.arctan2(a[:, 1], a[:, 0])
+        assert angles.max() >= 0.95 * math.pi / k
+        assert angles.min() <= -0.95 * math.pi / k
 
 
 def _compare(prof, cfg, p, g=None):

@@ -74,49 +74,6 @@ def test_bad_configuration_rejected():
         geometry.bump_centers(4, 1.0, 4)
 
 
-def test_sector_examples():
-    conf = geometry.bump_centers(4, 1.0, 2)
-    assert geometry.sector_membership(np.array([1.0, 0.1]), conf) == 1
-    assert geometry.sector_membership(np.array([0.0, 3.0]), conf) == 2
-    assert geometry.sector_membership(np.array([0.0, 0.0]), conf) == 1
-    # boundary ray at angle exactly pi/k ties between sectors 1 and 2
-    # and the tie goes to the smaller index
-    b = np.array([math.cos(math.pi / 4), math.sin(math.pi / 4)])
-    assert geometry.sector_membership(b, conf) == 1
-
-
-def test_sector_partition_and_rotation():
-    """Every point lands in exactly one sector, and rotating by 2pi/k
-    advances the sector index cyclically."""
-    rng = np.random.default_rng(11)
-    for _ in range(8):
-        k = int(rng.integers(2, 19))
-        conf = geometry.bump_centers(k, 2.0, 2)
-        pts = rng.normal(size=(250, 2)) * 3.0
-        idx = geometry.sector_membership(pts, conf)
-        assert idx.min() >= 1 and idx.max() <= k
-        th = 2.0 * math.pi / k
-        Q = np.array([[math.cos(th), -math.sin(th)],
-                      [math.sin(th), math.cos(th)]])
-        idx2 = geometry.sector_membership(pts @ Q.T, conf)
-        # away from cone boundaries the index advances by exactly one
-        interior = np.ones(len(pts), bool)
-        for i in range(k):
-            ang = np.abs(pts @ conf.normals[i]
-                         - np.linalg.norm(pts, axis=1) * math.cos(math.pi / k))
-            interior &= ang > 1e-6
-        assert np.all((idx2[interior] - 1) % k == idx[interior] % k)
-
-
-def test_sector_covers_grid(ring8):
-    conf, g, _, _ = ring8
-    xx, yy = np.meshgrid(g.axis, g.axis, indexing="ij")
-    pts = np.stack([xx.ravel(), yy.ravel()], axis=-1)
-    idx = geometry.sector_membership(pts, conf)
-    assert idx.shape == (g.n_axis ** 2,)
-    assert idx.min() >= 1 and idx.max() <= conf.k
-
-
 def d_bump_dR(profile, config, i, y):
     """∂V_i/∂R at y (1-based i): −V0'(ρ)·((y−x_i)·n_i)/ρ, ρ = |y−x_i|.
 

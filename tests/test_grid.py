@@ -310,29 +310,6 @@ def test_field_dump_peak_memory(tmp_path):
     assert peak <= path.stat().st_size
 
 
-def _pairwise_sum_by_concatenate(a):
-    """The reduction tree as first written, a new array per level."""
-    a = a.ravel()
-    while a.size > 1:
-        if a.size % 2:
-            a = np.concatenate([a[0:-1:2] + a[1::2], a[-1:]])
-        else:
-            a = a[0::2] + a[1::2]
-    return float(a[0])
-
-
-def test_pairwise_sum_keeps_the_concatenate_tree():
-    # the levels summed into one buffer follow the same tree bit for bit,
-    # odd sizes included, and leave the input as it was
-    rng = np.random.default_rng(21)
-    for n in range(1, 71):
-        a = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, n)
-        before = a.copy()
-        got = grid._pairwise_sum(a)
-        assert np.array_equal(a, before)
-        assert got == _pairwise_sum_by_concatenate(a)
-
-
 def test_quad_product_into_out_matches_new_array():
     g = grid.make_grid(2, 3.0, 0.25).with_mirrored((1,))
     rng = np.random.default_rng(4)
@@ -347,13 +324,21 @@ def test_quad_product_into_out_matches_new_array():
         == grid.quad_product(f, h)
 
 
-def test_pairwise_sum_deterministic():
-    rng = np.random.default_rng(3)
-    a = rng.standard_normal(1037)
-    s1 = grid._pairwise_sum(a.copy())
-    s2 = grid._pairwise_sum(a.copy())
-    assert s1 == s2
-    assert s1 == pytest.approx(float(np.sum(a)), abs=1e-10)
+def test_quadrature_independent_of_buffer():
+    # the sum does not depend on where the weighted product sits in
+    # memory, and for a positive field it is the correctly rounded sum
+    # of the weighted products to within the pairwise tree's rounding
+    g = grid.make_grid(2, 8.0, 0.125).with_mirrored((0, 1))
+    rng = np.random.default_rng(9)
+    f, h = (grid.Field(g, rng.uniform(0.5, 2.0, g.shape)) for _ in range(2))
+    want = grid.quad_product(f, h)
+    buf = np.empty(g.size + 8)
+    for offset in range(1, 9):
+        v = buf[offset:offset + g.size].reshape(g.shape)
+        assert grid.quad_product(f, h, out=v) == want
+    weights = np.multiply.outer(g.weights1d(0), g.weights1d(1))
+    exact = math.fsum((weights * f.data * h.data).ravel().tolist())
+    assert abs(want - exact) <= 1e-13 * exact
 
 
 # ---------------------------------------------------------------------------
