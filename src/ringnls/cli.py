@@ -50,8 +50,7 @@ import numpy as np
 
 from .corrector import (CorrectorDivergence, LinearSolveStalled, build_inputs,
                         fixed_point_iterate)
-from .energy import (ansatz_fields, check_ksum_bound, draw_sector_samples,
-                     expansion_compare)
+from .energy import check_ksum_bound, draw_sector_samples, expansion_compare
 from .geometry import bump_centers, bump_sum_field, radial_field
 from .grid import dump_field, grid_for_radius, quad_product
 from .model import (ModelParams, bump_radius_interval, coupling_bound,
@@ -323,12 +322,13 @@ def _run_bounds(config: RunConfig, out: Path):
 def _run_expansion(config: RunConfig, out: Path):
     """Ansatz energy against the three-constant model for each k in ks.
 
-    Per k it builds the grid and the ring, and ansatz_fields assembles
-    U0, W and the overlap sum in one pass over the H+-orbits of bumps on
-    the part of the box folded on mirror_axes(k), where expansion_compare
-    evaluates the energy.  When beta is unset, f0 is read from the same
-    fields (the suprema on the part are those of the box); none of the
-    other corrector inputs are assembled.
+    Per k it builds the grid and the ring, and samples U0 (radial_field)
+    and W (bump_sum_field, one pass over the H+-orbits of bumps) on the
+    part of the box folded on mirror_axes(k), where expansion_compare
+    evaluates the energy; the overlap sum is taken off the grid.  When
+    beta is unset, f0 is read from the same fields (the suprema on the
+    part are those of the box); none of the other corrector inputs are
+    assembled.
     """
     params0 = _base_params(config)
     u0 = ground_state(config.lam, config.alpha0, config.dim)
@@ -343,14 +343,15 @@ def _run_expansion(config: RunConfig, out: Path):
         g = grid_for_radius(R, config.lam, config.dim, k, h=config.h,
                             L=config.L)
         ring = bump_centers(k, R, config.dim)
-        U0f, bumps = ansatz_fields(u0, v0, ring, g)
-        f0 = (coupling_bound(U0f.data, bumps.W)
+        U0f = radial_field(g, u0)
+        W = bump_sum_field(g, v0, ring)
+        f0 = (coupling_bound(U0f.data, W.data)
               if config.beta is None else None)
         beta = _resolve_beta(config, f0)
         rep = expansion_compare(u0, v0, ring, replace(params0, beta=beta),
-                                (U0f, bumps))
+                                U0f, W)
         # this k's fields go before the next k assembles its own
-        del U0f, bumps
+        del U0f, W
         rows.append((k, float(rep.R), float(beta), float(rep.direct),
                      float(rep.model), float(rep.rho), float(rep.A0),
                      float(rep.A1), float(rep.A2),

@@ -12,6 +12,11 @@ linear, quadratic, and higher-order in the corrector pair (u, v); the
 split here is carried out as nodewise algebra, its linear and quadratic
 parts again through grid.inner, so the four pieces reproduce the direct
 energy to rounding on any grid.
+
+The neighbour overlap Sigma_{i>=2} int V_1^3 V_i is taken off the grid:
+each term is a two-bump integral that depends only on the chord
+|x_1 - x_i|, evaluated by a fixed quadrature in polar coordinates about
+bump 1, so it does not depend on any box grid.
 """
 
 from __future__ import annotations
@@ -21,11 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# bump_sum_field is not called here, but perfbench/spans.py patches it
-# on this module by name, so the import stays
-from .geometry import (BumpConfiguration, RingFields, bump_sum_field,
-                       node_radii, radial_field, ring_fields)
-from .grid import Field, Grid, grid_for_radius, inner, quad_product
+# bump_sum_field and radial_field are not called here, but
+# perfbench/spans.py patches them on this module by name
+from .geometry import (BumpConfiguration, bump_sum_field, node_radii,
+                       radial_field)
+from .grid import Field, Grid, inner, quad_product
 from .model import ModelParams, make_potential
 from .radial import RadialProfile, eval_profile
 
@@ -71,20 +76,6 @@ class InteractionReport:
     J_exact: float
 
 
-def _interaction_report(total: float, config: BumpConfiguration,
-                        params: ModelParams) -> InteractionReport:
-    """The overlap total Sigma_{i>=2} int V1^3 V_i with its levels J."""
-    if config.k < 2:
-        raise ValueError(f"interaction needs at least two bumps, got k={config.k}")
-    scale = (config.k / config.R) ** (0.5 * (config.dim - 1))
-    level = 0.5 * params.alpha1 * total / scale
-    return InteractionReport(
-        total=float(total),
-        J_surrogate=_undo_decay(level, 2.0 * math.pi * config.R / config.k),
-        J_exact=_undo_decay(level, config.nearest_distance),
-    )
-
-
 def _undo_decay(level: float, d: float) -> float:
     """level / e^{-d}, formed as e^{log(level) + d} (0 for level 0) so
     that it stays finite where e^{-d} underflows (d > ~745)."""
@@ -93,20 +84,65 @@ def _undo_decay(level: float, d: float) -> float:
     return math.copysign(math.exp(math.log(abs(level)) + d), level)
 
 
-def interaction_term(V0prof: RadialProfile, config: BumpConfiguration,
-                     params: ModelParams,
-                     g: Grid | None = None) -> InteractionReport:
-    """Sigma_{i>=2} int V1^3 V_i on g, normalized to its levels J.
+# the pair rule: Gauss-Legendre panels and nodes per panel in r on [0,
+# 16] (V0^3 there is below 1e-20 of its peak), and angles
+_PAIR_PANELS, _PAIR_NODES, _PAIR_ANGLES = 8, 16, 64
 
-    g is the part of the box folded on mirror_axes(k) (by default
-    grid_for_radius's for the ring), and the sum comes from one
-    ring_fields pass there, which evaluates the profile once per
-    H+-orbit of bumps.
+
+def _pair_overlaps(V0prof: RadialProfile, d: np.ndarray,
+                   dim: int) -> np.ndarray:
+    """phi(d) = int V0(|y|)^3 V0(|y - d e_1|) dy for each distance in d.
+
+    In polar coordinates about the first bump, r = |y| and theta the angle
+    to e_1, |y - d e_1|^2 = (r - d)^2 + 2 r d (1 - cos theta), a sum of
+    nonnegative terms.  The angular integral is 2 int_0^pi dtheta in 2-D,
+    by the midpoint rule (the periodic trapezoid rule), and 2 pi
+    int_-1^1 dcos theta in 3-D, by Gauss-Legendre.  The profile is
+    evaluated twice, on the radial nodes and on every (d, r, theta) node
+    at once, and every sum is an np.add.reduce, so no BLAS call enters.
     """
-    if g is None:
-        g = grid_for_radius(config.R, 1.0, config.dim, config.k)
-    ring = ring_fields(g, V0prof, config, overlap=True)
-    return _interaction_report(ring.overlap, config, params)
+    x, w = np.polynomial.legendre.leggauss(_PAIR_NODES)
+    half = 8.0 / _PAIR_PANELS  # half the width of a panel on [0, 16]
+    r = (half * (2.0 * np.arange(_PAIR_PANELS)[:, None] + 1.0 + x)).ravel()
+    radial = (np.tile(half * w, _PAIR_PANELS) * r ** (dim - 1)
+              * eval_profile(V0prof, r) ** 3)
+    if dim == 2:
+        theta = (np.arange(_PAIR_ANGLES) + 0.5) * (math.pi / _PAIR_ANGLES)
+        gap, wa = 2.0 * np.sin(0.5 * theta) ** 2, 2.0 * math.pi / _PAIR_ANGLES
+    else:
+        t, wa = np.polynomial.legendre.leggauss(_PAIR_ANGLES)
+        gap, wa = 1.0 - t, 2.0 * math.pi * wa
+    d, rr = np.asarray(d, dtype=float)[:, None, None], r[:, None]
+    far = np.sqrt((rr - d) ** 2 + 2.0 * rr * d * gap)
+    far = eval_profile(V0prof, far, out=far)
+    far *= wa
+    return np.add.reduce(np.add.reduce(far, axis=2) * radial, axis=1)
+
+
+def interaction_term(V0prof: RadialProfile, config: BumpConfiguration,
+                     params: ModelParams) -> InteractionReport:
+    """Sigma_{i>=2} int V1^3 V_i, normalized to its levels J.
+
+    Bumps i and k + 2 - i sit at the same chord 2R sin(pi (i-1)/k) from
+    x_1, so the sum is Sigma_{m=1}^{floor(k/2)} c_m phi(2R sin(pi m/k)),
+    c_m = 1 for the opposite bump (2m = k) and 2 otherwise, with the pair
+    integrals phi from _pair_overlaps.
+    """
+    k = config.k
+    if k < 2:
+        raise ValueError(f"interaction needs at least two bumps, got k={k}")
+    m = np.arange(1, k // 2 + 1)
+    chords = 2.0 * config.R * np.sin(math.pi * m / k)
+    weights = np.where(2 * m == k, 1.0, 2.0)
+    total = float(np.add.reduce(
+        weights * _pair_overlaps(V0prof, chords, config.dim)))
+    scale = (k / config.R) ** (0.5 * (config.dim - 1))
+    level = 0.5 * params.alpha1 * total / scale
+    return InteractionReport(
+        total=total,
+        J_surrogate=_undo_decay(level, 2.0 * math.pi * config.R / k),
+        J_exact=_undo_decay(level, config.nearest_distance),
+    )
 
 
 @dataclass
@@ -201,37 +237,23 @@ class ExpansionReport:
     J_exact: float
 
 
-def ansatz_fields(U0prof: RadialProfile, V0prof: RadialProfile,
-                  config: BumpConfiguration,
-                  g: Grid) -> tuple[Field, RingFields]:
-    """U0 and the ring pass (W and the overlap sum) that expansion_compare
-    reads, sampled on g, the part of the box folded on mirror_axes(k); a
-    caller that also needs W, for f0, builds them once here, and sup |W|
-    on the part is that of the box."""
-    return radial_field(g, U0prof), ring_fields(g, V0prof, config,
-                                                overlap=True)
-
-
 def expansion_compare(U0prof: RadialProfile, V0prof: RadialProfile,
                       config: BumpConfiguration, params: ModelParams,
-                      fields: tuple[Field, RingFields]) -> ExpansionReport:
+                      U0f: Field, W: Field) -> ExpansionReport:
     """Compare I(U0, Sigma V_i) with A0 + k (A1 + A2/R^m) - interaction_sum.
 
     The per-bump remainder rho = |direct - model| / k collects everything
     the model drops: the finite-R potential deviation, beyond-pair
-    overlaps, and the beta cross term.  fields, from ansatz_fields, hold
-    U0, W = Sigma V_i and the overlap sum on the part of the box folded on
-    mirror_axes(k); mu is sampled there from params and the energy is
-    evaluated there: the folded gradients and quadratures give the full
-    box's values of the even fields, summed in another order.  The fields
-    and sums equal those of bump_sum_field, energy and interaction_term on
-    that part exactly.
+    overlaps, and the beta cross term.  U0f and W = Sigma V_i lie on the
+    part of the box folded on mirror_axes(k); mu is sampled there from
+    params and the energy is evaluated there: the folded gradients and
+    quadratures give the full box's values of the even fields, summed in
+    another order.  The overlap sum is interaction_term's, off the grid.
     """
-    U0f, ring = fields
     part = U0f.grid
     muf = potential_field(part, make_potential(params))
-    inter = _interaction_report(ring.overlap, config, params)
-    direct = energy(U0f, Field(part, ring.W), muf, params)
+    inter = interaction_term(V0prof, config, params)
+    direct = energy(U0f, W, muf, params)
     A0, A1, A2 = expansion_constants(U0prof, V0prof, params)
     interaction_sum = 0.5 * params.alpha1 * config.k * inter.total
     model = A0 + config.k * (A1 + A2 / config.R ** params.m) - interaction_sum

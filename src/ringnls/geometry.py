@@ -28,11 +28,12 @@ bit.  Memory is O(nodes) and independent of k.
 
 H+ also permutes the bumps: the transpose maps the field of bump j to
 that of bump k/4 - j (mod k).  ring_fields therefore assembles W = Sigma
-V_i, Sigma V_i^3, the radius mode Z = Sigma V_i^2 dV_i/dR and the overlap
-Sigma_{i>=2} int V_1^3 V_i on the part, in one pass that evaluates the
-profile once per H+-orbit of bumps (9 orbits of a quarter box at k = 16,
-2.25 full-box evaluations) and adds the transposed image of that one
-evaluation.
+V_i, Sigma V_i^3 and the radius mode Z = Sigma V_i^2 dV_i/dR on the part,
+in one pass that evaluates the profile once per H+-orbit of bumps (9
+orbits of a quarter box at k = 16, 2.25 full-box evaluations) and adds
+that evaluation and its transposed image straight into the sums.  The
+neighbour overlap Sigma_{i>=2} int V_1^3 V_i is no grid sum; the energy
+module takes it off the grid.
 """
 from __future__ import annotations
 
@@ -42,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.ndimage import map_coordinates, spline_filter
 
-from .grid import Field, Grid, mirror_axes, quad_product
+from .grid import Field, Grid, mirror_axes
 from .radial import RadialProfile, eval_profile, eval_profile_deriv
 
 
@@ -125,16 +126,12 @@ def _radial_derivative(profile: RadialProfile, config: BumpConfiguration,
 
 @dataclass
 class RingFields:
-    """Sums over the ring on one grid; the parts not requested are None.
-
-    W = Sigma_i V_i, cubes = Sigma_i V_i^3, Z = Sigma_i V_i^2 ∂V_i/∂R and
-    overlap = Sigma_{i>=2} int V_1^3 V_i (trapezoid quadrature).
-    """
+    """Sums over the ring on one grid, W = Sigma_i V_i, cubes = Sigma_i
+    V_i^3 and Z = Sigma_i V_i^2 ∂V_i/∂R; the parts not requested are None."""
 
     W: np.ndarray
     cubes: np.ndarray | None = None
     Z: np.ndarray | None = None
-    overlap: float | None = None
 
 
 def _ring_orbits(k: int) -> list:
@@ -160,38 +157,23 @@ def _ring_orbits(k: int) -> list:
 
 
 def ring_fields(g: Grid, profile: RadialProfile, config: BumpConfiguration,
-                cubes: bool = False, constraint: bool = False,
-                overlap: bool = False) -> RingFields:
-    """W, and on request Sigma V_i^3, Z and the overlap, in one pass.
+                cubes: bool = False, constraint: bool = False) -> RingFields:
+    """W, and on request Sigma V_i^3 and Z, in one pass.
 
     g must be the part of the box folded on mirror_axes(k), as
     ``grid.grid_for_radius`` builds it; any other grid is refused
     (ValueError), and the arrays come back on g.  The profile (and, for
     Z, its derivative) is evaluated on g once per H+-orbit representative
     j; the other bump of the orbit, if any, is the y1/y2 transpose of V_j,
-    V_j^3 and V_j^2 dV_j/dR there.
-
-    V_1 alone is not even in y1, so for even k the overlap is half the
-    part's quadrature of the mirror-even G = V_1^3 (W' + V_m) + V_m^3 (W'
-    + V_1), m = k/2 + 1 the bump opposite x_1 and W' the sum of every
-    other bump; for odd k it is the quadrature of V_1^3 W'.  V and V^3 of
-    bumps 1 and m are held back and added last, after the overlap is
-    taken, so every term is a sum of positive parts and no difference of
-    sums cancels; their Z terms are added with their orbit.  The
-    summation order does not depend on which parts are requested, so W
-    is the same floats for every caller.
+    V_j^3 and V_j^2 dV_j/dR there.  Each orbit adds straight into the
+    sums, in orbit order, so W is the same floats for every caller.
 
     Every array but the returned sums is a row of one block, allocated
-    once per call and freed on return: the held V of bumps 1 and m, which
-    their orbits evaluate straight into, and one orbit's arrays, reused
-    by every other orbit with the profile evaluated straight into them:
-    rho, whose row takes V_j^3 once rho is read for the last time, V_j,
-    V_j^2 dV_j/dR and the projection (y - x_j).n_j (a separate plane in
-    3-D).  The held V^3 are formed from the held V when the overlap and
-    the closing sums read them, in the orbit rows, and so are the overlap
-    integrand and its quadrature.  The peak is therefore the sums and the
-    block, one part-sized allocation per call; one row serves as V_j^2
-    dV_j/dR and then as the scratch of the closing sums.
+    once per call, reused by every orbit with the profile evaluated
+    straight into it, and freed on return: rho, whose row takes V_j^3
+    once rho is read for the last time, V_j, V_j^2 dV_j/dR and the
+    projection (y - x_j).n_j (a separate plane in 3-D).  The peak is
+    therefore the sums and the block, one part-sized allocation per call.
     """
     axes = mirror_axes(config.k, g.dim)
     if g.mirrored != axes:
@@ -201,67 +183,29 @@ def ring_fields(g: Grid, profile: RadialProfile, config: BumpConfiguration,
     W = np.zeros(g.shape)
     C = np.zeros(g.shape) if cubes else None
     Z = np.zeros(g.shape) if constraint else None
-    last = {0, config.k // 2} if config.k % 2 == 0 else {0}
-    held = {}
-    # one orbit's rho (then V^3), V and t (V^2 dV/dR, then the scratch of
-    # the closing sums), the projection when it is part-sized, and the V
-    # of each held bump
+    # one orbit's rho (then V^3), V, V^2 dV/dR and the projection when it
+    # is part-sized
     plane = np.broadcast_shapes(mesh[0].shape, mesh[1].shape)
-    scratch = constraint or cubes or overlap
     full_proj = constraint and plane == g.shape
-    orbit_rows = 2 + scratch + full_proj
-    block = np.empty((orbit_rows + len(last),) + g.shape)
+    block = np.empty((2 + constraint + full_proj,) + g.shape)
     rho_row, v_row = block[0], block[1]
-    t_row = block[2] if scratch else None
-    zj = t_row if constraint else None
-    proj = None
+    zj = proj = None
     if constraint:
-        proj = block[3] if full_proj else np.empty(plane)
-    free_held = list(block[orbit_rows:])
-
-    def add(parts):
-        for total, a in zip((W, C, Z), parts):
-            if total is not None and a is not None:
-                total += a
-
+        zj, proj = block[2], (block[3] if full_proj else np.empty(plane))
     for j, images in _ring_orbits(config.k):
-        keep = any(i in last for i, _swap in images)
         rho = node_radii(g, config.centers[j], out=rho_row)
-        # a held orbit evaluates V into its own row; V^3 takes rho's row
-        vj = eval_profile(profile, rho, out=free_held.pop() if keep
-                          else v_row)
+        vj = eval_profile(profile, rho, out=v_row)
         if constraint:
             zj = _radial_derivative(profile, config, j, mesh, rho, out=zj,
                                     proj=proj)
             zj *= vj
             zj *= vj
         cj = np.power(vj, 3, out=rho_row) if cubes else None
-        for i, swap in images:
-            parts = [a.swapaxes(0, 1) if swap and a is not None else a
-                     for a in (vj, cj, zj)]
-            if i in last:
-                # V_i and V_i^3 wait for the overlap; Z takes its term now
-                held[i] = parts[0]
-                parts[:2] = None, None
-            add(parts)
-    total = None
-    if overlap:
-        v1 = held[0]
-        c1 = np.power(v1, 3, out=v_row)
-        if len(last) == 2:
-            vm = held[config.k // 2]
-            G = np.add(W, vm, out=rho_row)
-            G *= c1
-            rest = np.add(W, v1, out=v_row)
-            rest *= np.power(vm, 3, out=t_row)
-            G += rest
-            total = 0.5 * quad_product(Field(g, G), out=G)
-        else:
-            total = quad_product(Field(g, c1), Field(g, W), out=rho_row)
-    for i in sorted(held, reverse=True):
-        v = held.pop(i)
-        add((v, np.power(v, 3, out=t_row) if cubes else None, None))
-    return RingFields(W=W, cubes=C, Z=Z, overlap=total)
+        for _i, swap in images:
+            for total, a in ((W, vj), (C, cj), (Z, zj)):
+                if total is not None:
+                    total += a.swapaxes(0, 1) if swap else a
+    return RingFields(W=W, cubes=C, Z=Z)
 
 
 def bump_sum_field(g: Grid, profile: RadialProfile,

@@ -177,12 +177,6 @@ def grid_for_radius(R: float, lam: float, dim: int, k: int,
     return make_grid(dim, L, h).with_mirrored(mirror_axes(k, dim))
 
 
-def sample(g: Grid, fn) -> Field:
-    """Node-wise evaluation of fn(y1, ..., yN) (broadcasting arrays)."""
-    vals = np.asarray(fn(*g.mesh()), dtype=float)
-    return Field(g, np.broadcast_to(vals, g.shape).copy())
-
-
 def laplacian(f: Field, out: np.ndarray | None = None) -> Field:
     """Second-order (2N+1)-point discrete Laplacian, Dirichlet-zero ghosts
     at the box wall and mirror ghosts at the centre of a mirrored axis.

@@ -4,8 +4,9 @@ The package keeps ring fields only on the part of the box folded on
 mirror_axes(k), where the node permutations of the group reduce to the
 identity and the y1/y2 transpose.  These helpers state the group on the
 full box, element by element, so that tests can check the folded code
-against it, and convert fields between the full box and the part
-(``fold`` and ``unfold``).
+against it, convert fields between the full box and the part (``fold``
+and ``unfold``), and sample test functions at the nodes (``sample``).
+``ring_per_bump`` assembles the ring sums on the full box bump by bump.
 """
 from __future__ import annotations
 
@@ -14,7 +15,13 @@ import math
 import numpy as np
 from scipy import ndimage
 
-from ringnls import geometry, grid
+from ringnls import geometry, grid, radial
+
+
+def sample(g: grid.Grid, fn) -> grid.Field:
+    """Node-wise evaluation of fn(y1, ..., yN) (broadcasting arrays)."""
+    vals = np.asarray(fn(*g.mesh()), dtype=float)
+    return grid.Field(g, np.broadcast_to(vals, g.shape).copy())
 
 
 def fold(f: grid.Field, axes: tuple) -> grid.Field:
@@ -113,3 +120,32 @@ def symmetrize_per_element(f: grid.Field, k: int) -> np.ndarray:
     if dim == 3:
         out = 0.5 * (out + out[:, :, ::-1])
     return out
+
+
+def ring_per_bump(g, profile, conf):
+    """Reference ring sums on the full box g, every bump evaluated on its
+    own, in ring order: W, Sigma V_i^3, Z and the overlap Sigma_{i>=2}
+    int V_1^3 V_i as a sum of per-bump quadratures."""
+    mesh = g.mesh()
+    W = np.zeros(g.shape)
+    cubes = np.zeros(g.shape)
+    Z = np.zeros(g.shape)
+    overlap = 0.0
+    for i in range(conf.k):
+        rho = geometry.node_radii(g, conf.centers[i])
+        vi = radial.eval_profile(profile, rho)
+        proj = np.broadcast_to(
+            (mesh[0] - conf.centers[i, 0]) * conf.normals[i, 0]
+            + (mesh[1] - conf.centers[i, 1]) * conf.normals[i, 1], g.shape)
+        dvi = np.zeros(g.shape)
+        ok = rho > 0.0
+        dvi[ok] = -radial.eval_profile_deriv(profile, rho[ok]) \
+            * proj[ok] / rho[ok]
+        W += vi
+        cubes += vi ** 3
+        Z += vi * vi * dvi
+        if i == 0:
+            first_cube = grid.Field(g, vi ** 3)
+        else:
+            overlap += grid.quad_product(first_cube, grid.Field(g, vi))
+    return W, cubes, Z, overlap

@@ -163,11 +163,13 @@ def test_bounds_rerun_bit_identical(tmp_path):
     assert summary["config"]["seed"] == 7
 
 
-def test_expansion_bit_identical_across_blas_threads(tmp_path):
-    # the quadratures sum without BLAS, so the expansion artifacts are the
-    # same bytes whatever thread count the BLAS library is given
+@pytest.mark.parametrize("dim", [2, 3])
+def test_expansion_bit_identical_across_blas_threads(tmp_path, dim):
+    # the quadratures and the pair rule (its own angular rule in 3-D) sum
+    # without BLAS, so the expansion artifacts are the same bytes
+    # whatever thread count the BLAS library is given
     cfg = tmp_path / "e.cfg"
-    cfg.write_text("ks = 6\nh = 0.5\n")
+    cfg.write_text(f"ks = 6\nh = 0.5\ndim = {dim}\n")
     blobs = []
     for threads in ("1", "2"):
         out = tmp_path / threads
@@ -602,11 +604,31 @@ def test_expansion_reports_levels_past_exp_underflow(tmp_path):
         assert math.isfinite(float(row[key])) and float(row[key]) > 0.0
 
 
+def test_expansion_levels_independent_of_h(tmp_path):
+    # the overlap sum is taken off the grid, so the interaction columns
+    # are the same floats whatever the grid spacing
+    columns = []
+    for h in (0.25, 0.125):
+        cfg = tmp_path / "e.cfg"
+        cfg.write_text(f"ks = 3,6\nh = {h}\nbeta = 0.05\n")
+        out = tmp_path / str(h)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert main(["expansion", "--config", str(cfg),
+                         "--out", str(out)]) == 0
+        columns.append([(r["interaction_sum"], r["J_surrogate"], r["J_exact"])
+                        for r in _expansion_rows(out)])
+    assert columns[0] == columns[1]
+    assert len(columns[0]) == 2
+
+
 def test_expansion_beta_unset_assembles_once(tmp_path, monkeypatch):
     """Resolving beta = f0/2 reuses the fields expansion_compare reads:
     per k, one U0 evaluation and one per H+-orbit of bumps on the folded
     part (6 orbits at k = 6, 5 at k = 8), the same count as with beta
-    given, and no profile is evaluated on the full box."""
+    given, and no profile is evaluated on the full box.  The overlap sum
+    adds exactly two evaluations per k, on the pair rule's nodes, none of
+    them on a grid."""
     from ringnls import energy, geometry
     from ringnls.grid import grid_for_radius
 
@@ -621,6 +643,11 @@ def test_expansion_beta_unset_assembles_once(tmp_path, monkeypatch):
     for module in (geometry, energy):
         monkeypatch.setattr(module, "eval_profile",
                             counting(module.eval_profile))
+    config = RunConfig()
+    parts = [grid_for_radius(cli._radius_for(config, k), config.lam, 2, k,
+                             h=0.5) for k in (6, 8)]
+    grids = {g.size for g in parts} | {g.with_mirrored(()).size
+                                       for g in parts}
     counts = []
     sizes = set()
     for beta_line in ("", "beta = 0.07\n"):
@@ -631,14 +658,12 @@ def test_expansion_beta_unset_assembles_once(tmp_path, monkeypatch):
             warnings.simplefilter("ignore")
             assert main(["expansion", "--config", str(cfg),
                          "--out", str(tmp_path / "out")]) == 0
-        counts.append(len(calls))
-        sizes.update(calls)
+        on_grid = [n for n in calls if n in grids]
+        counts.append((len(on_grid), len(calls) - len(on_grid)))
+        sizes.update(on_grid)
     assert [len(geometry._ring_orbits(k)) for k in (6, 8)] == [6, 5]
-    assert counts == [13, 13]
-    config = RunConfig()
-    parts = {grid_for_radius(cli._radius_for(config, k), config.lam, 2, k,
-                             h=0.5).size for k in (6, 8)}
-    assert sizes == parts
+    assert counts == [(13, 4), (13, 4)]
+    assert sizes == {g.size for g in parts}
 
 
 # ---------------------------------------------------------------------------

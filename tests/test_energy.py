@@ -8,17 +8,17 @@ import numpy as np
 import pytest
 
 from ringnls import energy as energy_module
-from ringnls.energy import (ansatz_fields, check_ksum_bound,
-                            draw_sector_samples, energy, energy_breakdown,
-                            expansion_compare, expansion_constants,
-                            interaction_term, potential_field)
+from ringnls.energy import (check_ksum_bound, draw_sector_samples, energy,
+                            energy_breakdown, expansion_compare,
+                            expansion_constants, interaction_term,
+                            potential_field)
 from ringnls.geometry import (bump_centers, bump_cubes_field, bump_sum_field,
                               radial_field, ring_fields)
 from ringnls.grid import (Field, grid_for_radius, make_grid, quad_product,
                           zeros)
 from ringnls.model import ModelParams, make_potential, mid_radius
 from ringnls.radial import eval_profile, ground_state
-from symmetry_oracles import unfold
+from symmetry_oracles import ring_per_bump, unfold
 
 # Expansion constants of the planar profile (c = alpha = 1), from the
 # frozen radial moments: A0 = A1 = m4/4 and A2 = m2/2.  A1 and A2 agree
@@ -140,11 +140,10 @@ def test_interaction_pair_symmetry(townes, params):
     # two bumps at +-R: the overlap integral is the same from either side
     # because y -> -y permutes the grid nodes exactly
     cfg = bump_centers(2, 4.0, 2)
-    part = grid_for_radius(4.0, 1.0, 2, 2)
-    rep = interaction_term(townes, cfg, params, g=part)
+    rep = interaction_term(townes, cfg, params)
     # independent route: sample both bumps directly on the full box and
     # integrate
-    g = part.with_mirrored(())
+    g = grid_for_radius(4.0, 1.0, 2, 2).with_mirrored(())
     mesh = g.mesh()
     r1 = np.sqrt((mesh[0] - 4.0) ** 2 + mesh[1] ** 2)
     r2 = np.sqrt((mesh[0] + 4.0) ** 2 + mesh[1] ** 2)
@@ -176,6 +175,51 @@ def test_interaction_decreasing_in_radius(townes, params):
     totals = [interaction_term(townes, bump_centers(8, R, 2), params).total
               for R in (2.5, 3.25, 4.0)]
     assert totals[0] > totals[1] > totals[2] > 0.0
+
+
+@pytest.mark.parametrize("k", [2, 3, 5, 8, 12, 16, 24])
+def test_interaction_matches_per_bump_quadrature(townes, params, k):
+    # the pair sum off the grid against the Cartesian oracle: the
+    # full-box Sigma_{i>=2} quad(V_1^3, V_i) at h = 0.125, bump by bump
+    R = 4.0 if k == 2 else mid_radius(k, params.m)
+    cfg = bump_centers(k, R, 2)
+    g = grid_for_radius(R, 1.0, 2, k, h=0.125).with_mirrored(())
+    overlap = ring_per_bump(g, townes, cfg)[3]
+    total = interaction_term(townes, cfg, params).total
+    assert abs(total - overlap) <= 1e-13 * overlap
+
+
+def test_interaction_overlap_of_distant_pair(townes, params):
+    """At k = 2, R = 12 the overlap is 2e-11 of int V^4 per bump; the
+    pair rule gives it to 1e-12 of the full-box quadrature (a difference
+    of ring sums such as int (C W - Sigma V_i^4) / k would lose it to
+    rounding)."""
+    cfg = bump_centers(2, 12.0, 2)
+    g = grid_for_radius(12.0, 1.0, 2, 2).with_mirrored(())
+    overlap = ring_per_bump(g, townes, cfg)[3]
+    assert 4.7e-10 < overlap < 4.8e-10
+    got = interaction_term(townes, cfg, params).total
+    assert abs(got - overlap) <= 1e-12 * overlap
+
+
+@pytest.mark.parametrize("dim,tol", [(2, 1e-13), (3, 1e-8)])
+def test_pair_rule_converged(monkeypatch, dim, tol):
+    # a rule 4x finer in r and in the angle moves no pair integral by
+    # more than tol, from touching bumps to a chord of 60.  The exception
+    # is a chord near the profile's r_max = 30: there the bulk of V_1^3
+    # reads V0 on its last knot interval, where the interpolant's slope
+    # falls to 0 at r_max (the tail's is -V0) and its values are off by up
+    # to 9e-4 relative, so the rule converges at low order only.
+    prof = ground_state(1.0, 1.0, dim)
+    assert prof.r_max == 30.0
+    d = np.array([1.0, 2.0, 4.0, 8.0, 16.0, 24.0, 30.0, 40.0, 60.0])
+    bound = np.where(d == prof.r_max, 1e-5, tol)
+    pair = energy_module._pair_overlaps(prof, d, dim)
+    for name in ("_PAIR_PANELS", "_PAIR_ANGLES"):
+        monkeypatch.setattr(energy_module, name,
+                            4 * getattr(energy_module, name))
+    finer = energy_module._pair_overlaps(prof, d, dim)
+    assert np.all(np.abs(pair - finer) <= bound * finer)
 
 
 def potential_moment(V0prof, config, mu, params, g=None):
@@ -301,12 +345,12 @@ def test_draw_sector_samples_deterministic():
 
 
 def _compare(prof, cfg, p, g=None):
-    """expansion_compare on the fields ansatz_fields builds on g (by
-    default grid_for_radius's part for the ring)."""
+    """expansion_compare on U0 and W sampled on g (by default
+    grid_for_radius's part for the ring)."""
     if g is None:
         g = grid_for_radius(cfg.R, p.lam, cfg.dim, cfg.k)
-    return expansion_compare(prof, prof, cfg, p,
-                             ansatz_fields(prof, prof, cfg, g))
+    return expansion_compare(prof, prof, cfg, p, radial_field(g, prof),
+                             bump_sum_field(g, prof, cfg))
 
 
 def test_expansion_compare_decoupled_limit(townes, monkeypatch):
@@ -336,10 +380,9 @@ def test_expansion_compare_internal_consistency(townes):
 
 @pytest.mark.parametrize("k", [5, 8])
 def test_expansion_compare_matches_separate_passes(townes, k):
-    # one loop feeds W and the overlap sum on the folded part; the results
-    # must be the same floats as bump_sum_field + energy and
-    # interaction_term on that part, and the full-box energy and overlap
-    # to rounding
+    # expansion_compare's direct energy and overlap sum are the same
+    # floats as energy on the part and interaction_term, and the energy
+    # is the full box's to rounding
     p = ModelParams(beta=0.05)
     cfg = bump_centers(k, mid_radius(k, p.m), 2)
     part = grid_for_radius(cfg.R, p.lam, 2, k, h=0.25)
@@ -348,10 +391,11 @@ def test_expansion_compare_matches_separate_passes(townes, k):
     W = bump_sum_field(part, townes, cfg)
     direct = energy(radial_field(part, townes), W,
                     potential_field(part, make_potential(p)), p)
-    inter = interaction_term(townes, cfg, p, g=part)
-    # the energy absorbs last-bit changes of W, so W is compared directly
-    assert np.array_equal(ring_fields(part, townes, cfg, overlap=True).W,
-                          W.data)
+    inter = interaction_term(townes, cfg, p)
+    # the energy absorbs last-bit changes of W, so W is compared directly:
+    # the ring pass sums it in the same order whatever else it assembles
+    assert np.array_equal(ring_fields(part, townes, cfg, cubes=True,
+                                      constraint=True).W, W.data)
     assert rep.direct == direct
     assert rep.interaction_sum == 0.5 * p.alpha1 * k * inter.total
     assert rep.J_exact == inter.J_exact
@@ -359,13 +403,6 @@ def test_expansion_compare_matches_separate_passes(townes, k):
     full = energy(radial_field(g, townes), unfold(W),
                   potential_field(g, make_potential(p)), p)
     assert abs(rep.direct - full) <= 1e-13 * abs(full)
-    # the full-box overlap, bump by bump
-    mesh = g.mesh()
-    bumps = [Field(g, eval_profile(townes, np.sqrt(
-        (mesh[0] - x[0]) ** 2 + (mesh[1] - x[1]) ** 2))) for x in cfg.centers]
-    full_inter = sum(quad_product(bumps[0], bumps[0], bumps[0], v)
-                     for v in bumps[1:])
-    assert abs(inter.total - full_inter) <= 1e-13 * full_inter
 
 
 def _synthetic_pair(g):

@@ -9,8 +9,8 @@ from scipy import ndimage
 
 from ringnls import geometry, grid, radial
 from symmetry_oracles import (apply_signed_permutation, fold, fold_even,
-                              node_subgroup, rotation, symmetrize_per_element,
-                              unfold)
+                              node_subgroup, ring_per_bump, rotation, sample,
+                              symmetrize_per_element, unfold)
 from traced import traced_peak
 
 
@@ -142,7 +142,7 @@ def test_symmetrize_idempotent_exact_k4():
     # rotations by multiples of pi/2 permute grid nodes, so the k=4
     # projector is exact: applying it twice changes nothing
     g = grid.make_grid(2, 6.0, 0.125)
-    f = fold_even(grid.sample(g, lambda x, y: np.exp(
+    f = fold_even(sample(g, lambda x, y: np.exp(
         -2.0 * ((x - 1.2) ** 2 + (y - 0.4) ** 2))), (0, 1))
     s1 = geometry.symmetrize(f, 4)
     s2 = geometry.symmetrize(s1, 4)
@@ -151,7 +151,7 @@ def test_symmetrize_idempotent_exact_k4():
 
 def test_symmetrize_fixed_point_k4():
     g = grid.make_grid(2, 6.0, 0.125)
-    f = fold(grid.sample(g, lambda x, y: np.exp(-0.7 * (x * x + y * y))),
+    f = fold(sample(g, lambda x, y: np.exp(-0.7 * (x * x + y * y))),
                   (0, 1))
     s = geometry.symmetrize(f, 4)
     assert np.max(np.abs(s.data - f.data)) < 1e-13
@@ -167,7 +167,7 @@ def test_symmetrize_exact_k_never_interpolates(monkeypatch, k):
     monkeypatch.setattr(geometry, "spline_filter", boom)
     monkeypatch.setattr(geometry, "map_coordinates", boom)
     g = grid.make_grid(2, 4.0, 0.25)
-    f = grid.sample(g, lambda x, y: np.exp(-2.0 * ((x - 1.2) ** 2 + (y - 0.4) ** 2)))
+    f = sample(g, lambda x, y: np.exp(-2.0 * ((x - 1.2) ** 2 + (y - 0.4) ** 2)))
     geometry.symmetrize(fold_even(f, grid.mirror_axes(k, 2)), k)
 
 
@@ -176,9 +176,9 @@ def _broad_bump(g):
     where rotated nodes leave the box and each node averages over fewer
     group elements."""
     if g.dim == 2:
-        return grid.sample(g, lambda x, y: 0.5 * np.exp(
+        return sample(g, lambda x, y: 0.5 * np.exp(
             -0.02 * ((x - 0.7) ** 2 + (y + 0.3) ** 2)))
-    return grid.sample(g, lambda x, y, z: (0.5 + 0.05 * z) * np.exp(
+    return sample(g, lambda x, y, z: (0.5 + 0.05 * z) * np.exp(
         -0.02 * ((x - 0.7) ** 2 + (y + 0.3) ** 2 + z * z)))
 
 
@@ -193,11 +193,11 @@ def test_symmetrize_matches_per_element_average(dim, k, wall):
     that does not vanish at the box wall."""
     if dim == 2:
         g = grid.make_grid(2, 6.0, 0.125)
-        f = grid.sample(g, lambda x, y: np.exp(
+        f = sample(g, lambda x, y: np.exp(
             -2.0 * ((x - 1.2) ** 2 + (y - 0.4) ** 2)))
     else:
         g = grid.make_grid(3, 4.0, 0.25)
-        f = grid.sample(g, lambda x, y, z: (1.0 + 0.3 * z) * np.exp(
+        f = sample(g, lambda x, y, z: (1.0 + 0.3 * z) * np.exp(
             -2.0 * ((x - 1.0) ** 2 + (y - 0.3) ** 2 + z * z)))
     if wall:
         f = grid.Field(g, f.data + _broad_bump(g).data)
@@ -248,7 +248,7 @@ def test_symmetrize_one_interpolation_per_coset(monkeypatch, k):
 
     monkeypatch.setattr(geometry, "map_coordinates", counted)
     g = grid.make_grid(2, 4.0, 0.25)
-    f = grid.sample(g, lambda x, y: np.exp(-2.0 * ((x - 1.2) ** 2 + (y - 0.4) ** 2)))
+    f = sample(g, lambda x, y: np.exp(-2.0 * ((x - 1.2) ** 2 + (y - 0.4) ** 2)))
     geometry.symmetrize(fold_even(f, grid.mirror_axes(k, 2)), k)
     orbits = _node_orbit_count(g.n_axis, k)
     assert points == [orbits] * (k // math.gcd(k, 4) - 1)
@@ -264,11 +264,11 @@ def test_symmetrize_exactly_invariant(dim, k, wall):
     where the corner zone of the box carries weight."""
     if dim == 2:
         g = grid.make_grid(2, 4.0, 0.25)
-        f = grid.sample(g, lambda x, y: np.exp(
+        f = sample(g, lambda x, y: np.exp(
             -2.0 * ((x - 1.2) ** 2 + (y - 0.4) ** 2)) + 0.1 * x)
     else:
         g = grid.make_grid(3, 3.0, 0.5)
-        f = grid.sample(g, lambda x, y, z: (1.0 + 0.3 * z) * np.exp(
+        f = sample(g, lambda x, y, z: (1.0 + 0.3 * z) * np.exp(
             -2.0 * ((x - 1.0) ** 2 + (y - 0.3) ** 2 + z * z)))
     if wall:
         f = grid.Field(g, f.data + _broad_bump(g).data)
@@ -293,7 +293,7 @@ def _even_field(g, axes):
             out = out + np.exp(-2.0 * sum((c - d) ** 2
                                           for c, d in zip(y, shift)))
         return out
-    return grid.sample(g, fn)
+    return sample(g, fn)
 
 
 @pytest.mark.parametrize("dim,k", [(2, 3), (2, 5), (2, 6), (2, 16), (3, 6)])
@@ -322,7 +322,7 @@ def test_symmetrize_fast_peak_memory():
     folded input at its peak: the H-average, its spline coefficients, and
     arrays over half the part (7.6 of them)."""
     g = grid.make_grid(2, 12.0, 0.125)
-    f = fold_even(grid.sample(g, lambda x, y: np.exp(
+    f = fold_even(sample(g, lambda x, y: np.exp(
         -0.5 * ((x - 3.0) ** 2 + y * y))), (0, 1))
     _, peak = traced_peak(geometry.symmetrize, f, 16)
     assert peak <= 10 * f.data.nbytes
@@ -332,7 +332,7 @@ def test_symmetrize_memory_independent_of_k():
     """The orbit average streams over the group: its peak allocation at
     k = 32 stays within that at k = 8 instead of growing with k."""
     g = grid.make_grid(2, 12.0, 0.125)
-    f = fold_even(grid.sample(g, lambda x, y: np.exp(
+    f = fold_even(sample(g, lambda x, y: np.exp(
         -0.5 * ((x - 3.0) ** 2 + y * y))), (0, 1))
 
     def peak(k):
@@ -345,7 +345,7 @@ def test_symmetrize_orbit_average_k4():
     """A bump planted at x_1 alone spreads into four equal bumps of a
     quarter of the amplitude (8 group elements, each center hit twice)."""
     g = grid.make_grid(2, 4.0, 0.25)
-    b = grid.sample(g, lambda x, y: np.exp(-8.0 * ((x - 1.5) ** 2 + y * y)))
+    b = sample(g, lambda x, y: np.exp(-8.0 * ((x - 1.5) ** 2 + y * y)))
     folded = geometry.symmetrize(fold_even(b, (0, 1)), 4)
     s = unfold(folded)
     i0 = int(np.argmin(np.abs(g.axis - 1.5)))
@@ -361,7 +361,7 @@ def test_symmetrize_orbit_average_k4():
 
 def test_symmetrize_dim3():
     g = grid.make_grid(3, 6.0, 0.25)
-    f = grid.sample(g, lambda x, y, z: (1.0 + 0.3 * z)
+    f = sample(g, lambda x, y, z: (1.0 + 0.3 * z)
                     * np.exp(-2.0 * ((x - 1.0) ** 2 + (y - 0.3) ** 2 + z * z)))
     s1 = geometry.symmetrize(fold_even(f, (1, 2)), 3)
     # output stored folded on y3, so even in the third coordinate
@@ -374,34 +374,6 @@ def test_fast_projector_consistent(ring8):
     conf, _, W, _ = ring8
     fast = geometry.symmetrize(W, conf.k)
     assert np.max(np.abs(fast.data - W.data)) < 2e-6
-
-
-def _ring_per_bump(g, profile, conf):
-    """Reference assembly: every bump evaluated on its own, in ring order,
-    with the overlap as a sum of per-bump quadratures."""
-    mesh = g.mesh()
-    W = np.zeros(g.shape)
-    cubes = np.zeros(g.shape)
-    Z = np.zeros(g.shape)
-    overlap = 0.0
-    for i in range(conf.k):
-        rho = geometry.node_radii(g, conf.centers[i])
-        vi = radial.eval_profile(profile, rho)
-        proj = np.broadcast_to(
-            (mesh[0] - conf.centers[i, 0]) * conf.normals[i, 0]
-            + (mesh[1] - conf.centers[i, 1]) * conf.normals[i, 1], g.shape)
-        dvi = np.zeros(g.shape)
-        ok = rho > 0.0
-        dvi[ok] = -radial.eval_profile_deriv(profile, rho[ok]) \
-            * proj[ok] / rho[ok]
-        W += vi
-        cubes += vi ** 3
-        Z += vi * vi * dvi
-        if i == 0:
-            first_cube = grid.Field(g, vi ** 3)
-        else:
-            overlap += grid.quad_product(first_cube, grid.Field(g, vi))
-    return W, cubes, Z, overlap
 
 
 @pytest.mark.parametrize("dim,k", [
@@ -420,30 +392,14 @@ def test_ring_fields_match_per_bump_assembly(dim, k):
         g = grid.make_grid(3, 7.0, 0.5)
     conf = geometry.bump_centers(k, R, dim)
     axes = grid.mirror_axes(k, dim)
-    W, cubes, Z, overlap = _ring_per_bump(g, profile, conf)
+    W, cubes, Z, _overlap = ring_per_bump(g, profile, conf)
     part = g.with_mirrored(axes)
     got = geometry.ring_fields(part, profile, conf, cubes=True,
-                               constraint=True, overlap=True)
+                               constraint=True)
     for mine, want in ((got.W, W), (got.cubes, cubes), (got.Z, Z)):
         want = fold(grid.Field(g, want), axes).data
         assert mine.shape == part.shape
         assert np.max(np.abs(mine - want)) <= 1e-13 * np.max(np.abs(want))
-    assert abs(got.overlap - overlap) <= 1e-12 * max(abs(overlap), 1e-300)
-
-
-def test_ring_fields_overlap_of_distant_pair():
-    """At k = 2, R = 12 the overlap is 2e-11 of int V^4 per bump: the
-    mirror-even integrand on the folded part keeps it to 1e-12, where a
-    difference of ring sums such as int (C W - Sigma V_i^4) / k would
-    lose it to rounding."""
-    profile = radial.ground_state(1.0, 1.0, 2)
-    conf = geometry.bump_centers(2, 12.0, 2)
-    part = grid.grid_for_radius(12.0, 1.0, 2, 2)
-    _W, _cubes, _Z, overlap = _ring_per_bump(part.with_mirrored(()),
-                                             profile, conf)
-    assert 4.7e-10 < overlap < 4.8e-10
-    got = geometry.ring_fields(part, profile, conf, overlap=True).overlap
-    assert abs(got - overlap) <= 1e-12 * overlap
 
 
 def test_ring_fields_rejects_grid_folded_for_another_k():
@@ -511,29 +467,24 @@ def test_ring_fields_memory_independent_of_k():
     def peak(k):
         conf = geometry.bump_centers(k, 6.0, 2)
         return traced_peak(geometry.ring_fields, part, profile, conf,
-                           cubes=True, constraint=True, overlap=True)[1]
+                           cubes=True, constraint=True)[1]
 
     assert peak(32) <= peak(8) + part.size * 8
 
 
 @pytest.mark.parametrize("dim,R,h", [(2, 7.06, 0.125), (3, 14.12, 0.5)])
 def test_ring_fields_peak_memory(dim, R, h):
-    """At k = 16 with every sum requested, ring_fields holds W, Sigma
-    V_i^3 and Z, only V and V^3 of the two bumps the overlap reads, and
-    one orbit's V_j, V_j^3 and V_j^2 dV_j/dR formed in place: its traced
-    peak was 16.0 part sizes above its start in both cases while it also
-    held those two bumps' Z terms and formed V_j^2 dV_j/dR and the
-    overlap integrand through temporaries, 12.5 (2-D) and 10.1 (3-D)
-    once it formed them in place, and is 12.3 and 10.8 with the held and
-    orbit arrays rows of one block that also takes the overlap integrand
-    (the 3-D peak is now the quadrature's level buffer beside the
-    block)."""
+    """At k = 16 with Sigma V_i^3 and Z requested, ring_fields holds W,
+    Sigma V_i^3 and Z and one orbit's rho (then V_j^3), V_j and V_j^2
+    dV_j/dR, rows of one block with the projection (a plane beside it in
+    3-D): its traced peak is 8.3 (2-D) and 6.2 (3-D) part sizes above its
+    start."""
     profile = radial.ground_state(1.0, 1.0, dim)
     conf = geometry.bump_centers(16, R, dim)
     part = grid.grid_for_radius(R, 1.0, dim, 16, h=h)
     _, peak = traced_peak(geometry.ring_fields, part, profile, conf,
-                          cubes=True, constraint=True, overlap=True)
-    assert peak <= 14.0 * part.size * 8
+                          cubes=True, constraint=True)
+    assert peak <= 9.0 * part.size * 8
 
 
 # summed sizes passed to eval_profile and eval_profile_deriv by

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ringnls import grid, radial
-from symmetry_oracles import fold, unfold
+from symmetry_oracles import fold, sample, unfold
 from traced import traced_peak
 
 
@@ -34,7 +34,7 @@ def test_make_grid_basic():
 def test_total_quadrature_weight():
     for dim, L, h in [(2, 1.0, 0.5), (2, 3.0, 0.25), (3, 1.0, 0.25)]:
         g = grid.make_grid(dim, L, h)
-        total = grid.quad_product(grid.sample(g, ones_like))
+        total = grid.quad_product(sample(g, ones_like))
         assert total == pytest.approx((2.0 * L) ** dim, rel=1e-12)
 
 
@@ -54,7 +54,7 @@ def test_grid_for_radius():
 def test_sample_radial_symmetry():
     g = grid.make_grid(2, 4.0, 0.5)
     p = radial.ground_state(1.0, 1.0, 2)
-    f = grid.sample(g, lambda a, b: radial.eval_profile(p, np.hypot(a, b)))
+    f = sample(g, lambda a, b: radial.eval_profile(p, np.hypot(a, b)))
     assert np.array_equal(f.data, f.data.T)
     assert np.array_equal(f.data, f.data[::-1, :])
     assert f.data[g.n_axis // 2, g.n_axis // 2] == pytest.approx(p.peak, abs=1e-14)
@@ -69,7 +69,7 @@ def test_sample_bump_sum_matches_per_node():
         return sum(radial.eval_profile(p, np.hypot(a - cx, b - cy))
                    for cx, cy in centers)
 
-    f = grid.sample(g, fn)
+    f = sample(g, fn)
     # direct per-node double loop oracle
     for i in (0, 3, 6, 9, 12):
         for j in (1, 4, 7, 10):
@@ -81,14 +81,14 @@ def test_sample_bump_sum_matches_per_node():
 
 def test_laplacian_exact_on_quadratic():
     g = grid.make_grid(2, 2.0, 0.25)
-    f = grid.sample(g, lambda a, b: a * a)
+    f = sample(g, lambda a, b: a * a)
     lap = grid.laplacian(f).data
     assert np.max(np.abs(lap[5:-5, 5:-5] - 2.0)) == 0.0
 
 
 def test_laplacian_discrete_eigenfunction():
     g = grid.make_grid(2, 2.0, 0.25)
-    f = grid.sample(g, lambda a, b: np.sin(np.pi * a / g.L)
+    f = sample(g, lambda a, b: np.sin(np.pi * a / g.L)
                     * np.sin(np.pi * b / g.L))
     lam_1d = (2.0 / g.h ** 2) * (math.cos(math.pi * g.h / g.L) - 1.0)
     lap = grid.laplacian(f).data
@@ -98,7 +98,7 @@ def test_laplacian_discrete_eigenfunction():
 
 def test_laplacian_preserves_symmetry():
     g = grid.make_grid(2, 2.0, 0.25)
-    f = grid.sample(g, lambda a, b: np.exp(-(a * a + b * b)))
+    f = sample(g, lambda a, b: np.exp(-(a * a + b * b)))
     lap = grid.laplacian(f).data
     scale = np.max(np.abs(lap))
     assert np.max(np.abs(lap - lap.T)) < 1e-14 * scale
@@ -118,14 +118,14 @@ def test_laplacian_into_out_same_bits():
 
 def test_quad_odd_function_vanishes():
     g = grid.make_grid(2, 6.0, 0.25)
-    f = grid.sample(g, lambda a, b: a * np.exp(-(a * a + b * b)))
+    f = sample(g, lambda a, b: a * np.exp(-(a * a + b * b)))
     assert abs(grid.quad_product(f)) < 1e-13
 
 
 def test_quad_matches_radial_moment():
     p = radial.ground_state(1.0, 1.0, 2)
     g = grid.make_grid(2, 20.0, 0.125)   # the padding of a ring at R = 0
-    U0 = grid.sample(g, lambda a, b: radial.eval_profile(p, np.hypot(a, b)))
+    U0 = sample(g, lambda a, b: radial.eval_profile(p, np.hypot(a, b)))
     m2 = grid.quad_product(U0, U0)
     assert abs(m2 - p.moment2) < 1e-4 * p.moment2
     assert abs(m2 - p.moment2) < 1e-6 * p.moment2  # typically ~3e-8
@@ -143,7 +143,7 @@ def test_quad_second_order_refinement():
     errs = []
     for h in (0.25, 0.125):
         g = grid.make_grid(2, L, h)
-        errs.append(abs(grid.quad_product(grid.sample(g, fn)) - exact))
+        errs.append(abs(grid.quad_product(sample(g, fn)) - exact))
     assert errs[0] / errs[1] >= 3.5
 
 
@@ -151,7 +151,7 @@ def test_weak_form_identity():
     # multiply -ΔU0 + λU0 = α0 U0³ by U0 and integrate by parts
     p = radial.ground_state(1.0, 1.0, 2)
     g = grid.make_grid(2, 20.0, 0.125)   # the padding of a ring at R = 0
-    U0 = grid.sample(g, lambda a, b: radial.eval_profile(p, np.hypot(a, b)))
+    U0 = sample(g, lambda a, b: radial.eval_profile(p, np.hypot(a, b)))
     lhs = grid.inner(U0, U0, 1.0)
     rhs = grid.quad_product(U0, U0, U0, U0)
     assert abs(lhs - rhs) < 1e-4 * abs(rhs)
@@ -160,11 +160,11 @@ def test_weak_form_identity():
 
 def test_inner_products_symmetry_and_coincidence():
     g = grid.make_grid(2, 4.0, 0.25)
-    u = grid.sample(g, lambda a, b: np.exp(-(a * a + b * b)))
-    v = grid.sample(g, lambda a, b: a * b * np.exp(-(a * a + b * b)))
+    u = sample(g, lambda a, b: np.exp(-(a * a + b * b)))
+    v = sample(g, lambda a, b: a * b * np.exp(-(a * a + b * b)))
     assert grid.inner(u, v, 1.3) == grid.inner(v, u, 1.3)
 
-    mu = grid.sample(g, lambda a, b: 1.3 * ones_like(a, b))
+    mu = sample(g, lambda a, b: 1.3 * ones_like(a, b))
     i1 = grid.inner(u, v, mu)
     i0 = grid.inner(u, v, 1.3)
     assert i1 == pytest.approx(i0, rel=1e-13)
@@ -181,9 +181,9 @@ def test_inner0_positive_definite():
 
 def test_norm_e():
     g = grid.make_grid(2, 4.0, 0.25)
-    u = grid.sample(g, lambda a, b: np.exp(-(a * a + b * b)))
+    u = sample(g, lambda a, b: np.exp(-(a * a + b * b)))
     z = grid.zeros(g)
-    mu = grid.sample(g, lambda a, b: 1.0 + 0.5 * np.exp(-a * a - b * b))
+    mu = sample(g, lambda a, b: 1.0 + 0.5 * np.exp(-a * a - b * b))
     assert grid.norm_E(z, z, 1.0, mu) == 0.0
     assert grid.norm_E(u, z, 1.0, mu) == math.sqrt(grid.inner(u, u, 1.0))
     assert grid.norm_E(2.0 * u, 2.0 * z, 1.0, mu) \
@@ -387,7 +387,7 @@ def test_folded_operations_match_full_grid(dim, k):
         assert np.array_equal(grid.grad8(fu, ax).data,
                               fold(grid.grad8(u, ax), axes).data)
     # the mirror weights turn folded quadratures into full-grid ones
-    assert grid.quad_product(fold(grid.sample(g, ones_like), axes)) \
+    assert grid.quad_product(fold(sample(g, ones_like), axes)) \
         == pytest.approx((2.0 * g.L) ** dim, rel=1e-13)
     _close(grid.quad_product(fu, fv), grid.quad_product(u, v))
     _close(grid.quad_product(fu, fv, fmu), grid.quad_product(u, v, mu))
