@@ -17,8 +17,15 @@ corrector also records its Picard steps and their Krylov iterations).
 The warnings a run issues, such as a radius outside the admissible
 window, are listed in the summary.json or failure.json it writes and are
 issued again afterwards, so they still reach stderr.  A run that fails
-by an exception writes no summary.json and removes an earlier run's, and
-a run that passes removes an earlier failure.json.
+by an exception leaves no summary.json or other artifact of its
+subcommand, and a run that passes removes an earlier failure.json.
+
+Field files (u.field, v.field, U.field, V.field) hold the folded part
+of the box: the ASCII line "N L h axes" (axes the comma-joined mirrored
+axes, or "-"), then the part as raw little-endian float64 in C order,
+c + 1 nodes along a mirrored axis and 2c + 1 along the others, c = L/h.
+grid.load_field reads one; the full box is its even extension np.pad(
+part, [(c, 0) if ax in axes else (0, 0) for ax in range(N)], "reflect").
 
 Scan and sampling stages run serially from a single seeded generator,
 so identical config + seed produce bit-identical artifacts at a fixed
@@ -173,13 +180,12 @@ def parse_config(text: str) -> RunConfig:
 
 def _atomic_write(path: Path, content) -> None:
     """Write content to path through a temporary file and a rename: a str
-    as it is, a Field as dump_field's text of its full box, row by row."""
-    path.parent.mkdir(parents=True, exist_ok=True)
+    as its UTF-8 bytes, a Field as dump_field's header and stored part."""
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "wb") as fh:
             if isinstance(content, str):
-                fh.write(content)
+                fh.write(content.encode())
             else:
                 dump_field(content, fh)
         os.replace(tmp, path)
@@ -486,13 +492,16 @@ def _run_solve(config: RunConfig, out: Path):
     return summary, checks
 
 
+# subcommand: (pipeline, what it writes besides summary/failure.json)
 _HANDLERS = {
-    "ground-state": _run_ground_state,
-    "bounds": _run_bounds,
-    "expansion": _run_expansion,
-    "corrector": _run_corrector,
-    "reduce": _run_reduce,
-    "solve": _run_solve,
+    "ground-state": (_run_ground_state,
+                     ("u0_profile.csv", "v0_profile.csv", "moments.csv")),
+    "bounds": (_run_bounds, ("ksum.csv", "crossprod.csv")),
+    "expansion": (_run_expansion, ("expansion.csv",)),
+    "corrector": (_run_corrector, ("u.field", "v.field", "steps.csv")),
+    "reduce": (_run_reduce, ("scan.csv", "scan_terms.csv")),
+    "solve": (_run_solve,
+              ("scan.csv", "scan_terms.csv", "U.field", "V.field")),
 }
 SUBCOMMANDS = tuple(_HANDLERS)
 
@@ -509,6 +518,7 @@ def run(subcommand: str, config: RunConfig) -> int:
     """Execute one subcommand; returns the process exit status."""
     if subcommand not in _HANDLERS:
         raise ValueError(f"unknown subcommand {subcommand!r}")
+    handler, artifacts = _HANDLERS[subcommand]
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
     error = None
@@ -517,7 +527,7 @@ def run(subcommand: str, config: RunConfig) -> int:
         # filters the caller set, so the list is the same on every run
         warnings.simplefilter("default")
         try:
-            summary, checks = _HANDLERS[subcommand](config, out)
+            summary, checks = handler(config, out)
         except (RuntimeError, ValueError, ArithmeticError) as exc:
             error = exc
     for w in caught:
@@ -531,7 +541,8 @@ def run(subcommand: str, config: RunConfig) -> int:
         if isinstance(error, CorrectorDivergence):
             record.update(steps=error.steps, krylov_iters=error.krylov_iters)
         _atomic_write(out / "failure.json", _json_text(record))
-        (out / "summary.json").unlink(missing_ok=True)
+        for name in ("summary.json",) + artifacts:
+            (out / name).unlink(missing_ok=True)
         print(f"{subcommand}: FAIL ({record['invariant']}): {error}",
               file=sys.stderr)
         return 1

@@ -25,8 +25,8 @@ right-hand sides, linear solves, symmetrizations, Z projections, E-norm
 steps and the returned pair all stay there.  The folded stencils read
 the node at index -j of a mirrored axis as the mirror copy of node j and
 the quadratures weight each node by its number of full-grid copies, so
-every value on the part is that of the full grid.  Only
-``grid.dump_field`` writes the full box, as the even extension.
+every value on the part is that of the full grid; ``grid.dump_field``
+writes the part as well.
 
 Linear systems are symmetric indefinite and solved by ``minres``, a
 preconditioned MINRES with a spectral preconditioner.  It recurs the

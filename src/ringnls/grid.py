@@ -27,8 +27,8 @@ quadratures weight each stored node by its number of full-box copies w
 (2 per mirrored axis off that axis's centre, 1 on it).  Stencil values
 at the stored nodes are then exactly those of the full box, and every
 quadrature is the full-box one of the even extension, summed in another
-order.  ``dump_field`` writes the full box of a folded field without
-unfolding it.
+order.  ``dump_field`` writes the stored part as it is, under a header
+naming its mirrored axes, and ``load_field`` reads it back.
 """
 from __future__ import annotations
 
@@ -289,45 +289,34 @@ def zeros(g: Grid) -> Field:
 
 
 def dump_field(f: Field, out) -> None:
-    """Write the text form of f's full box into the open text file out:
-    header "N L h", then row-major node values, one per line.
-
-    Each value is its shortest round-trip repr.  A folded f is written as
-    its even extension without building it: full-box row (i_1, ...,
-    i_{N-1}) is the stored row at |i_a - c| along each mirrored leading
-    axis, c the centre index, and along a mirrored last axis the stored
-    half row is written mirrored, then as it is.  The text goes out one
-    row at a time, so neither a full-box array nor the whole text is ever
-    held, and each stored row is formatted once: its text is cached under
-    its stored-row index, and the full-box rows that mirror it reuse it.
-    """
+    """Write f into the open binary file out: the ASCII line "N L h axes"
+    (axes the comma-joined ``Grid.mirrored``, or "-"), then f.data's own
+    buffer, the stored part as little-endian float64 in C order."""
     g = f.grid
-    out.write(f"{g.dim} {g.L!r} {g.h!r}\n")
-    full = np.arange(g.n_axis)
-    rows = f.data.reshape(-1, f.data.shape[-1])
-    # the stored row of each full-box row, in full-box order
-    order = np.arange(rows.shape[0]).reshape(f.data.shape[:-1])[np.ix_(*(
-        np.abs(full - g.centre) if ax in g.mirrored else full
-        for ax in range(g.dim - 1)))]
-    mirror_row = g.dim - 1 in g.mirrored
-    row_text = {}
-    for r in order.ravel().tolist():
-        text = row_text.get(r)
-        if text is None:
-            strs = list(map(repr, rows[r].tolist()))
-            if mirror_row:
-                strs = strs[:0:-1] + strs
-            strs.append("")  # ends the row's last line
-            text = row_text[r] = "\n".join(strs)
-        out.write(text)
+    axes = ",".join(map(str, g.mirrored)) or "-"
+    out.write(f"{g.dim} {g.L!r} {g.h!r} {axes}\n".encode())
+    out.write(np.ascontiguousarray(f.data, dtype="<f8"))
 
 
-def load_field(text: str) -> Field:
-    lines = text.strip().splitlines()
-    head = lines[0].split()
-    g = make_grid(int(head[0]), float(head[1]), float(head[2]))
-    vals = np.array([float(x) for x in lines[1:]])
-    if vals.size != g.size:
-        raise ValueError(
-            f"field payload has {vals.size} values, grid wants {g.size}")
-    return Field(g, vals.reshape(g.shape))
+def load_field(data: bytes) -> Field:
+    """The Field whose dump_field bytes are data, bit for bit.
+
+    Raises ValueError on a malformed header, or on a payload that is not
+    exactly 8 bytes per stored node of the grid the header names."""
+    head, _, payload = data.partition(b"\n")
+    try:
+        dim, L, h, axes = head.decode("ascii").split()
+        dim, L, h = int(dim), float(L), float(h)
+        mirrored = () if axes == "-" else tuple(map(int, axes.split(",")))
+        if tuple(ax for ax in range(dim) if ax in mirrored) != mirrored:
+            raise ValueError("mirrored axes must increase within the box")
+        # bounds the axis make_grid allocates by the payload's size
+        if not 0.0 < L <= h * len(payload):
+            raise ValueError("box larger than the payload")
+        g = make_grid(dim, L, h).with_mirrored(mirrored)
+    except ValueError as exc:
+        raise ValueError(f"bad field header {head[:80]!r}: {exc}") from None
+    if len(payload) != 8 * g.size:
+        raise ValueError(f"field payload has {len(payload)} bytes, "
+                         f"its grid wants {8 * g.size}")
+    return Field(g, np.frombuffer(payload, "<f8").reshape(g.shape).copy())

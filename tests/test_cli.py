@@ -255,6 +255,26 @@ def test_failed_run_removes_stale_summary(tmp_path):
     assert not (out / "summary.json").exists()
 
 
+def test_failed_run_removes_stale_fields(tmp_path):
+    # a diverging corrector run leaves no earlier corrector run's fields
+    # or steps beside its failure record
+    out = tmp_path / "run"
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("k = 2\nR = 12\nbeta = 0.05\nh = 0.5\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main(["corrector", "--config", str(cfg),
+                     "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "steps.csv", "summary.json", "u.field", "v.field"]
+        cfg.write_text("k = 16\nh = 0.5\n")
+        assert main(["corrector", "--config", str(cfg),
+                     "--out", str(out)]) == 1
+    assert json.loads((out / "failure.json").read_text())["invariant"] \
+        == "corrector_convergence"
+    assert [p.name for p in out.iterdir()] == ["failure.json"]
+
+
 def test_arithmetic_fault_writes_failure_record(tmp_path, monkeypatch):
     # an ArithmeticError raised inside a subcommand's pipeline is a
     # pipeline_error with its failure record, not a traceback
@@ -294,8 +314,8 @@ def test_corrector_run_artifacts(tmp_path):
     assert summary["beta"] == 0.05
     assert 0.0 < summary["beta"] < summary["f0"]
 
-    u = load_field((out / "u.field").read_text())
-    v = load_field((out / "v.field").read_text())
+    u = load_field((out / "u.field").read_bytes())
+    v = load_field((out / "v.field").read_bytes())
     assert u.data.shape == v.data.shape
     assert float(np.max(np.abs(v.data))) > float(np.max(np.abs(u.data)))
 
@@ -443,10 +463,10 @@ def test_max_iter_reaches_corrector(tmp_path, monkeypatch, subcommand):
 
 def test_solve_writes_full_box_fields(tmp_path, monkeypatch):
     # the assembled pair lies on the folded part; U.field and V.field
-    # hold its even extension over the whole box
+    # hold that part bit for bit, and their header its fold, which
+    # stands for the whole box
     from ringnls import cli, reduction
     from ringnls.grid import mirror_axes
-    from symmetry_oracles import unfold
 
     solutions = []
 
@@ -468,9 +488,10 @@ def test_solve_writes_full_box_fields(tmp_path, monkeypatch):
     (sol,) = solutions
     assert sol.U.grid.mirrored == mirror_axes(2, 2)
     for name, f in (("U.field", sol.U), ("V.field", sol.V)):
-        got, want = load_field((out / name).read_text()), unfold(f)
-        assert got.grid == want.grid
-        assert np.array_equal(got.data, want.data)
+        got = load_field((out / name).read_bytes())
+        assert got.grid == f.grid
+        assert np.array_equal(got.data.view(np.uint64),
+                              f.data.view(np.uint64))
 
 
 def test_reduce_scan_artifacts_one_row_per_radius(tmp_path, monkeypatch):

@@ -191,123 +191,133 @@ def test_norm_e():
 
 
 def _dump(f):
-    """dump_field's text, written into memory."""
-    buf = io.StringIO()
+    """dump_field's bytes, written into memory."""
+    buf = io.BytesIO()
     grid.dump_field(f, buf)
     return buf.getvalue()
 
 
-def test_field_dump_round_trip():
-    g = grid.make_grid(2, 2.0, 0.5)
-    rng = np.random.default_rng(17)
-    f = grid.Field(g, rng.standard_normal(g.shape))
-    f2 = grid.load_field(_dump(f))
-    assert f2.grid == g
-    assert np.array_equal(f2.data, f.data)
-
-    text = _dump(f)
-    clipped = "\n".join(text.splitlines()[:-3])
-    with pytest.raises(ValueError):
-        grid.load_field(clipped)
+def _bits(a):
+    """The bit patterns of a float64 array, so that -0.0 differs from 0.0
+    and each nan compares equal to its own bits, sign included."""
+    return a.view(np.uint64)
 
 
-@pytest.mark.parametrize("dim,L,h", [(2, 2.0, 0.5), (3, 1.0, 0.5)])
-def test_field_dump_matches_per_node_repr(dim, L, h):
-    """The row-wise text is byte for byte the per-node repr(float(x))
-    text, signed zeros, subnormals and tiny values included."""
-    g = grid.make_grid(dim, L, h)
-    rng = np.random.default_rng(5)
-    a = rng.standard_normal(g.shape) * 10.0 ** rng.integers(-300, 300,
-                                                            size=g.shape)
-    a.ravel()[:6] = [0.0, -0.0, 5e-324, 1e-300, -2.5, -1e-300]
-    f = grid.Field(g, a)
-    per_node = [f"{g.dim} {g.L!r} {g.h!r}"]
-    per_node.extend(repr(float(x)) for x in a.ravel())
-    assert _dump(f) == "\n".join(per_node) + "\n"
-
-
-def _mirror_even(a):
-    """Symmetrize a over every axis, so rows repeat (mirror rows) and
-    values repeat within each row."""
-    for ax in range(a.ndim):
-        a = a + np.flip(a, axis=ax)
+def _with_special_values(a, seed):
+    """a (modified in place and returned) filled with values of every
+    magnitude, then +-0.0, nan of both signs, +-inf, subnormals and
+    1e+-300 at its first nodes."""
+    rng = np.random.default_rng(seed)
+    a[...] = rng.standard_normal(a.shape) * 10.0 ** rng.integers(
+        -300, 300, size=a.shape)
+    a.ravel()[:12] = [0.0, -0.0, np.nan, np.copysign(np.nan, -1.0),
+                      np.inf, -np.inf, 5e-324, -2.5e-310, 1e300, -1e300,
+                      1e-300, -1e-300]
     return a
 
 
-@pytest.mark.parametrize("dim,L,h", [(2, 2.0, 0.25), (3, 1.0, 0.25)])
-def test_field_dump_repeated_values_match_per_node_repr(dim, L, h):
-    """Repeated rows and repeated in-row values print as the per-node
-    repr(float(x)) text, also where they are equal as floats but not as
-    bits (0.0 against -0.0), and for nan and inf."""
-    g = grid.make_grid(dim, L, h)
-    n = g.n_axis
-    a = _mirror_even(np.random.default_rng(8).standard_normal(g.shape))
-    # a row of +0.0 and its mirror row of -0.0
-    a[1], a[n - 2] = 0.0, -0.0
-    # in one row, +0.0 at one end and -0.0 at the mirrored node
-    a[2, ..., 0], a[2, ..., n - 1] = 0.0, -0.0
-    # nan (both signs) and inf at mirrored nodes of mirrored rows
-    for i in (3, n - 4):
-        a[i, ..., 2] = a[i, ..., n - 3] = np.nan
-        a[i, ..., 4] = a[i, ..., n - 5] = -np.inf
-    a[4, ..., 1] = np.copysign(np.nan, -1.0)
-    a[4, ..., n - 2] = np.inf
-    f = grid.Field(g, a)
-    per_node = [f"{g.dim} {g.L!r} {g.h!r}"]
-    per_node.extend(repr(float(x)) for x in a.ravel())
-    assert _dump(f) == "\n".join(per_node) + "\n"
+def test_field_dump_round_trip():
+    """An unfolded field, in 2-D and 3-D, is written as the header
+    "N L h -" and its values as raw little-endian float64 in C order, and
+    loads back bit for bit, signed zeros, nan of both signs, infinities
+    and subnormals included."""
+    for dim, L, h in ((2, 2.0, 0.5), (3, 1.0, 0.5)):
+        g = grid.make_grid(dim, L, h)
+        f = grid.Field(g, _with_special_values(np.empty(g.shape), 5))
+        data = _dump(f)
+        assert data == f"{dim} {L!r} {h!r} -\n".encode() + \
+            f.data.astype("<f8").tobytes()
+        f2 = grid.load_field(data)
+        assert f2.grid == g
+        assert np.array_equal(_bits(f2.data), _bits(f.data))
+        f2.data += 1.0  # a loaded field owns writable data
 
 
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("layout", ["odd_k", "even_k", "y1_alone"])
-def test_field_dump_folded_writes_full_box(tmp_path, dim, layout):
-    """A folded field is written as the text of its even extension: the
-    bytes in the file are those of dump_field(unfold(f)), with the
-    signed zeros, nan and inf of the repeated-values case in the stored
-    part, for the odd-k fold (y1 whole), the even-k fold (y1 mirrored
-    too) and a fold on y1 alone (the last axis whole).  Their mirror
-    copies are equal bit for bit, so the full box repeats them through
-    the centre."""
+def test_field_dump_folded_writes_full_box(dim, layout):
+    """The file of a folded field carries its full box: it holds the
+    stored part under a header naming the mirrored axes, for the odd-k
+    fold (y1 whole), the even-k fold (y1 mirrored too) and a fold on y1
+    alone (the last axis whole).  It loads back as the same stored Field,
+    bit for bit, and both unfold and the numpy reader of the cli
+    docstring (an np.pad reflection) give f's full box from it."""
     g = grid.make_grid(dim, 2.0 if dim == 2 else 1.5, 0.25)
     mirror_axes = grid.mirror_axes
     axes = {"odd_k": mirror_axes(1, dim), "even_k": mirror_axes(2, dim),
             "y1_alone": (0,)}[layout]
-    f = fold(grid.Field(g, np.random.default_rng(9).standard_normal(
-        g.shape)), axes)
-    assert f.grid.mirrored == axes
-    p = f.data
-    # stored rows of +0.0 and of -0.0, and both in one stored row
-    p[1], p[2] = 0.0, -0.0
-    p[3, ..., 0], p[3, ..., -1] = 0.0, -0.0
-    # nan of both signs and inf of both signs, in a row stored twice
-    p[4, ..., 1:5] = [np.nan, np.copysign(np.nan, -1.0), np.inf, -np.inf]
-    p[5] = p[4]
-    path = tmp_path / "f.field"
-    with open(path, "w") as fh:
-        grid.dump_field(f, fh)
-    full = unfold(f)
-    assert path.read_bytes() == _dump(full).encode()
-    per_node = [f"{g.dim} {g.L!r} {g.h!r}"]
-    per_node.extend(repr(float(x)) for x in full.data.ravel())
-    assert _dump(full) == "\n".join(per_node) + "\n"
-    assert np.array_equal(grid.load_field(path.read_text()).data,
-                          full.data, equal_nan=True)
+    f = fold(grid.Field(g, np.zeros(g.shape)), axes)
+    _with_special_values(f.data, 9)
+    # the special values again off the centre of y1, mirrored when y1 is
+    f.data[1] = f.data[0]
+    data = _dump(f)
+    head = f"{dim} {g.L!r} {g.h!r} {','.join(map(str, axes))}\n"
+    assert data == head.encode() + f.data.astype("<f8").tobytes()
+    f2 = grid.load_field(data)
+    assert f2.grid == f.grid and f2.grid.mirrored == axes
+    assert np.array_equal(_bits(f2.data), _bits(f.data))
+    full = _bits(unfold(f).data)
+    assert np.array_equal(_bits(unfold(f2).data), full)
+    c = g.centre
+    padded = np.pad(f2.data, [(c, 0) if ax in axes else (0, 0)
+                              for ax in range(dim)], "reflect")
+    assert np.array_equal(_bits(padded), full)
+
+
+def test_load_field_rejects_malformed():
+    """A truncated payload, an extra byte or a bad header raises
+    ValueError; a header naming a box far beyond the payload is refused
+    before make_grid allocates its axis (3.2 MB here)."""
+    g = grid.make_grid(2, 2.0, 0.5).with_mirrored((1,))
+    data = _dump(grid.Field(g, np.ones(g.shape)))
+    head, _, payload = data.partition(b"\n")
+    assert head == b"2 2.0 0.5 1"
+    bad = [
+        data[:-1], data[:-8], data + b"\0", data + b"\0" * 8,
+        head, head + b"\n",
+        b"2 2.0 0.5\n" + payload,           # no axes
+        b"2 2.0 0.5 1 1\n" + payload,       # an extra field
+        b"2 2.0 0.5 -\n" + payload,         # the payload of another fold
+        b"2 2.0 0.5 2\n" + payload,         # an axis outside the box
+        b"2 2.0 0.5 1,1\n" + payload,       # a repeated axis
+        b"2 2.0 0.5 1,0\n" + payload,       # axes out of order
+        b"2 2.0 0.5 y\n" + payload,
+        b"4 2.0 0.5 1\n" + payload,         # a dimension make_grid refuses
+        b"2 2.0 0.3 1\n" + payload,         # L not a multiple of h
+        b"2 2.0 0.0 1\n" + payload,
+        b"2 -2.0 0.5 1\n" + payload,
+        b"2 nan 0.5 1\n" + payload,
+        b"2 inf 0.5 1\n" + payload,
+        b"2 2.0 inf 1\n" + payload,
+        b"2.0 2.0 0.5 1\n" + payload,
+        b"\xff 2.0 0.5 1\n" + payload,      # not ASCII
+        b"",
+    ]
+    for blob in bad:
+        with pytest.raises(ValueError):
+            grid.load_field(blob)
+
+    def load_oversized():
+        with pytest.raises(ValueError):
+            grid.load_field(b"2 100000.0 0.5 1\n" + payload)
+
+    _, peak = traced_peak(load_oversized)
+    assert peak < 64 * 1024
 
 
 def test_field_dump_peak_memory(tmp_path):
-    """Writing a 513^2 mirror-even field, folded on both axes, to a file
-    allocates at most the file's size at its peak: the row cache holds
-    one text per distinct stored row (0.62 of the file here), and neither
-    the full box nor the whole text is built; the whole-text form peaked
-    at 1.72 times its text."""
+    """Writing a 513^2 field folded on both axes to a file allocates no
+    copy of it: the stored part (0.53 MB) goes out from its own buffer,
+    so the writer's traced peak stays below a small constant."""
     g = grid.make_grid(2, 32.0, 0.125)
     assert g.n_axis == 513
-    f = fold(grid.Field(g, _mirror_even(
-        np.random.default_rng(13).standard_normal(g.shape))), (0, 1))
+    f = fold(grid.Field(g, np.random.default_rng(13).standard_normal(
+        g.shape)), (0, 1))
     path = tmp_path / "f.field"
-    with open(path, "w") as fh:
+    with open(path, "wb") as fh:
         _, peak = traced_peak(grid.dump_field, f, fh)
-    assert peak <= path.stat().st_size
+    assert path.stat().st_size > f.data.nbytes
+    assert peak < 64 * 1024
 
 
 def test_quad_product_into_out_matches_new_array():
