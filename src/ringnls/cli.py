@@ -59,7 +59,8 @@ from .corrector import (CorrectorDivergence, LinearSolveStalled, build_inputs,
                         fixed_point_iterate)
 from .energy import check_ksum_bound, draw_sector_samples, expansion_compare
 from .geometry import bump_centers, bump_sum_field, radial_field
-from .grid import dump_field, grid_for_radius, quad_product
+from .grid import (DEFAULT_H, dump_field, grid_for_radius, quad_product,
+                   steps_per_side)
 from .model import (ModelParams, bump_radius_interval, coupling_bound,
                     mid_radius)
 from .radial import dump_profile_csv, ground_state
@@ -165,6 +166,9 @@ def parse_config(text: str) -> RunConfig:
         value = getattr(config, key)
         if value is not None and value <= 0:
             raise ValueError(f"{key} must be positive, got {value}")
+    if config.L is not None:
+        steps_per_side(config.L, DEFAULT_H[config.dim] if config.h is None
+                       else config.h)
     for k in _parse_list(config.ks, int, "ks"):
         if k < 2:
             raise ValueError(f"ks entries must be at least 2, got {k}")

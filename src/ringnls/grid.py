@@ -134,15 +134,21 @@ def _axis_slice(dim: int, ax: int, sl) -> tuple:
     return tuple(index)
 
 
+def steps_per_side(L: float, h: float) -> int:
+    """L/h, the spacings from the centre of a box of half-width L to its
+    wall; raises ValueError unless it is an integer."""
+    steps = L / h
+    if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
+        raise ValueError(f"L={L} is not an integer multiple of h={h}")
+    return int(round(steps))
+
+
 def make_grid(dim: int, L: float, h: float) -> Grid:
     if dim not in (2, 3):
         raise ValueError(f"dim must be 2 or 3, got {dim}")
     if h <= 0:
         raise ValueError(f"h must be positive, got {h}")
-    steps = L / h
-    if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
-        raise ValueError(f"L={L} is not an integer multiple of h={h}")
-    half = int(round(steps))
+    half = steps_per_side(L, h)
     if half < 1:
         raise ValueError("box must span at least one spacing per side")
     n_axis = 2 * half + 1

@@ -15,9 +15,11 @@ folded into its bands, and solve with LAPACK's banded solver.
 
 Field assembly samples the profile and its slope at every grid node
 through eval_profile and eval_profile_deriv: inside r_max the quintic
-interpolants of the tabulated nodes (of their parity extension about
-r = 0), stored as tables of Taylor coefficients per knot interval and
-evaluated by Horner's rule; the exponential tail beyond it.
+Hermite interpolant of w, w' and w'' at the two nodes of each knot
+interval (w'' from the equation), stored as a table of Taylor
+coefficients per interval and evaluated by Horner's rule, and for the
+slope that table's derivative; beyond r_max the exponential tail at the
+profile's own log-slope there, so value and slope are continuous.
 
 N = 1 admits the closed form √(2c/α) sech(√c r) and is kept as an
 oracle for tests; production runs use N ∈ {2, 3}.
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_banded
-from scipy.ndimage import map_coordinates, spline_filter1d
+from scipy.ndimage import map_coordinates
 from scipy.special import k0e, k1e
 
 from .grid import _G8
@@ -41,16 +43,6 @@ _SURFACE = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
 # 8th-order central second-derivative weights at offsets -4..4
 _D8 = np.array([-1.0 / 560, 8.0 / 315, -1.0 / 5, 8.0 / 5, -205.0 / 72,
                 8.0 / 5, -1.0 / 5, 8.0 / 315, -1.0 / 560])
-
-# the uniform quintic B-spline on one knot interval: row p holds 120 times
-# the coefficients of t^p, t = r/Δr - i in [0, 1), of the B-splines at
-# nodes i-2 .. i+3
-_QUINTIC = np.array([[1, 26, 66, 26, 1, 0],
-                     [-5, -50, 0, 50, 5, 0],
-                     [10, 20, -60, 20, 10, 0],
-                     [-10, 20, 0, -20, 10, 0],
-                     [5, -20, 30, -20, 5, 0],
-                     [-1, 5, -10, 10, -5, 1]], dtype=float)
 
 _FLOOR_NODES = 801
 
@@ -80,52 +72,40 @@ class RadialProfile:
     max_residual: float
 
     def __post_init__(self):
-        # quintic interpolation of the parity extension over [-r_max,
-        # r_max]: w is even and w' odd about r = 0, so the peak gets
-        # interior accuracy (~h^6) instead of one-sided end conditions.
-        # Field assembly samples these interpolants at every grid node,
-        # and any evaluation error shows up directly as asymmetry of the
-        # ansatz.  Each is stored as a table of Taylor coefficients per
-        # knot interval (_quintic_table), which _spline_or_tail evaluates
-        # by Horner's rule at the radii inside r_max.
+        # one local interpolant, needing no fit and no end condition: on
+        # knot interval i, with t = r/Δr - i in [0, 1], the quintic that
+        # matches w, w' and w'' at both nodes, w' the stored slope and w''
+        # read from the equation the nodes solve.  Field assembly samples
+        # it at every grid node, and any evaluation error shows up
+        # directly as asymmetry of the ansatz.  _table holds its Taylor
+        # coefficients in t per interval, row 0 the nodes themselves, and
+        # _dtable their derivative in r, so eval_profile_deriv is exactly
+        # the slope of eval_profile; _spline_or_tail evaluates both by
+        # Horner's rule.  Beyond r_max the tail decays at the log-slope
+        # _rate = -w'/w of the last node.
         n = self.r.size
-        self._step = float(self.r[-1]) / (n - 1)
-        if self.r[0] != 0.0 or np.max(np.abs(np.diff(self.r) - self._step)) \
-                > 1e-9 * self._step:
+        self._step = h = float(self.r[-1]) / (n - 1)
+        if self.r[0] != 0.0 or np.max(np.abs(np.diff(self.r) - h)) > 1e-9 * h:
             raise ValueError("profile nodes must be uniform from r = 0")
-        self._table = _quintic_table(self.values, 1.0)
-        self._dtable = _quintic_table(self.deriv, -1.0)
+        w, slope = self.values, h * self.deriv
+        curvature, friction = _coefficients(self.dim, self.r)
+        bend = h * h * (self.c * w - self.alpha * w ** 3
+                        - friction * self.deriv) / curvature
+        # the cubic, quartic and quintic coefficients fit the right node
+        gap = w[1:] - w[:-1] - slope[:-1] - 0.5 * bend[:-1]
+        dslope = slope[1:] - slope[:-1] - bend[:-1]
+        dbend = bend[1:] - bend[:-1]
+        self._table = np.array([
+            w[:-1], slope[:-1], 0.5 * bend[:-1],
+            10.0 * gap - 4.0 * dslope + 0.5 * dbend,
+            -15.0 * gap + 7.0 * dslope - dbend,
+            6.0 * gap - 3.0 * dslope + 0.5 * dbend])
+        self._dtable = self._table[1:] * (np.arange(1.0, 6.0) / h)[:, None]
+        self._rate = -float(self.deriv[-1] / self.values[-1])
 
     @property
     def r_max(self):
         return float(self.r[-1])
-
-    @property
-    def sqrt_c(self):
-        return math.sqrt(self.c)
-
-
-def _quintic_table(nodes, parity):
-    """(6, n-1) Taylor coefficients of the quintic interpolant of uniform
-    nodes at r = 0, Δr, ..., r_max: row p holds those of t^p on interval
-    i, t = r/Δr - i.
-
-    The B-spline coefficients are those of the parity extension (nodes
-    even or odd about r = 0 by parity) over [-r_max, r_max], mirrored at
-    both ends.  The constant row is the nodes themselves, so t = 0 returns
-    the node value exactly and an odd profile is exactly 0 at r = 0.
-    """
-    n = nodes.size
-    coef = spline_filter1d(np.concatenate([parity * nodes[:0:-1], nodes]),
-                           order=5, mode="mirror")
-    # nodes -2 .. n+1, the last two mirrored about r_max
-    coef = np.concatenate([coef[n - 3:], coef[-2:-4:-1]])
-    table = np.zeros((6, n - 1))
-    for m in range(6):
-        table += _QUINTIC[:, m, None] * coef[m:m + n - 1]
-    table /= 120.0
-    table[0] = nodes[:-1]
-    return table
 
 
 def _tail(c, dim, r):
@@ -291,9 +271,11 @@ def solve_ground_state(c: float, alpha: float, dim: int,
     # s^2 = w(0)/|w''(0)| with w''(0) = (c*w0 - alpha*w0^3)/dim
     s = math.sqrt(dim / (alpha * w0 * w0 - c))
     if n_nodes is None:
-        # dense enough that quintic interpolation between nodes stays
-        # below ~1e-10 of the peak (field assembly resamples the profile
-        # at arbitrary radii, so evaluation error must not dominate);
+        # dense enough that the quintic Hermite interpolant between nodes
+        # stays far below 1e-10 of the peak (field assembly resamples the
+        # profile at arbitrary radii, so evaluation error must not
+        # dominate; against a 2x-refined solve it is 1e-15 at N = 2 and
+        # 3e-15 at N = 3);
         # rounding keeps the solver's last digits out of the ceil, which
         # sits exactly on a node count for N = 1
         n_nodes = int(math.ceil(round(140.0 * r_max / s, 6))) + 1
@@ -372,8 +354,9 @@ def _simpson(f, h):
 
 
 def _spline_or_tail(profile: RadialProfile, r, table, tail_scale, out=None):
-    """The quintic table where r ≤ r_max, tail_scale·e^{-√c (r − r_max)}
-    beyond, written into out (a new array of r's shape when None).
+    """The Taylor table where r ≤ r_max, tail_scale·e^{-κ (r − r_max)}
+    beyond, κ the profile's _rate, written into out (a new array of r's
+    shape when None).
 
     The radii are taken _CHUNK at a time through one set of chunk-sized
     temporaries per call, so the temporaries beside out neither grow with
@@ -408,13 +391,13 @@ def _spline_or_tail(profile: RadialProfile, r, table, tail_scale, out=None):
         x -= i
         if n_far:
             np.subtract(rc, profile.r_max, out=x, where=far)
-            np.multiply(x, -profile.sqrt_c, out=x, where=far)
+            np.multiply(x, -profile._rate, out=x, where=far)
             np.exp(x, out=x, where=far)
             np.multiply(x, tail_scale, out=x, where=far)
         if n_far < m:
-            acc = np.take(table[5], i, out=oc, mode="clip")
+            acc = np.take(table[-1], i, out=oc, mode="clip")
             tmp = tmp_buf[:m]
-            for row in table[4::-1]:
+            for row in table[-2::-1]:
                 acc *= x
                 acc += np.take(row, i, out=tmp, mode="clip")
         if n_far:
@@ -425,9 +408,11 @@ def _spline_or_tail(profile: RadialProfile, r, table, tail_scale, out=None):
 def eval_profile(profile: RadialProfile, r, out=None):
     """Profile values at radii r ≥ 0; exponential decay beyond r_max.
 
-    Inside r_max it is the quintic interpolant of the tabulated nodes,
-    evaluated from its table of Taylor coefficients; each radius costs one
-    evaluation, by the polynomial or by the exponential.  The result has
+    Inside r_max it is the quintic Hermite interpolant of the nodes'
+    values, slopes and curvatures, evaluated from its table of Taylor
+    coefficients; beyond, w(r_max)·e^{-κ (r − r_max)} with κ = -w'/w at
+    r_max, so value and slope are continuous there.  Each radius costs
+    one evaluation, by the polynomial or by the exponential.  The result has
     the shape of r and is written into out when given (r itself
     included), a new array otherwise.
     """
@@ -436,11 +421,12 @@ def eval_profile(profile: RadialProfile, r, out=None):
 
 
 def eval_profile_deriv(profile: RadialProfile, r, out=None):
-    """d/dr of the (extrapolated) profile at radii r ≥ 0: the quintic
-    interpolant of the tabulated slopes, evaluated once per radius like
-    eval_profile, into out when given."""
-    return _spline_or_tail(profile, r, profile._dtable,
-                           -profile.sqrt_c * profile.values[-1], out)
+    """d/dr of eval_profile at radii r ≥ 0: the derivative of its
+    table inside r_max and of its tail, w'(r_max)·e^{-κ (r − r_max)},
+    beyond, evaluated once per radius like eval_profile, into out when
+    given."""
+    return _spline_or_tail(profile, r, profile._dtable, profile.deriv[-1],
+                           out)
 
 
 _CACHE: dict = {}

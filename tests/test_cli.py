@@ -84,6 +84,8 @@ def test_parse_config_rejects_removed_keys(line):
     "tol = 0", "n_samples = 0", "h = -0.25", "a = -1",
     "R = -1", "R = 0", "L = -4", "L = 0", "ks = 0,6", "ks = 1", "etas = 3",
     "etas = 0", "etas = 0.5,-1", "dim = 1",
+    # L off the spacing: h, or the dimension's default spacing when unset
+    "L = 16.1", "h = 0.25\nL = 16.125", "dim = 3\nL = 16.125",
 ])
 def test_parse_config_rejects_nonpositive(line):
     with pytest.raises(ValueError):

@@ -205,15 +205,16 @@ def test_interaction_overlap_of_distant_pair(townes, params):
 @pytest.mark.parametrize("dim,tol", [(2, 1e-13), (3, 1e-8)])
 def test_pair_rule_converged(monkeypatch, dim, tol):
     # a rule 4x finer in r and in the angle moves no pair integral by
-    # more than tol, from touching bumps to a chord of 60.  The exception
-    # is a chord near the profile's r_max = 30: there the bulk of V_1^3
-    # reads V0 on its last knot interval, where the interpolant's slope
-    # falls to 0 at r_max (the tail's is -V0) and its values are off by up
-    # to 9e-4 relative, so the rule converges at low order only.
+    # more than tol, from touching bumps to a chord of 60.  Within 2 of
+    # the profile's r_max = 30 the bulk of V_1^3 reads V0 across the
+    # joint of its table and its tail, where value and slope are
+    # continuous but the curvature is not, so in 2-D the rule converges
+    # there to 2e-9 only (1.2e-9 measured at d = 31)
     prof = ground_state(1.0, 1.0, dim)
     assert prof.r_max == 30.0
-    d = np.array([1.0, 2.0, 4.0, 8.0, 16.0, 24.0, 30.0, 40.0, 60.0])
-    bound = np.where(d == prof.r_max, 1e-5, tol)
+    d = np.array([1.0, 2.0, 4.0, 8.0, 16.0, 24.0, 29.0, 30.0, 31.0, 40.0,
+                  60.0])
+    bound = np.where(np.abs(d - prof.r_max) <= 2.0, max(tol, 2e-9), tol)
     pair = energy_module._pair_overlaps(prof, d, dim)
     for name in ("_PAIR_PANELS", "_PAIR_ANGLES"):
         monkeypatch.setattr(energy_module, name,

@@ -193,15 +193,22 @@ def test_random_parameter_draws():
 
 
 def _horner(table, step, r):
-    """The quintic table at radii r ≤ r_max by the operations of
+    """The Taylor table at radii r ≤ r_max by the operations of
     eval_profile, on every radius at once."""
     x = r / step
     i = np.clip(x.astype(np.intp), 0, table.shape[1] - 1)
     t = x - i
-    acc = table[5][i]
-    for row in table[4::-1]:
+    acc = table[-1][i]
+    for row in table[-2::-1]:
         acc = acc * t + row[i]
     return acc
+
+
+def _tail_decay(p, r):
+    """e^{-κ (r − r_max)}, κ = −w'/w at r_max, by the operations of the
+    evaluators' tail."""
+    kappa = -p.deriv[-1] / p.values[-1]
+    return np.exp(-kappa * (r - p.r_max))
 
 
 def _where_value(p, r):
@@ -211,8 +218,7 @@ def _where_value(p, r):
     out = _horner(p._table, p._step, np.minimum(r, p.r_max))
     far = r > p.r_max
     if np.any(far):
-        out = np.where(far, p.values[-1] * np.exp(-p.sqrt_c * (r - p.r_max)),
-                       out)
+        out = np.where(far, p.values[-1] * _tail_decay(p, r), out)
     return out
 
 
@@ -222,8 +228,7 @@ def _where_deriv(p, r):
     out = _horner(p._dtable, p._step, np.minimum(r, p.r_max))
     far = r > p.r_max
     if np.any(far):
-        out = np.where(far, -p.sqrt_c * p.values[-1]
-                       * np.exp(-p.sqrt_c * (r - p.r_max)), out)
+        out = np.where(far, p.deriv[-1] * _tail_decay(p, r), out)
     return out
 
 
@@ -291,34 +296,60 @@ def _production_radii(dim):
 
 
 @pytest.mark.parametrize("dim", [2, 3])
-def test_eval_matches_bspline_and_tail(dim):
-    # the Taylor table against the quintic B-spline of the parity
-    # extension of the nodes over [-r_max, r_max] inside r_max, and the
-    # tail formula beyond it; the radii include (0, 5 Δr), which the
-    # production radii do not sample
-    from scipy.interpolate import make_interp_spline
+def test_eval_matches_hermite_and_tail(dim):
+    # inside r_max the values and slopes are SciPy's piecewise quintic
+    # that matches w, w' and w'' at every node, w'' from the equation,
+    # and its derivative; beyond r_max they are the tail formula.  The
+    # radii include (0, 5 Δr), which the production radii do not sample.
+    # SciPy's derivative rounds to ~1e-13 of the peak slope even at the
+    # nodes, so the slopes are held to that and to the stored nodes
+    from scipy.interpolate import BPoly
 
     p = radial.ground_state(1.0, 1.0, dim)
-    rm = np.concatenate([-p.r[:0:-1], p.r])
+    w, slope = p.values, p.deriv
+    bend = np.empty_like(w)
+    bend[1:] = (p.c * w[1:] - p.alpha * w[1:] ** 3
+                - (dim - 1) / p.r[1:] * slope[1:])
+    bend[0] = (p.c * w[0] - p.alpha * w[0] ** 3) / dim
+    hermite = BPoly.from_derivatives(p.r, np.stack([w, slope, bend], axis=1))
     rho = _production_radii(dim)
     far = rho > p.r_max
     assert 0 < np.count_nonzero(far) < rho.size
     near_origin = np.random.default_rng(5).uniform(0.0, 5.0 * p.r[1], 500)
     inside = np.concatenate([[0.0, p.r_max], p.r, near_origin, rho[~far]])
-    decay = np.exp(-p.sqrt_c * (rho[far] - p.r_max))
-    for fast, nodes, parity, tail_scale in (
-            (radial.eval_profile, p.values, 1.0, p.values[-1]),
-            (radial.eval_profile_deriv, p.deriv, -1.0, -p.sqrt_c * p.values[-1])):
-        bspline = make_interp_spline(
-            rm, np.concatenate([parity * nodes[:0:-1], nodes]), k=5)
-        err = np.max(np.abs(fast(p, inside) - bspline(inside)))
-        assert err <= 1e-14 * np.max(np.abs(nodes))
+    decay = _tail_decay(p, rho[far])
+    top = np.max(np.abs(slope))
+    assert np.max(np.abs(radial.eval_profile_deriv(p, p.r) - slope)) \
+        <= 1e-15 * top
+    for fast, oracle, tail_scale, tol in (
+            (radial.eval_profile, hermite, w[-1], 1e-15 * p.peak),
+            (radial.eval_profile_deriv, hermite.derivative(), slope[-1],
+             1e-12 * top)):
+        assert np.max(np.abs(fast(p, inside) - oracle(inside))) <= tol
         got = fast(p, rho)
         assert not np.any(np.isnan(got))
         assert np.array_equal(got[far], tail_scale * decay)
         for r in (0.0, p.r_max, p.r_max + 1.0):
             assert np.shape(fast(p, r)) == ()
             assert np.shape(fast(p, np.float64(r))) == ()
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_eval_end_intervals_and_tail_joint(dim):
+    # the last two knot intervals agree with a solve on twice the nodes,
+    # whose extra nodes are their midpoints (the mirrored end conditions
+    # of a global spline fit were off by 9e-4 relative there), and value
+    # and slope are continuous at r_max, where the tail takes over
+    p = radial.ground_state(1.0, 1.0, dim)
+    fine = radial.solve_ground_state(1.0, 1.0, dim, n_nodes=2 * p.r.size - 1)
+    mids = fine.r[-4::2]
+    assert p.r[-3] < mids[0] < p.r[-2] < mids[1] < p.r[-1]
+    for fast, nodes in ((radial.eval_profile, fine.values),
+                        (radial.eval_profile_deriv, fine.deriv)):
+        want = nodes[-4::2]
+        assert np.all(np.abs(fast(p, mids) - want) <= 1e-12 * np.abs(want))
+        at, beyond = fast(p, p.r_max), fast(p, np.nextafter(p.r_max, np.inf))
+        assert abs(at - beyond) <= 1e-13 * abs(at)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
